@@ -129,11 +129,16 @@ class Chart:
             return np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
         return self.pou_bump(X1, X2)
 
-    def position(self, X1, X2, t=0.0):
+    def evaluate(self, exprs, X1, X2, t=0.0):
+        """Plain float values ``(len(exprs), ...)`` of chart expressions
+        (no dual overhead)."""
         env = {"X1": X1, "X2": X2, "t": t}
-        return np.stack([np.broadcast_to(p.evaluate(env),
-                                         np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
-                         for p in self.param]).astype(float)
+        shape = np.broadcast(np.asarray(X1), np.asarray(X2)).shape
+        return np.stack([np.broadcast_to(np.asarray(e.evaluate(env), dtype=float),
+                                         shape) for e in exprs]).astype(float)
+
+    def position(self, X1, X2, t=0.0):
+        return self.evaluate(self.param, X1, X2, t)
 
     def frame(self, X1, X2, t=0.0, check_domain=True):
         """Dual-number geometric frame at the given coordinates."""
@@ -209,8 +214,8 @@ class ChartFrame:
             for b in range(2):
                 gab = value_of(self.inv_gram[a][b])
                 for i in range(3):
-                    out = out + gab * value_of(self.g[a][i]) * partial_of(
-                        f[i], _CHART_VARS[b], like=value_of(self.x[0]))
+                    out = out + gab * value_of(self.g[a][i]) * self.values(
+                        f[i], _CHART_VARS[b])
         return out
 
     @property
@@ -218,23 +223,27 @@ class ChartFrame:
         """Mean curvature -div_G n (values)."""
         return -self.dual_div_tangent(self.n)
 
+    def values(self, q, wrt=None):
+        """Plain float array of a dual quantity over the frame's points.
+
+        ``q`` is a scalar, a vector (list) or a matrix (list of lists); the
+        result has shape ``q``'s layout + ``self.shape``, constants included.
+        With ``wrt`` (``"X1"``, ``"X2"`` or ``"t"``) it holds that partial
+        instead, zero where the seed is absent.
+        """
+        if isinstance(q, list):
+            return np.stack([self.values(c, wrt) for c in q])
+        v = value_of(q) if wrt is None else partial_of(q, wrt, like=0.0)
+        return np.broadcast_to(v, self.shape).astype(float)
+
     def metric(self):
         """Snapshot the frame into a plain-array MetricState."""
-        val = value_of
-        x = np.stack([np.broadcast_to(val(c), self.shape) for c in self.x]).astype(float)
-        g = np.stack([np.stack([np.broadcast_to(val(c), self.shape)
-                                for c in row]).astype(float) for row in self.g])
-        gram = np.stack([np.stack([np.broadcast_to(val(self.gram[a][b]), self.shape)
-                                   for b in range(2)]) for a in range(2)]).astype(float)
-        inv_gram = np.stack([np.stack([np.broadcast_to(val(self.inv_gram[a][b]), self.shape)
-                                       for b in range(2)]) for a in range(2)]).astype(float)
-        J = np.broadcast_to(val(self.J), self.shape).astype(float)
-        n = np.stack([np.broadcast_to(val(c), self.shape) for c in self.n]).astype(float)
-        P = np.stack([np.stack([np.broadcast_to(val(self.P[i][j]), self.shape)
-                                for j in range(3)]) for i in range(3)]).astype(float)
-        H = np.broadcast_to(self.H, self.shape).astype(float)
-        return MetricState(x=x, g=g, gram=gram, inv_gram=inv_gram, J=J,
-                           sqrtJ=np.sqrt(J), n=n, P=P, H=H)
+        J = self.values(self.J)
+        return MetricState(x=self.values(self.x), g=self.values(self.g),
+                           gram=self.values(self.gram),
+                           inv_gram=self.values(self.inv_gram), J=J,
+                           sqrtJ=np.sqrt(J), n=self.values(self.n),
+                           P=self.values(self.P), H=self.values(self.H))
 
     # -- field composition ----------------------------------------------------
 

@@ -23,7 +23,8 @@ from .config import ConfigError, load_scenario
 from .evolving_surface import (FlowState, advance_flow, dilation_density,
                                integrate_grid, jacobian_rate_check,
                                moving_atlas, transport_scalar,
-                               transport_theorem_check, transported_density)
+                               transport_theorem_check, transported_density,
+                               worst_of)
 from .fields import (ScalarField, as_scalar_field, as_vector_field,
                      random_scalar_field, random_vector_field)
 from .fluid_models import (CoefficientFields, FluidFields, residual_conservative,
@@ -112,10 +113,10 @@ def suite_verify_geometry(scn, rng):
         # tangential projector rebuilt from the metric and tangent basis
         P_from_metric = np.einsum("ab...,ai...,bj...->ij...",
                                   st.inv_gram, st.g, st.g)
-        worst_proj = max(worst_proj, float(np.max(np.abs(st.P - P_from_metric))))
+        worst_proj = worst_of(worst_proj, float(np.max(np.abs(st.P - P_from_metric))))
         if kind == "sphere":
             R = scn.get_float("surface.R", 1.0)
-            worst_curv = max(worst_curv, float(np.max(np.abs(st.H + 2.0 / R))))
+            worst_curv = worst_of(worst_curv, float(np.max(np.abs(st.H + 2.0 / R))))
     rows.append(_row("metric_projector_identity", worst_proj,
                      scn.tolerance("projection", 1e-10)))
     if kind == "sphere":
@@ -145,7 +146,7 @@ def suite_verify_identities(scn, rng):
             frame = chart.frame(nodes[0], nodes[1], t_eval)
             res = identity_residuals(frame, f, v, phi, g, mu, lam)
             for key, val in res.items():
-                worst[key] = max(worst.get(key, 0.0), val)
+                worst[key] = worst_of(worst.get(key, 0.0), val)
     # material-derivative commutation on the moving charts
     if motion.transform is not None:
         mov = moving_atlas(atlas, motion)
@@ -157,7 +158,7 @@ def suite_verify_identities(scn, rng):
                                      motion_velocity=motion.velocity)
             for key in ("transport_commutation_scalar",
                         "transport_commutation_momentum"):
-                worst[key] = max(worst.get(key, 0.0), res[key])
+                worst[key] = worst_of(worst.get(key, 0.0), res[key])
     rows = [_row(key, val, tol) for key, val in sorted(worst.items())]
     return rows, {}
 
@@ -181,7 +182,7 @@ def suite_transport(scn, rng):
         cur = advance_flow(cur, motion, dt, steps=n)
         done += n
         series.append((cur.t, integrate_grid(cur, values=transported_density(cur))))
-    drift = max(abs(m - mass0) for _, m in series) / max(1.0, abs(mass0))
+    drift = worst_of(*(abs(m - mass0) for _, m in series)) / max(1.0, abs(mass0))
 
     jac = jacobian_rate_check(cur, motion)
     f_test = scn.get_scalar_field("fields.test", ScalarField("1 + 0.3*x3"))
@@ -243,21 +244,21 @@ def suite_residuals(scn, rng):
         vval = fields.v.value(st.x, t_eval)
         ke = 0.5 * np.einsum("i...,i...->...", vval, vval)
         evals = fields.e.value(st.x, t_eval)
-        worst["mass"] = max(worst["mass"], float(np.max(np.abs(
+        worst["mass"] = worst_of(worst["mass"], float(np.max(np.abs(
             cons["mass"] - full["mass"]))))
-        worst["momentum"] = max(worst["momentum"], float(np.max(np.abs(
+        worst["momentum"] = worst_of(worst["momentum"], float(np.max(np.abs(
             cons["momentum_vec"] - (full["momentum_vec"]
                                     + vval * full["mass"])))))
-        worst["energy"] = max(worst["energy"], float(np.max(np.abs(
+        worst["energy"] = worst_of(worst["energy"], float(np.max(np.abs(
             cons["energy"] - ((ke + evals) * full["mass"]
                               + np.einsum("i...,i...->...", vval,
                                           full["momentum_vec"])
                               + full["energy"])))))
-        worst["concentration"] = max(worst["concentration"], float(np.max(
+        worst["concentration"] = worst_of(worst["concentration"], float(np.max(
             np.abs(cons["concentration"] - full["concentration"]))))
         thermo = thermo_quantities(fields, coeffs, frame)
-        production_min = min(production_min,
-                             float(np.min(thermo["entropy_production"])))
+        production_min = -worst_of(-production_min,
+                                   -float(np.min(thermo["entropy_production"])))
 
     rows = [_row(f"conservative_equivalence_{k}", v, tol)
             for k, v in sorted(worst.items())]
@@ -282,8 +283,8 @@ def suite_simulate_heat(scn, rng):
         field = step_heat(solver, field, coeffs, flux, dt)
         if (k + 1) % max(1, steps // 10) == 0 or k == steps - 1:
             exact = [math.exp(-2.0 * field.t) * x[2] for x in xs]
-            err = max(float(np.max(np.abs(field.values[m] - exact[m])))
-                      for m in range(len(xs)))
+            err = worst_of(*(float(np.max(np.abs(field.values[m] - exact[m])))
+                             for m in range(len(xs))))
             rel = err / max(abs(math.exp(-2.0 * field.t)), 1e-30)
             series.append((field.t, rel))
     rows = [_row("heat_decay_relative_error", series[-1][1],
@@ -310,8 +311,8 @@ def suite_simulate_diffusion(scn, rng):
             mass = solver.integrate(field.values, field.t)
             exact = [1.0 + field.t + 0.5 * math.exp(-2.0 * field.t) * x[2]
                      for x in xs]
-            err = max(float(np.max(np.abs(field.values[m] - exact[m])))
-                      for m in range(len(xs)))
+            err = worst_of(*(float(np.max(np.abs(field.values[m] - exact[m])))
+                             for m in range(len(xs))))
             series.append((field.t, mass, err))
     budget = abs(series[-1][1] - mass0 - 4.0 * math.pi * field.t)
     rows = [
@@ -350,7 +351,7 @@ def suite_simulate_barotropic(scn, rng):
             series.append((field.t,
                            solver.integrate([v[0] for v in field.values],
                                             field.t)))
-    drift = max(abs(m - mass0) for _, m in series) / max(1.0, abs(mass0))
+    drift = worst_of(*(abs(m - mass0) for _, m in series)) / max(1.0, abs(mass0))
     rows = [_row("barotropic_mass_drift", drift, scn.tolerance("mass", 1e-8))]
     return rows, {"barotropic_mass": (("t", "mass"), series)}
 
@@ -395,7 +396,7 @@ def suite_check_variations(scn, rng):
 
     lin = check_flux_variation("x3", flux_law_builtin("linear"), "0.5*x1 + x2*x3",
                                atlas, rule=rule)
-    rows.append(_row("flux_variation_linear", max(lin["errors"]),
+    rows.append(_row("flux_variation_linear", worst_of(*lin["errors"]),
                      scn.tolerance("flux_linear", 1e-8)))
     rows.append(_row("flux_kernel_gradient", lin["kernel_gradient_residual"],
                      scn.tolerance("kernel", 1e-10)))
@@ -442,7 +443,7 @@ def suite_check_representations(scn, rng):
                                            t=t_eval, law=law, flux=flux,
                                            rule=rule)
         for name, pair in rep.items():
-            worst[name] = max(worst.get(name, 0.0), pair["rel_mismatch"])
+            worst[name] = worst_of(worst.get(name, 0.0), pair["rel_mismatch"])
     rows = [_row(f"representation_{name}", val, tol)
             for name, val in sorted(worst.items())]
     return rows, {}
@@ -463,7 +464,6 @@ def suite_conservation_report(scn, rng):
 
     state = FlowState.create(atlas, resolution=res, rho0=rho0)
     rows_ts = []
-    snaps = []
     cur = state
     ncheck = min(10, steps)
     for k in range(ncheck + 1):
@@ -487,7 +487,6 @@ def suite_conservation_report(scn, rng):
                 x[j] * r * v[l] - x[l] * r * v[j]
                 for x, r, v in zip(cur.x, rho, vv)]))
         rows_ts.append((cur.t, mass, *mom, eA, cint, *ang))
-        snaps.append(rows_ts[-1])
 
     arr = np.asarray(rows_ts)
     names = ("mass", "momentum_x", "momentum_y", "momentum_z",
@@ -511,11 +510,9 @@ def suite_conservation_report(scn, rng):
             frame = chart.frame(X[0], X[1], 0.0)
             st = frame.metric()
             S = stress_dual(v, sig, 1.0, 0.5, frame)[0]
-            divS = div_matrix_dual(S, frame)
-            total += np.sum(w * psi * st.sqrtJ
-                            * np.stack([np.broadcast_to(r, frame.shape)
-                                        for r in divS]), axis=1)
-        worst = max(worst, float(np.max(np.abs(total))))
+            total += np.sum(w * psi * st.sqrtJ * div_matrix_dual(S, frame),
+                            axis=1)
+        worst = worst_of(worst, float(np.max(np.abs(total))))
     rows.append(_row("stress_divergence_integral", worst,
                      scn.tolerance("stress", 1e-7)))
 

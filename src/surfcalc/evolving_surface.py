@@ -33,6 +33,7 @@ __all__ = [
     "transport_scalar",
     "transported_density",
     "transport_theorem_check",
+    "worst_of",
     "integrate_grid",
     "integrate_grid_vector",
 ]
@@ -194,7 +195,8 @@ class GridGeometry:
 
 
 def _chart_grid(chart, shape):
-    """Uniform reference grid, spacings, and trapezoid weights for a chart."""
+    """Uniform reference grid, spacings, trapezoid weights, and the 1-D node
+    axes of a chart."""
     axes, hs, ws = [], [], []
     for (lo, hi), per, n in zip(chart.domain, chart.periodic, shape):
         if per:
@@ -210,7 +212,7 @@ def _chart_grid(chart, shape):
         hs.append(h)
         ws.append(w)
     X1, X2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.stack([X1, X2]), tuple(hs), np.outer(ws[0], ws[1])
+    return np.stack([X1, X2]), tuple(hs), np.outer(ws[0], ws[1]), tuple(axes)
 
 
 def _geometry_from_positions(x, hs, periodic, orientation):
@@ -260,7 +262,7 @@ class FlowState:
         rho0 = as_scalar_field(rho0)
         X, x, hs, w, psi, sJ0, r0t = [], [], [], [], [], [], []
         for m, chart in enumerate(atlas.charts):
-            Xm, hsm, wm = _chart_grid(chart, resolution)
+            Xm, hsm, wm, _ = _chart_grid(chart, resolution)
             xm = chart.position(Xm[0], Xm[1], t0)
             geo = _geometry_from_positions(xm, hsm, chart.periodic, chart.orientation)
             X.append(Xm)
@@ -305,32 +307,45 @@ def _source_rates(state, xs, t):
     return rates
 
 
+def _rk4(y, t, dt, rhs):
+    """One classical RK4 step of ``dy/dt = rhs(y, t)`` for a list of arrays.
+
+    ``dt`` may be negative.  Returns the advanced list.
+    """
+    k1 = rhs(y, t)
+    k2 = rhs([a + 0.5 * dt * b for a, b in zip(y, k1)], t + 0.5 * dt)
+    k3 = rhs([a + 0.5 * dt * b for a, b in zip(y, k2)], t + 0.5 * dt)
+    k4 = rhs([a + dt * b for a, b in zip(y, k3)], t + dt)
+    return [a + (dt / 6.0) * (p + 2 * q + 2 * r + s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+
+def _flow_step(state, vel, dt):
+    """Advance ``state`` in place by one RK4 step of ``dt`` (either sign):
+    the material points and, on the same stages, every tracked source."""
+    n = len(state.x)
+    accs = [acc for _, acc in state.sources.values()]
+
+    def rhs(y, t):
+        rates = _source_rates(state, y[:n], t)
+        return ([vel.value(xm, t) for xm in y[:n]]
+                + [r for per_chart in rates.values() for r in per_chart])
+
+    y = _rk4(state.x + [a for acc in accs for a in acc], state.t, dt, rhs)
+    state.x = y[:n]
+    for k, acc in enumerate(accs):
+        acc[:] = y[n * (k + 1):n * (k + 2)]
+    state.t = state.t + dt
+    return state
+
+
 def advance_flow(state, motion, dt, steps=1):
     """Advance the flow-map grids by ``steps`` classical RK4 steps of ``dt``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    vel = motion.velocity
     out = state.copy()
     for _ in range(steps):
-        t = out.t
-        k1 = [vel.value(xm, t) for xm in out.x]
-        s1 = _source_rates(out, out.x, t)
-        x2 = [xm + 0.5 * dt * km for xm, km in zip(out.x, k1)]
-        k2 = [vel.value(xm, t + 0.5 * dt) for xm in x2]
-        s2 = _source_rates(out, x2, t + 0.5 * dt)
-        x3 = [xm + 0.5 * dt * km for xm, km in zip(out.x, k2)]
-        k3 = [vel.value(xm, t + 0.5 * dt) for xm in x3]
-        s3 = _source_rates(out, x3, t + 0.5 * dt)
-        x4 = [xm + dt * km for xm, km in zip(out.x, k3)]
-        k4 = [vel.value(xm, t + dt) for xm in x4]
-        s4 = _source_rates(out, x4, t + dt)
-        out.x = [xm + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-                 for xm, a, b, c, d in zip(out.x, k1, k2, k3, k4)]
-        for name, (f, acc) in out.sources.items():
-            for m in range(len(acc)):
-                acc[m] += (dt / 6.0) * (s1[name][m] + 2 * s2[name][m]
-                                        + 2 * s3[name][m] + s4[name][m])
-        out.t = t + dt
+        _flow_step(out, motion.velocity, dt)
         for m in range(len(out.x)):
             out.geometry(m)  # raises JacobianCollapse on degeneration
     return out
@@ -393,6 +408,16 @@ def integrate_grid_vector(state, values):
 # -- checks --------------------------------------------------------------------
 
 
+def worst_of(*values):
+    """The largest of the float ``values``; NaN when any of them is NaN.
+
+    Check aggregations use it because the builtin ``max(0.0, nan)`` returns
+    0.0, which would let a NaN residual pass.  The least value is
+    ``-worst_of(-a, -b)``.
+    """
+    return float(np.max(values))
+
+
 def _div_tangent_grid(state, m, geo, vec_nodal):
     """Chart-form surface divergence of nodal ambient vectors on chart m."""
     chart = state.atlas.charts[m]
@@ -410,35 +435,15 @@ def jacobian_rate_check(state, motion, dt_probe=1e-3):
     evaluated in chart form from the same grid.
     """
     fwd = advance_flow(state, motion, dt_probe)
-    bwd = _advance_signed(state, motion, -dt_probe)
+    bwd = _flow_step(state.copy(), motion.velocity, -dt_probe)
     worst = 0.0
     for m in range(len(state.x)):
         geo = state.geometry(m)
         dsJ = (fwd.geometry(m).sqrtJ - bwd.geometry(m).sqrtJ) / (2.0 * dt_probe)
         vval = motion.velocity.value(state.x[m], state.t)
         div_v = _div_tangent_grid(state, m, geo, vval)
-        worst = max(worst, float(np.max(np.abs(dsJ - div_v * geo.sqrtJ))))
+        worst = worst_of(worst, float(np.max(np.abs(dsJ - div_v * geo.sqrtJ))))
     return worst
-
-
-def _advance_signed(state, motion, dt):
-    """RK4 step that tolerates a negative dt (used by probe differences)."""
-    if dt > 0:
-        return advance_flow(state, motion, dt)
-    vel = motion.velocity
-    out = state.copy()
-    t = out.t
-    k1 = [vel.value(xm, t) for xm in out.x]
-    x2 = [xm + 0.5 * dt * km for xm, km in zip(out.x, k1)]
-    k2 = [vel.value(xm, t + 0.5 * dt) for xm in x2]
-    x3 = [xm + 0.5 * dt * km for xm, km in zip(out.x, k2)]
-    k3 = [vel.value(xm, t + 0.5 * dt) for xm in x3]
-    x4 = [xm + dt * km for xm, km in zip(out.x, k3)]
-    k4 = [vel.value(xm, t + dt) for xm in x4]
-    out.x = [xm + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-             for xm, a, b, c, d in zip(out.x, k1, k2, k3, k4)]
-    out.t = t + dt
-    return out
 
 
 def transport_theorem_check(state, motion, f, mask=None, dt_probe=1e-3):
@@ -460,7 +465,7 @@ def transport_theorem_check(state, motion, f, mask=None, dt_probe=1e-3):
         return total
 
     fwd = advance_flow(state, motion, dt_probe)
-    bwd = _advance_signed(state, motion, -dt_probe)
+    bwd = _flow_step(state.copy(), motion.velocity, -dt_probe)
     lhs = (weighted_integral(fwd) - weighted_integral(bwd)) / (2.0 * dt_probe)
 
     rhs = 0.0

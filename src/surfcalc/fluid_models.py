@@ -189,13 +189,9 @@ class _Point:
     def __init__(self, frame, fields, coeffs):
         self.frame = frame
         self.t = frame.t
-        shape = frame.shape
-        self.x = np.stack([np.broadcast_to(value_of(c), shape)
-                           for c in frame.x]).astype(float)
-        self.n = np.stack([np.broadcast_to(value_of(c), shape)
-                           for c in frame.n]).astype(float)
-        self.P = np.stack([np.stack([np.broadcast_to(value_of(frame.P[i][j]), shape)
-                                     for j in range(3)]) for i in range(3)])
+        self.x = frame.values(frame.x)
+        self.n = frame.values(frame.n)
+        self.P = frame.values(frame.P)
         self.v = fields.v.value(self.x, self.t)
         self.vn = np.einsum("i...,i...->...", self.v, self.n)
         self.fields = fields
@@ -220,8 +216,7 @@ class _Point:
 
     def grad_t(self, f):
         """Tangential gradient (values) of an ambient scalar field."""
-        return np.stack([np.broadcast_to(value_of(c), self.frame.shape)
-                         for c in grad_scalar_dual(f, self.frame)]).astype(float)
+        return self.frame.values(grad_scalar_dual(f, self.frame))
 
     def div_tangent(self, vfield):
         f_d = [self.frame.eval_scalar(c) for c in vfield.comp]
@@ -241,15 +236,9 @@ def _stress_package(pt, vel=None, sigma=None):
     sigma = sigma if sigma is not None else f.sigma
     S, D, Dtan, Dproj, divv, mu_d, lam_d, sig_d = stress_dual(
         vel, sigma, c.mu, c.lam, fr)
-    shape = fr.shape
-    Sval = np.stack([np.stack([np.broadcast_to(value_of(S[i][j]), shape)
-                               for j in range(3)]) for i in range(3)])
     divS = np.asarray(div_matrix_dual(S, fr), dtype=float)
-    divv_val = np.broadcast_to(value_of(divv), shape).astype(float)
-    e_tilde = np.broadcast_to(value_of(
-        2.0 * mu_d * _contract(Dproj, Dproj) + lam_d * divv * divv),
-        shape).astype(float)
-    return S, Sval, divS, divv_val, e_tilde
+    e_tilde = fr.values(2.0 * mu_d * _contract(Dproj, Dproj) + lam_d * divv * divv)
+    return S, fr.values(S), divS, fr.values(divv), e_tilde
 
 
 # -- residual evaluators ---------------------------------------------------------

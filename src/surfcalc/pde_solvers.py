@@ -1,6 +1,6 @@
 """Method-of-lines solvers on chart grids: generalized heat and diffusion
 equations (Lagrangian, conserved-variable form) and the tangential barotropic
-system on a static surface, plus conservation-law tracking.
+system on a static surface.
 
 Spatial discretization is the divergence-form chart Laplacian
 ``(1/sqrtJ) d_a ( sqrtJ g^{ab} e_J'(|grad|^2) d_b f )`` built from nested
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .evolving_surface import fd_derivative
+from .evolving_surface import _chart_grid, _rk4, fd_derivative
 from .expressions import parse_expr
 from .fields import as_scalar_field, as_vector_field
 
@@ -30,7 +30,6 @@ __all__ = [
     "step_heat",
     "step_diffusion",
     "step_barotropic_tangential",
-    "conservation_report",
     "write_csv",
 ]
 
@@ -166,41 +165,21 @@ class SurfaceGridSolver:
         self.weights = []    # per chart: (n1, n2) quadrature weights
         self.psi = []        # per chart: (n1, n2) partition of unity
         for m, chart in enumerate(self.charts):
-            axs, hs = [], []
-            pads = []
-            for (lo, hi), per, n in zip(chart.domain, chart.periodic,
-                                        self.resolution):
-                if per:
-                    h = (hi - lo) / n
-                    axs.append(lo + h * np.arange(n))
-                    pads.append(0)
-                else:
-                    if len(self.charts) < 2:
-                        raise ValueError(
-                            "bounded chart directions need a partner chart")
-                    h = (hi - lo) / (n - 1)
-                    axs.append(lo + h * np.arange(n))
-                    pads.append(_PAD)
-                hs.append(h)
-            self.axes.append(tuple(axs))
-            self.haxes.append(tuple(hs))
-            self.pads.append(tuple(pads))
+            _, hs, w, axs = _chart_grid(chart, self.resolution)
+            if not all(chart.periodic) and len(self.charts) < 2:
+                raise ValueError("bounded chart directions need a partner chart")
+            pads = tuple(0 if per else _PAD for per in chart.periodic)
+            self.axes.append(axs)
+            self.haxes.append(hs)
+            self.pads.append(pads)
             pax = [np.concatenate([axs[d][0] + hs[d] * np.arange(-pads[d], 0),
                                    axs[d],
                                    axs[d][-1] + hs[d] * np.arange(1, pads[d] + 1)])
                    for d in range(2)]
             X1, X2 = np.meshgrid(pax[0], pax[1], indexing="ij")
             self.Xpad.append(np.stack([X1, X2]))
-            w = [None, None]
-            for d in range(2):
-                n = self.resolution[d]
-                if chart.periodic[d]:
-                    w[d] = np.full(n, hs[d])
-                else:
-                    w[d] = np.full(n, hs[d])
-                    w[d][0] = w[d][-1] = 0.5 * hs[d]
-            self.weights.append(np.outer(w[0], w[1]))
-            Xi = self.Xpad[m][:, pads[0]:pads[0] + self.resolution[0], :]
+            self.weights.append(w)
+            Xi = self.interior(m, self.Xpad[m])
             self.psi.append(atlas.pou(m, Xi[0], Xi[1]))
         self._build_couplers()
         self._static = all(c.time_independent for c in self.charts)
@@ -298,12 +277,7 @@ class SurfaceGridSolver:
 
     def positions(self, t):
         """Interior material positions per chart at time ``t``."""
-        out = []
-        for m, st in enumerate(self.metric(t)):
-            p1, p2 = self.pads[m]
-            n1, n2 = self.resolution
-            out.append(st.x[:, p1:p1 + n1, p2:p2 + n2 if p2 else None])
-        return out
+        return [self.interior(m, st.x) for m, st in enumerate(self.metric(t))]
 
     def interior(self, m, padded):
         p1, p2 = self.pads[m]
@@ -382,18 +356,6 @@ class SurfaceGridSolver:
 # -- time steppers -------------------------------------------------------------------
 
 
-def _rk4(field, rhs, dt):
-    """One classical RK4 step of d(values)/dt = rhs(values, t)."""
-    y, t = field.values, field.t
-    k1 = rhs(y, t)
-    k2 = rhs([a + 0.5 * dt * b for a, b in zip(y, k1)], t + 0.5 * dt)
-    k3 = rhs([a + 0.5 * dt * b for a, b in zip(y, k2)], t + 0.5 * dt)
-    k4 = rhs([a + dt * b for a, b in zip(y, k3)], t + dt)
-    vals = [a + (dt / 6.0) * (p + 2 * q + 2 * r + s)
-            for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-    return GridField(vals, t + dt)
-
-
 def _transported_rho(solver, rho0, t):
     """Exact density rho0(x(0)) sqrtJ(0)/sqrtJ(t) at the interior nodes."""
     rho0 = as_scalar_field(rho0)
@@ -443,9 +405,8 @@ def step_heat(solver, field, coeffs, flux, dt, rho0=1.0, check_stability=True):
         return [(div[m] + rho[m] * c.Q_theta.value(xs[m], t)
                  + c.F1.value(xs[m], t)) / rho[m] for m in range(len(vals))]
 
-    out = _rk4(field, rhs, dt)
-    out.values = solver.blend(out.values)
-    return out
+    return GridField(solver.blend(_rk4(field.values, field.t, dt, rhs)),
+                     field.t + dt)
 
 
 def step_diffusion(solver, field, coeffs, flux, dt, check_stability=True):
@@ -473,12 +434,11 @@ def step_diffusion(solver, field, coeffs, flux, dt, check_stability=True):
         return [sj[m] * (div[m] + c.Q_C.value(xs[m], t)
                          + c.F2.value(xs[m], t)) for m in range(len(wvals))]
 
-    stepped = _rk4(GridField(W, field.t), rhs, dt)
-    st_new = solver.metric(stepped.t)
-    vals = [stepped.values[m] / solver.interior(m, st_new[m].sqrtJ)
-            for m in range(len(W))]
-    out = GridField(solver.blend(vals), stepped.t)
-    return out
+    t_new = field.t + dt
+    st_new = solver.metric(t_new)
+    vals = [w / solver.interior(m, st_new[m].sqrtJ)
+            for m, w in enumerate(_rk4(W, field.t, dt, rhs))]
+    return GridField(solver.blend(vals), t_new)
 
 
 def step_barotropic_tangential(solver, field, law, dt):
@@ -532,52 +492,13 @@ def step_barotropic_tangential(solver, field, law, dt):
             out.append(np.concatenate([drho[None], dv]))
         return out
 
-    stepped = _rk4(field, rhs, dt)
+    stepped = GridField(_rk4(field.values, field.t, dt, rhs), field.t + dt)
     project(stepped.values)
     blended = [solver.blend([v[k] for v in stepped.values]) for k in range(4)]
     stepped.values = [np.stack([blended[k][m] for k in range(4)])
                       for m in range(len(stepped.values))]
     project(stepped.values)
     return stepped
-
-
-# -- conservation tracking --------------------------------------------------------
-
-
-def conservation_report(solver, snapshots):
-    """Time series of the conserved integrals from stored snapshots.
-
-    ``snapshots`` is a list of ``(t, nodal)`` where ``nodal`` maps quantity
-    names (``rho``, ``rho_v`` (3,...), ``e_A``, ``C``) to per-chart interior
-    arrays.  Returns (rows, drift) where each row is
-    (t, mass, momentum xyz, energy, concentration, angular momentum xyz)
-    and drift maps each tracked quantity to its max relative drift.
-    """
-    rows = []
-    for t, nodal in snapshots:
-        xs = solver.positions(t)
-        mass = solver.integrate(nodal["rho"], t)
-        mom = [solver.integrate([rv[i] for rv in nodal["rho_v"]], t)
-               for i in range(3)]
-        ener = solver.integrate(nodal["e_A"], t)
-        conc = solver.integrate(nodal["C"], t)
-        ang = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            vals = [xs[m][j] * nodal["rho_v"][m][k]
-                    - xs[m][k] * nodal["rho_v"][m][j]
-                    for m in range(len(xs))]
-            ang.append(solver.integrate(vals, t))
-        rows.append((t, mass, *mom, ener, conc, *ang))
-    arr = np.asarray(rows)
-    drift = {}
-    names = ("mass", "momentum_x", "momentum_y", "momentum_z",
-             "energy", "concentration", "angular_x", "angular_y", "angular_z")
-    for k, name in enumerate(names):
-        col = arr[:, 1 + k]
-        scale = max(1.0, float(np.max(np.abs(col))))
-        drift[name] = float(np.max(np.abs(col - col[0]))) / scale
-    return rows, drift
 
 
 def write_csv(path, header, rows):

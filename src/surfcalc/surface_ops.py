@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Dual, partial_of, value_of
+from .autodiff import value_of
 from .chart_geometry import ChartFrame
 from .fields import as_scalar_field, as_vector_field
 
@@ -75,7 +75,7 @@ def _tangential_partial(frame, q, i):
     for a in range(2):
         for b in range(2):
             out = out + (value_of(frame.inv_gram[a][b]) * value_of(frame.g[a][i])
-                         * partial_of(q, ("X1", "X2")[b], like=value_of(frame.x[0])))
+                         * frame.values(q, ("X1", "X2")[b]))
     return out
 
 
@@ -190,28 +190,20 @@ class SurfaceTensors:
     e_density: np.ndarray       # half of the above (energy density), (...)
 
 
-def _mat_values(M, shape):
-    return np.stack([np.stack([np.broadcast_to(value_of(M[i][j]), shape)
-                               for j in range(3)]) for i in range(3)]).astype(float)
-
-
 def strain_and_stress(v, sigma, mu, lam, frame):
     """All strain/stress tensors of ``v`` with pressure ``sigma`` on a frame."""
     S, D, Dtan, Dproj, divv, mu_d, lam_d, sig_d = stress_dual(v, sigma, mu, lam, frame)
-    shape = frame.shape
-    Dp = _mat_values(Dproj, shape)
-    dv = np.broadcast_to(value_of(divv), shape).astype(float)
-    ed = (2.0 * np.broadcast_to(value_of(mu_d), shape) * np.einsum("ij...,ij...->...", Dp, Dp)
-          + np.broadcast_to(value_of(lam_d), shape) * dv * dv)
-    gs = np.stack([np.broadcast_to(value_of(c), shape)
-                   for c in grad_scalar_dual(sigma, frame)]).astype(float)
+    Dp = frame.values(Dproj)
+    dv = frame.values(divv)
+    ed = (2.0 * frame.values(mu_d) * np.einsum("ij...,ij...->...", Dp, Dp)
+          + frame.values(lam_d) * dv * dv)
     return SurfaceTensors(
-        grad_sigma=gs,
+        grad_sigma=frame.values(grad_scalar_dual(sigma, frame)),
         div_v=dv,
-        D=_mat_values(D, shape),
-        D_tan=_mat_values(Dtan, shape),
+        D=frame.values(D),
+        D_tan=frame.values(Dtan),
         D_proj=Dp,
-        S=_mat_values(S, shape),
+        S=frame.values(S),
         e_dissipation=ed,
         e_density=0.5 * ed,
     )
@@ -257,21 +249,19 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     fP = [[f_d * P[i][j] for j in range(3)] for i in range(3)]
     div_fP = div_matrix_dual(fP, frame)
     H = frame.H
-    nval = np.stack([np.broadcast_to(value_of(c), frame.shape) for c in nvec])
-    gfval = np.stack([np.broadcast_to(value_of(c), frame.shape) for c in gf])
-    fval = np.broadcast_to(value_of(f_d), frame.shape)
+    nval = frame.values(nvec)
+    gfval = frame.values(gf)
+    fval = frame.values(f_d)
     res["projector_divergence"] = _maxabs(div_fP - (gfval + fval * H * nval))
-    Pval = np.stack([np.stack([np.broadcast_to(value_of(P[i][j]), frame.shape)
-                               for j in range(3)]) for i in range(3)])
     res["projector_divergence_tangential"] = _maxabs(
-        np.einsum("ij...,j...->i...", Pval, div_fP) - gfval)
+        np.einsum("ij...,j...->i...", frame.values(P), div_fP) - gfval)
 
     # divergence of (f P v): grad f . v + f H (n.v) + f div v
     v_d = [frame.eval_scalar(c) for c in v.comp]
     fPv = [sum(fP[i][j] * v_d[j] for j in range(3)) for i in range(3)]
     div_fPv = div_vector_dual(fPv, frame)
     divv_val = value_of(surface_divergence_vec_chart(v, frame))
-    vval = np.stack([np.broadcast_to(value_of(c), frame.shape) for c in v_d])
+    vval = frame.values(v_d)
     res["projector_product_divergence"] = _maxabs(
         div_fPv - (np.einsum("i...,i...->...", gfval, vval)
                    + fval * H * np.einsum("i...,i...->...", nval, vval)
@@ -334,19 +324,13 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
 
 def _material_residuals(frame, f, v):
     """Commutation identities between material derivatives and transport terms."""
-    shape = frame.shape
-    x = [value_of(c) for c in frame.x]
-    xarr = np.stack([np.broadcast_to(c, shape) for c in x])
+    xarr = frame.values(frame.x)
     t = frame.t
     vval = v.value(xarr, t)
     # consistency: the chart must move with v
-    xt = np.stack([np.broadcast_to(partial_of(frame.x[i], "t", like=x[0]), shape)
-                   for i in range(3)])
-    res = {"chart_velocity_consistency": _maxabs(xt - vval)}
+    res = {"chart_velocity_consistency": _maxabs(frame.values(frame.x, "t") - vval)}
 
-    nval = np.stack([np.broadcast_to(value_of(c), shape) for c in frame.n])
-    Pval = np.stack([np.stack([np.broadcast_to(value_of(frame.P[i][j]), shape)
-                               for j in range(3)]) for i in range(3)])
+    nval = frame.values(frame.n)
 
     fval = f.value(xarr, t)
     gradf = f.grad(xarr, t)
@@ -402,10 +386,8 @@ def ibp_residuals(f, phi, atlas, rule, t=0.0, m=0):
         frame = chart.frame(X[0], X[1], t)
         st = frame.metric()
         wgt = w * psi * st.sqrtJ
-        gf = np.stack([np.broadcast_to(value_of(c), frame.shape)
-                       for c in grad_scalar_dual(f, frame)])
-        gg = np.stack([np.broadcast_to(value_of(c), frame.shape)
-                       for c in grad_scalar_dual(g, frame)])
+        gf = frame.values(grad_scalar_dual(f, frame))
+        gg = frame.values(grad_scalar_dual(g, frame))
         fv = f.value(st.x, t)
         gv = g.value(st.x, t)
         H = st.H

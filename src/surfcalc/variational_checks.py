@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import partial_of, value_of
 from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, default_rule,
                              metric_at)
-from .evolving_surface import moving_atlas
+from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import (FDScalarField, ScalarField, VectorField, as_scalar_field,
                      as_vector_field)
@@ -80,7 +79,7 @@ class VariationField:
         worst = 0.0
         for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
             x = chart.position(X[0], X[1], t0)
-            worst = max(worst, float(np.max(np.abs(self.values(x, t0)))))
+            worst = worst_of(worst, float(np.max(np.abs(self.values(x, t0)))))
         return worst
 
     def tangency_residual(self, atlas, rule, t=0.0):
@@ -89,7 +88,7 @@ class VariationField:
         for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
             st = metric_at(chart, X, t)
             zn = np.einsum("i...,i...->...", self.values(st.x, t), st.n)
-            worst = max(worst, float(np.max(np.abs(zn))))
+            worst = worst_of(worst, float(np.max(np.abs(zn))))
         return worst
 
 
@@ -142,17 +141,10 @@ def _plain_chart_data(chart, X, t):
     """Positions, time derivative, and area element by direct expression
     evaluation (values only; used in the epsilon ladder where no further
     derivatives are needed)."""
-    env = {"X1": X[0], "X2": X[1], "t": t}
-    shape = np.shape(X[0])
-
-    def ev(exprs):
-        return np.stack([np.broadcast_to(np.asarray(e.evaluate(env), dtype=float),
-                                         shape) for e in exprs]).astype(float)
-
-    x = ev(chart.param)
-    xt = ev(chart._dparam["t"])
-    g1 = ev(chart._dparam["X1"])
-    g2 = ev(chart._dparam["X2"])
+    x = chart.evaluate(chart.param, X[0], X[1], t)
+    xt = chart.evaluate(chart._dparam["t"], X[0], X[1], t)
+    g1 = chart.evaluate(chart._dparam["X1"], X[0], X[1], t)
+    g2 = chart.evaluate(chart._dparam["X2"], X[0], X[1], t)
     e11 = np.einsum("i...,i...->...", g1, g1)
     e22 = np.einsum("i...,i...->...", g2, g2)
     e12 = np.einsum("i...,i...->...", g1, g2)
@@ -240,12 +232,10 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
         rho0t_d = frame0.eval_scalar(as_scalar_field(rho0)) * frame0.sqrtJ
         for tk, wk in zip(ts, wt):
             frame = chart.frame(X[0], X[1], tk)
-            shape = frame.shape
-            sJ = np.broadcast_to(value_of(frame.sqrtJ), shape).astype(float)
-            x = np.stack([np.broadcast_to(value_of(c), shape)
-                          for c in frame.x]).astype(float)
+            sJ = frame.values(frame.sqrtJ)
+            x = frame.values(frame.x)
             rho_d = rho0t_d / frame.sqrtJ
-            rho = np.broadcast_to(value_of(rho_d), shape).astype(float)
+            rho = frame.values(rho_d)
             # material acceleration of the prescribed velocity (ambient route)
             vval = vel.value(x, tk)
             jac = vel.jacobian(x, tk)
@@ -253,13 +243,10 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
             force = rho * Dt_v
             if law is not None:
                 peff_d = law.eff_expr.evaluate({"r": rho_d})
-                gradp = np.stack([
-                    np.broadcast_to(_tangential_partial(frame, peff_d, i), shape)
-                    for i in range(3)]).astype(float)
-                peff = np.broadcast_to(value_of(peff_d), shape).astype(float)
-                nvec = np.stack([np.broadcast_to(value_of(c), shape)
-                                 for c in frame.n])
-                force = force + gradp + peff * frame.H * nvec
+                gradp = np.stack([_tangential_partial(frame, peff_d, i)
+                                  for i in range(3)])
+                force = (force + gradp
+                         + frame.values(peff_d) * frame.H * frame.values(frame.n))
             zval = z.value(x, tk)
             kernel = np.einsum("i...,i...->...", force, zval)
             total += wk * float(np.sum(w * psi * kernel * sJ))
@@ -357,12 +344,9 @@ def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
     total = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         frame = chart.frame(X[0], X[1], t)
-        shape = frame.shape
         st = frame.metric()
-        ed = np.broadcast_to(
-            value_of(dissipation_density_dual(v, mu, lam, frame)), shape)
-        _, _, _, divv = strain_dual(v, frame)
-        divv = np.broadcast_to(value_of(divv), shape)
+        ed = frame.values(dissipation_density_dual(v, mu, lam, frame))
+        divv = frame.values(strain_dual(v, frame)[3])
         vval = v.value(st.x, t)
         work = (divv * sigma.value(st.x, t)
                 + rho.value(st.x, t)
@@ -397,12 +381,9 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
     analytic = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         frame = chart.frame(X[0], X[1], t)
-        shape = frame.shape
         st = frame.metric()
         S = stress_dual(v, sigma, mu, lam, frame)[0]
-        divS = np.stack([np.broadcast_to(r, shape)
-                         for r in div_matrix_dual(S, frame)]).astype(float)
-        force = divS + rho_f.value(st.x, t) * F_f.value(st.x, t)
+        force = div_matrix_dual(S, frame) + rho_f.value(st.x, t) * F_f.value(st.x, t)
         phival = direction.value(st.x, t)
         if tangential:
             force = np.einsum("ij...,j...->i...", st.P, force)
@@ -430,12 +411,8 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     magnitude = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         frame = chart.frame(X[0], X[1], t)
-        shape = frame.shape
-        gf = grad_scalar_dual(f, frame)
-        zeta = np.broadcast_to(
-            value_of(sum(c * c for c in gf)), shape).astype(float)
-        sJ = np.broadcast_to(value_of(frame.sqrtJ), shape)
-        terms = w * psi * sJ * flux.density(zeta)
+        zeta = frame.values(sum(c * c for c in grad_scalar_dual(f, frame)))
+        terms = w * psi * frame.values(frame.sqrtJ) * flux.density(zeta)
         total -= 0.5 * float(np.sum(terms))
         magnitude += 0.5 * float(np.sum(np.abs(terms)))
     return (total, magnitude) if abs_sum else total
@@ -453,7 +430,7 @@ def _kernel_gradient_residual(flux, grad_vals):
     worst = 0.0
     for i in range(3):
         lhs = np.asarray(kernel.diff(f"th{i + 1}").evaluate(env), dtype=float)
-        worst = max(worst, float(np.max(np.abs(lhs + q[i]))))
+        worst = worst_of(worst, float(np.max(np.abs(lhs + q[i]))))
     return worst
 
 
@@ -477,11 +454,9 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
     kernel_res = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         frame = chart.frame(X[0], X[1], t)
-        shape = frame.shape
         st = frame.metric()
         gf = grad_scalar_dual(f, frame)
-        grad_vals = np.stack([np.broadcast_to(value_of(c), shape)
-                              for c in gf]).astype(float)
+        grad_vals = frame.values(gf)
         if not linear:
             gnorm = np.sqrt(np.einsum("i...,i...->...", grad_vals, grad_vals))
             if np.min(gnorm) < 1e-8:
@@ -489,9 +464,9 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
                     "nonlinear flux variation needs |grad_G f| bounded away from 0")
         zeta_d = sum(c * c for c in gf)
         q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
-        divq = np.broadcast_to(div_vector_dual(q, frame), shape)
+        divq = div_vector_dual(q, frame)
         analytic += float(np.sum(w * psi * st.sqrtJ * divq * phi.value(st.x, t)))
-        kernel_res = max(kernel_res, _kernel_gradient_residual(flux, grad_vals))
+        kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))
 
     report = _ladder_report(
         lambda e: gradient_flux_energy(_shifted_field(f, phi, e), flux, atlas,
@@ -539,22 +514,16 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
         rho0t = fields.rho.value(x0, 0.0) * sJ0
 
         frame = chart.frame(X[0], X[1], t)
-        shape = frame.shape
         st = frame.metric()
         wgt = w * psi * st.sqrtJ          # surface measure
         wref = w * psi                    # reference measure (kernels carry sqrtJ)
 
-        xt = np.stack([np.broadcast_to(partial_of(frame.x[i], "t",
-                                                  like=value_of(frame.x[0])), shape)
-                       for i in range(3)]).astype(float)
+        xt = frame.values(frame.x, "t")
         xt2 = np.einsum("i...,i...->...", xt, xt)
 
         # metric rate from the chart derivatives of the velocity
         v_d = [frame.eval_scalar(c) for c in fields.v.comp]
-        gdot_basis = np.stack([
-            np.stack([np.broadcast_to(partial_of(v_d[i], _X[a], like=value_of(frame.x[0])),
-                                      shape) for i in range(3)])
-            for a in range(2)]).astype(float)   # (2, 3, ...)
+        gdot_basis = np.stack([frame.values(v_d, a) for a in _X])   # (2, 3, ...)
         gdot = (np.einsum("ai...,bi...->ab...", st.g, gdot_basis)
                 + np.einsum("ai...,bi...->ab...", gdot_basis, st.g))
 
@@ -612,9 +581,7 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
             g_amb = np.einsum("ij...,j...->i...", st.P, scalar.grad(st.x, t))
             amb = 0.5 * coef * np.einsum("i...,i...->...", g_amb, g_amb)
             s_d = frame.eval_scalar(scalar)
-            dch = np.stack([
-                np.broadcast_to(partial_of(s_d, _X[a], like=value_of(frame.x[0])),
-                                shape) for a in range(2)]).astype(float)
+            dch = np.stack([frame.values(s_d, a) for a in _X])
             zeta = np.einsum("ab...,a...,b...->...", st.inv_gram, dch, dch)
             add(name, float(np.sum(wgt * amb)),
                 float(np.sum(wref * st.sqrtJ * 0.5 * coef * zeta)))
@@ -626,9 +593,7 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
             g_amb = np.einsum("ij...,j...->i...", st.P, gfld.grad(st.x, t))
             zeta_amb = np.einsum("i...,i...->...", g_amb, g_amb)
             s_d = frame.eval_scalar(gfld)
-            dch = np.stack([
-                np.broadcast_to(partial_of(s_d, _X[a], like=value_of(frame.x[0])),
-                                shape) for a in range(2)]).astype(float)
+            dch = np.stack([frame.values(s_d, a) for a in _X])
             zeta_ref = np.einsum("ab...,a...,b...->...", st.inv_gram, dch, dch)
             add("flux",
                 float(np.sum(wgt * 0.5 * flux.density(zeta_amb))),
@@ -669,17 +634,13 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule=None,
         dJ = (Jp - Jm) / (2.0 * eps)
 
         frame = chart.frame(X[0], X[1], t)
-        shape = frame.shape
         st = frame.metric()
         y_d = [frame.eval_scalar(c) for c in variation.direction.comp]
-        dy = np.stack([
-            np.stack([np.broadcast_to(partial_of(y_d[i], _X[a],
-                                                 like=value_of(frame.x[0])), shape)
-                      for i in range(3)]) for a in range(2)]).astype(float)
+        dy = np.stack([frame.values(y_d, a) for a in _X])
         # contravariant basis g^a = g^{ab} g_b
         gup = np.einsum("ab...,bi...->ai...", st.inv_gram, st.g)
         rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * st.J
-        worst = max(worst, float(np.max(np.abs(dJ - rhs))))
+        worst = worst_of(worst, float(np.max(np.abs(dJ - rhs))))
     return worst
 
 

@@ -9,6 +9,7 @@ from surfcalc.chart_geometry import (OutOfDomain, QuadratureRule,
                                      integrate_vector, mean_curvature_at,
                                      metric_at, plane_chart, sphere_atlas,
                                      torus_atlas)
+from surfcalc.evolving_surface import motion_builtin, moving_atlas
 from conftest import random_nodes
 
 
@@ -116,3 +117,29 @@ def test_quadrature_convergence(sphere):
     fine = integrate(1.0, sphere, QuadratureRule(sphere, 80, 192))
     exact = 4 * math.pi
     assert abs(fine - exact) < abs(coarse - exact)
+
+
+def test_frame_values_full_shape(rng):
+    """Constant components (the plane's x3 = 0 is a plain float) come back
+    as full-shape float arrays, and matrices match the metric snapshot."""
+    chart = plane_chart().charts[0]
+    X = random_nodes(chart, rng, 50)
+    frame = chart.frame(X[0], X[1])
+    x = frame.values(frame.x)
+    assert x.shape == (3, 50) and x.dtype == float
+    assert np.all(x[2] == 0.0)
+    assert np.array_equal(x[:2], X)
+    assert np.array_equal(frame.values(frame.P), frame.metric().P)
+
+
+def test_frame_values_time_partial(sphere, rng):
+    """The ``t`` partial of the position is zero on the static sphere and
+    x(0) on the dilating sphere x(t) = (1 + t) x(0)."""
+    dilating = moving_atlas(sphere, motion_builtin("dilation"))
+    for base, moving in zip(sphere.charts, dilating.charts):
+        X = random_nodes(base, rng, 100)
+        static = base.frame(X[0], X[1], 0.4)
+        assert np.array_equal(static.values(static.x, "t"), np.zeros((3, 100)))
+        frame = moving.frame(X[0], X[1], 0.4)
+        assert np.allclose(frame.values(frame.x, "t"), metric_at(base, X).x,
+                           rtol=0.0, atol=1e-15)

@@ -1,5 +1,6 @@
 import importlib.resources as resources
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -109,3 +110,19 @@ def test_missing_slope_is_not_a_pass():
     assert not missing["pass"]
     drowned = _slope_row("slope", {"slope": None, "floor_limited": True}, 0.1)
     assert drowned["pass"] and drowned["inconclusive"]
+
+
+def test_nan_residuals_fail(runner, tmp_path):
+    """A density that is NaN at every node fails the equivalence checks that
+    involve it; aggregated with the builtin max they would read 0 and pass."""
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("name = nan\nsuite = residuals\nsurface.kind = sphere\n"
+                   "fields.rho = sqrt(x3 - 2)\n")
+    out_dir = tmp_path / "o"
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(out_dir)])
+    assert out.exit_code == 1, out.output
+    rows = {r["check"]: r for r in json.loads(
+        (out_dir / "summary.json").read_text())["suites"]["residuals"]["checks"]}
+    for name in ("mass", "momentum", "energy"):
+        row = rows[f"conservative_equivalence_{name}"]
+        assert math.isnan(row["value"]) and not row["pass"]
