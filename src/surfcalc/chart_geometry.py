@@ -393,12 +393,14 @@ def torus_atlas(R=2.0, r=0.5):
     return ChartAtlas([chart], name=f"torus(R={R},r={r})")
 
 
+_SURFACES = {"plane": plane_chart, "sphere": sphere_atlas, "torus": torus_atlas}
+
+
 def builtin_surface(spec_name, **params):
     """Look up a built-in surface: ``plane``, ``sphere``, or ``torus``."""
-    table = {"plane": plane_chart, "sphere": sphere_atlas, "torus": torus_atlas}
-    if spec_name not in table:
-        raise KeyError(f"unknown surface {spec_name!r}; known: {sorted(table)}")
-    return table[spec_name](**params)
+    if spec_name not in _SURFACES:
+        raise KeyError(f"unknown surface {spec_name!r}; known: {sorted(_SURFACES)}")
+    return _SURFACES[spec_name](**params)
 
 
 # -- quadrature ---------------------------------------------------------------

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from inspect import signature
 
 import click
 import numpy as np
 
 from . import __version__
 from .chart_geometry import QuadratureRule, default_rule, integrate, metric_at
-from .config import ConfigError, load_scenario
+from .config import BUILTINS, ConfigError, load_scenario
 from .evolving_surface import (FlowState, advance_flow, dilation_density,
                                integrate_grid, jacobian_rate_check,
                                moving_atlas, transport_scalar,
@@ -83,10 +84,10 @@ def _random_nodes(atlas, rng, count):
     return out
 
 
+# exact areas, called with the surface factory's keyword arguments
 _AREA_ORACLES = {
-    "sphere": lambda scn: 4.0 * math.pi * scn.get_float("surface.R", 1.0) ** 2,
-    "torus": lambda scn: (4.0 * math.pi ** 2 * scn.get_float("surface.R", 2.0)
-                          * scn.get_float("surface.r", 0.5)),
+    "sphere": lambda R: 4.0 * math.pi * R ** 2,
+    "torus": lambda R, r: 4.0 * math.pi ** 2 * R * r,
 }
 
 
@@ -97,11 +98,12 @@ def suite_verify_geometry(scn, rng):
     atlas = scn.build_surface()
     rule = _rule_for(scn, atlas)
     kind = scn.get("surface.kind")
+    args = scn.builtin_args("surface", kind)
     rows = []
 
     area = integrate(as_scalar_field(1.0), atlas, rule)
     if kind in _AREA_ORACLES:
-        oracle = _AREA_ORACLES[kind](scn)
+        oracle = _AREA_ORACLES[kind](**args)
         rows.append(_row("area_relative_error", abs(area - oracle) / oracle,
                          scn.tolerance("area", 1e-8), area=area, oracle=oracle))
 
@@ -115,8 +117,8 @@ def suite_verify_geometry(scn, rng):
                                   st.inv_gram, st.g, st.g)
         worst_proj = worst_of(worst_proj, float(np.max(np.abs(st.P - P_from_metric))))
         if kind == "sphere":
-            R = scn.get_float("surface.R", 1.0)
-            worst_curv = worst_of(worst_curv, float(np.max(np.abs(st.H + 2.0 / R))))
+            worst_curv = worst_of(worst_curv, float(np.max(np.abs(
+                st.H + 2.0 / args["R"]))))
     rows.append(_row("metric_projector_identity", worst_proj,
                      scn.tolerance("projection", 1e-10)))
     if kind == "sphere":
@@ -553,14 +555,16 @@ def run(scenario_file, suite_override, out_dir):
     try:
         scn = load_scenario(scenario_file)
         suites = [suite_override] if suite_override else scn.suites()
+        where = "" if suite_override else f"{scn.where('suite')}: "
         for s in suites:
             if s not in _SUITE_FUNCS:
-                raise ConfigError(f"unknown suite {s!r}; "
+                raise ConfigError(f"{where}unknown suite {s!r}; "
                                   f"known: {sorted(_SUITE_FUNCS)}")
     except ConfigError as exc:
         raise click.ClickException(str(exc))
 
-    out_dir = out_dir or scn.get("out", f"{scn.name}_out")
+    file_out = scn.get("out", f"{scn.name}_out")  # read under --out too
+    out_dir = out_dir or file_out
     os.makedirs(out_dir, exist_ok=True)
 
     summary = {"scenario": scn.name, "seed": scn.seed(), "suites": {}}
@@ -589,6 +593,12 @@ def run(scenario_file, suite_override, out_dir):
             click.echo(f"    {mark:4s} {r['check']}: {r['value']:.3e} "
                        f"<= {r['tolerance']:.1e}{note}")
 
+    if not suite_override:
+        try:
+            scn.check_consumed()
+        except ConfigError as exc:
+            raise click.ClickException(str(exc))
+
     summary["pass"] = all_pass
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -609,25 +619,13 @@ def _write_check_csv(path, rows):
 
 @main.command("list-builtins")
 def list_builtins():
-    """Print the built-in surfaces, motions, and closure laws."""
-    click.echo("surfaces:")
-    click.echo("  sphere(R=1.0)       two overlapping band charts")
-    click.echo("  torus(R=2.0, r=0.5) one doubly periodic chart")
-    click.echo("  plane(extent=1.0)   single flat test chart")
-    click.echo("motions:")
-    click.echo("  static")
-    click.echo("  translation(c=(0.3, -0.2, 0.1))")
-    click.echo("  rotation(rate=0.7)")
-    click.echo("  dilation            v = x/(1+t)")
-    click.echo("pressure laws:")
-    click.echo("  linear(a=1.0)       p = a*r")
-    click.echo("  quadratic(a=1.0)    p = a*r^2")
-    click.echo("  power(a=1.0, gamma=1.4)")
-    click.echo("flux laws:")
-    click.echo("  linear(kappa=1.0)   e_J = kappa*z")
-    click.echo("  quadratic           e_J = z^2")
-    click.echo("suites:")
-    for name in sorted(_SUITE_FUNCS):
+    """Print the built-in surfaces, motions, closure laws, and suites."""
+    for section, table in BUILTINS.items():
+        click.echo(f"{section}.kind:")
+        for kind, factory in table.items():
+            click.echo(f"  {kind}{signature(factory)}")
+    click.echo("suite:")
+    for name in _SUITE_FUNCS:
         click.echo(f"  {name}")
 
 

@@ -22,28 +22,26 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from inspect import signature
 
-from .chart_geometry import builtin_surface
-from .evolving_surface import motion_builtin
-from .expressions import ParseError, parse_expr
+from .chart_geometry import _SURFACES
+from .evolving_surface import _MOTIONS
+from .expressions import parse_expr
 from .fields import ScalarField, VectorField
-from .fluid_models import pressure_law_builtin
-from .pde_solvers import flux_law_builtin
+from .fluid_models import _PRESSURE_LAWS
+from .pde_solvers import _FLUX_LAWS
 
-__all__ = ["ConfigError", "Scenario", "parse_config", "load_scenario"]
+__all__ = ["BUILTINS", "ConfigError", "Scenario", "parse_config",
+           "load_scenario"]
 
-_SUITES = (
-    "verify-geometry",
-    "verify-identities",
-    "transport",
-    "residuals",
-    "simulate-heat",
-    "simulate-diffusion",
-    "simulate-barotropic",
-    "check-variations",
-    "check-representations",
-    "conservation-report",
-)
+# section -> {kind: factory}: ``<section>.kind`` picks a factory, and
+# ``<section>.<name>`` sets its parameter ``name``.
+BUILTINS = {
+    "surface": _SURFACES,
+    "motion": _MOTIONS,
+    "pressure": _PRESSURE_LAWS,
+    "flux": _FLUX_LAWS,
+}
 
 _AMB_T = ("x1", "x2", "x3", "t")
 
@@ -85,9 +83,6 @@ class Scenario:
 
     # -- raw access ------------------------------------------------------------
 
-    def has(self, key):
-        return key in self.entries
-
     def get(self, key, default=None, required=False):
         if key in self.entries:
             self.consumed.add(key)
@@ -96,149 +91,114 @@ class Scenario:
             raise ConfigError(f"{self.source}: missing required key {key!r}")
         return default
 
-    def _line(self, key):
-        return self.entries[key][1] if key in self.entries else "?"
+    def where(self, key):
+        """``source:line`` of ``key`` (line ``?`` when the key is unset)."""
+        line = self.entries[key][1] if key in self.entries else "?"
+        return f"{self.source}:{line}"
 
-    def get_float(self, key, default=None, required=False):
-        raw = self.get(key, None, required)
+    def _parse(self, key, default, parse, message):
+        """``parse`` of the value of ``key``, or ``default`` when it is unset;
+        a ``ValueError`` becomes a ``ConfigError`` with ``message``."""
+        raw = self.get(key)
         if raw is None:
             return default
         try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.source}:{self._line(key)}: "
-                              f"{key} must be a number, got {raw!r}") from None
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{self.where(key)}: " + message.format(
+                key=key, raw=raw, exc=exc)) from None
 
-    def get_int(self, key, default=None, required=False):
-        raw = self.get(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{self.source}:{self._line(key)}: "
-                              f"{key} must be an integer, got {raw!r}") from None
+    def get_float(self, key, default=None):
+        return self._parse(key, default, float,
+                           "{key} must be a number, got {raw!r}")
+
+    def get_int(self, key, default=None):
+        return self._parse(key, default, int,
+                           "{key} must be an integer, got {raw!r}")
 
     def get_floats(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return tuple(float(p) for p in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"{self.source}:{self._line(key)}: "
-                              f"{key} must be comma-separated numbers") from None
+        return self._parse(key, default,
+                           lambda raw: tuple(float(p) for p in raw.split(",")),
+                           "{key} must be comma-separated numbers")
 
     def get_ints(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return tuple(int(p) for p in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"{self.source}:{self._line(key)}: "
-                              f"{key} must be comma-separated integers") from None
+        return self._parse(key, default,
+                           lambda raw: tuple(int(p) for p in raw.split(",")),
+                           "{key} must be comma-separated integers")
 
     def get_scalar_field(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return ScalarField(parse_expr(raw, _AMB_T))
-        except ParseError as exc:
-            raise ConfigError(f"{self.source}:{self._line(key)}: "
-                              f"bad expression for {key}: {exc}") from None
+        return self._parse(key, default,
+                           lambda raw: ScalarField(parse_expr(raw, _AMB_T)),
+                           "bad expression for {key}: {exc}")
 
     def get_vector_field(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
+        comps = self._parse(
+            key, None, lambda raw: [parse_expr(p, _AMB_T) for p in raw.split(",")],
+            "bad expression for {key}: {exc}")
+        if comps is None:
             return default
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"{self.source}:{self._line(key)}: "
+        if len(comps) != 3:
+            raise ConfigError(f"{self.where(key)}: "
                               f"{key} needs 3 comma-separated components")
-        try:
-            return VectorField([parse_expr(p, _AMB_T) for p in parts])
-        except ParseError as exc:
-            raise ConfigError(f"{self.source}:{self._line(key)}: "
-                              f"bad expression for {key}: {exc}") from None
+        return VectorField(comps)
 
-    # -- validated builders ------------------------------------------------------
+    def check_consumed(self):
+        """Raise on the entries that nothing has read (misspelled keys, or
+        parameters the chosen builtins do not take)."""
+        unread = sorted((line, key) for key, (_, line) in self.entries.items()
+                        if key not in self.consumed)
+        if unread:
+            raise ConfigError("; ".join(
+                f"{self.source}:{line}: no suite reads key {key!r}"
+                for line, key in unread))
+
+    # -- builtins ----------------------------------------------------------------
 
     def suites(self):
         raw = self.get("suite", required=True)
-        suites = [s.strip() for s in raw.split(",") if s.strip()]
-        for s in suites:
-            if s not in _SUITES:
-                raise ConfigError(f"{self.source}:{self._line('suite')}: "
-                                  f"unknown suite {s!r}; known: {list(_SUITES)}")
-        return suites
+        return [s.strip() for s in raw.split(",") if s.strip()]
+
+    def builtin_args(self, section, kind):
+        """Keyword arguments for builtin ``kind`` of ``section``: each parameter
+        of its factory from ``<section>.<name>`` (comma-separated numbers when
+        the default is a tuple, else a number), or the factory's default."""
+        args = {}
+        for name, par in signature(BUILTINS[section][kind]).parameters.items():
+            get = (self.get_floats if isinstance(par.default, tuple)
+                   else self.get_float)
+            args[name] = get(f"{section}.{name}", par.default)
+        return args
+
+    def _build(self, section, default=None, required=False):
+        kind = self.get(f"{section}.kind", default, required)
+        if kind is None:
+            return None
+        table = BUILTINS[section]
+        if kind not in table:
+            raise ConfigError(f"{self.where(section + '.kind')}: unknown "
+                              f"{section} {kind!r}; known: {sorted(table)}")
+        return table[kind](**self.builtin_args(section, kind))
 
     def build_surface(self):
-        kind = self.get("surface.kind", required=True)
-        params = {}
-        for pname in ("R", "r", "extent"):
-            val = self.get_float(f"surface.{pname}")
-            if val is not None:
-                params[pname] = val
-        try:
-            return builtin_surface(kind, **params)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{self.source}:{self._line('surface.kind')}: "
-                              f"{exc}") from None
+        return self._build("surface", required=True)
 
     def build_motion(self):
-        kind = self.get("motion.kind", default="static")
-        params = {}
-        c = self.get_floats("motion.c")
-        if c is not None:
-            params["c"] = c
-        rate = self.get_float("motion.rate")
-        if rate is not None:
-            params["rate"] = rate
-        try:
-            motion = motion_builtin(kind, **params)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{self.source}:{self._line('motion.kind')}: "
-                              f"{exc}") from None
+        motion = self._build("motion", "static")
         u = self.get_vector_field("motion.u")
         if u is not None:
             motion.tangential_part = u
         return motion
 
     def build_pressure_law(self):
-        kind = self.get("pressure.kind")
-        if kind is None:
-            return None
-        params = {}
-        for pname in ("a", "gamma"):
-            val = self.get_float(f"pressure.{pname}")
-            if val is not None:
-                params[pname] = val
-        try:
-            return pressure_law_builtin(kind, **params)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{self.source}:{self._line('pressure.kind')}: "
-                              f"{exc}") from None
+        return self._build("pressure")
 
     def build_flux_law(self):
-        kind = self.get("flux.kind")
-        if kind is None:
-            return None
-        params = {}
-        kappa = self.get_float("flux.kappa")
-        if kappa is not None:
-            params["kappa"] = kappa
-        try:
-            return flux_law_builtin(kind, **params)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{self.source}:{self._line('flux.kind')}: "
-                              f"{exc}") from None
+        return self._build("flux")
 
     def resolution(self, key="resolution", default=(48, 96)):
         res = self.get_ints(key, default)
         if len(res) != 2 or min(res) < 16:
-            raise ConfigError(f"{self.source}:{self._line(key)}: "
+            raise ConfigError(f"{self.where(key)}: "
                               f"{key} needs two integers >= 16")
         return res
 
@@ -253,9 +213,9 @@ class Scenario:
         dt = self.get_float("dt", 1e-3)
         T = self.get_float("T", 0.5)
         if dt <= 0:
-            raise ConfigError(f"{self.source}:{self._line('dt')}: dt must be > 0")
+            raise ConfigError(f"{self.where('dt')}: dt must be > 0")
         if T <= 0:
-            raise ConfigError(f"{self.source}:{self._line('T')}: T must be > 0")
+            raise ConfigError(f"{self.where('T')}: T must be > 0")
         return dt, T
 
     def eps_ladder(self):
@@ -275,6 +235,5 @@ def load_scenario(path):
     name = entries.get("name", (None, 0))[0]
     if not name:
         raise ConfigError(f"{path}: missing required key 'name'")
-    scenario = Scenario(name=name, entries=entries, source=str(path))
-    scenario.consumed.add("name")
-    return scenario
+    return Scenario(name=name, entries=entries, source=str(path),
+                    consumed={"name"})

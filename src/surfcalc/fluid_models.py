@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import value_of
 from .expressions import Var, parse_expr, substitute
 from .fields import (FDScalarField, ScalarField, as_scalar_field,
                      as_vector_field)
@@ -218,15 +217,11 @@ class _Point:
         """Tangential gradient (values) of an ambient scalar field."""
         return self.frame.values(grad_scalar_dual(f, self.frame))
 
-    def div_tangent(self, vfield):
-        f_d = [self.frame.eval_scalar(c) for c in vfield.comp]
-        return np.asarray(value_of(div_vector_dual(f_d, self.frame)), dtype=float)
-
     def div_flux(self, coef, scalar):
         """Divergence of coef * tangential-gradient(scalar) (values)."""
         c_d = self.frame.eval_scalar(coef)
         q = [c_d * g for g in grad_scalar_dual(scalar, self.frame)]
-        return np.asarray(value_of(div_vector_dual(q, self.frame)), dtype=float)
+        return div_vector_dual(q, self.frame)
 
 
 def _stress_package(pt, vel=None, sigma=None):
@@ -236,7 +231,7 @@ def _stress_package(pt, vel=None, sigma=None):
     sigma = sigma if sigma is not None else f.sigma
     S, D, Dtan, Dproj, divv, mu_d, lam_d, sig_d = stress_dual(
         vel, sigma, c.mu, c.lam, fr)
-    divS = np.asarray(div_matrix_dual(S, fr), dtype=float)
+    divS = div_matrix_dual(S, fr)
     e_tilde = fr.values(2.0 * mu_d * _contract(Dproj, Dproj) + lam_d * divv * divv)
     return S, fr.values(S), divS, fr.values(divv), e_tilde
 
@@ -281,8 +276,7 @@ def residual_conservative(fields, coeffs, frame):
     rho = pt.val(f.rho)
 
     # mass: DtN rho + div(rho v)
-    div_rhov = np.asarray(value_of(div_vector_dual(
-        [rho_d * v_d[i] for i in range(3)], fr)), dtype=float)
+    div_rhov = div_vector_dual([rho_d * v_d[i] for i in range(3)], fr)
     r_mass = pt.DtN(f.rho) + div_rhov
 
     # momentum: DtN(rho v) + div(rho v x v - S) - rho F
@@ -296,8 +290,7 @@ def residual_conservative(fields, coeffs, frame):
         dtn = (f.rho.dt(pt.x, pt.t) * vval[i] + rho * f.v.comp[i].dt(pt.x, pt.t)
                + pt.vn * np.einsum("j...,j...->...", pt.n, grad_rvi))
         flux = [rho_d * v_d[i] * v_d[j] - S[i][j] for j in range(3)]
-        mom.append(dtn + np.asarray(value_of(div_vector_dual(flux, fr)), float)
-                   - rho * Fv[i])
+        mom.append(dtn + div_vector_dual(flux, fr) - rho * Fv[i])
     r_mom_vec = np.stack(mom)
 
     # total energy: DtN e_A + div(e_A v - q_theta - S v) - rho Q - rho F.v
@@ -307,8 +300,7 @@ def residual_conservative(fields, coeffs, frame):
     q_d = [kappa_d * g for g in grad_scalar_dual(f.theta, fr)]
     Sv_d = [sum(S[i][j] * v_d[j] for j in range(3)) for i in range(3)]
     flux = [eA_d * v_d[i] - q_d[i] - Sv_d[i] for i in range(3)]
-    r_energy = (pt.DtN(eA)
-                + np.asarray(value_of(div_vector_dual(flux, fr)), float)
+    r_energy = (pt.DtN(eA) + div_vector_dual(flux, fr)
                 - rho * pt.val(c.Q_theta)
                 - rho * np.einsum("i...,i...->...", Fv, vval))
 
@@ -317,9 +309,7 @@ def residual_conservative(fields, coeffs, frame):
     nu_d = fr.eval_scalar(c.nu)
     qC_d = [nu_d * g for g in grad_scalar_dual(f.C, fr)]
     flux = [C_d * v_d[i] - qC_d[i] for i in range(3)]
-    r_conc = (pt.DtN(f.C)
-              + np.asarray(value_of(div_vector_dual(flux, fr)), float)
-              - pt.val(c.Q_C))
+    r_conc = pt.DtN(f.C) + div_vector_dual(flux, fr) - pt.val(c.Q_C)
     return {"mass": r_mass, "momentum": np.linalg.norm(r_mom_vec, axis=0),
             "momentum_vec": r_mom_vec, "energy": r_energy,
             "concentration": r_conc}

@@ -260,7 +260,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     v_d = [frame.eval_scalar(c) for c in v.comp]
     fPv = [sum(fP[i][j] * v_d[j] for j in range(3)) for i in range(3)]
     div_fPv = div_vector_dual(fPv, frame)
-    divv_val = value_of(surface_divergence_vec_chart(v, frame))
+    divv_val = surface_divergence_vec_chart(v, frame)
     vval = frame.values(v_d)
     res["projector_product_divergence"] = _maxabs(
         div_fPv - (np.einsum("i...,i...->...", gfval, vval)
@@ -289,7 +289,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     # product rules for the viscous and dilational fluxes and the stress
     muDproj = [[mu_d * Dproj[i][j] for j in range(3)] for i in range(3)]
     muDv = [sum(muDproj[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = value_of(div_vector_dual(muDv, frame))
+    lhs = div_vector_dual(muDv, frame)
     div_muD = div_matrix_dual(muDproj, frame)
     rhs = (np.einsum("i...,i...->...", div_muD, vval)
            + value_of(mu_d) * value_of(_contract(Dproj, Dproj)))
@@ -297,14 +297,14 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
 
     lamP = [[lam_d * divv * P[i][j] for j in range(3)] for i in range(3)]
     lamPv = [sum(lamP[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = value_of(div_vector_dual(lamPv, frame))
+    lhs = div_vector_dual(lamPv, frame)
     div_lamP = div_matrix_dual(lamP, frame)
     rhs = (np.einsum("i...,i...->...", div_lamP, vval)
            + value_of(lam_d) * value_of(divv) ** 2)
     res["dilational_flux_product_rule"] = _maxabs(lhs - rhs)
 
     Sv = [sum(S[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = value_of(div_vector_dual(Sv, frame))
+    lhs = div_vector_dual(Sv, frame)
     div_S = div_matrix_dual(S, frame)
     rhs = (np.einsum("i...,i...->...", div_S, vval)
            + value_of(2.0 * mu_d * _contract(Dproj, Dproj)
@@ -342,8 +342,8 @@ def _material_residuals(frame, f, v):
     # divergence terms through the dual route
     f_d = frame.eval_scalar(f)
     v_d = [frame.eval_scalar(c) for c in v.comp]
-    div_fv = value_of(div_vector_dual([f_d * v_d[i] for i in range(3)], frame))
-    divv = value_of(div_vector_dual(v_d, frame))
+    div_fv = div_vector_dual([f_d * v_d[i] for i in range(3)], frame)
+    divv = div_vector_dual(v_d, frame)
     res["transport_commutation_scalar"] = _maxabs(
         (DtN_f + div_fv) - (Dt_f + divv * fval))
 
@@ -357,7 +357,7 @@ def _material_residuals(frame, f, v):
         dt_fvi = ft * vval[i] + fval * vt[i]
         dtn = dt_fvi + vn * np.einsum("j...,j...->...", nval, grad_fvi)
         row = [f_d * v_d[i] * v_d[j] for j in range(3)]
-        div_row = value_of(div_vector_dual(row, frame))
+        div_row = div_vector_dual(row, frame)
         lhs.append(dtn + div_row)
     lhs = np.stack(lhs)
     rhs = (Dt_f + divv * fval) * vval + fval * Dt_v
@@ -393,7 +393,7 @@ def ibp_residuals(f, phi, atlas, rule, t=0.0, m=0):
         H = st.H
         acc_comp += np.sum(wgt * (gf[m] * gv + fv * gg[m] + H * st.n[m] * fv * gv))
         phi_d = [frame.eval_scalar(c) for c in phi.comp]
-        divphi = value_of(div_vector_dual(phi_d, frame))
+        divphi = div_vector_dual(phi_d, frame)
         phival = phi.value(st.x, t)
         flux = np.einsum("i...,i...->...", gf + fv * H * st.n, phival)
         acc_div += np.sum(wgt * (fv * divphi + flux))

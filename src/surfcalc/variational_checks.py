@@ -260,8 +260,8 @@ def _ladder_report(energy, eps_list, analytic):
     Each rung's rounding noise is eps_mach * (|terms| at +e and at -e) / (2 e).
     The slope is fitted only on rungs whose error is above ten times their
     own noise (``None`` with fewer than two); ``floor_limited`` marks a
-    ladder with no such rung.  The Richardson extrapolation uses the two
-    finest rungs.
+    ladder with no such rung and every error finite.  The Richardson
+    extrapolation uses the two finest rungs.
     """
     eps_list = sorted(float(e) for e in eps_list)[::-1]
     fd, noise = [], []
@@ -287,7 +287,7 @@ def _ladder_report(energy, eps_list, analytic):
         "slope": slope,
         "extrapolated": extrapolated,
         "extrapolated_error": abs(extrapolated - analytic),
-        "floor_limited": not pts,
+        "floor_limited": not pts and bool(np.all(np.isfinite(errs))),
     }
 
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from surfcalc.cli_runner import _slope_row, main
+from surfcalc.variational_checks import _ladder_report
 
 
 def scenario_path(name):
@@ -26,8 +27,9 @@ def test_version(runner):
 def test_list_builtins(runner):
     out = runner.invoke(main, ["list-builtins"])
     assert out.exit_code == 0
-    for word in ("sphere", "torus", "dilation", "quadratic",
-                 "verify-geometry", "conservation-report"):
+    for word in ("sphere(R=1.0)", "torus", "dilation", "quadratic",
+                 "power(a=1.0, gamma=1.4)", "verify-geometry",
+                 "conservation-report"):
         assert word in out.output
 
 
@@ -92,6 +94,37 @@ def test_unknown_suite_rejected(runner, tmp_path):
     assert "unknown suite" in out.output
 
 
+def test_unknown_suite(runner, tmp_path):
+    """A suite name from the file is checked against the suite table, and the
+    error points at the file's line."""
+    cfg = tmp_path / "warp.cfg"
+    cfg.write_text("name = x\nsuite = warp\nsurface.kind = sphere\n")
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0
+    assert "unknown suite" in out.output
+    assert f"{cfg}:2" in out.output
+
+
+def test_misspelled_key_is_an_error(runner, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("name = typo\nsuite = residuals\nsurface.kind = sphere\n"
+                   "samples = 20\ntol.equivalnce = 1e-9\n")
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0
+    assert "tol.equivalnce" in out.output
+    assert f"{cfg}:5" in out.output
+
+
+def test_parameter_of_another_builtin_is_an_error(runner, tmp_path):
+    cfg = tmp_path / "plane.cfg"
+    cfg.write_text("name = pl\nsuite = verify-geometry\nsurface.kind = plane\n"
+                   "surface.R = 2\nsamples = 20\n")
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0
+    assert "surface.R" in out.output
+    assert "TypeError" not in out.output
+
+
 def test_failing_check_sets_exit_code(runner, tmp_path):
     strict = tmp_path / "strict.cfg"
     strict.write_text(
@@ -110,6 +143,15 @@ def test_missing_slope_is_not_a_pass():
     assert not missing["pass"]
     drowned = _slope_row("slope", {"slope": None, "floor_limited": True}, 0.1)
     assert drowned["pass"] and drowned["inconclusive"]
+
+
+def test_nan_ladder_is_not_inconclusive():
+    """A ladder of NaN energies has no rung above its noise, but that is not
+    a rounding floor: its slope row fails."""
+    rep = _ladder_report(lambda e: (math.nan, math.nan), [1e-2, 3e-3], 1.0)
+    assert rep["floor_limited"] is False
+    row = _slope_row("slope", rep, 0.1)
+    assert not row["pass"] and row["value"] == math.inf
 
 
 def test_nan_residuals_fail(runner, tmp_path):

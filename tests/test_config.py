@@ -2,6 +2,7 @@ import importlib.resources as resources
 
 import pytest
 
+from surfcalc.cli_runner import _SUITE_FUNCS
 from surfcalc.config import ConfigError, load_scenario, parse_config
 
 
@@ -67,12 +68,6 @@ def test_missing_name(tmp_path):
         load_scenario(write(tmp_path, "suite = transport\n"))
 
 
-def test_unknown_suite(tmp_path):
-    scn = load_scenario(write(tmp_path, "name = x\nsuite = warp\n"))
-    with pytest.raises(ConfigError, match="unknown suite"):
-        scn.suites()
-
-
 def test_bad_values(tmp_path):
     scn = load_scenario(write(
         tmp_path, "name = x\nsurface.kind = sphere\nsurface.R = big\n"
@@ -108,6 +103,6 @@ def test_bundled_scenarios_load_and_validate():
     assert "dilating_sphere_mass.cfg" in names
     for name in names:
         scn = load_scenario(str(root / name))
-        assert scn.suites()
+        assert scn.suites() and set(scn.suites()) <= set(_SUITE_FUNCS)
         scn.build_surface()
         scn.build_motion()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfcalc.expressions import (Num, ParseError, Var, parse_expr,
+from surfcalc import autodiff as ad
+from surfcalc.expressions import (Call, Num, ParseError, Var, parse_expr,
                                   substitute)
 
 VARS = ("x1", "x2", "x3", "t")
@@ -93,3 +94,33 @@ def test_diff_linearity_property(a, b, expr):
         dn = dict(env, **{var: env[var] - h})
         fd = (e.evaluate(up) - e.evaluate(dn)) / (2 * h)
         assert e.diff(var).evaluate(env) == pytest.approx(fd, abs=2e-6, rel=2e-6)
+
+
+# Random operator-built trees over x1, x2, t: + - * and sin/cos/exp.
+_TREES = st.recursive(
+    st.sampled_from([Var("x1"), Var("x2"), Var("t")])
+    | st.floats(-2.0, 2.0, allow_subnormal=False).map(Num),
+    lambda sub: (st.tuples(sub, sub, st.sampled_from("+-*")).map(
+        lambda a: {"+": a[0] + a[1], "-": a[0] - a[1], "*": a[0] * a[1]}[a[2]])
+        | st.tuples(st.sampled_from(["sin", "cos", "exp"]), sub).map(
+            lambda a: Call(*a))),
+    max_leaves=10)
+_POINT = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=_TREES, point=_POINT)
+def test_diff_matches_dual_partials(e, point):
+    env = dict(zip(("x1", "x2", "t"), point))
+    for var in env:
+        dual = e.evaluate(dict(env, **{var: ad.seed(var, env[var])}))
+        exact = e.diff(var).evaluate(env)
+        assert exact == pytest.approx(ad.partial_of(dual, var), rel=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=_TREES, point=_POINT)
+def test_repr_parses_back(e, point):
+    env = dict(zip(("x1", "x2", "t"), point))
+    again = parse_expr(repr(e), ("x1", "x2", "t"))
+    assert again.evaluate(env) == e.evaluate(env)
