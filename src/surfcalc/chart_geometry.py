@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import partial_of, value_of
-from .expressions import Expr, Num, parse_expr
+from .expressions import Expr, Num, evaluate_all, parse_expr
 
 __all__ = [
     "SingularMetric",
@@ -132,10 +132,10 @@ class Chart:
     def evaluate(self, exprs, X1, X2, t=0.0):
         """Plain float values ``(len(exprs), ...)`` of chart expressions
         (no dual overhead)."""
-        env = {"X1": X1, "X2": X2, "t": t}
         shape = np.broadcast(np.asarray(X1), np.asarray(X2)).shape
-        return np.stack([np.broadcast_to(np.asarray(e.evaluate(env), dtype=float),
-                                         shape) for e in exprs]).astype(float)
+        values = evaluate_all(exprs, {"X1": X1, "X2": X2, "t": t})
+        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape)
+                         for v in values]).astype(float)
 
     def position(self, X1, X2, t=0.0):
         return self.evaluate(self.param, X1, X2, t)
@@ -180,8 +180,10 @@ class ChartFrame:
         self.t = t
         env = {"X1": ad.seed("X1", X1), "X2": ad.seed("X2", X2),
                "t": ad.seed("t", t)}
-        self.x = [p.evaluate(env) for p in chart.param]
-        self.g = [[e.evaluate(env) for e in chart._dparam[v]] for v in ("X1", "X2")]
+        d = chart._dparam
+        values = evaluate_all(chart.param + d["X1"] + d["X2"], env)
+        self.x = values[:3]
+        self.g = [values[3:6], values[6:]]
         # Gram matrix, inverse, area Jacobian (all dual)
         g = self.g
         self.gram = [[_dot3(g[a], g[b]) for b in range(2)] for a in range(2)]

@@ -48,9 +48,10 @@ __all__ = ["main"]
 # -- check bookkeeping ------------------------------------------------------------
 
 
-def _row(name, value, tolerance, passed=None, inconclusive=False, **extra):
-    if passed is None:
-        passed = bool(value <= tolerance)
+def _row(name, value, tolerance, inconclusive=False, **extra):
+    """One check row.  It passes on a finite value within its tolerance, or
+    when it is inconclusive."""
+    passed = math.isfinite(value) and value <= tolerance
     row = {"check": name, "value": float(value), "tolerance": float(tolerance),
            "pass": bool(passed or inconclusive)}
     if inconclusive:

@@ -10,15 +10,24 @@ Evaluation accepts floats, numpy arrays, or :class:`~surfcalc.autodiff.Dual`
 numbers, so derivatives propagate automatically through compositions.  Exact
 partial derivatives with respect to a variable are available as new
 expressions via :meth:`Expr.diff`.
+
+Nodes are hash-consed: equal subexpressions are one object, and one
+evaluation (one ``evaluate`` call, or one :func:`evaluate_all` over a list)
+computes each distinct function call once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 from . import autodiff as ad
 
-__all__ = ["Expr", "Num", "Var", "parse_expr", "substitute", "ParseError"]
+__all__ = ["Expr", "Num", "Var", "parse_expr", "substitute", "evaluate_all",
+           "ParseError"]
+
+# every live node, keyed by its class, its children and its constants
+_NODES = weakref.WeakValueDictionary()
 
 
 class ParseError(ValueError):
@@ -26,7 +35,24 @@ class ParseError(ValueError):
 
 
 class Expr:
-    """Base class; concrete nodes implement ``evaluate`` and ``diff``."""
+    """Base class; concrete nodes implement ``evaluate`` and ``diff``.
+
+    Constructing a node with the class, the child objects and the constants
+    of a live node returns that node.  Floats are keyed by their exact bits,
+    so ``Num(0.0) is not Num(-0.0)``.
+    """
+
+    _fields = ()
+
+    def __new__(cls, *fields):
+        key = (cls,) + tuple(f.hex() if isinstance(f, float) else f
+                             for f in fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = super().__new__(cls)
+            node.__dict__.update(zip(cls._fields, fields))
+            _NODES[key] = node
+        return node
 
     def evaluate(self, env):
         raise NotImplementedError
@@ -76,8 +102,10 @@ def _wrap(x):
 
 
 class Num(Expr):
-    def __init__(self, value):
-        self.value = float(value)
+    _fields = ("value",)
+
+    def __new__(cls, value):
+        return super().__new__(cls, float(value))
 
     def evaluate(self, env):
         return self.value
@@ -90,8 +118,7 @@ class Num(Expr):
 
 
 class Var(Expr):
-    def __init__(self, name):
-        self.name = name
+    _fields = ("name",)
 
     def evaluate(self, env):
         try:
@@ -107,14 +134,13 @@ class Var(Expr):
 
 
 class _Binary(Expr):
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
+    _fields = ("a", "b")
 
 
 class Add(_Binary):
     def evaluate(self, env):
-        return self.a.evaluate(env) + self.b.evaluate(env)
+        env = _scope(env)
+        return _value(self.a, env) + _value(self.b, env)
 
     def diff(self, var):
         return _add(self.a.diff(var), self.b.diff(var))
@@ -125,7 +151,8 @@ class Add(_Binary):
 
 class Sub(_Binary):
     def evaluate(self, env):
-        return self.a.evaluate(env) - self.b.evaluate(env)
+        env = _scope(env)
+        return _value(self.a, env) - _value(self.b, env)
 
     def diff(self, var):
         return _sub(self.a.diff(var), self.b.diff(var))
@@ -136,7 +163,8 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     def evaluate(self, env):
-        return self.a.evaluate(env) * self.b.evaluate(env)
+        env = _scope(env)
+        return _value(self.a, env) * _value(self.b, env)
 
     def diff(self, var):
         return _add(_mul(self.a.diff(var), self.b), _mul(self.a, self.b.diff(var)))
@@ -147,7 +175,8 @@ class Mul(_Binary):
 
 class Div(_Binary):
     def evaluate(self, env):
-        return self.a.evaluate(env) / self.b.evaluate(env)
+        env = _scope(env)
+        return _value(self.a, env) / _value(self.b, env)
 
     def diff(self, var):
         num = _sub(_mul(self.a.diff(var), self.b), _mul(self.a, self.b.diff(var)))
@@ -160,12 +189,14 @@ class Div(_Binary):
 class Pow(Expr):
     """Power with a constant real exponent."""
 
-    def __init__(self, base, expo):
-        self.base = base
-        self.expo = float(expo)
+    _fields = ("base", "expo")
+
+    def __new__(cls, base, expo):
+        return super().__new__(cls, base, float(expo))
 
     def evaluate(self, env):
-        return self.base.evaluate(env) ** self.expo
+        env = _scope(env)
+        return _value(self.base, env) ** self.expo
 
     def diff(self, var):
         inner = self.base.diff(var)
@@ -184,14 +215,16 @@ _FUNCS = {
 
 
 class Call(Expr):
-    def __init__(self, fn, arg):
+    _fields = ("fn", "arg")
+
+    def __new__(cls, fn, arg):
         if fn not in _FUNCS:
             raise ParseError(f"unknown function {fn!r}")
-        self.fn = fn
-        self.arg = arg
+        return super().__new__(cls, fn, arg)
 
     def evaluate(self, env):
-        return _FUNCS[self.fn][0](self.arg.evaluate(env))
+        env = _scope(env)
+        return _FUNCS[self.fn][0](_value(self.arg, env))
 
     def diff(self, var):
         outer = _FUNCS[self.fn][1](self.arg)
@@ -199,6 +232,43 @@ class Call(Expr):
 
     def __repr__(self):
         return f"{self.fn}({self.arg})"
+
+
+# -- evaluation scope: one memo of Call results per evaluation --------------
+
+
+class _Scope(dict):
+    """The bindings of one evaluation and its memo of ``Call`` results,
+    keyed by node (interned, so equal calls share one entry)."""
+
+    __slots__ = ("memo",)
+
+
+def _scope(env):
+    """``env`` as an evaluation scope: a scope passes through, any other
+    mapping starts a new one with an empty memo."""
+    if type(env) is _Scope:
+        return env
+    scope = _Scope(env)
+    scope.memo = {}
+    return scope
+
+
+def _value(node, scope):
+    """Value of ``node`` in ``scope``; a ``Call`` is read from the memo before
+    its subtree is descended into."""
+    if type(node) is not Call:
+        return node.evaluate(scope)
+    value = scope.memo.get(node)
+    if value is None:
+        value = scope.memo[node] = node.evaluate(scope)
+    return value
+
+
+def evaluate_all(exprs, env):
+    """Values of ``exprs`` in one ``env``, sharing one memo across the list."""
+    scope = _scope(env)
+    return [_value(e, scope) for e in exprs]
 
 
 # -- simplifying constructors (keep derivative trees small) ------------------

@@ -139,9 +139,6 @@ class PressureLaw:
     def p(self, rho):
         return self.p_expr.evaluate({"r": rho})
 
-    def dp(self, rho):
-        return self.dp_expr.evaluate({"r": rho})
-
     def effective(self, rho):
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0):

@@ -141,10 +141,9 @@ def _plain_chart_data(chart, X, t):
     """Positions, time derivative, and area element by direct expression
     evaluation (values only; used in the epsilon ladder where no further
     derivatives are needed)."""
-    x = chart.evaluate(chart.param, X[0], X[1], t)
-    xt = chart.evaluate(chart._dparam["t"], X[0], X[1], t)
-    g1 = chart.evaluate(chart._dparam["X1"], X[0], X[1], t)
-    g2 = chart.evaluate(chart._dparam["X2"], X[0], X[1], t)
+    d = chart._dparam
+    x, xt, g1, g2 = np.split(chart.evaluate(
+        chart.param + d["t"] + d["X1"] + d["X2"], X[0], X[1], t), 4)
     e11 = np.einsum("i...,i...->...", g1, g1)
     e22 = np.einsum("i...,i...->...", g2, g2)
     e12 = np.einsum("i...,i...->...", g1, g2)

@@ -5,7 +5,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from surfcalc.cli_runner import _slope_row, main
+from surfcalc.cli_runner import _row, _slope_row, main
 from surfcalc.variational_checks import _ladder_report
 
 
@@ -143,6 +143,15 @@ def test_missing_slope_is_not_a_pass():
     assert not missing["pass"]
     drowned = _slope_row("slope", {"slope": None, "floor_limited": True}, 0.1)
     assert drowned["pass"] and drowned["inconclusive"]
+
+
+def test_non_finite_value_fails():
+    """-inf is below every tolerance, yet no check passes on a value that is
+    not finite, unless its row is inconclusive."""
+    assert not _row("x", -math.inf, 1.0)["pass"]
+    assert not _row("x", math.nan, 1.0)["pass"]
+    assert _row("x", 0.5, 1.0)["pass"]
+    assert _row("x", math.inf, 0.1, inconclusive=True)["pass"]
 
 
 def test_nan_ladder_is_not_inconclusive():

@@ -1,4 +1,6 @@
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfcalc import autodiff as ad
-from surfcalc.expressions import (Call, Num, ParseError, Var, parse_expr,
-                                  substitute)
+from surfcalc import expressions
+from surfcalc.evolving_surface import motion_builtin, moving_atlas
+from surfcalc.expressions import (Call, Expr, Num, ParseError, Var,
+                                  parse_expr, substitute)
+from surfcalc.variational_checks import (_plain_chart_data,
+                                         time_window_variation, varied_atlas)
 
 VARS = ("x1", "x2", "x3", "t")
 
@@ -72,6 +78,61 @@ def test_simplifying_constructors():
     assert (one * x) is x
     assert (x + zero) is x
     assert isinstance(parse_expr("0*sin(x1)", VARS).diff("x1"), Num)
+
+
+def test_equal_expressions_are_one_node():
+    assert parse_expr("sin(X1)", ("X1",)) is parse_expr("sin(X1)", ("X1",))
+    assert parse_expr("x1*x2 + 1", VARS) is Var("x1") * Var("x2") + 1.0
+    assert substitute(parse_expr("cos(x1)", VARS), "x1", Var("x2")) is \
+        Call("cos", Var("x2"))
+    # keyed by the value's exact bits: the sign of zero survives
+    assert Num(0.0) is not Num(-0.0)
+    assert math.copysign(1.0, Num(-0.0).value) == -1.0
+
+
+def test_dead_nodes_are_freed():
+    node = weakref.ref(parse_expr("x1 * 98765.4321", VARS))
+    assert node() is None
+
+
+def test_memo_lives_for_one_evaluation():
+    e = parse_expr("sin(x1) + sin(x1)", VARS)
+    env = {"x1": 0.3}
+    assert e.evaluate(env) == 2.0 * np.sin(0.3)
+    env["x1"] = 0.5
+    assert e.evaluate(env) == 2.0 * np.sin(0.5)
+
+
+def _distinct_calls(e, out):
+    if isinstance(e, Call):
+        out.add((e.fn, repr(e.arg)))
+    for child in vars(e).values():
+        if isinstance(child, Expr):
+            _distinct_calls(child, out)
+    return out
+
+
+def test_each_distinct_call_evaluated_once(sphere, monkeypatch):
+    """The position, velocity and tangent basis of a varied sphere chart hold
+    100 calls of 4 distinct ones; one evaluation of the 12 expressions
+    computes each of the 4 once."""
+    wobble = ("0.9*x3*x1 + 0.6*x1", "-0.6*x1 + 0.3*x3", "0.6*x3 + 0.3*x2*x2")
+    mov = moving_atlas(sphere, motion_builtin("dilation"))
+    chart = varied_atlas(mov, time_window_variation(wobble, 0.4), 1e-2).charts[0]
+    evals = Counter()
+    for fn, (value, deriv) in list(expressions._FUNCS.items()):
+        def counted(x, fn=fn, value=value):
+            evals[fn] += 1
+            return value(x)
+        monkeypatch.setitem(expressions._FUNCS, fn, (counted, deriv))
+    X = np.stack([np.linspace(0.5, 2.5, 5), np.linspace(0.1, 6.0, 5)])
+    _plain_chart_data(chart, X, 0.3)
+    d = chart._dparam
+    distinct = set()
+    for e in chart.param + d["t"] + d["X1"] + d["X2"]:
+        _distinct_calls(e, distinct)
+    assert len(distinct) == 4
+    assert evals == Counter(fn for fn, _ in distinct)
 
 
 def test_evaluate_vectorized():
