@@ -135,7 +135,7 @@ class Chart:
         shape = np.broadcast(np.asarray(X1), np.asarray(X2)).shape
         values = evaluate_all(exprs, {"X1": X1, "X2": X2, "t": t})
         return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape)
-                         for v in values]).astype(float)
+                         for v in values])
 
     def position(self, X1, X2, t=0.0):
         return self.evaluate(self.param, X1, X2, t)

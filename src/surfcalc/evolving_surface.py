@@ -167,18 +167,26 @@ _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 def fd_derivative(arr, axis, h, periodic):
     """4th-order first derivative of nodal data along ``axis`` (spacing h)."""
-    a = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
-    out = np.empty_like(a)
+    a = np.asarray(arr, dtype=float)
+    n = a.shape[axis]
+
+    def ix(s):
+        """Index ``s`` along ``axis``."""
+        return (slice(None),) * axis + (s,)
+
     if periodic:
-        out[:] = (8.0 * (np.roll(a, -1, 0) - np.roll(a, 1, 0))
-                  - (np.roll(a, -2, 0) - np.roll(a, 2, 0))) / (12.0 * h)
-    else:
-        out[2:-2] = (8.0 * (a[3:-1] - a[1:-3]) - (a[4:] - a[:-4])) / (12.0 * h)
-        out[0] = np.tensordot(_EDGE0, a[:5], axes=(0, 0)) / h
-        out[1] = np.tensordot(_EDGE1, a[:5], axes=(0, 0)) / h
-        out[-1] = -np.tensordot(_EDGE0, a[-5:][::-1], axes=(0, 0)) / h
-        out[-2] = -np.tensordot(_EDGE1, a[-5:][::-1], axes=(0, 0)) / h
-    return np.moveaxis(out, 0, axis)
+        w = np.concatenate([a[ix(np.s_[-2:])], a, a[ix(np.s_[:2])]], axis)
+        # w[i + 2] = a[i mod n]
+        return (8.0 * (w[ix(np.s_[3:n + 3])] - w[ix(np.s_[1:n + 1])])
+                - (w[ix(np.s_[4:])] - w[ix(np.s_[:n])])) / (12.0 * h)
+    out = np.empty_like(a)
+    out[ix(np.s_[2:-2])] = (8.0 * (a[ix(np.s_[3:-1])] - a[ix(np.s_[1:-3])])
+                            - (a[ix(np.s_[4:])] - a[ix(np.s_[:-4])])) / (12.0 * h)
+    lo, hi = a[ix(np.s_[:5])], a[ix(np.s_[:-6:-1])]
+    for k, edge in enumerate((_EDGE0, _EDGE1)):
+        out[ix(k)] = np.tensordot(edge, lo, axes=(0, axis)) / h
+        out[ix(-1 - k)] = -np.tensordot(edge, hi, axes=(0, axis)) / h
+    return out
 
 
 @dataclass

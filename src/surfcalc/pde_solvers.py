@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .evolving_surface import _chart_grid, _rk4, fd_derivative
-from .expressions import parse_expr
+from .expressions import Num, parse_expr
 from .fields import as_scalar_field, as_vector_field
 
 __all__ = [
@@ -95,17 +95,17 @@ class GridField:
 
 
 def _lagrange_cubic_weights(s):
-    """Weights of 4-point cubic Lagrange interpolation at offset s in [1, 2]
+    """Weights (..., 4) of 4-point cubic Lagrange interpolation at offsets s
     from the first node (nodes at 0, 1, 2, 3)."""
-    w = np.empty(4)
     pts = (0.0, 1.0, 2.0, 3.0)
+    w = []
     for k in range(4):
-        num = 1.0
+        num = np.ones_like(s)
         for j in range(4):
             if j != k:
-                num *= (s - pts[j]) / (pts[k] - pts[j])
-        w[k] = num
-    return w
+                num = num * ((s - pts[j]) / (pts[k] - pts[j]))
+        w.append(num)
+    return np.stack(w, axis=-1)
 
 
 def _interp_matrix(axes, periodic, shape, targets):
@@ -115,30 +115,28 @@ def _interp_matrix(axes, periodic, shape, targets):
     chart coordinates.  Returns a CSR matrix of shape (N, n1*n2).
     """
     n1, n2 = shape
-    rows, cols, vals = [], [], []
-    h = [axes[0][1] - axes[0][0], axes[1][1] - axes[1][0]]
-    for r, (y1, y2) in enumerate(targets):
-        idx = []
-        wgt = []
-        for d, (y, ax, per, n) in enumerate(
-                zip((y1, y2), axes, periodic, (n1, n2))):
-            pos = (y - ax[0]) / h[d]
-            j0 = int(np.floor(pos)) - 1
-            if per:
-                s = pos - j0
-                ids = [(j0 + k) % n for k in range(4)]
-            else:
-                j0 = min(max(j0, 0), n - 4)
-                s = pos - j0
-                ids = [j0 + k for k in range(4)]
-            idx.append(ids)
-            wgt.append(_lagrange_cubic_weights(s))
-        for a in range(4):
-            for b in range(4):
-                rows.append(r)
-                cols.append(idx[0][a] * n2 + idx[1][b])
-                vals.append(wgt[0][a] * wgt[1][b])
+    targets = np.asarray(targets, dtype=float).reshape(-1, 2)
+    idx, wgt = [], []
+    for d, (ax, per, n) in enumerate(zip(axes, periodic, shape)):
+        pos = (targets[:, d] - ax[0]) / (ax[1] - ax[0])
+        j0 = np.floor(pos).astype(np.int64) - 1
+        if not per:
+            j0 = np.clip(j0, 0, n - 4)
+        ids = j0[:, None] + np.arange(4)
+        idx.append(ids % n if per else ids)
+        wgt.append(_lagrange_cubic_weights(pos - j0))
+    rows = np.repeat(np.arange(len(targets)), 16)
+    cols = (idx[0][:, :, None] * n2 + idx[1][:, None, :]).ravel()
+    vals = (wgt[0][:, :, None] * wgt[1][:, None, :]).ravel()
     return sparse.csr_matrix((vals, (rows, cols)), shape=(len(targets), n1 * n2))
+
+
+def _apply(op, values):
+    """``op`` applied to each (n1, n2) field of a stack (..., n1, n2), as one
+    sparse product on an (n1*n2, k) block; returns (..., op rows)."""
+    lead = values.shape[:-2]
+    flat = values.reshape(-1, values.shape[-2] * values.shape[-1])
+    return (op @ flat.T).T.reshape(lead + (op.shape[0],))
 
 
 # -- the grid solver --------------------------------------------------------------
@@ -189,70 +187,64 @@ class SurfaceGridSolver:
 
     def _build_couplers(self):
         """Ghost-fill and overlap-blend sparse operators (reference coords)."""
-        self.ghost_ops = []   # per chart: None or (partner, csr, ghost_slices)
-        self.blend_ops = []   # per chart: None or (partner, csr)
+        self.ghost_ops = []   # per chart: None or (partner, csr, ghost rows)
+        self.blend_ops = []   # per chart: None or (partner, csr, node index)
         if len(self.charts) < 2:
             self.ghost_ops = [None] * len(self.charts)
             self.blend_ops = [None] * len(self.charts)
             return
-        for m, chart in enumerate(self.charts):
+        for m in range(len(self.charts)):
             partner = 1 - m
-            other = self.charts[partner]
             p1, p2 = self.pads[m]
             if p2 != 0:
                 raise ValueError("padding in a periodic direction is unsupported")
             Xp = self.Xpad[m]
             n1, n2 = self.resolution
             ghost_rows = list(range(p1)) + list(range(p1 + n1, 2 * p1 + n1))
-            targets = []
-            for i in ghost_rows:
-                pos = chart.position(Xp[0][i], Xp[1][i], 0.0)
-                Y1, Y2 = other.invert(pos)
-                targets.extend(np.stack([Y1, Y2], axis=-1))
-            op = _interp_matrix(self.axes[partner], other.periodic,
-                                self.resolution, np.asarray(targets))
-            self.ghost_ops.append((partner, op, ghost_rows))
+            self.ghost_ops.append((partner, self._partner_op(
+                m, Xp[0][ghost_rows], Xp[1][ghost_rows]), ghost_rows))
             # blend rows: interior nodes where our pou weight is below 1
-            psi = self.psi[m]
-            need = np.argwhere(psi < 1.0 - 1e-13)
-            pts = np.stack([self.axes[m][0][need[:, 0]],
-                            self.axes[m][1][need[:, 1]]])
-            pos = chart.position(pts[0], pts[1], 0.0)
-            Y1, Y2 = other.invert(pos)
-            bop = _interp_matrix(self.axes[partner], other.periodic,
-                                 self.resolution,
-                                 np.stack([Y1, Y2], axis=-1))
-            self.blend_ops.append((partner, bop, need))
+            need = np.nonzero(self.psi[m] < 1.0 - 1e-13)
+            self.blend_ops.append((partner, self._partner_op(
+                m, self.axes[m][0][need[0]], self.axes[m][1][need[1]]), need))
+
+    def _partner_op(self, m, X1, X2):
+        """Interpolation from the partner chart's grid to chart m's points."""
+        other = self.charts[1 - m]
+        Y1, Y2 = other.invert(self.charts[m].position(X1, X2, 0.0))
+        return _interp_matrix(self.axes[1 - m], other.periodic,
+                              self.resolution, np.stack([Y1, Y2], axis=-1))
 
     def fill_ghosts(self, values):
-        """Padded per-chart arrays with ghost rows interpolated cross-chart."""
+        """Padded per-chart arrays with ghost rows interpolated cross-chart.
+
+        Each ``values[m]`` is one (n1, n2) field or a stack (..., n1, n2)."""
         out = []
         for m in range(len(self.charts)):
             p1, p2 = self.pads[m]
             n1, n2 = self.resolution
-            pad = np.zeros((n1 + 2 * p1, n2 + 2 * p2))
-            pad[p1:p1 + n1, p2:p2 + n2 if p2 else None] = values[m]
+            lead = values[m].shape[:-2]
+            pad = np.zeros(lead + (n1 + 2 * p1, n2 + 2 * p2))
+            pad[..., p1:p1 + n1, p2:p2 + n2 if p2 else None] = values[m]
             if self.ghost_ops[m] is not None:
                 partner, op, rows = self.ghost_ops[m]
-                ghost = (op @ values[partner].ravel()).reshape(len(rows), n2)
-                for k, i in enumerate(rows):
-                    pad[i] = ghost[k]
+                pad[..., rows, :] = _apply(op, values[partner]).reshape(
+                    lead + (len(rows), n2))
             out.append(pad)
         return out
 
     def blend(self, values):
-        """Partition-of-unity average of overlapping chart values (in place)."""
+        """Partition-of-unity average of overlapping chart values (in place).
+
+        Each ``values[m]`` is one (n1, n2) field or a stack (..., n1, n2)."""
         if len(self.charts) < 2:
             return values
-        interped = []
-        for m in range(len(self.charts)):
-            partner, bop, need = self.blend_ops[m]
-            interped.append((bop @ values[partner].ravel(), need))
-        for m in range(len(self.charts)):
-            vals, need = interped[m]
-            psi = self.psi[m][need[:, 0], need[:, 1]]
-            own = values[m][need[:, 0], need[:, 1]]
-            values[m][need[:, 0], need[:, 1]] = psi * own + (1.0 - psi) * vals
+        interped = [_apply(bop, values[partner])
+                    for partner, bop, _ in self.blend_ops]
+        for m, (_, _, need) in enumerate(self.blend_ops):
+            psi = self.psi[m][need]
+            own = values[m][(...,) + need]
+            values[m][(...,) + need] = psi * own + (1.0 - psi) * interped[m]
         return values
 
     # -- metric data ---------------------------------------------------------------
@@ -315,15 +307,9 @@ class SurfaceGridSolver:
             out.append(self.interior(m, div))
         return out
 
-    def grad_tangent(self, m, padded, st):
-        """Tangential gradient (3, ...) of a padded array on chart m."""
-        df = self.grad_chart(m, padded)
+    def grad_tangent(self, st, df):
+        """Tangential gradient (3, ...) from chart derivatives df (2, ...)."""
         return np.einsum("ab...,ai...,b...->i...", st.inv_gram, st.g, df)
-
-    def div_tangent(self, m, padded_vec, st):
-        """Surface divergence of padded ambient vectors (3, ...) on chart m."""
-        dv = np.stack([self._d(m, padded_vec, 0), self._d(m, padded_vec, 1)])
-        return np.einsum("ab...,ai...,bi...->...", st.inv_gram, st.g, dv)
 
     # -- stability ---------------------------------------------------------------------
 
@@ -379,14 +365,13 @@ def step_heat(solver, field, coeffs, flux, dt, rho0=1.0, check_stability=True):
     """
     c = coeffs
     if check_stability:
-        vals0 = field.values
-        states = solver.metric(field.t)
         zmax = 0.0
-        pads = solver.fill_ghosts(vals0)
-        for m, st in enumerate(states):
-            df = solver.grad_chart(m, pads[m])
-            z = np.einsum("ab...,a...,b...->...", st.inv_gram, df, df)
-            zmax = max(zmax, float(np.max(z)))
+        if not isinstance(flux.d_expr, Num):  # a constant e_J' needs no z
+            pads = solver.fill_ghosts(field.values)
+            for m, st in enumerate(solver.metric(field.t)):
+                df = solver.grad_chart(m, pads[m])
+                z = np.einsum("ab...,a...,b...->...", st.inv_gram, df, df)
+                zmax = max(zmax, float(np.max(z)))
         rho_now = _transported_rho(solver, rho0, field.t)
         coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
         cth_min = min(float(np.min(np.abs(c.C_theta.value(
@@ -460,44 +445,35 @@ def step_barotropic_tangential(solver, field, law, dt):
     def rhs(vals, t):
         vals = [v.copy() for v in vals]
         project(vals)
-        rho_v = [v[0] for v in vals]
-        if any(np.min(r) <= 0 for r in rho_v):
+        if any(np.min(v[0]) <= 0 for v in vals):
             raise NonpositiveDensity("barotropic density became non-positive")
         out = []
-        # pad each component separately
-        comp_pads = [solver.fill_ghosts([v[k] for v in vals])
-                     for k in range(4)]
-        for m, st in enumerate(states):
-            sti = st
-            rho_pad = comp_pads[0][m]
-            v_pad = np.stack([comp_pads[k][m] for k in range(1, 4)])
-            grad_rho = solver.grad_tangent(m, rho_pad, sti)
-            peff_pad = law.effective(np.maximum(rho_pad, 1e-12))
-            grad_p = solver.grad_tangent(m, peff_pad, sti)
-            div_v = solver.div_tangent(m, v_pad, sti)
+        for m, (st, pad) in enumerate(zip(states, solver.fill_ghosts(vals))):
+            peff_pad = law.effective(np.maximum(pad[0], 1e-12))
+            # chart derivatives (2, 5, ...) of the stack (rho, peff, v1, v2, v3)
+            stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
+            ds = solver.grad_chart(m, stack)
+            grad = [solver.interior(m, solver.grad_tangent(st, ds[:, k]))
+                    for k in range(5)]
+            # div_G v = g^{ab} g_a . d_b v
+            div_v = np.einsum("ab...,ai...,bi...->...", st.inv_gram, st.g,
+                              ds[:, 2:])
             # tangential advection (v, grad_t) of each quantity
-            vint = solver.interior(m, v_pad)
-            rho_i = solver.interior(m, rho_pad)
-            drho = -np.einsum("i...,i...->...",
-                              vint, solver.interior(m, grad_rho)) \
+            vint = solver.interior(m, pad[1:])
+            rho_i = solver.interior(m, pad[0])
+            drho = -np.einsum("i...,i...->...", vint, grad[0]) \
                 - solver.interior(m, div_v) * rho_i
             dv = np.empty_like(vint)
             for i in range(3):
-                gvi = solver.grad_tangent(m, v_pad[i], sti)
-                dv[i] = -np.einsum("i...,i...->...",
-                                   vint, solver.interior(m, gvi))
-            dv -= solver.interior(m, grad_p) / rho_i
-            Pm = P[m]
-            dv = np.einsum("ij...,j...->i...", Pm, dv)
+                dv[i] = -np.einsum("i...,i...->...", vint, grad[2 + i])
+            dv -= grad[1] / rho_i
+            dv = np.einsum("ij...,j...->i...", P[m], dv)
             out.append(np.concatenate([drho[None], dv]))
         return out
 
     stepped = GridField(_rk4(field.values, field.t, dt, rhs), field.t + dt)
     project(stepped.values)
-    blended = [solver.blend([v[k] for v in stepped.values]) for k in range(4)]
-    stepped.values = [np.stack([blended[k][m] for k in range(4)])
-                      for m in range(len(stepped.values))]
-    project(stepped.values)
+    project(solver.blend(stepped.values))
     return stepped
 
 

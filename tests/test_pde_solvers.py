@@ -5,8 +5,11 @@ import pytest
 
 from surfcalc.evolving_surface import motion_builtin, moving_atlas
 from surfcalc.fluid_models import CoefficientFields, pressure_law_builtin
+from scipy import sparse
+
 from surfcalc.pde_solvers import (FluxLaw, GridField, StabilityViolation,
-                                  SurfaceGridSolver, flux_law_builtin,
+                                  SurfaceGridSolver, _interp_matrix,
+                                  flux_law_builtin,
                                   step_barotropic_tangential, step_diffusion,
                                   step_heat, write_csv)
 
@@ -28,6 +31,113 @@ def test_flux_laws():
         flux_law_builtin("cubic")
 
 
+def _interp_matrix_loop(axes, periodic, shape, targets):
+    """The per-target loop that ``_interp_matrix`` replaces (test oracle)."""
+    def weights(s):
+        w = np.empty(4)
+        pts = (0.0, 1.0, 2.0, 3.0)
+        for k in range(4):
+            num = 1.0
+            for j in range(4):
+                if j != k:
+                    num *= (s - pts[j]) / (pts[k] - pts[j])
+            w[k] = num
+        return w
+
+    n1, n2 = shape
+    rows, cols, vals = [], [], []
+    h = [axes[0][1] - axes[0][0], axes[1][1] - axes[1][0]]
+    for r, (y1, y2) in enumerate(targets):
+        idx, wgt = [], []
+        for d, (y, ax, per, n) in enumerate(
+                zip((y1, y2), axes, periodic, (n1, n2))):
+            pos = (y - ax[0]) / h[d]
+            j0 = int(np.floor(pos)) - 1
+            if per:
+                s = pos - j0
+                ids = [(j0 + k) % n for k in range(4)]
+            else:
+                j0 = min(max(j0, 0), n - 4)
+                s = pos - j0
+                ids = [j0 + k for k in range(4)]
+            idx.append(ids)
+            wgt.append(weights(s))
+        for a in range(4):
+            for b in range(4):
+                rows.append(r)
+                cols.append(idx[0][a] * n2 + idx[1][b])
+                vals.append(wgt[0][a] * wgt[1][b])
+    return sparse.csr_matrix((vals, (rows, cols)),
+                             shape=(len(targets), n1 * n2))
+
+
+def _grid_axes(shape, periodic, rng):
+    """Uniform 1-D node axes: periodic ones span [lo, lo + 2 pi)."""
+    axes = []
+    for n, per in zip(shape, periodic):
+        lo = rng.uniform(-1.0, 1.0)
+        h = 2.0 * math.pi / n if per else rng.uniform(0.05, 0.2)
+        axes.append(lo + h * np.arange(n))
+    return axes
+
+
+def _edge_targets(axes, periodic, rng):
+    """Per axis: exact nodes, points in the first and last cells (periodic
+    wrap or clamped stencil), slightly outside bounded ends, and random."""
+    cols = []
+    for ax, per in zip(axes, periodic):
+        h = ax[1] - ax[0]
+        hi = ax[-1] + (h if per else 0.0)
+        cols.append(np.concatenate([
+            ax, ax[:3] + 0.37 * h, ax[-3:] + 0.61 * h,
+            [ax[0] - 0.2 * h, hi - 1e-9, hi + 0.2 * h],
+            rng.uniform(ax[0], hi, 40)]))
+    few = [rng.choice(c, 5, replace=False) for c in cols]
+    # every first-axis value against a few second-axis values, and back
+    t1, t2 = np.meshgrid(cols[0], few[1], indexing="ij")
+    u1, u2 = np.meshgrid(few[0], cols[1], indexing="ij")
+    return np.concatenate([np.stack([t1.ravel(), t2.ravel()], axis=-1),
+                           np.stack([u1.ravel(), u2.ravel()], axis=-1)])
+
+
+@pytest.mark.parametrize("periodic", [(False, True), (True, False),
+                                      (False, False), (True, True)])
+def test_interp_matrix_matches_loop(periodic):
+    rng = np.random.default_rng(7)
+    shape = (13, 24)
+    axes = _grid_axes(shape, periodic, rng)
+    targets = _edge_targets(axes, periodic, rng)
+    got = _interp_matrix(axes, periodic, shape, targets)
+    want = _interp_matrix_loop(axes, periodic, shape, targets)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_interp_matrix_reproduces_bicubics():
+    # 4-point Lagrange reproduces degree <= 3 in each variable, also with a
+    # clamped stencil at either end; so every row sums to 1
+    rng = np.random.default_rng(3)
+    shape = (11, 14)
+    axes = _grid_axes(shape, (False, False), rng)
+    targets = _edge_targets(axes, (False, False), rng)
+    coef = rng.normal(size=(4, 4))
+
+    def p(X1, X2):
+        return np.polynomial.polynomial.polyval2d(X1, X2, coef)
+
+    X1, X2 = np.meshgrid(*axes, indexing="ij")
+    op = _interp_matrix(axes, (False, False), shape, targets)
+    assert np.max(np.abs(op @ p(X1, X2).ravel()
+                         - p(targets[:, 0], targets[:, 1]))) <= 1e-12
+    for periodic in [(False, True), (True, False), (False, False)]:
+        axes = _grid_axes(shape, periodic, rng)
+        op = _interp_matrix(axes, periodic, shape,
+                            _edge_targets(axes, periodic, rng))
+        assert np.max(np.abs(op.sum(axis=1) - 1.0)) <= 1e-12
+
+
 def test_solver_integrates_area(solver):
     ones = [np.ones(solver.resolution) for _ in solver.charts]
     area = solver.integrate(ones, 0.0)
@@ -39,6 +149,25 @@ def test_stability_guard(solver):
     assert bound > 1e-5
     with pytest.raises(StabilityViolation):
         solver.check_parabolic_dt(10.0 * bound, 1.0)
+
+
+@pytest.mark.parametrize("law", ["linear", "quadratic"])
+def test_step_heat_guard_raises(solver, law):
+    # the bound of step_heat's own guard: e_J' over [0, max |grad f|^2]
+    coeffs = CoefficientFields(F=("0", "0", "0"), Q_theta=0.0)
+    flux = flux_law_builtin(law)
+    field = GridField([x[2].copy() for x in solver.positions(0.0)], 0.0)
+    zmax = 0.0
+    for m, (st, pad) in enumerate(zip(solver.metric(0.0),
+                                      solver.fill_ghosts(field.values))):
+        df = solver.grad_chart(m, pad)
+        zmax = max(zmax, float(np.max(np.einsum("ab...,a...,b...->...",
+                                                st.inv_gram, df, df))))
+    coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, zmax, 8)))))
+    bound = solver.check_parabolic_dt(0.0, coef)
+    with pytest.raises(StabilityViolation):
+        step_heat(solver, field, coeffs, flux, 10.0 * bound)
+    step_heat(solver, field, coeffs, flux, 0.5 * bound)
 
 
 def test_static_metric_built_once(solver):
