@@ -35,7 +35,6 @@ __all__ = [
     "plane_chart",
     "sphere_atlas",
     "torus_atlas",
-    "builtin_surface",
 ]
 
 _EPS_J = 1e-14
@@ -396,13 +395,6 @@ def torus_atlas(R=2.0, r=0.5):
 
 
 _SURFACES = {"plane": plane_chart, "sphere": sphere_atlas, "torus": torus_atlas}
-
-
-def builtin_surface(spec_name, **params):
-    """Look up a built-in surface: ``plane``, ``sphere``, or ``torus``."""
-    if spec_name not in _SURFACES:
-        raise KeyError(f"unknown surface {spec_name!r}; known: {sorted(_SURFACES)}")
-    return _SURFACES[spec_name](**params)
 
 
 # -- quadrature ---------------------------------------------------------------

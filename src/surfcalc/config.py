@@ -183,11 +183,7 @@ class Scenario:
         return self._build("surface", required=True)
 
     def build_motion(self):
-        motion = self._build("motion", "static")
-        u = self.get_vector_field("motion.u")
-        if u is not None:
-            motion.tangential_part = u
-        return motion
+        return self._build("motion", "static")
 
     def build_pressure_law(self):
         return self._build("pressure")

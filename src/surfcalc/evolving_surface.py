@@ -52,19 +52,12 @@ class JacobianCollapse(RuntimeError):
 class MotionLaw:
     """A prescribed total velocity, with an exact moving-chart builder when
     the motion has a closed form (translation, rotation, dilation, static).
-
-    ``tangential_part`` optionally carries the tangential component ``u`` of
-    a decomposed velocity ``v = u + w``.
     """
 
-    def __init__(self, velocity, kind="prescribed-analytic", transform=None,
-                 name="custom", tangential_part=None):
+    def __init__(self, velocity, transform=None, name="custom"):
         self.velocity = as_vector_field(velocity)
-        self.kind = kind
         self.transform = transform  # param expr list -> moved param expr list
         self.name = name
-        self.tangential_part = (as_vector_field(tangential_part)
-                                if tangential_part is not None else None)
 
     def moving_chart(self, chart):
         """Exact time-dependent version of ``chart`` under this motion."""
@@ -76,8 +69,7 @@ class MotionLaw:
 
 
 def _static_motion():
-    return MotionLaw(["0", "0", "0"], kind="rigid", transform=lambda p: list(p),
-                     name="static")
+    return MotionLaw(["0", "0", "0"], transform=lambda p: list(p), name="static")
 
 
 def _translation_motion(c=(0.3, -0.2, 0.1)):
@@ -87,7 +79,7 @@ def _translation_motion(c=(0.3, -0.2, 0.1)):
     def transform(param):
         return [p + ci * parse_expr("t", _CHART_VARS) for p, ci in zip(param, c)]
 
-    return MotionLaw(vel, kind="rigid", transform=transform, name="translation")
+    return MotionLaw(vel, transform=transform, name="translation")
 
 
 def _rotation_motion(rate=0.7):
@@ -100,7 +92,7 @@ def _rotation_motion(rate=0.7):
         p0, p1, p2 = param
         return [cw * p0 - sw * p1, sw * p0 + cw * p1, p2]
 
-    return MotionLaw(vel, kind="rigid", transform=transform, name="rotation")
+    return MotionLaw(vel, transform=transform, name="rotation")
 
 
 def _dilation_motion():
@@ -110,7 +102,7 @@ def _dilation_motion():
     def transform(param):
         return [scale * p for p in param]
 
-    return MotionLaw(vel, kind="dilation", transform=transform, name="dilation")
+    return MotionLaw(vel, transform=transform, name="dilation")
 
 
 def dilation_density(rho0):
@@ -390,20 +382,13 @@ def transported_density(state):
             for m in range(len(state.x))]
 
 
-def integrate_grid(state, values=None, field_expr=None):
-    """Surface integral over the grid: trapezoid weights, pou, area element.
-
-    ``values`` gives nodal arrays per chart; alternatively ``field_expr`` is
-    an ambient field evaluated at the material points.
-    """
+def integrate_grid(state, values):
+    """Surface integral over the grid of nodal arrays ``values`` (one per
+    chart): trapezoid weights, pou, area element."""
     total = 0.0
     for m in range(len(state.x)):
         geo = state.geometry(m)
-        if values is not None:
-            vals = values[m]
-        else:
-            vals = as_scalar_field(field_expr).value(state.x[m], state.t)
-        total += float(np.sum(state.w[m] * state.psi[m] * vals * geo.sqrtJ))
+        total += float(np.sum(state.w[m] * state.psi[m] * values[m] * geo.sqrtJ))
     return total
 
 
@@ -454,44 +439,25 @@ def jacobian_rate_check(state, motion, dt_probe=1e-3):
     return worst
 
 
-def transport_theorem_check(state, motion, f, mask=None, dt_probe=1e-3):
-    """Relative residual of d/dt (integral of f) = integral of D_t f + f div v.
-
-    ``mask`` is an optional smooth weight attached to material points
-    (a function of the reference coordinates), restricting the integral to a
-    subregion carried by the flow.
-    """
+def transport_theorem_check(state, motion, f, dt_probe=1e-3):
+    """Relative residual of d/dt (integral of f) = integral of D_t f + f div v."""
     f = as_scalar_field(f)
-    masks = _nodal_mask(state, mask)
 
-    def weighted_integral(st):
-        total = 0.0
-        for m in range(len(st.x)):
-            geo = st.geometry(m)
-            vals = f.value(st.x[m], st.t)
-            total += float(np.sum(st.w[m] * st.psi[m] * masks[m] * vals * geo.sqrtJ))
-        return total
+    def integral(st):
+        return integrate_grid(st, [f.value(x, st.t) for x in st.x])
 
     fwd = advance_flow(state, motion, dt_probe)
     bwd = _flow_step(state.copy(), motion.velocity, -dt_probe)
-    lhs = (weighted_integral(fwd) - weighted_integral(bwd)) / (2.0 * dt_probe)
+    lhs = (integral(fwd) - integral(bwd)) / (2.0 * dt_probe)
 
-    rhs = 0.0
+    integrands = []
     for m in range(len(state.x)):
         geo = state.geometry(m)
         xm, t = state.x[m], state.t
         vval = motion.velocity.value(xm, t)
         Dt_f = f.dt(xm, t) + np.einsum("i...,i...->...", vval, f.grad(xm, t))
         div_v = _div_tangent_grid(state, m, geo, vval)
-        integrand = Dt_f + f.value(xm, t) * div_v
-        rhs += float(np.sum(state.w[m] * state.psi[m] * masks[m]
-                            * integrand * geo.sqrtJ))
+        integrands.append(Dt_f + f.value(xm, t) * div_v)
+    rhs = integrate_grid(state, integrands)
     scale = max(1.0, abs(lhs), abs(rhs))
     return abs(lhs - rhs) / scale
-
-
-def _nodal_mask(state, mask):
-    if mask is None:
-        return [np.ones_like(w) for w in state.w]
-    return [np.asarray(mask(state.X[m][0], state.X[m][1]), dtype=float)
-            for m in range(len(state.x))]

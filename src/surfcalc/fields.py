@@ -20,7 +20,6 @@ __all__ = [
     "MissingDerivative",
     "ScalarField",
     "VectorField",
-    "MatrixField",
     "FDScalarField",
     "as_scalar_field",
     "as_vector_field",
@@ -177,22 +176,6 @@ def as_vector_field(v):
     if isinstance(v, VectorField):
         return v
     return VectorField(list(v))
-
-
-class MatrixField:
-    """3x3 matrix field assembled from scalar entries."""
-
-    rank = "matrix"
-
-    def __init__(self, entries):
-        self.entry = [[as_scalar_field(entries[i][j]) for j in range(3)] for i in range(3)]
-
-    def value(self, x, t=0.0):
-        return np.array([[e.value(x, t) for e in row] for row in self.entry])
-
-    def jacobian(self, x, t=0.0):
-        """J[i, j, k] = d M_ij / d x_k."""
-        return np.array([[e.grad(x, t) for e in row] for row in self.entry])
 
 
 # -- random smooth field families (seeded, for property suites) --------------

@@ -17,8 +17,8 @@ import numpy as np
 from .expressions import Var, parse_expr, substitute
 from .fields import (FDScalarField, ScalarField, as_scalar_field,
                      as_vector_field)
-from .surface_ops import (div_matrix_dual, div_vector_dual, grad_scalar_dual,
-                          stress_dual, _contract)
+from .surface_ops import (dissipation_density, div_matrix_dual,
+                          div_vector_dual, grad_scalar_dual, stress_dual)
 
 __all__ = [
     "NonpositiveDensity",
@@ -221,18 +221,6 @@ class _Point:
         return div_vector_dual(q, self.frame)
 
 
-def _stress_package(pt, vel=None, sigma=None):
-    """Stress tensor pieces at a point: values of S, div S, e_D terms."""
-    f, c, fr = pt.fields, pt.coeffs, pt.frame
-    vel = vel if vel is not None else f.v
-    sigma = sigma if sigma is not None else f.sigma
-    S, D, Dtan, Dproj, divv, mu_d, lam_d, sig_d = stress_dual(
-        vel, sigma, c.mu, c.lam, fr)
-    divS = div_matrix_dual(S, fr)
-    e_tilde = fr.values(2.0 * mu_d * _contract(Dproj, Dproj) + lam_d * divv * divv)
-    return S, fr.values(S), divS, fr.values(divv), e_tilde
-
-
 # -- residual evaluators ---------------------------------------------------------
 
 
@@ -241,7 +229,10 @@ def residual_full(fields, coeffs, frame):
     (mass, momentum, internal energy, concentration)."""
     pt = _Point(frame, fields, coeffs)
     f, c = fields, coeffs
-    _, _, divS, divv, e_tilde = _stress_package(pt)
+    S, Dproj, divv, mu_d, lam_d, _ = stress_dual(f.v, f.sigma, c.mu, c.lam, frame)
+    divS = div_matrix_dual(S, frame)
+    e_tilde = frame.values(dissipation_density(Dproj, divv, mu_d, lam_d))
+    divv = frame.values(divv)
 
     rho = pt.val(f.rho)
     r_mass = pt.Dt(f.rho) + divv * rho
@@ -265,7 +256,7 @@ def residual_conservative(fields, coeffs, frame):
     """Pointwise residuals of the conservative form of the system."""
     pt = _Point(frame, fields, coeffs)
     f, c = fields, coeffs
-    S, Sval, _, _, _ = _stress_package(pt)
+    S = stress_dual(f.v, f.sigma, c.mu, c.lam, frame)[0]
     fr = frame
 
     rho_d = fr.eval_scalar(f.rho)
@@ -318,12 +309,7 @@ def residual_tangential(fields, coeffs, frame):
     system)."""
     pt = _Point(frame, fields, coeffs)
     out = residual_full(fields, coeffs, frame)
-    _, _, divS, _, _ = _stress_package(pt)
-    rho = pt.val(fields.rho)
-    Dt_v = pt.Dt_vec(fields.v)
-    Fv = coeffs.F.value(pt.x, pt.t)
-    resid = np.einsum("ij...,j...->i...", pt.P,
-                      rho * Dt_v - divS - rho * Fv)
+    resid = np.einsum("ij...,j...->i...", pt.P, out["momentum_vec"])
     out["momentum"] = np.linalg.norm(resid, axis=0)
     out["momentum_vec"] = resid
     out["tangency"] = np.abs(pt.vn)
@@ -335,7 +321,8 @@ def residual_noncanonical(fields, coeffs, frame):
     curvature force, driven by the viscous stress of the tangential part."""
     pt = _Point(frame, fields, coeffs)
     u = fields.u if fields.u is not None else fields.v
-    _, _, divS_u, _, _ = _stress_package(pt, vel=u, sigma=0.0)
+    divS_u = div_matrix_dual(
+        stress_dual(u, 0.0, coeffs.mu, coeffs.lam, frame)[0], frame)
     rho = pt.val(fields.rho)
     sig = pt.val(fields.sigma)
     H = np.asarray(frame.H, dtype=float)
@@ -383,7 +370,10 @@ def thermo_quantities(fields, coeffs, frame):
     if np.any(theta <= 0):
         raise NonpositiveTemperature("thermodynamics needs theta > 0")
 
-    _, Sval, _, divv, e_tilde = _stress_package(pt)
+    S, Dproj, divv, mu_d, lam_d, _ = stress_dual(f.v, f.sigma, c.mu, c.lam, frame)
+    e_tilde = frame.values(dissipation_density(Dproj, divv, mu_d, lam_d))
+    # S : D_proj(v), for the free-energy identity
+    SdD = np.einsum("ij...,ij...->...", frame.values(S), frame.values(Dproj))
     divq = pt.div_flux(c.kappa, f.theta)
     Q = pt.val(c.Q_theta)
 
@@ -400,9 +390,6 @@ def thermo_quantities(fields, coeffs, frame):
                   / theta ** 2)
 
     # free energy: rho Dt e_F + rho s Dt theta - S : D_proj(v) = -e_tilde
-    from .surface_ops import strain_and_stress
-    tensors = strain_and_stress(f.v, f.sigma, c.mu, c.lam, frame)
-    SdD = np.einsum("ij...,ij...->...", tensors.S, tensors.D_proj)
     eF = f.free_energy
     r_free = np.abs(rho * pt.Dt(eF) + rho * pt.val(f.s) * pt.Dt(f.theta)
                     - SdD + e_tilde)
@@ -423,7 +410,10 @@ def thermo_quantities(fields, coeffs, frame):
 def manufactured_heat_source(fields, coeffs, frame):
     """Nodal heat source making the internal-energy line hold exactly."""
     pt = _Point(frame, fields, coeffs)
-    _, _, _, divv, e_tilde = _stress_package(pt)
+    _, Dproj, divv, mu_d, lam_d, _ = stress_dual(
+        fields.v, fields.sigma, coeffs.mu, coeffs.lam, frame)
+    e_tilde = frame.values(dissipation_density(Dproj, divv, mu_d, lam_d))
+    divv = frame.values(divv)
     rho = pt.val(fields.rho)
     divq = pt.div_flux(coeffs.kappa, fields.theta)
     return (rho * pt.Dt(fields.e) + divv * pt.val(fields.sigma)
@@ -433,6 +423,7 @@ def manufactured_heat_source(fields, coeffs, frame):
 def manufactured_force(fields, coeffs, frame):
     """Nodal external force making the momentum line hold exactly."""
     pt = _Point(frame, fields, coeffs)
-    _, _, divS, _, _ = _stress_package(pt)
+    divS = div_matrix_dual(
+        stress_dual(fields.v, fields.sigma, coeffs.mu, coeffs.lam, frame)[0], frame)
     rho = pt.val(fields.rho)
     return (rho * pt.Dt_vec(fields.v) - divS) / rho

@@ -15,29 +15,24 @@ are assembled through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import value_of
-from .chart_geometry import ChartFrame
 from .fields import as_scalar_field, as_vector_field
 
 __all__ = [
-    "SurfaceTensors",
     "surface_gradient",
     "surface_divergence_vec",
     "surface_divergence_vec_chart",
-    "surface_divergence_mat",
     "surface_laplacian",
-    "strain_and_stress",
     "identity_residuals",
     "ibp_residuals",
     "grad_scalar_dual",
     "div_vector_dual",
     "div_matrix_dual",
+    "strain_dual",
     "stress_dual",
-    "dissipation_density_dual",
+    "dissipation_density",
 ]
 
 _AMBIENT = ("x1", "x2", "x3")
@@ -58,12 +53,6 @@ def surface_divergence_vec(v, metric, t=0.0):
     v = as_vector_field(v)
     jac = v.jacobian(metric.x, t)  # jac[i, j] = d v_i / d x_j
     return np.einsum("ij...,ij...->...", metric.P, jac)
-
-
-def surface_divergence_mat(M, metric, t=0.0):
-    """Row-wise surface divergence of an ambient 3x3 matrix field."""
-    jac = M.jacobian(metric.x, t)  # jac[i, j, k] = d M_ij / d x_k
-    return np.einsum("jk...,ijk...->i...", metric.P, jac)
 
 
 # -- chart (dual) forms --------------------------------------------------------
@@ -134,79 +123,38 @@ def _contract(A, B):
 
 
 def strain_dual(v, frame):
-    """Dual strain tensors of an ambient vector field on a frame.
+    """Dual strain of an ambient vector field on a frame.
 
-    Returns ``(D, Dtan, Dproj, divv)``: the plain strain, the tangential
-    strain built from projected derivatives, the doubly-projected strain,
-    and the surface divergence (all dual, ready for one more derivative).
+    Returns ``(Dproj, divv)``: the doubly-projected strain P sym(grad v) P
+    and the surface divergence (both dual, ready for one more derivative).
     """
     v = as_vector_field(v)
     jac = _jac_dual(v, frame)
     P = frame.P
-    D = _sym(jac)
-    # tangential gradient entries: (grad_t v_i)_j = P_jk dv_i/dx_k
-    gradt = [[sum(P[j][k] * jac[i][k] for k in range(3)) for j in range(3)]
-             for i in range(3)]
-    Dtan = _sym(gradt)
-    Dproj = _matmul(P, _matmul(D, P))
+    Dproj = _matmul(P, _matmul(_sym(jac), P))
     divv = sum(P[i][j] * jac[i][j] for i in range(3) for j in range(3))
-    return D, Dtan, Dproj, divv
+    return Dproj, divv
 
 
-def stress_dual(v, sigma, mu, lam, frame):
-    """Dual surface stress 2*mu*Dproj + lam*divv*P - sigma*P and helpers."""
-    sigma = as_scalar_field(sigma)
-    mu = as_scalar_field(mu)
-    lam = as_scalar_field(lam)
-    D, Dtan, Dproj, divv = strain_dual(v, frame)
-    mu_d = frame.eval_scalar(mu)
-    lam_d = frame.eval_scalar(lam)
-    sig_d = frame.eval_scalar(sigma)
-    P = frame.P
-    S = [[2.0 * mu_d * Dproj[i][j] + (lam_d * divv - sig_d) * P[i][j]
-          for j in range(3)] for i in range(3)]
-    return S, D, Dtan, Dproj, divv, mu_d, lam_d, sig_d
-
-
-def dissipation_density_dual(v, mu, lam, frame):
-    """Viscous dissipation 2*mu*|Dproj|^2 + lam*(div v)^2 (dual scalar)."""
-    _, _, Dproj, divv = strain_dual(v, frame)
-    mu_d = frame.eval_scalar(as_scalar_field(mu))
-    lam_d = frame.eval_scalar(as_scalar_field(lam))
+def dissipation_density(Dproj, divv, mu_d, lam_d):
+    """Viscous dissipation 2*mu*|Dproj|^2 + lam*(div v)^2 of one strain."""
     return 2.0 * mu_d * _contract(Dproj, Dproj) + lam_d * divv * divv
 
 
-@dataclass
-class SurfaceTensors:
-    """Numeric pointwise tensor package for a velocity/pressure state."""
+def stress_dual(v, sigma, mu, lam, frame):
+    """Dual surface stress S = 2*mu*Dproj + (lam*divv - sigma)*P.
 
-    grad_sigma: np.ndarray      # tangential gradient of the pressure, (3, ...)
-    div_v: np.ndarray           # surface divergence of v, (...)
-    D: np.ndarray               # plain strain, (3, 3, ...)
-    D_tan: np.ndarray           # tangential strain, (3, 3, ...)
-    D_proj: np.ndarray          # doubly-projected strain, (3, 3, ...)
-    S: np.ndarray               # surface stress, (3, 3, ...)
-    e_dissipation: np.ndarray   # 2 mu |D_proj|^2 + lam |div v|^2, (...)
-    e_density: np.ndarray       # half of the above (energy density), (...)
-
-
-def strain_and_stress(v, sigma, mu, lam, frame):
-    """All strain/stress tensors of ``v`` with pressure ``sigma`` on a frame."""
-    S, D, Dtan, Dproj, divv, mu_d, lam_d, sig_d = stress_dual(v, sigma, mu, lam, frame)
-    Dp = frame.values(Dproj)
-    dv = frame.values(divv)
-    ed = (2.0 * frame.values(mu_d) * np.einsum("ij...,ij...->...", Dp, Dp)
-          + frame.values(lam_d) * dv * dv)
-    return SurfaceTensors(
-        grad_sigma=frame.values(grad_scalar_dual(sigma, frame)),
-        div_v=dv,
-        D=frame.values(D),
-        D_tan=frame.values(Dtan),
-        D_proj=Dp,
-        S=frame.values(S),
-        e_dissipation=ed,
-        e_density=0.5 * ed,
-    )
+    Returns ``(S, Dproj, divv, mu_d, lam_d, sig_d)``: the stress, the strain
+    it is built from, and the dual coefficient values.
+    """
+    Dproj, divv = strain_dual(v, frame)
+    mu_d = frame.eval_scalar(as_scalar_field(mu))
+    lam_d = frame.eval_scalar(as_scalar_field(lam))
+    sig_d = frame.eval_scalar(as_scalar_field(sigma))
+    P = frame.P
+    S = [[2.0 * mu_d * Dproj[i][j] + (lam_d * divv - sig_d) * P[i][j]
+          for j in range(3)] for i in range(3)]
+    return S, Dproj, divv, mu_d, lam_d, sig_d
 
 
 # -- identity residual kernel ----------------------------------------------
@@ -275,16 +223,22 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     ndf = sum(nval[i] * df[i] for i in range(3))
     res["advection_split"] = _maxabs(full_adv - (tang_adv + vn * ndf))
 
-    # strain equivalences
-    S, D, Dtan, Dproj, divv, mu_d, lam_d, g_d = stress_dual(v, g, mu, lam, frame)
-    PDP = _matmul(P, _matmul(D, P))
-    PDtP = _matmul(P, _matmul(Dtan, P))
-    res["projected_strain_equivalence"] = _maxabs(
-        [[value_of(PDP[i][j] - PDtP[i][j]) for j in range(3)] for i in range(3)])
+    # strain equivalences, against the tangential strain sym(grad_t w) with
+    # (grad_t w_i)_j = P_jk dw_i/dx_k
+    def tangential_strain(w):
+        jac = _jac_dual(w, frame)
+        return _sym([[sum(P[j][k] * jac[i][k] for k in range(3))
+                      for j in range(3)] for i in range(3)])
 
-    _, Dtan_phi, Dproj_phi, _ = strain_dual(phi, frame)
+    S, Dproj, divv, mu_d, lam_d, g_d = stress_dual(v, g, mu, lam, frame)
+    PDtP = _matmul(P, _matmul(tangential_strain(v), P))
+    res["projected_strain_equivalence"] = _maxabs(
+        [[value_of(Dproj[i][j] - PDtP[i][j]) for j in range(3)] for i in range(3)])
+
+    Dproj_phi, _ = strain_dual(phi, frame)
     res["strain_contraction_equivalence"] = _maxabs(
-        value_of(_contract(Dproj, Dproj_phi) - _contract(Dproj, Dtan_phi)))
+        value_of(_contract(Dproj, Dproj_phi)
+                 - _contract(Dproj, tangential_strain(phi))))
 
     # product rules for the viscous and dilational fluxes and the stress
     muDproj = [[mu_d * Dproj[i][j] for j in range(3)] for i in range(3)]
@@ -303,17 +257,15 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
            + value_of(lam_d) * value_of(divv) ** 2)
     res["dilational_flux_product_rule"] = _maxabs(lhs - rhs)
 
+    # stress power S : Dproj
+    power = dissipation_density(Dproj, divv, mu_d, lam_d) - g_d * divv
     Sv = [sum(S[i][j] * v_d[j] for j in range(3)) for i in range(3)]
     lhs = div_vector_dual(Sv, frame)
     div_S = div_matrix_dual(S, frame)
-    rhs = (np.einsum("i...,i...->...", div_S, vval)
-           + value_of(2.0 * mu_d * _contract(Dproj, Dproj)
-                      + lam_d * divv * divv - g_d * divv))
+    rhs = np.einsum("i...,i...->...", div_S, vval) + value_of(power)
     res["stress_power_decomposition"] = _maxabs(lhs - rhs)
 
-    res["stress_contraction"] = _maxabs(value_of(
-        _contract(S, Dproj)
-        - (2.0 * mu_d * _contract(Dproj, Dproj) + lam_d * divv * divv - g_d * divv)))
+    res["stress_contraction"] = _maxabs(value_of(_contract(S, Dproj) - power))
 
     # material-derivative commutation (needs a chart moving with the velocity)
     if motion_velocity is not None:

@@ -23,9 +23,9 @@ from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import (FDScalarField, ScalarField, VectorField, as_scalar_field,
                      as_vector_field)
-from .surface_ops import (_tangential_partial, div_matrix_dual,
-                          div_vector_dual, dissipation_density_dual,
-                          grad_scalar_dual, stress_dual, strain_dual)
+from .surface_ops import (_tangential_partial, dissipation_density,
+                          div_matrix_dual, div_vector_dual, grad_scalar_dual,
+                          stress_dual, strain_dual)
 
 __all__ = [
     "DegenerateGradient",
@@ -338,14 +338,18 @@ def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
     + int rho F . v over the surface at time ``t``."""
     v = as_vector_field(v)
     sigma = as_scalar_field(sigma)
+    mu = as_scalar_field(mu)
+    lam = as_scalar_field(lam)
     rho = as_scalar_field(rho)
     F = as_vector_field(F)
     total = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         frame = chart.frame(X[0], X[1], t)
         st = frame.metric()
-        ed = frame.values(dissipation_density_dual(v, mu, lam, frame))
-        divv = frame.values(strain_dual(v, frame)[3])
+        Dproj, divv = strain_dual(v, frame)
+        ed = frame.values(dissipation_density(
+            Dproj, divv, frame.eval_scalar(mu), frame.eval_scalar(lam)))
+        divv = frame.values(divv)
         vval = v.value(st.x, t)
         work = (divv * sigma.value(st.x, t)
                 + rho.value(st.x, t)

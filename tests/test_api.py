@@ -1,0 +1,45 @@
+"""The public names of the package resolve, and so do the layer boundaries
+the benchmark's tracer wraps: a deleted or renamed function fails here, not
+first in a traced benchmark pass."""
+
+import ast
+import importlib
+import operator
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import surfcalc
+
+TRACER = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
+
+
+def _modules():
+    return [importlib.import_module(f"surfcalc.{m.name}")
+            for m in pkgutil.iter_modules(surfcalc.__path__)]
+
+
+def _tracer_spans():
+    """``SPANS`` of the tracer, read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SPANS" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no SPANS in {TRACER}")
+
+
+@pytest.mark.parametrize("module", _modules(), ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert not missing, missing
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="no benchmark/tracer.py")
+def test_traced_spans_exist():
+    spans = _tracer_spans()
+    assert spans
+    for module, attr, _, _ in spans:
+        mod = importlib.import_module(f"surfcalc.{module}")
+        operator.attrgetter(attr)(mod)  # AttributeError names what is gone

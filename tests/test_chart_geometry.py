@@ -5,10 +5,9 @@ import pytest
 
 from surfcalc.autodiff import value_of
 from surfcalc.chart_geometry import (OutOfDomain, QuadratureRule,
-                                     builtin_surface, default_rule, integrate,
-                                     integrate_vector, mean_curvature_at,
-                                     metric_at, plane_chart, sphere_atlas,
-                                     torus_atlas)
+                                     default_rule, integrate, integrate_vector,
+                                     mean_curvature_at, metric_at, plane_chart,
+                                     sphere_atlas, torus_atlas)
 from surfcalc.evolving_surface import motion_builtin, moving_atlas
 from conftest import random_nodes
 
@@ -29,14 +28,6 @@ def test_torus_area(torus, torus_rule):
     area = integrate(1.0, torus, torus_rule)
     exact = 4 * math.pi ** 2 * 2.0 * 0.5
     assert abs(area - exact) / exact <= 1e-10
-
-
-def test_builtin_surface_lookup():
-    assert len(builtin_surface("sphere", R=2.0).charts) == 2
-    assert len(builtin_surface("torus").charts) == 1
-    assert len(builtin_surface("plane").charts) == 1
-    with pytest.raises(KeyError):
-        builtin_surface("mobius")
 
 
 def test_sphere_pointwise_geometry(sphere, rng):

@@ -115,6 +115,19 @@ def test_misspelled_key_is_an_error(runner, tmp_path):
     assert f"{cfg}:5" in out.output
 
 
+def test_motion_u_is_an_error(runner, tmp_path):
+    """A motion has no separate tangential part: ``motion.u`` is a key no
+    suite reads, not a silently ignored setting."""
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("name = u\nsuite = verify-identities\nsurface.kind = sphere\n"
+                   "motion.kind = rotation\nmotion.u = -x2, x1, 0\n"
+                   "samples = 20\nfamilies = 1\n")
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0
+    assert "motion.u" in out.output
+    assert f"{cfg}:5" in out.output
+
+
 def test_parameter_of_another_builtin_is_an_error(runner, tmp_path):
     cfg = tmp_path / "plane.cfg"
     cfg.write_text("name = pl\nsuite = verify-geometry\nsurface.kind = plane\n"

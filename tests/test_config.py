@@ -1,4 +1,5 @@
 import importlib.resources as resources
+import re
 
 import pytest
 
@@ -84,6 +85,21 @@ def test_missing_required_key(tmp_path):
     scn = load_scenario(write(tmp_path, "name = x\n"))
     with pytest.raises(ConfigError, match="surface.kind"):
         scn.build_surface()
+
+
+def test_surface_builtins(tmp_path):
+    """``surface.kind`` picks a builtin surface; an unknown kind is an error
+    naming the file and line."""
+    for kind, extra, charts in (("sphere", "surface.R = 2\n", 2),
+                                ("torus", "", 1), ("plane", "", 1)):
+        scn = load_scenario(write(tmp_path, f"name = x\nsurface.kind = {kind}\n"
+                                            + extra))
+        assert len(scn.build_surface().charts) == charts
+    path = write(tmp_path, "name = x\nsuite = verify-geometry\n"
+                           "surface.kind = mobius\n")
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}:3: unknown surface 'mobius'")):
+        load_scenario(path).build_surface()
 
 
 def test_law_builders(tmp_path):

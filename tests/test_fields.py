@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from surfcalc.fields import (FDScalarField, MatrixField, MissingDerivative,
-                             ScalarField, VectorField, as_scalar_field,
-                             as_vector_field, random_scalar_field,
-                             random_vector_field)
+from surfcalc.fields import (FDScalarField, MissingDerivative, ScalarField,
+                             VectorField, as_scalar_field, as_vector_field,
+                             random_scalar_field, random_vector_field)
 
 
 def sample_points(rng, n=50):
@@ -69,15 +68,6 @@ def test_vector_field_jacobian(rng):
     assert np.allclose(jac[2, 1], -0.3)
     with pytest.raises(ValueError):
         VectorField(["x1", "x2"])
-
-
-def test_matrix_field(rng):
-    M = MatrixField([["x1", "0", "0"], ["0", "x2^2", "0"], ["0", "0", "1"]])
-    x = sample_points(rng)
-    vals = M.value(x)
-    assert np.allclose(vals[1, 1], x[1] ** 2)
-    jac = M.jacobian(x)
-    assert np.allclose(jac[1, 1, 1], 2 * x[1])
 
 
 def test_random_fields_are_reproducible():

@@ -195,3 +195,4 @@ def test_entropy_production_nonnegative_generic(sphere, rng):
         out = thermo_quantities(fields, coeffs, frame)
         assert np.min(out["entropy_production"]) >= -1e-12
         assert np.min(out["e_dissipation"]) >= -1e-12
+        assert np.allclose(out["e_density"], 0.5 * out["e_dissipation"])

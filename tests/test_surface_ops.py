@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from surfcalc import surface_ops, variational_checks
 from surfcalc.autodiff import value_of
-from surfcalc.chart_geometry import metric_at
-from surfcalc.fields import random_scalar_field, random_vector_field
-from surfcalc.surface_ops import (dissipation_density_dual, div_vector_dual,
-                                  grad_scalar_dual, ibp_residuals,
-                                  identity_residuals, strain_and_stress,
+from surfcalc.chart_geometry import QuadratureRule
+from surfcalc.fields import (ScalarField, random_scalar_field,
+                             random_vector_field)
+from surfcalc.fluid_models import (CoefficientFields, FluidFields,
+                                   residual_tangential, thermo_quantities)
+from surfcalc.surface_ops import (dissipation_density, grad_scalar_dual,
+                                  ibp_residuals, identity_residuals,
+                                  strain_dual, stress_dual,
                                   surface_divergence_vec,
                                   surface_divergence_vec_chart,
                                   surface_gradient, surface_laplacian)
+from surfcalc.variational_checks import dissipation_work_energy
 from conftest import random_nodes
 
 
@@ -81,22 +86,23 @@ def test_stress_at_rest_is_isotropic_tension(sphere):
     X2 = np.array([0.5 * (lo2 + hi2)])
     frame = chart.frame(X1, X2)
     st = frame.metric()
-    ts = strain_and_stress(("0", "0", "0"), 1.0, 1.0, 1.0, frame)
-    assert np.max(np.abs(ts.S + st.P)) <= 1e-12
-    assert np.max(np.abs(ts.D_proj)) <= 1e-12
+    S, Dproj = stress_dual(("0", "0", "0"), 1.0, 1.0, 1.0, frame)[:2]
+    assert np.max(np.abs(frame.values(S) + st.P)) <= 1e-12
+    assert np.max(np.abs(frame.values(Dproj))) <= 1e-12
 
 
 def test_tensor_invariants(sphere, rng):
     frame = frame_at(sphere, rng, 150)
     st = frame.metric()
     v = random_vector_field(rng)
-    ts = strain_and_stress(v, random_scalar_field(rng), 1.0, 0.5, frame)
+    S, Dproj, divv, mu_d, lam_d, _ = stress_dual(
+        v, random_scalar_field(rng), 1.0, 0.5, frame)
     # projected strain and stress are tangential and symmetric
-    for M in (ts.D_proj, ts.S):
+    for M in (frame.values(Dproj), frame.values(S)):
         assert np.max(np.abs(np.einsum("ij...,j...->i...", M, st.n))) <= 1e-12
         assert np.max(np.abs(M - np.swapaxes(M, 0, 1))) <= 1e-12
-    assert np.all(ts.e_dissipation >= -1e-14)
-    assert np.allclose(ts.e_density, 0.5 * ts.e_dissipation)
+    ed = frame.values(dissipation_density(Dproj, divv, mu_d, lam_d))
+    assert np.all(ed >= -1e-14)
 
 
 def test_dilation_strain_and_dissipation(sphere, sphere_rule):
@@ -104,11 +110,12 @@ def test_dilation_strain_and_dissipation(sphere, sphere_rule):
     total = 0.0
     for chart, (X, w, psi) in zip(sphere.charts, sphere_rule.nodes):
         frame = chart.frame(X[0], X[1])
-        ts = strain_and_stress(("x1", "x2", "x3"), 0.0, 1.0, 0.0, frame)
+        Dproj, divv = (frame.values(q)
+                       for q in strain_dual(("x1", "x2", "x3"), frame))
         st = frame.metric()
-        norm2 = np.einsum("ij...,ij...->...", ts.D_proj, ts.D_proj)
+        norm2 = np.einsum("ij...,ij...->...", Dproj, Dproj)
         assert np.max(np.abs(norm2 - 2.0)) <= 1e-10
-        assert np.max(np.abs(ts.div_v - 2.0)) <= 1e-10
+        assert np.max(np.abs(divv - 2.0)) <= 1e-10
         total += float(np.sum(w * psi * norm2 * st.sqrtJ))
     assert abs(total - 8 * math.pi) / (8 * math.pi) <= 1e-8
 
@@ -127,12 +134,57 @@ def test_gradient_energy_oracle(sphere, sphere_rule):
     assert abs(total - exact) / exact <= 1e-8
 
 
-def test_dissipation_density_routes(sphere, rng):
-    frame = frame_at(sphere, rng, 100)
-    v = random_vector_field(rng)
-    a = value_of(dissipation_density_dual(v, 1.0, 0.5, frame))
-    ts = strain_and_stress(v, 0.0, 1.0, 0.5, frame)
-    assert np.max(np.abs(a - ts.e_dissipation)) <= 1e-12
+def test_dissipation_density_routes(sphere, torus, rng):
+    """The dual dissipation density against the ambient projector route:
+    P sym(grad v) P and tr(P grad v) from the plain Jacobian of v."""
+    mu = ScalarField(1.0 + random_scalar_field(rng, 0.3).expr)
+    lam = ScalarField(0.5 + random_scalar_field(rng, 0.3).expr)
+    for atlas in (sphere, torus):
+        frame = frame_at(atlas, rng, 100)
+        st = frame.metric()
+        v = random_vector_field(rng)
+        Dproj, divv = strain_dual(v, frame)
+        a = frame.values(dissipation_density(
+            Dproj, divv, frame.eval_scalar(mu), frame.eval_scalar(lam)))
+
+        jac = v.jacobian(st.x)
+        sym = 0.5 * (jac + np.swapaxes(jac, 0, 1))
+        Dp = np.einsum("ij...,jk...,kl...->il...", st.P, sym, st.P)
+        div_v = np.einsum("ij...,ij...->...", st.P, jac)
+        b = (2.0 * mu.value(st.x) * np.einsum("ij...,ij...->...", Dp, Dp)
+             + lam.value(st.x) * div_v ** 2)
+        assert np.max(np.abs(a - b)) <= 1e-12, atlas.name
+
+
+def test_each_strain_built_once(sphere, monkeypatch, rng):
+    """The stress-path callers build the strain of one velocity on one frame
+    once: a second build would be a second code path for the same tensor."""
+    calls = []
+    original = surface_ops.strain_dual
+
+    def counting(v, frame):
+        calls.append(v)
+        return original(v, frame)
+
+    monkeypatch.setattr(surface_ops, "strain_dual", counting)
+    monkeypatch.setattr(variational_checks, "strain_dual", counting)
+    frame = frame_at(sphere, rng, 50, t=0.3)
+    fields = FluidFields(rho="2 + 0.3*x3", v=random_vector_field(rng),
+                         sigma=random_scalar_field(rng), theta="2 + x1")
+    coeffs = CoefficientFields(mu=1.0, lam=0.5)
+    rule = QuadratureRule(sphere, order=8, periodic_order=16)
+    for name, run, frames in (
+            ("thermo_quantities",
+             lambda: thermo_quantities(fields, coeffs, frame), 1),
+            ("residual_tangential",
+             lambda: residual_tangential(fields, coeffs, frame), 1),
+            ("dissipation_work_energy",
+             lambda: dissipation_work_energy(fields.v, 0.0, 1.0, 0.5, 1.0,
+                                             ("0", "0", "0"), sphere, rule),
+             len(sphere.charts))):
+        calls.clear()
+        run()
+        assert len(calls) == frames, (name, len(calls))
 
 
 def test_integration_by_parts(sphere, torus, sphere_rule, torus_rule, rng):
