@@ -228,14 +228,15 @@ class ChartFrame:
         """Plain float array of a dual quantity over the frame's points.
 
         ``q`` is a scalar, a vector (list) or a matrix (list of lists); the
-        result has shape ``q``'s layout + ``self.shape``, constants included.
-        With ``wrt`` (``"X1"``, ``"X2"`` or ``"t"``) it holds that partial
-        instead, zero where the seed is absent.
+        result has shape ``q``'s layout + ``self.shape``, constants included;
+        for a scalar ``q`` it is a read-only view.  With ``wrt`` (``"X1"``,
+        ``"X2"`` or ``"t"``) it holds that partial instead, zero where the
+        seed is absent.
         """
         if isinstance(q, list):
             return np.stack([self.values(c, wrt) for c in q])
         v = value_of(q) if wrt is None else partial_of(q, wrt, like=0.0)
-        return np.broadcast_to(v, self.shape).astype(float)
+        return np.broadcast_to(np.asarray(v, dtype=float), self.shape)
 
     def metric(self):
         """Snapshot the frame into a plain-array MetricState."""

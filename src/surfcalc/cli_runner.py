@@ -504,18 +504,18 @@ def suite_conservation_report(scn, rng):
 
     # integrated surface-stress divergence vanishes on a closed surface
     rule = _rule_for(scn, atlas)
-    worst = 0.0
-    for _ in range(scn.get_int("stress_draws", 3)):
-        v = random_vector_field(rng)
-        sig = random_scalar_field(rng)
-        total = np.zeros(3)
-        for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-            frame = chart.frame(X[0], X[1], 0.0)
-            st = frame.metric()
-            S = stress_dual(v, sig, 1.0, 0.5, frame)[0]
-            total += np.sum(w * psi * st.sqrtJ * div_matrix_dual(S, frame),
-                            axis=1)
-        worst = worst_of(worst, float(np.max(np.abs(total))))
+    draws = [(random_vector_field(rng), random_scalar_field(rng))
+             for _ in range(scn.get_int("stress_draws", 3))]
+    totals = [np.zeros(3) for _ in draws]
+    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
+        frame = chart.frame(X[0], X[1], 0.0)
+        st = frame.metric()
+        for total, (v, sig) in zip(totals, draws):
+            total += np.sum(w * psi * st.sqrtJ * div_matrix_dual(
+                stress_dual(v, sig, 1.0, 0.5, frame)[0], frame), axis=1)
+        del frame, st  # free this chart's frame before the next is built
+    worst = worst_of(0.0, *(float(np.max(np.abs(total)))
+                             for total in totals))
     rows.append(_row("stress_divergence_integral", worst,
                      scn.tolerance("stress", 1e-7)))
 

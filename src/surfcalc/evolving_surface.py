@@ -240,10 +240,11 @@ def _geometry_from_positions(x, hs, periodic, orientation):
 class FlowState:
     """Material-point grids for an atlas, advanced in time by RK4.
 
-    ``sources`` maps a name to ``(field, accumulators)`` where the
-    accumulators hold per-chart values of the time integral of
-    ``field * sqrtJ`` along each trajectory, advanced with the same RK4
-    stages as the flow itself.
+    ``geo`` holds the grid geometry of the current positions, computed
+    wherever the positions are set.  ``sources`` maps a name to
+    ``(field, accumulators)`` where the accumulators hold per-chart values
+    of the time integral of ``field * sqrtJ`` along each trajectory,
+    advanced with the same RK4 stages as the flow itself.
     """
 
     atlas: ChartAtlas
@@ -255,12 +256,13 @@ class FlowState:
     psi: list              # per chart: (n1, n2) partition-of-unity values
     sqrtJ0: list           # per chart: (n1, n2) initial area element
     rho0_tilde: list       # per chart: (n1, n2) reference density weights
+    geo: list              # per chart: GridGeometry of the positions x
     sources: dict = field(default_factory=dict)
 
     @classmethod
     def create(cls, atlas, resolution=(48, 96), rho0=1.0, t0=0.0):
         rho0 = as_scalar_field(rho0)
-        X, x, hs, w, psi, sJ0, r0t = [], [], [], [], [], [], []
+        X, x, hs, w, psi, sJ0, r0t, geos = [], [], [], [], [], [], [], []
         for m, chart in enumerate(atlas.charts):
             Xm, hsm, wm, _ = _chart_grid(chart, resolution)
             xm = chart.position(Xm[0], Xm[1], t0)
@@ -272,8 +274,9 @@ class FlowState:
             psi.append(atlas.pou(m, Xm[0], Xm[1]))
             sJ0.append(geo.sqrtJ)
             r0t.append(rho0.value(xm, t0) * geo.sqrtJ)
+            geos.append(geo)
         return cls(atlas=atlas, t=t0, X=X, x=x, hs=hs, w=w, psi=psi,
-                   sqrtJ0=sJ0, rho0_tilde=r0t)
+                   sqrtJ0=sJ0, rho0_tilde=r0t, geo=geos)
 
     def track_source(self, name, field_expr):
         """Register a source whose integral of ``F * sqrtJ`` is accumulated."""
@@ -282,9 +285,7 @@ class FlowState:
 
     def geometry(self, m):
         """Grid-derived metric data for chart ``m`` at the current time."""
-        chart = self.atlas.charts[m]
-        return _geometry_from_positions(self.x[m], self.hs[m], chart.periodic,
-                                        chart.orientation)
+        return self.geo[m]
 
     def copy(self):
         out = copy.copy(self)
@@ -322,7 +323,9 @@ def _rk4(y, t, dt, rhs):
 
 def _flow_step(state, vel, dt):
     """Advance ``state`` in place by one RK4 step of ``dt`` (either sign):
-    the material points and, on the same stages, every tracked source."""
+    the material points, their grid geometry and, on the same stages, every
+    tracked source.  Raises :class:`JacobianCollapse` when the advanced grid
+    degenerates."""
     n = len(state.x)
     accs = [acc for _, acc in state.sources.values()]
 
@@ -333,6 +336,10 @@ def _flow_step(state, vel, dt):
 
     y = _rk4(state.x + [a for acc in accs for a in acc], state.t, dt, rhs)
     state.x = y[:n]
+    state.geo = [_geometry_from_positions(xm, hs, chart.periodic,
+                                          chart.orientation)
+                 for xm, hs, chart in zip(state.x, state.hs,
+                                          state.atlas.charts)]
     for k, acc in enumerate(accs):
         acc[:] = y[n * (k + 1):n * (k + 2)]
     state.t = state.t + dt
@@ -346,8 +353,6 @@ def advance_flow(state, motion, dt, steps=1):
     out = state.copy()
     for _ in range(steps):
         _flow_step(out, motion.velocity, dt)
-        for m in range(len(out.x)):
-            out.geometry(m)  # raises JacobianCollapse on degeneration
     return out
 
 

@@ -162,16 +162,6 @@ def _simpson_nodes(T, nt):
     return ts, wt
 
 
-def _reference_density(atlas, rule, rho0, t0=0.0):
-    """Per-chart conserved density weights rho0(x(X, t0)) * sqrtJ(t0)."""
-    rho0 = as_scalar_field(rho0)
-    out = []
-    for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
-        x0, _, _, sJ0 = _plain_chart_data(chart, X, t0)
-        out.append(rho0.value(x0, t0) * sJ0)
-    return out
-
-
 # -- action integral and its variation ------------------------------------------
 
 
@@ -192,13 +182,20 @@ def action_integral(atlas, motion, rho0, T, law=None, rule=None, nt=16,
     mov = moving_atlas(atlas, motion)
     if variation is not None and eps != 0.0:
         mov = varied_atlas(mov, variation, eps)
-    rho0t = _reference_density(mov, rule, rho0)
     ts, wt = _simpson_nodes(T, nt)
+    # the first Simpson node is the reference time t = 0: its chart data
+    # also gives the conserved density weights rho0(x(X, 0)) * sqrtJ(0)
+    data = [_plain_chart_data(chart, X, ts[0])
+            for chart, (X, _, _) in zip(mov.charts, rule.nodes)]
+    rho0 = as_scalar_field(rho0)
+    rho0t = [rho0.value(x0, 0.0) * sJ0 for x0, _, _, sJ0 in data]
     total = 0.0
     magnitude = 0.0
-    for tk, wk in zip(ts, wt):
+    for k, (tk, wk) in enumerate(zip(ts, wt)):
         for m, (chart, (X, w, psi)) in enumerate(zip(mov.charts, rule.nodes)):
-            _, xt, _, sJ = _plain_chart_data(chart, X, tk)
+            if k:
+                data[m] = _plain_chart_data(chart, X, tk)
+            _, xt, _, sJ = data[m]
             kernel = 0.5 * rho0t[m] * np.einsum("i...,i...->...", xt, xt)
             if law is not None:
                 kernel = kernel - law.p(rho0t[m] / sJ) * sJ
@@ -229,6 +226,7 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
         # conserved density weight as a dual quantity in the chart coordinates
         frame0 = base.frame(X[0], X[1], 0.0)
         rho0t_d = frame0.eval_scalar(as_scalar_field(rho0)) * frame0.sqrtJ
+        del frame0  # one frame alive at a time
         for tk, wk in zip(ts, wt):
             frame = chart.frame(X[0], X[1], tk)
             sJ = frame.values(frame.sqrtJ)
@@ -249,6 +247,7 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
             zval = z.value(x, tk)
             kernel = np.einsum("i...,i...->...", force, zval)
             total += wk * float(np.sum(w * psi * kernel * sJ))
+            del frame  # free it before the next one is built
     return total
 
 
@@ -333,28 +332,31 @@ def _shifted_velocity(v, phi, eps):
                         for a, b in zip(v.comp, phi.comp)])
 
 
+def _dissipation_work_terms(v, sigma, mu, lam, rho, F, frame, st, wgt, t):
+    """One chart's dissipation + work energy on ``frame`` (snapshot ``st``,
+    surface weights ``wgt``)."""
+    Dproj, divv = strain_dual(v, frame)
+    ed = frame.values(dissipation_density(
+        Dproj, divv, frame.eval_scalar(mu), frame.eval_scalar(lam)))
+    divv = frame.values(divv)
+    vval = v.value(st.x, t)
+    work = (divv * sigma.value(st.x, t)
+            + rho.value(st.x, t)
+            * np.einsum("i...,i...->...", F.value(st.x, t), vval))
+    return float(np.sum(wgt * (-0.5 * ed + work)))
+
+
 def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
     """E = -int (1/2)(2 mu |D_G(v)|^2 + lam |div_G v|^2) + int (div_G v) sigma
     + int rho F . v over the surface at time ``t``."""
-    v = as_vector_field(v)
-    sigma = as_scalar_field(sigma)
-    mu = as_scalar_field(mu)
-    lam = as_scalar_field(lam)
-    rho = as_scalar_field(rho)
-    F = as_vector_field(F)
+    args = (as_vector_field(v), as_scalar_field(sigma), as_scalar_field(mu),
+            as_scalar_field(lam), as_scalar_field(rho), as_vector_field(F))
     total = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         frame = chart.frame(X[0], X[1], t)
         st = frame.metric()
-        Dproj, divv = strain_dual(v, frame)
-        ed = frame.values(dissipation_density(
-            Dproj, divv, frame.eval_scalar(mu), frame.eval_scalar(lam)))
-        divv = frame.values(divv)
-        vval = v.value(st.x, t)
-        work = (divv * sigma.value(st.x, t)
-                + rho.value(st.x, t)
-                * np.einsum("i...,i...->...", F.value(st.x, t), vval))
-        total += float(np.sum(w * psi * st.sqrtJ * (-0.5 * ed + work)))
+        total += _dissipation_work_terms(*args, frame, st,
+                                         w * psi * st.sqrtJ, t)
     return total
 
 
@@ -365,33 +367,34 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
     The functional is quadratic in epsilon, so the central difference is
     exact up to quadrature; the analytic side is the surface force
     int { div_G(2 mu D_G(v) + lam (div_G v) P - sigma P) + rho F } . phi.
+    Both rungs and the analytic side are evaluated on one frame per chart.
     """
     if rule is None:
         rule = default_rule(atlas)
     v = as_vector_field(v)
-    rho_f = as_scalar_field(rho)
+    sigma, mu, lam, rho_f = (as_scalar_field(a) for a in (sigma, mu, lam, rho))
     F_f = as_vector_field(F)
     direction = phi.direction if isinstance(phi, VariationField) else as_vector_field(phi)
     tangential = isinstance(phi, VariationField) and phi.tangential
+    shifted = [_shifted_velocity(v, direction, e) for e in (eps, -eps)]
 
-    def energy(e):
-        return dissipation_work_energy(_shifted_velocity(v, direction, e),
-                                       sigma, mu, lam, rho_f, F_f,
-                                       atlas, rule, t)
-
-    fd = (energy(eps) - energy(-eps)) / (2.0 * eps)
-
+    energy = [0.0, 0.0]
     analytic = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         frame = chart.frame(X[0], X[1], t)
         st = frame.metric()
+        wgt = w * psi * st.sqrtJ
+        for k, vk in enumerate(shifted):
+            energy[k] += _dissipation_work_terms(vk, sigma, mu, lam, rho_f,
+                                                 F_f, frame, st, wgt, t)
         S = stress_dual(v, sigma, mu, lam, frame)[0]
         force = div_matrix_dual(S, frame) + rho_f.value(st.x, t) * F_f.value(st.x, t)
         phival = direction.value(st.x, t)
         if tangential:
             force = np.einsum("ij...,j...->i...", st.P, force)
         kernel = np.einsum("i...,i...->...", force, phival)
-        analytic += float(np.sum(w * psi * st.sqrtJ * kernel))
+        analytic += float(np.sum(wgt * kernel))
+    fd = (energy[0] - energy[1]) / (2.0 * eps)
 
     report = {"fd": fd, "analytic": analytic, "error": abs(fd - analytic),
               "eps": float(eps)}
@@ -403,6 +406,25 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
 # -- gradient-flux (generalized diffusion) variation ------------------------------
 
 
+def _flux_energy_terms(f, flux, frame, w, psi):
+    """One chart's flux-energy terms w psi sqrtJ e_J(|grad_G f|^2) on
+    ``frame``: their sum and the sum of their magnitudes."""
+    zeta = frame.values(sum(c * c for c in grad_scalar_dual(f, frame)))
+    terms = w * psi * frame.values(frame.sqrtJ) * flux.density(zeta)
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def _flux_energy(chart_terms):
+    """``(E, sum of |summed terms|)`` from per-chart :func:`_flux_energy_terms`
+    in chart order."""
+    total = 0.0
+    magnitude = 0.0
+    for s, a in chart_terms:
+        total -= 0.5 * s
+        magnitude += 0.5 * a
+    return total, magnitude
+
+
 def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     """E = -int (1/2) e_J(|grad_G f|^2) over the surface at time ``t``.
 
@@ -410,14 +432,9 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     as in :func:`action_integral`.
     """
     f = as_scalar_field(f)
-    total = 0.0
-    magnitude = 0.0
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        frame = chart.frame(X[0], X[1], t)
-        zeta = frame.values(sum(c * c for c in grad_scalar_dual(f, frame)))
-        terms = w * psi * frame.values(frame.sqrtJ) * flux.density(zeta)
-        total -= 0.5 * float(np.sum(terms))
-        magnitude += 0.5 * float(np.sum(np.abs(terms)))
+    total, magnitude = _flux_energy(
+        _flux_energy_terms(f, flux, chart.frame(X[0], X[1], t), w, psi)
+        for chart, (X, w, psi) in zip(atlas.charts, rule.nodes))
     return (total, magnitude) if abs_sum else total
 
 
@@ -453,6 +470,11 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
     phi = as_scalar_field(phi)
     linear = isinstance(flux.d_expr, Num)
 
+    # every rung's shifted energy is evaluated on the analytic side's frame
+    rungs = [s * float(e) for e in eps_list for s in (1.0, -1.0)]
+    shifted = {e: _shifted_field(f, phi, e) for e in rungs}
+    terms = {e: [] for e in rungs}
+
     analytic = 0.0
     kernel_res = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
@@ -470,11 +492,11 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
         divq = div_vector_dual(q, frame)
         analytic += float(np.sum(w * psi * st.sqrtJ * divq * phi.value(st.x, t)))
         kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))
+        for e, fe in shifted.items():
+            terms[e].append(_flux_energy_terms(fe, flux, frame, w, psi))
 
-    report = _ladder_report(
-        lambda e: gradient_flux_energy(_shifted_field(f, phi, e), flux, atlas,
-                                       rule, t, abs_sum=True),
-        eps_list, analytic)
+    report = _ladder_report(lambda e: _flux_energy(terms[e]), eps_list,
+                            analytic)
     report["linear"] = linear
     report["kernel_gradient_residual"] = kernel_res
     return report

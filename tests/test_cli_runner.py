@@ -176,6 +176,7 @@ def test_nan_ladder_is_not_inconclusive():
     assert not row["pass"] and row["value"] == math.inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_residuals_fail(runner, tmp_path):
     """A density that is NaN at every node fails the equivalence checks that
     involve it; aggregated with the builtin max they would read 0 and pass."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from surfcalc import evolving_surface
 from surfcalc.chart_geometry import sphere_atlas
 from surfcalc.evolving_surface import (FlowState, JacobianCollapse, MotionLaw,
                                        advance_flow, dilation_density,
@@ -146,3 +147,52 @@ def test_integrate_grid_vector(sphere):
     # odd components vanish; the x3^2 moment is 4 pi / 3
     assert np.max(np.abs(out[:2])) <= 1e-10
     assert abs(out[2] - 4 * math.pi / 3) <= 1e-4
+
+
+def _count_geometries(monkeypatch):
+    calls = []
+    original = evolving_surface._geometry_from_positions
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evolving_surface, "_geometry_from_positions", counting)
+    return calls
+
+
+def test_flow_state_keeps_its_grid_geometry(sphere, monkeypatch):
+    """A state's grid geometry is built where its positions are set: once per
+    chart and step, never by the integrals that read it."""
+    state = FlowState.create(sphere, resolution=(16, 32),
+                             rho0=ScalarField("1 + 0.3*x3"))
+    calls = _count_geometries(monkeypatch)
+    for _ in range(3):
+        integrate_grid(state, values=transported_density(state))
+        transport_scalar(state, ScalarField("x1"))
+    assert calls == []
+    cur = advance_flow(state, motion_builtin("dilation"), 0.02, steps=2)
+    assert len(calls) == 2 * len(sphere.charts)
+    for m, geo in enumerate(cur.geo):
+        chart = sphere.charts[m]
+        fresh = evolving_surface._geometry_from_positions(
+            cur.x[m], cur.hs[m], chart.periodic, chart.orientation)
+        assert np.array_equal(geo.sqrtJ, fresh.sqrtJ)
+        assert np.array_equal(geo.inv_gram, fresh.inv_gram)
+    # the state it was advanced from keeps its own geometry
+    assert all(np.array_equal(geo.sqrtJ, s0)
+               for geo, s0 in zip(state.geo, state.sqrtJ0))
+
+
+def test_jacobian_collapse_on_backward_probe(sphere):
+    """jacobian_rate_check's backward RK4 probe step raises the collapse.
+    a(t) vanishes at t = 0 and t = -dt/2 and is 6/dt at t = -dt, so the
+    backward step of v = a(t) x maps every node to (about) the origin while
+    the forward step stays regular."""
+    dt = 1e-3
+    a = f"{12.0 / dt ** 3!r}*t*(t + {dt / 2!r})"
+    motion = MotionLaw([f"{a}*x1", f"{a}*x2", f"{a}*x3"])
+    state = FlowState.create(sphere, resolution=(16, 32))
+    advance_flow(state, motion, dt)
+    with pytest.raises(JacobianCollapse):
+        jacobian_rate_check(state, motion, dt_probe=dt)
