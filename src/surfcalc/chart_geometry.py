@@ -139,16 +139,28 @@ class Chart:
     def position(self, X1, X2, t=0.0):
         return self.evaluate(self.param, X1, X2, t)
 
-    def frame(self, X1, X2, t=0.0, check_domain=True):
+    def frame(self, X1, X2, t=0.0):
         """Dual-number geometric frame at the given coordinates."""
-        if check_domain and not np.all(self.contains(X1, X2, margin=1e-12)):
-            raise OutOfDomain(f"coordinates outside chart {self.name!r}")
+        self._require_domain(X1, X2)
         return ChartFrame(self, X1, X2, t)
+
+    def metric(self, X1, X2, t=0.0):
+        """Numeric geometry from one plain evaluation of ``x`` and ``g_a``;
+        no domain check (solver grids are padded past bounded edges)."""
+        d = self._dparam
+        v = self.evaluate(self.param + d["X1"] + d["X2"], X1, X2, t)
+        return _metric_state(v[:3], v[3:].reshape((2, 3) + v.shape[1:]),
+                             self.orientation)
+
+    def _require_domain(self, X1, X2):
+        if not np.all(self.contains(X1, X2, margin=1e-12)):
+            raise OutOfDomain(f"coordinates outside chart {self.name!r}")
 
 
 @dataclass
 class MetricState:
-    """Numeric pointwise geometry package (arrays broadcast over points)."""
+    """Numeric pointwise geometry package (arrays broadcast over points),
+    built only by :func:`_metric_state`."""
 
     x: np.ndarray           # ambient position, (3, ...)
     g: np.ndarray           # tangent basis, (2, 3, ...)
@@ -158,7 +170,25 @@ class MetricState:
     sqrtJ: np.ndarray       # area element, (...)
     n: np.ndarray           # unit normal, (3, ...)
     P: np.ndarray           # tangential projector, (3, 3, ...)
-    H: np.ndarray           # mean curvature = -div_G n, (...)
+
+
+def _metric_state(x, g, orientation):
+    """MetricState of positions ``x`` (3, ...) and tangents ``g`` (2, 3, ...):
+    the value arithmetic of :class:`ChartFrame`, op by op (``a * (1/b)`` as in
+    ``Dual.__truediv__``), so a frame's snapshot equals its dual values."""
+    gram = np.array([[_dot3(g[a], g[b]) for b in range(2)] for a in range(2)])
+    J = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
+    if np.any(J <= _EPS_J):
+        raise SingularMetric("Gram determinant non-positive: degenerate chart")
+    sqrtJ = np.sqrt(J)
+    inv = 1.0 / J
+    inv_gram = np.array([[gram[1, 1] * inv, -gram[0, 1] * inv],
+                         [-gram[1, 0] * inv, gram[0, 0] * inv]])
+    n = np.array([(orientation * c) * (1.0 / sqrtJ) for c in _cross3(g[0], g[1])])
+    P = np.array([[(1.0 if i == j else 0.0) - n[i] * n[j] for j in range(3)]
+                  for i in range(3)])
+    return MetricState(x=x, g=g, gram=gram, inv_gram=inv_gram, J=J,
+                       sqrtJ=sqrtJ, n=n, P=P)
 
 
 class ChartFrame:
@@ -239,13 +269,9 @@ class ChartFrame:
         return np.broadcast_to(np.asarray(v, dtype=float), self.shape)
 
     def metric(self):
-        """Snapshot the frame into a plain-array MetricState."""
-        J = self.values(self.J)
-        return MetricState(x=self.values(self.x), g=self.values(self.g),
-                           gram=self.values(self.gram),
-                           inv_gram=self.values(self.inv_gram), J=J,
-                           sqrtJ=np.sqrt(J), n=self.values(self.n),
-                           P=self.values(self.P), H=self.values(self.H))
+        """The frame's values as a plain-array MetricState."""
+        return _metric_state(self.values(self.x), self.values(self.g),
+                             self.chart.orientation)
 
     # -- field composition ----------------------------------------------------
 
@@ -271,7 +297,8 @@ def _cross3(a, b):
 def metric_at(chart, X, t=0.0):
     """Complete pointwise geometry of ``chart`` at coordinates ``X``."""
     X = np.asarray(X, dtype=float)
-    return chart.frame(X[0], X[1], t).metric()
+    chart._require_domain(X[0], X[1])
+    return chart.metric(X[0], X[1], t)
 
 
 def mean_curvature_at(chart, X, t=0.0):
@@ -289,7 +316,7 @@ class ChartAtlas:
         self.charts = list(charts)
         self.name = name
 
-    def pou(self, m, X1, X2, t=0.0):
+    def pou(self, m, X1, X2):
         """Normalized weight of chart ``m`` at its own coordinates.
 
         Weights are attached to reference coordinates: normalization uses the

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart_geometry import Chart, ChartAtlas
+from .chart_geometry import Chart, ChartAtlas, SingularMetric, _metric_state
 from .expressions import parse_expr
 from .fields import as_scalar_field, as_vector_field
 
@@ -26,7 +26,6 @@ __all__ = [
     "motion_builtin",
     "moving_atlas",
     "FlowState",
-    "GridGeometry",
     "advance_flow",
     "fd_derivative",
     "jacobian_rate_check",
@@ -38,7 +37,6 @@ __all__ = [
     "integrate_grid_vector",
 ]
 
-_EPS_J = 1e-14
 _CHART_VARS = ("X1", "X2", "t")
 
 
@@ -181,19 +179,6 @@ def fd_derivative(arr, axis, h, periodic):
     return out
 
 
-@dataclass
-class GridGeometry:
-    """Numeric metric data derived from nodal positions by FD in the chart."""
-
-    g: np.ndarray          # (2, 3, n1, n2) tangent basis
-    gram: np.ndarray       # (2, 2, n1, n2)
-    inv_gram: np.ndarray   # (2, 2, n1, n2)
-    J: np.ndarray          # (n1, n2)
-    sqrtJ: np.ndarray      # (n1, n2)
-    n: np.ndarray          # (3, n1, n2) unit normal
-    P: np.ndarray          # (3, 3, n1, n2) tangential projector
-
-
 def _chart_grid(chart, shape):
     """Uniform reference grid, spacings, trapezoid weights, and the 1-D node
     axes of a chart."""
@@ -216,21 +201,12 @@ def _chart_grid(chart, shape):
 
 
 def _geometry_from_positions(x, hs, periodic, orientation):
+    """MetricState of nodal positions with FD tangents in the chart."""
     g = np.stack([fd_derivative(x, 1 + a, hs[a], periodic[a]) for a in range(2)])
-    gram = np.einsum("ai...,bi...->ab...", g, g)
-    J = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
-    if np.any(J <= _EPS_J):
-        raise JacobianCollapse("grid Jacobian non-positive")
-    sqrtJ = np.sqrt(J)
-    inv_gram = np.empty_like(gram)
-    inv_gram[0, 0] = gram[1, 1] / J
-    inv_gram[1, 1] = gram[0, 0] / J
-    inv_gram[0, 1] = -gram[0, 1] / J
-    inv_gram[1, 0] = -gram[1, 0] / J
-    nvec = orientation * np.cross(g[0], g[1], axisa=0, axisb=0, axisc=0) / sqrtJ
-    P = np.eye(3)[:, :, None, None] - nvec[:, None] * nvec[None, :]
-    return GridGeometry(g=g, gram=gram, inv_gram=inv_gram, J=J, sqrtJ=sqrtJ,
-                        n=nvec, P=P)
+    try:
+        return _metric_state(x, g, orientation)
+    except SingularMetric:
+        raise JacobianCollapse("grid Jacobian non-positive") from None
 
 
 # -- flow state ----------------------------------------------------------------
@@ -240,7 +216,7 @@ def _geometry_from_positions(x, hs, periodic, orientation):
 class FlowState:
     """Material-point grids for an atlas, advanced in time by RK4.
 
-    ``geo`` holds the grid geometry of the current positions, computed
+    ``geo`` holds the grid metric of the current positions, computed
     wherever the positions are set.  ``sources`` maps a name to
     ``(field, accumulators)`` where the accumulators hold per-chart values
     of the time integral of ``field * sqrtJ`` along each trajectory,
@@ -256,27 +232,26 @@ class FlowState:
     psi: list              # per chart: (n1, n2) partition-of-unity values
     sqrtJ0: list           # per chart: (n1, n2) initial area element
     rho0_tilde: list       # per chart: (n1, n2) reference density weights
-    geo: list              # per chart: GridGeometry of the positions x
+    geo: list              # per chart: MetricState of the positions x
     sources: dict = field(default_factory=dict)
 
     @classmethod
-    def create(cls, atlas, resolution=(48, 96), rho0=1.0, t0=0.0):
+    def create(cls, atlas, resolution=(48, 96), rho0=1.0):
+        """Flow state at t = 0 on uniform grids of ``resolution`` per chart."""
         rho0 = as_scalar_field(rho0)
-        X, x, hs, w, psi, sJ0, r0t, geos = [], [], [], [], [], [], [], []
+        X, x, hs, w, psi = [], [], [], [], []
         for m, chart in enumerate(atlas.charts):
             Xm, hsm, wm, _ = _chart_grid(chart, resolution)
-            xm = chart.position(Xm[0], Xm[1], t0)
-            geo = _geometry_from_positions(xm, hsm, chart.periodic, chart.orientation)
             X.append(Xm)
-            x.append(xm)
+            x.append(chart.position(Xm[0], Xm[1], 0.0))
             hs.append(hsm)
             w.append(wm)
             psi.append(atlas.pou(m, Xm[0], Xm[1]))
-            sJ0.append(geo.sqrtJ)
-            r0t.append(rho0.value(xm, t0) * geo.sqrtJ)
-            geos.append(geo)
-        return cls(atlas=atlas, t=t0, X=X, x=x, hs=hs, w=w, psi=psi,
-                   sqrtJ0=sJ0, rho0_tilde=r0t, geo=geos)
+        geo = _grid_metrics(atlas, hs, x)
+        sJ0 = [gm.sqrtJ for gm in geo]
+        r0t = [rho0.value(xm, 0.0) * s for xm, s in zip(x, sJ0)]
+        return cls(atlas=atlas, t=0.0, X=X, x=x, hs=hs, w=w, psi=psi,
+                   sqrtJ0=sJ0, rho0_tilde=r0t, geo=geo)
 
     def track_source(self, name, field_expr):
         """Register a source whose integral of ``F * sqrtJ`` is accumulated."""
@@ -295,17 +270,10 @@ class FlowState:
         return out
 
 
-def _source_rates(state, xs, t):
-    """Rates F(x,t)*sqrtJ for every tracked source at stage positions."""
-    rates = {}
-    for name, (f, _) in state.sources.items():
-        per_chart = []
-        for m, chart in enumerate(state.atlas.charts):
-            geo = _geometry_from_positions(xs[m], state.hs[m], chart.periodic,
-                                           chart.orientation)
-            per_chart.append(f.value(xs[m], t) * geo.sqrtJ)
-        rates[name] = per_chart
-    return rates
+def _grid_metrics(atlas, hs, xs):
+    """Grid metric of each chart's nodal positions ``xs`` (spacings ``hs``)."""
+    return [_geometry_from_positions(xm, h, chart.periodic, chart.orientation)
+            for xm, h, chart in zip(xs, hs, atlas.charts)]
 
 
 def _rk4(y, t, dt, rhs):
@@ -328,18 +296,21 @@ def _flow_step(state, vel, dt):
     degenerates."""
     n = len(state.x)
     accs = [acc for _, acc in state.sources.values()]
+    first = [state.geo]  # _rk4's first stage is at the current positions
 
     def rhs(y, t):
-        rates = _source_rates(state, y[:n], t)
-        return ([vel.value(xm, t) for xm in y[:n]]
-                + [r for per_chart in rates.values() for r in per_chart])
+        xs = y[:n]
+        rates = []
+        if accs:  # one grid metric per chart and stage, shared by the sources
+            geos = first.pop() if first else _grid_metrics(state.atlas, state.hs, xs)
+            rates = [f.value(xm, t) * geo.sqrtJ
+                     for f, _ in state.sources.values()
+                     for xm, geo in zip(xs, geos)]
+        return [vel.value(xm, t) for xm in xs] + rates
 
     y = _rk4(state.x + [a for acc in accs for a in acc], state.t, dt, rhs)
     state.x = y[:n]
-    state.geo = [_geometry_from_positions(xm, hs, chart.periodic,
-                                          chart.orientation)
-                 for xm, hs, chart in zip(state.x, state.hs,
-                                          state.atlas.charts)]
+    state.geo = _grid_metrics(state.atlas, state.hs, state.x)
     for k, acc in enumerate(accs):
         acc[:] = y[n * (k + 1):n * (k + 2)]
     state.t = state.t + dt

@@ -257,11 +257,8 @@ class SurfaceGridSolver:
         """
         key = None if self._static else float(t)
         if key not in self._metric_cache:
-            states = []
-            for m, chart in enumerate(self.charts):
-                Xp = self.Xpad[m]
-                states.append(chart.frame(Xp[0], Xp[1], t,
-                                          check_domain=False).metric())
+            states = [chart.metric(Xp[0], Xp[1], t)
+                      for chart, Xp in zip(self.charts, self.Xpad)]
             if len(self._metric_cache) > 8:
                 self._metric_cache.clear()
             self._metric_cache[key] = states
@@ -356,7 +353,7 @@ def _transported_rho(solver, rho0, t):
     return out
 
 
-def step_heat(solver, field, coeffs, flux, dt, rho0=1.0, check_stability=True):
+def step_heat(solver, field, coeffs, flux, dt, rho0=1.0):
     """One RK4 step of the generalized heat equation in Lagrangian form.
 
     ``field`` holds the product (specific heat * temperature) at the nodes;
@@ -364,20 +361,19 @@ def step_heat(solver, field, coeffs, flux, dt, rho0=1.0, check_stability=True):
     ``(div_G q + rho Q_theta + F1) / rho`` at fixed reference coordinates.
     """
     c = coeffs
-    if check_stability:
-        zmax = 0.0
-        if not isinstance(flux.d_expr, Num):  # a constant e_J' needs no z
-            pads = solver.fill_ghosts(field.values)
-            for m, st in enumerate(solver.metric(field.t)):
-                df = solver.grad_chart(m, pads[m])
-                z = np.einsum("ab...,a...,b...->...", st.inv_gram, df, df)
-                zmax = max(zmax, float(np.max(z)))
-        rho_now = _transported_rho(solver, rho0, field.t)
-        coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
-        cth_min = min(float(np.min(np.abs(c.C_theta.value(
-            solver.positions(field.t)[m], field.t)))) for m in range(len(rho_now)))
-        rho_min = min(float(np.min(r)) for r in rho_now)
-        solver.check_parabolic_dt(dt, coef / max(rho_min * cth_min, 1e-30), field.t)
+    zmax = 0.0
+    if not isinstance(flux.d_expr, Num):  # a constant e_J' needs no z
+        pads = solver.fill_ghosts(field.values)
+        for m, st in enumerate(solver.metric(field.t)):
+            df = solver.grad_chart(m, pads[m])
+            z = np.einsum("ab...,a...,b...->...", st.inv_gram, df, df)
+            zmax = max(zmax, float(np.max(z)))
+    rho_now = _transported_rho(solver, rho0, field.t)
+    coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
+    cth_min = min(float(np.min(np.abs(c.C_theta.value(
+        solver.positions(field.t)[m], field.t)))) for m in range(len(rho_now)))
+    rho_min = min(float(np.min(r)) for r in rho_now)
+    solver.check_parabolic_dt(dt, coef / max(rho_min * cth_min, 1e-30), field.t)
 
     def rhs(vals, t):
         rho = _transported_rho(solver, rho0, t)
@@ -394,7 +390,7 @@ def step_heat(solver, field, coeffs, flux, dt, rho0=1.0, check_stability=True):
                      field.t + dt)
 
 
-def step_diffusion(solver, field, coeffs, flux, dt, check_stability=True):
+def step_diffusion(solver, field, coeffs, flux, dt):
     """One RK4 step of the generalized diffusion equation.
 
     ``field`` holds the concentration C; internally the conserved variable
@@ -402,9 +398,8 @@ def step_diffusion(solver, field, coeffs, flux, dt, check_stability=True):
     (div v)C transport term exactly.
     """
     c = coeffs
-    if check_stability:
-        coef = float(np.max(np.abs(flux.deriv(np.array([0.0, 1.0])))))
-        solver.check_parabolic_dt(dt, max(coef, 1e-30), field.t)
+    coef = float(np.max(np.abs(flux.deriv(np.array([0.0, 1.0])))))
+    solver.check_parabolic_dt(dt, max(coef, 1e-30), field.t)
 
     st_t = solver.metric(field.t)
     W = [field.values[m] * solver.interior(m, st_t[m].sqrtJ)

@@ -342,7 +342,7 @@ def ibp_residuals(f, phi, atlas, rule, t=0.0, m=0):
         gg = frame.values(grad_scalar_dual(g, frame))
         fv = f.value(st.x, t)
         gv = g.value(st.x, t)
-        H = st.H
+        H = frame.H
         acc_comp += np.sum(wgt * (gf[m] * gv + fv * gg[m] + H * st.n[m] * fv * gv))
         phi_d = [frame.eval_scalar(c) for c in phi.comp]
         divphi = div_vector_dual(phi_d, frame)

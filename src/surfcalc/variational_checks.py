@@ -357,6 +357,7 @@ def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
         st = frame.metric()
         total += _dissipation_work_terms(*args, frame, st,
                                          w * psi * st.sqrtJ, t)
+        del frame, st  # free them before the next frame is built
     return total
 
 
@@ -394,6 +395,7 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
             force = np.einsum("ij...,j...->i...", st.P, force)
         kernel = np.einsum("i...,i...->...", force, phival)
         analytic += float(np.sum(wgt * kernel))
+        del frame, st, S  # free them before the next frame is built
     fd = (energy[0] - energy[1]) / (2.0 * eps)
 
     report = {"fd": fd, "analytic": analytic, "error": abs(fd - analytic),
@@ -494,6 +496,7 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
         kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))
         for e, fe in shifted.items():
             terms[e].append(_flux_energy_terms(fe, flux, frame, w, psi))
+        del frame, st, gf, zeta_d, q  # free them before the next frame
 
     report = _ladder_report(lambda e: _flux_energy(terms[e]), eps_list,
                             analytic)
@@ -623,6 +626,7 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
             add("flux",
                 float(np.sum(wgt * 0.5 * flux.density(zeta_amb))),
                 float(np.sum(wref * st.sqrtJ * 0.5 * flux.density(zeta_ref))))
+        del frame, st, v_d  # free them before the next frame is built
 
     report = {}
     for name in surf:
@@ -666,6 +670,7 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule=None,
         gup = np.einsum("ab...,bi...->ai...", st.inv_gram, st.g)
         rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * st.J
         worst = worst_of(worst, float(np.max(np.abs(dJ - rhs))))
+        del frame, st, y_d  # free them before the next frame is built
     return worst
 
 

@@ -1,15 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from surfcalc.autodiff import value_of
-from surfcalc.chart_geometry import (OutOfDomain, QuadratureRule,
-                                     default_rule, integrate, integrate_vector,
-                                     mean_curvature_at, metric_at, plane_chart,
-                                     sphere_atlas, torus_atlas)
+from surfcalc.chart_geometry import (Chart, OutOfDomain, QuadratureRule,
+                                     SingularMetric, default_rule, integrate,
+                                     integrate_vector, mean_curvature_at,
+                                     metric_at, plane_chart, sphere_atlas,
+                                     torus_atlas)
 from surfcalc.evolving_surface import motion_builtin, moving_atlas
+from surfcalc.variational_checks import time_window_variation, varied_atlas
 from conftest import random_nodes
+
+METRIC_FIELDS = ("x", "g", "gram", "inv_gram", "J", "sqrtJ", "n", "P")
 
 
 def test_sphere_area(sphere, sphere_rule):
@@ -38,7 +43,6 @@ def test_sphere_pointwise_geometry(sphere, rng):
         # points on the sphere, outward unit normal, constant curvature
         assert np.allclose(np.linalg.norm(st.x, axis=0), R, atol=1e-12)
         assert np.allclose(st.n, st.x / R, atol=1e-12)
-        assert np.max(np.abs(st.H + 2.0 / R)) <= 1e-8
         assert np.max(np.abs(mean_curvature_at(chart, X) + 2.0 / R)) <= 1e-8
 
 
@@ -134,3 +138,45 @@ def test_frame_values_time_partial(sphere, rng):
         frame = moving.frame(X[0], X[1], 0.4)
         assert np.allclose(frame.values(frame.x, "t"), metric_at(base, X).x,
                            rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("surface", ["sphere", "torus", "dilating", "rotating",
+                                     "varied"])
+def test_metric_records_equal_frame_values(surface, sphere, sphere_rule, torus,
+                                           torus_rule):
+    """``frame.metric()`` and the frame-free ``metric_at`` equal the dual
+    frame's own values bit for bit, field by field, on the default rules:
+    the numeric kernel repeats the dual arithmetic (a quotient is a * (1/b))."""
+    dilating = moving_atlas(sphere, motion_builtin("dilation"))
+    atlas, rule, t = {
+        "sphere": (sphere, sphere_rule, 0.0),
+        "torus": (torus, torus_rule, 0.0),
+        "dilating": (dilating, sphere_rule, 0.2),
+        "rotating": (moving_atlas(sphere, motion_builtin("rotation")),
+                     sphere_rule, 0.3),
+        "varied": (varied_atlas(dilating, time_window_variation(
+            ["x2*x3", "sin(x1) - x3", "x1*x2 + 0.5"], 0.4), 3e-3),
+            sphere_rule, 0.2),
+    }[surface]
+    for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
+        frame = chart.frame(X[0], X[1], t)
+        for st in (frame.metric(), metric_at(chart, X, t)):
+            for name in METRIC_FIELDS:
+                assert np.array_equal(getattr(st, name),
+                                      frame.values(getattr(frame, name))), name
+
+
+def test_degenerate_chart_raises_singular_metric():
+    """J = 4 X2^2 vanishes on X2 = 0: frames and metric_at refuse the chart
+    before any square root or reciprocal of J, so no warning is emitted."""
+    chart = Chart(["X1", "X2*X2", "0"], domain=((-1.0, 1.0), (-1.0, 1.0)))
+    X = np.array([[0.3, -0.2, 0.5], [0.5, 0.0, -0.4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetric):
+            chart.frame(X[0], X[1])
+        with pytest.raises(SingularMetric):
+            metric_at(chart, X)
+        with pytest.raises(OutOfDomain):
+            metric_at(chart, X + 2.0)
+        assert np.all(metric_at(chart, X[:, [0, 2]]).J > 0)

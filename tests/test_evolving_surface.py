@@ -184,6 +184,45 @@ def test_flow_state_keeps_its_grid_geometry(sphere, monkeypatch):
                for geo, s0 in zip(state.geo, state.sqrtJ0))
 
 
+@pytest.mark.parametrize("sources, built", [(0, 6), (1, 24), (2, 24)])
+def test_one_grid_metric_per_chart_and_stage(sphere, monkeypatch, sources,
+                                             built):
+    """Three RK4 steps on the two-chart sphere build each chart's metric at
+    every step's end and, with tracked sources, at the three later stages:
+    the first stage reads the state's own metric, and sources share them."""
+    state = FlowState.create(sphere, resolution=(16, 32))
+    for k in range(sources):
+        state.track_source(f"s{k}", ScalarField(f"x1*x2 + {k}*t"))
+    calls = _count_geometries(monkeypatch)
+    advance_flow(state, motion_builtin("dilation"), 0.02, steps=3)
+    assert len(calls) == built
+
+
+def test_source_accumulators_match_per_source_reference(sphere):
+    """Shared stage metrics leave every accumulator bit-identical to a
+    per-source RK4 that rebuilds the grid metric at each of its stages."""
+    motion = motion_builtin("dilation")
+    fields = {"a": ScalarField("x1*x2 + t"), "b": ScalarField("1 + x3*x3")}
+    state = FlowState.create(sphere, resolution=(16, 32))
+    for name, f in fields.items():
+        state.track_source(name, f)
+    end = advance_flow(state, motion, 0.02, steps=3)
+    n = len(sphere.charts)
+    for name, f in fields.items():
+        def rhs(y, t, f=f):
+            rates = [f.value(xm, t) * evolving_surface._geometry_from_positions(
+                xm, h, chart.periodic, chart.orientation).sqrtJ
+                for xm, h, chart in zip(y[:n], state.hs, sphere.charts)]
+            return [motion.velocity.value(xm, t) for xm in y[:n]] + rates
+
+        y, t = state.x + [np.zeros_like(s) for s in state.sqrtJ0], 0.0
+        for _ in range(3):
+            y, t = evolving_surface._rk4(y, t, 0.02, rhs), t + 0.02
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(end.sources[name][1], y[n:]))
+        assert all(np.array_equal(a, b) for a, b in zip(end.x, y[:n]))
+
+
 def test_jacobian_collapse_on_backward_probe(sphere):
     """jacobian_rate_check's backward RK4 probe step raises the collapse.
     a(t) vanishes at t = 0 and t = -dt/2 and is 6/dt at t = -dt, so the

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from surfcalc.chart_geometry import ChartFrame
 from surfcalc.evolving_surface import motion_builtin, moving_atlas
 from surfcalc.fluid_models import CoefficientFields, pressure_law_builtin
 from scipy import sparse
@@ -183,6 +184,29 @@ def test_moving_metric_follows_time(sphere):
     for st0, st in zip(moving.metric(0.0), moving.metric(t)):
         assert np.allclose(st.sqrtJ, (1.0 + t) ** 2 * st0.sqrtJ,
                            rtol=1e-13, atol=0.0)
+
+
+def test_solver_metric_builds_no_frame(sphere, monkeypatch):
+    """A time level's metric comes from plain chart values: no ChartFrame is
+    built, and every field equals the dual frame's on the padded grid."""
+    moving = SurfaceGridSolver(
+        moving_atlas(sphere, motion_builtin("dilation")), resolution=(16, 32))
+    frames = [ChartFrame(chart, Xp[0], Xp[1], 0.3)
+              for chart, Xp in zip(moving.charts, moving.Xpad)]
+    built = []
+    original = ChartFrame.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(ChartFrame, "__init__", counting)
+    states = moving.metric(0.3)
+    assert built == []
+    for st, frame in zip(states, frames):
+        for name in ("x", "g", "gram", "inv_gram", "J", "sqrtJ", "n", "P"):
+            assert np.array_equal(getattr(st, name),
+                                  frame.values(getattr(frame, name))), name
 
 
 def test_heat_decay_short(solver):

@@ -67,7 +67,7 @@ def test_position_and_normal_divergence_on_sphere(sphere, rng):
     jac = np.zeros((3, 3) + frame.shape)
     div_n = np.einsum("ij...,ij...->...", st.P, np.broadcast_to(
         np.eye(3).reshape(3, 3, *([1] * len(frame.shape))), jac.shape))
-    assert np.max(np.abs(div_n - (-st.H))) <= 1e-10
+    assert np.max(np.abs(div_n - (-frame.H))) <= 1e-10
 
 
 def test_laplacian_of_linear_harmonic(sphere, rng):
