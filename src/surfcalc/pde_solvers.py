@@ -8,6 +8,9 @@ Spatial discretization is the divergence-form chart Laplacian
 ghost rows filled by bicubic interpolation from the partner chart (sphere
 atlas); after every step, overlap nodes are blended with partition-of-unity
 weights so the charts stay consistent.  Time integration is classical RK4.
+
+scipy serves only the sparse ghost-fill and blend operators; it is imported
+when the first ``SurfaceGridSolver`` builds them, not with this module.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .evolving_surface import _chart_grid, _rk4, fd_derivative
 from .expressions import Num, parse_expr
@@ -114,6 +116,8 @@ def _interp_matrix(axes, periodic, shape, targets):
     ``axes`` are the 1-D node coordinates, ``targets`` an (N, 2) array of
     chart coordinates.  Returns a CSR matrix of shape (N, n1*n2).
     """
+    from scipy import sparse
+
     n1, n2 = shape
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
     idx, wgt = [], []
@@ -304,10 +308,6 @@ class SurfaceGridSolver:
             out.append(self.interior(m, div))
         return out
 
-    def grad_tangent(self, st, df):
-        """Tangential gradient (3, ...) from chart derivatives df (2, ...)."""
-        return np.einsum("ab...,ai...,b...->i...", st.inv_gram, st.g, df)
-
     # -- stability ---------------------------------------------------------------------
 
     def check_parabolic_dt(self, dt, max_coef, t=0.0):
@@ -339,18 +339,18 @@ class SurfaceGridSolver:
 # -- time steppers -------------------------------------------------------------------
 
 
-def _transported_rho(solver, rho0, t):
-    """Exact density rho0(x(0)) sqrtJ(0)/sqrtJ(t) at the interior nodes."""
+def _reference_mass(solver, rho0):
+    """rho0(x(0)) sqrtJ(0) at the interior nodes, per chart."""
     rho0 = as_scalar_field(rho0)
     st0 = solver.metric(0.0)
+    return [rho0.value(solver.interior(m, st0[m].x), 0.0)
+            * solver.interior(m, st0[m].sqrtJ) for m in range(len(solver.charts))]
+
+
+def _transported_rho(solver, mass0, t):
+    """Exact density rho0(x(0)) sqrtJ(0)/sqrtJ(t) at the interior nodes."""
     st = solver.metric(t)
-    out = []
-    for m in range(len(solver.charts)):
-        sj0 = solver.interior(m, st0[m].sqrtJ)
-        sj = solver.interior(m, st[m].sqrtJ)
-        x0 = solver.interior(m, st0[m].x)
-        out.append(rho0.value(x0, 0.0) * sj0 / sj)
-    return out
+    return [mass0[m] / solver.interior(m, st[m].sqrtJ) for m in range(len(mass0))]
 
 
 def step_heat(solver, field, coeffs, flux, dt, rho0=1.0):
@@ -368,15 +368,17 @@ def step_heat(solver, field, coeffs, flux, dt, rho0=1.0):
             df = solver.grad_chart(m, pads[m])
             z = np.einsum("ab...,a...,b...->...", st.inv_gram, df, df)
             zmax = max(zmax, float(np.max(z)))
-    rho_now = _transported_rho(solver, rho0, field.t)
+    mass0 = _reference_mass(solver, rho0)
+    rho_now = _transported_rho(solver, mass0, field.t)
     coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
-    cth_min = min(float(np.min(np.abs(c.C_theta.value(
-        solver.positions(field.t)[m], field.t)))) for m in range(len(rho_now)))
+    xs = solver.positions(field.t)
+    cth_min = min(float(np.min(np.abs(c.C_theta.value(xs[m], field.t))))
+                  for m in range(len(rho_now)))
     rho_min = min(float(np.min(r)) for r in rho_now)
     solver.check_parabolic_dt(dt, coef / max(rho_min * cth_min, 1e-30), field.t)
 
     def rhs(vals, t):
-        rho = _transported_rho(solver, rho0, t)
+        rho = _transported_rho(solver, mass0, t)
         if any(np.min(r) <= 0 for r in rho):
             raise StabilityViolation("transported density became non-positive")
         xs = solver.positions(t)
@@ -431,6 +433,9 @@ def step_barotropic_tangential(solver, field, law, dt):
 
     states = solver.metric(field.t)
     P = [solver.interior(m, st.P) for m, st in enumerate(states)]
+    # g^{ab} and g_a at the interior nodes, where the stage needs derivatives
+    inv_gram = [solver.interior(m, st.inv_gram) for m, st in enumerate(states)]
+    g = [solver.interior(m, st.g) for m, st in enumerate(states)]
 
     def project(vals):
         for m in range(len(vals)):
@@ -443,21 +448,21 @@ def step_barotropic_tangential(solver, field, law, dt):
         if any(np.min(v[0]) <= 0 for v in vals):
             raise NonpositiveDensity("barotropic density became non-positive")
         out = []
-        for m, (st, pad) in enumerate(zip(states, solver.fill_ghosts(vals))):
+        for m, pad in enumerate(solver.fill_ghosts(vals)):
             peff_pad = law.effective(np.maximum(pad[0], 1e-12))
             # chart derivatives (2, 5, ...) of the stack (rho, peff, v1, v2, v3)
             stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
-            ds = solver.grad_chart(m, stack)
-            grad = [solver.interior(m, solver.grad_tangent(st, ds[:, k]))
-                    for k in range(5)]
+            ds = solver.interior(m, solver.grad_chart(m, stack))
+            # tangential gradients g^{ab} g_a d_b f
+            grad = [np.einsum("ab...,ai...,b...->i...", inv_gram[m], g[m],
+                              ds[:, k]) for k in range(5)]
             # div_G v = g^{ab} g_a . d_b v
-            div_v = np.einsum("ab...,ai...,bi...->...", st.inv_gram, st.g,
+            div_v = np.einsum("ab...,ai...,bi...->...", inv_gram[m], g[m],
                               ds[:, 2:])
             # tangential advection (v, grad_t) of each quantity
             vint = solver.interior(m, pad[1:])
             rho_i = solver.interior(m, pad[0])
-            drho = -np.einsum("i...,i...->...", vint, grad[0]) \
-                - solver.interior(m, div_v) * rho_i
+            drho = -np.einsum("i...,i...->...", vint, grad[0]) - div_v * rho_i
             dv = np.empty_like(vint)
             for i in range(3):
                 dv[i] = -np.einsum("i...,i...->...", vint, grad[2 + i])
