@@ -10,6 +10,7 @@ derivatives of composed quantities come along for free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,11 +230,14 @@ class ChartFrame:
         cx = _cross3(g[0], g[1])
         s = float(chart.orientation)
         self.n = [s * c / self.sqrtJ for c in cx]
-        # tangential projector P = I - n n^T
-        self.P = [[(1.0 if i == j else 0.0) - self.n[i] * self.n[j]
-                   for j in range(3)] for i in range(3)]
 
     # -- derived quantities ---------------------------------------------------
+
+    @functools.cached_property
+    def P(self):
+        """Tangential projector I - n n^T (dual), built on first read."""
+        return [[(1.0 if i == j else 0.0) - self.n[i] * self.n[j]
+                 for j in range(3)] for i in range(3)]
 
     def dual_div_tangent(self, f):
         """Chart-form surface divergence of a dual 3-vector: g^ab g_a . df/dX_b.

@@ -299,8 +299,9 @@ class SurfaceGridSolver:
         for m in range(len(self.charts)):
             st = states[m]
             df = self.grad_chart(m, pads[m])
-            # |grad f|^2 = g^{ab} f,a f,b
-            z = np.einsum("ab...,a...,b...->...", st.inv_gram, df, df)
+            # |grad f|^2 = g^{ab} f,a f,b; a constant e_J' needs no z
+            z = None if isinstance(flux.d_expr, Num) else np.einsum(
+                "ab...,a...,b...->...", st.inv_gram, df, df)
             cval = coef_f.value(st.x, t)
             scale = st.sqrtJ * cval * flux.deriv(z)
             Fa = scale * np.einsum("ab...,b...->a...", st.inv_gram, df)

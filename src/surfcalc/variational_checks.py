@@ -10,7 +10,9 @@ must agree to quadrature precision.
 
 Flow-map variations are exact: the perturbed chart map is the expression-level
 composition ``x + eps * z(x, t)``, so the varied surface is the image of the
-displaced parametrization with no projection step.
+displaced parametrization with no projection step.  An action ladder forms
+each rung as ``p + eps * C``, with the displaced chart's values, from one
+evaluation of ``p``, ``C = z o p`` and their partials per time node and chart.
 """
 
 from __future__ import annotations
@@ -112,6 +114,14 @@ def _compose_ambient(expr, param):
     return out
 
 
+def _direction_exprs(variation):
+    """The expressions ``z_i`` of a flow-map variation's direction."""
+    comps = variation.direction.comp
+    if not all(isinstance(c, ScalarField) for c in comps):
+        raise TypeError("flow-map variations need expression-backed components")
+    return [c.expr for c in comps]
+
+
 def varied_atlas(atlas, variation, eps):
     """Atlas whose chart maps are displaced by ``eps * z`` at expression level.
 
@@ -119,16 +129,11 @@ def varied_atlas(atlas, variation, eps):
     geometry of the varied configuration (metric, Jacobian, velocity) then
     follows from exact differentiation of the displaced parametrization.
     """
+    z = _direction_exprs(variation)
     charts = []
     for ch in atlas.charts:
-        param = []
-        for i in range(3):
-            c = variation.direction.comp[i]
-            if not isinstance(c, ScalarField):
-                raise TypeError(
-                    "flow-map variations need expression-backed components")
-            param.append(ch.param[i]
-                         + Num(float(eps)) * _compose_ambient(c.expr, ch.param))
+        param = [p + Num(float(eps)) * _compose_ambient(c, ch.param)
+                 for p, c in zip(ch.param, z)]
         charts.append(Chart(param, ch.domain, ch.periodic, ch.orientation,
                             ch.pou_bump, ch.invert, ch.name + "+var"))
     return ChartAtlas(charts, name=atlas.name + "+var")
@@ -137,13 +142,18 @@ def varied_atlas(atlas, variation, eps):
 # -- fast plain-value chart evaluation (no dual overhead) -----------------------
 
 
-def _plain_chart_data(chart, X, t):
-    """Positions, time derivative, and area element by direct expression
-    evaluation (values only; used in the epsilon ladder where no further
-    derivatives are needed)."""
+def _jet(chart, z=()):
+    """The chart map ``p`` and its ``t``, ``X1``, ``X2`` partials (12 rows),
+    then those of ``C = z o p``: :func:`varied_atlas` at ``e`` is ``p + e C``."""
     d = chart._dparam
-    x, xt, g1, g2 = np.split(chart.evaluate(
-        chart.param + d["t"] + d["X1"] + d["X2"], X[0], X[1], t), 4)
+    C = [_compose_ambient(c, chart.param) for c in z]
+    return (chart.param + d["t"] + d["X1"] + d["X2"]
+            + C + [c.diff(v) for v in ("t", "X1", "X2") for c in C])
+
+
+def _jet_data(jet):
+    """``x``, ``x_t``, Gram determinant and area element of jet values."""
+    x, xt, g1, g2 = np.split(jet, 4)
     e11 = np.einsum("i...,i...->...", g1, g1)
     e22 = np.einsum("i...,i...->...", g2, g2)
     e12 = np.einsum("i...,i...->...", g1, g2)
@@ -165,6 +175,31 @@ def _simpson_nodes(T, nt):
 # -- action integral and its variation ------------------------------------------
 
 
+def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
+    """``{e: (A, sum of |terms|)}`` of the flow ``mov`` displaced by ``e * z``
+    (empty ``z``: the flow itself) for each of ``rungs``, from one :func:`_jet`
+    evaluation per Simpson node and chart, summed in that order per rung."""
+    ts, wt = _simpson_nodes(T, nt)
+    rho0 = as_scalar_field(rho0)
+    jets = [_jet(ch, z) for ch in mov.charts]
+    sums = {e: [0.0, 0.0] for e in rungs}
+    rho0t = {}
+    for k, (tk, wk) in enumerate(zip(ts, wt)):
+        for m, (chart, (X, w, psi)) in enumerate(zip(mov.charts, rule.nodes)):
+            v = chart.evaluate(jets[m], X[0], X[1], tk)
+            for e, acc in sums.items():
+                x, xt, _, sJ = _jet_data(v[:12] + e * v[12:] if z else v)
+                if not k:  # t = 0 also gives the conserved density weights
+                    rho0t[m, e] = rho0.value(x, 0.0) * sJ
+                kernel = 0.5 * rho0t[m, e] * np.einsum("i...,i...->...", xt, xt)
+                if law is not None:
+                    kernel = kernel - law.p(rho0t[m, e] / sJ) * sJ
+                terms = w * psi * kernel
+                acc[0] -= wk * float(np.sum(terms))
+                acc[1] += wk * float(np.sum(np.abs(terms)))
+    return {e: tuple(acc) for e, acc in sums.items()}
+
+
 def action_integral(atlas, motion, rho0, T, law=None, rule=None, nt=16,
                     variation=None, eps=0.0, abs_sum=False):
     """Action of the (possibly perturbed) flow over [0, T], in reference form.
@@ -179,30 +214,11 @@ def action_integral(atlas, motion, rho0, T, law=None, rule=None, nt=16,
     """
     if rule is None:
         rule = default_rule(atlas)
-    mov = moving_atlas(atlas, motion)
-    if variation is not None and eps != 0.0:
-        mov = varied_atlas(mov, variation, eps)
-    ts, wt = _simpson_nodes(T, nt)
-    # the first Simpson node is the reference time t = 0: its chart data
-    # also gives the conserved density weights rho0(x(X, 0)) * sqrtJ(0)
-    data = [_plain_chart_data(chart, X, ts[0])
-            for chart, (X, _, _) in zip(mov.charts, rule.nodes)]
-    rho0 = as_scalar_field(rho0)
-    rho0t = [rho0.value(x0, 0.0) * sJ0 for x0, _, _, sJ0 in data]
-    total = 0.0
-    magnitude = 0.0
-    for k, (tk, wk) in enumerate(zip(ts, wt)):
-        for m, (chart, (X, w, psi)) in enumerate(zip(mov.charts, rule.nodes)):
-            if k:
-                data[m] = _plain_chart_data(chart, X, tk)
-            _, xt, _, sJ = data[m]
-            kernel = 0.5 * rho0t[m] * np.einsum("i...,i...->...", xt, xt)
-            if law is not None:
-                kernel = kernel - law.p(rho0t[m] / sJ) * sJ
-            terms = w * psi * kernel
-            total -= wk * float(np.sum(terms))
-            magnitude += wk * float(np.sum(np.abs(terms)))
-    return (total, magnitude) if abs_sum else total
+    eps = float(eps)
+    z = [] if variation is None or eps == 0.0 else _direction_exprs(variation)
+    pair = _action_rungs(moving_atlas(atlas, motion), rule, rho0, T, law, nt,
+                         z, [eps])[eps]
+    return pair if abs_sum else pair[0]
 
 
 def action_first_variation(atlas, motion, variation, rho0, T, law=None,
@@ -305,11 +321,10 @@ def check_action_variation(atlas, motion, variation, rho0=1.0, T=0.4,
         rule = default_rule(atlas)
     analytic = action_first_variation(atlas, motion, variation, rho0, T,
                                       law=law, rule=rule, nt=nt)
-    report = _ladder_report(
-        lambda e: action_integral(atlas, motion, rho0, T, law=law, rule=rule,
-                                  nt=nt, variation=variation, eps=e,
-                                  abs_sum=True),
-        eps_list, analytic)
+    rungs = [s * float(e) for e in eps_list for s in (1.0, -1.0)]
+    energy = _action_rungs(moving_atlas(atlas, motion), rule, rho0, T, law,
+                           nt, _direction_exprs(variation), rungs)
+    report = _ladder_report(energy.__getitem__, eps_list, analytic)
     if variation.tangential:
         report["tangency_residual"] = variation.tangency_residual(
             moving_atlas(atlas, motion), rule, t=0.5 * T)
@@ -538,7 +553,7 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
 
     for m, chart in enumerate(mov.charts):
         X, w, psi = rule.nodes[m]
-        x0, _, _, sJ0 = _plain_chart_data(chart, X, 0.0)
+        x0, _, _, sJ0 = _jet_data(chart.evaluate(_jet(chart), X[0], X[1], 0.0))
         rho0t = fields.rho.value(x0, 0.0) * sJ0
 
         frame = chart.frame(X[0], X[1], t)
@@ -653,13 +668,12 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule=None,
     if rule is None:
         rule = QuadratureRule(atlas, order=24, periodic_order=48)
     mov = moving_atlas(atlas, motion)
-    plus = varied_atlas(mov, variation, eps)
-    minus = varied_atlas(mov, variation, -eps)
+    z = _direction_exprs(variation)
     worst = 0.0
     for m, chart in enumerate(mov.charts):
         X = rule.nodes[m][0]
-        _, _, Jp, _ = _plain_chart_data(plus.charts[m], X, t)
-        _, _, Jm, _ = _plain_chart_data(minus.charts[m], X, t)
+        v = chart.evaluate(_jet(chart, z), X[0], X[1], t)
+        Jp, Jm = (_jet_data(v[:12] + e * v[12:])[2] for e in (eps, -eps))
         dJ = (Jp - Jm) / (2.0 * eps)
 
         frame = chart.frame(X[0], X[1], t)

@@ -12,8 +12,8 @@ from surfcalc import expressions
 from surfcalc.evolving_surface import motion_builtin, moving_atlas
 from surfcalc.expressions import (Call, Expr, Num, ParseError, Var,
                                   parse_expr, substitute)
-from surfcalc.variational_checks import (_plain_chart_data,
-                                         time_window_variation, varied_atlas)
+from surfcalc.variational_checks import (_jet, time_window_variation,
+                                         varied_atlas)
 
 VARS = ("x1", "x2", "x3", "t")
 
@@ -126,10 +126,9 @@ def test_each_distinct_call_evaluated_once(sphere, monkeypatch):
             return value(x)
         monkeypatch.setitem(expressions._FUNCS, fn, (counted, deriv))
     X = np.stack([np.linspace(0.5, 2.5, 5), np.linspace(0.1, 6.0, 5)])
-    _plain_chart_data(chart, X, 0.3)
-    d = chart._dparam
+    chart.evaluate(_jet(chart), X[0], X[1], 0.3)
     distinct = set()
-    for e in chart.param + d["t"] + d["X1"] + d["X2"]:
+    for e in _jet(chart):
         _distinct_calls(e, distinct)
     assert len(distinct) == 4
     assert evals == Counter(fn for fn, _ in distinct)

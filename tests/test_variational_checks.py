@@ -23,7 +23,7 @@ from surfcalc.variational_checks import (DegenerateGradient, VariationField,
                                          tangential_pairing_residual,
                                          time_window_variation, varied_atlas)
 from surfcalc.variational_checks import (_kernel_gradient_residual,
-                                         _ladder_report, _plain_chart_data,
+                                         _jet, _jet_data, _ladder_report,
                                          _shifted_field, _shifted_velocity)
 
 
@@ -257,6 +257,19 @@ def test_dissipation_ladder_on_one_frame_is_bit_identical(sphere,
     assert rep["analytic"] == analytic
 
 
+def _count_evaluations(monkeypatch):
+    """Record the time of every plain chart evaluation from here on."""
+    calls = []
+    original = Chart.evaluate
+
+    def counting(self, exprs, X1, X2, t=0.0):
+        calls.append(t)
+        return original(self, exprs, X1, X2, t)
+
+    monkeypatch.setattr(Chart, "evaluate", counting)
+    return calls
+
+
 def test_action_integral_reads_reference_time_once(torus, torus_rule,
                                                    monkeypatch):
     """The t = 0 chart data serve both the conserved density weights and the
@@ -271,28 +284,91 @@ def test_action_integral_reads_reference_time_once(torus, torus_rule,
     wt = np.array([1.0, 4.0, 2.0, 4.0, 1.0]) * (0.4 / (3.0 * nt))
     rho0t = []
     for chart, (X, _, _) in zip(mov.charts, torus_rule.nodes):
-        x0, _, _, sJ0 = _plain_chart_data(chart, X, 0.0)
+        x0, _, _, sJ0 = _jet_data(chart.evaluate(_jet(chart), X[0], X[1], 0.0))
         rho0t.append(rho0.value(x0, 0.0) * sJ0)
     total = magnitude = 0.0
     for tk, wk in zip(ts, wt):
         for m, (chart, (X, w, psi)) in enumerate(zip(mov.charts,
                                                      torus_rule.nodes)):
-            _, xt, _, sJ = _plain_chart_data(chart, X, tk)
+            _, xt, _, sJ = _jet_data(chart.evaluate(_jet(chart), X[0], X[1], tk))
             kernel = (0.5 * rho0t[m] * np.einsum("i...,i...->...", xt, xt)
                       - law.p(rho0t[m] / sJ) * sJ)
             terms = w * psi * kernel
             total -= wk * float(np.sum(terms))
             magnitude += wk * float(np.sum(np.abs(terms)))
 
-    calls = []
-    original = variational_checks._plain_chart_data
-
-    def counting(*args):
-        calls.append(args[2])
-        return original(*args)
-
-    monkeypatch.setattr(variational_checks, "_plain_chart_data", counting)
+    calls = _count_evaluations(monkeypatch)
     got = action_integral(torus, motion, rho0, 0.4, law=law, rule=torus_rule,
                           nt=nt, variation=var, eps=3e-3, abs_sum=True)
     assert len(calls) == (nt + 1) * len(torus.charts)
     assert got == (total, magnitude)
+
+
+@pytest.mark.parametrize("surface", ["torus", "sphere"])
+def test_action_ladder_shares_one_evaluation_per_node(surface, request,
+                                                      sphere_rule_fast,
+                                                      torus_rule,
+                                                      monkeypatch):
+    """Every rung of the action ladder equals action_integral of the
+    varied_atlas chart at that +-eps, while the whole ladder evaluates each
+    chart once per Simpson node."""
+    atlas = request.getfixturevalue(surface)
+    T, nt, eps = 0.4, 4, (1e-2, 3e-3, 1e-3)
+    wobble = ("0.9*x3*x1 + 0.6*x1", "-0.6*x1 + 0.3*x3", "0.6*x3 + 0.3*x2*x2")
+    if surface == "torus":
+        rule, motion = torus_rule, motion_builtin("dilation")
+        law, rho0 = pressure_law_builtin("quadratic"), ScalarField("1 + 0.2*x3")
+        var = time_window_variation(wobble, T)
+    else:
+        # no time window: the rungs' reference configurations differ too
+        rule, motion = sphere_rule_fast, motion_builtin("rotation", rate=0.7)
+        law, rho0, var = None, "1 + 0.2*x3", VariationField(wobble)
+    mov = moving_atlas(atlas, motion)
+    oracle = {s * e: action_integral(varied_atlas(mov, var, s * e),
+                                     motion_builtin("static"), rho0, T,
+                                     law=law, rule=rule, nt=nt, abs_sum=True)
+              for e in eps for s in (1.0, -1.0)}
+
+    used = {}
+    original = variational_checks._ladder_report
+
+    def recording(energy, eps_list, analytic):
+        for e in eps_list:
+            used[e], used[-e] = energy(e), energy(-e)
+        return original(energy, eps_list, analytic)
+
+    monkeypatch.setattr(variational_checks, "_ladder_report", recording)
+    calls = _count_evaluations(monkeypatch)
+    check_action_variation(atlas, motion, var, rho0=rho0, T=T, law=law,
+                           eps_list=eps, rule=rule, nt=nt)
+    assert len(calls) == (nt + 1) * len(atlas.charts)
+    assert used == oracle
+
+
+def test_frame_projector_built_on_first_read(torus, torus_rule, rng,
+                                             monkeypatch):
+    chart = moving_atlas(torus, motion_builtin("dilation")).charts[0]
+    X = np.stack([rng.uniform(0.0, 6.0, 50), rng.uniform(0.0, 6.0, 50)])
+    frame = chart.frame(X[0], X[1], 0.3)
+    assert "P" not in frame.__dict__
+    eager = [[(1.0 if i == j else 0.0) - frame.n[i] * frame.n[j]
+              for j in range(3)] for i in range(3)]
+    for wrt in (None, "X1", "X2", "t"):
+        assert np.array_equal(frame.values(frame.P, wrt),
+                              frame.values(eager, wrt)), wrt
+    assert np.array_equal(frame.metric().P, frame.values(frame.P))
+    assert frame.P is frame.P
+
+    frames = []
+    original = Chart.frame
+
+    def keeping(self, *args, **kwargs):
+        frames.append(original(self, *args, **kwargs))
+        return frames[-1]
+
+    monkeypatch.setattr(Chart, "frame", keeping)
+    var = time_window_variation(("x3", "-x1", "0.5*x2"), 0.4)
+    variational_checks.action_first_variation(
+        torus, motion_builtin("dilation"), var, "1 + 0.2*x3", 0.4,
+        law=pressure_law_builtin("quadratic"), rule=torus_rule, nt=2)
+    assert frames and all("P" not in f.__dict__ for f in frames)
