@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart_geometry import Chart, ChartAtlas, SingularMetric, _metric_state
-from .expressions import parse_expr
-from .fields import as_scalar_field, as_vector_field
+from .expressions import parse_expr, substitute
+from .fields import ScalarField, as_scalar_field, as_vector_field
 
 __all__ = [
     "JacobianCollapse",
@@ -108,17 +108,10 @@ def dilation_density(rho0):
 
     For ``v = x/(1+t)`` the area element scales by ``(1+t)^2`` and material
     points by ``(1+t)``, so the continuity equation is solved in closed form
-    by ``rho(x, t) = rho0(x/(1+t)) / (1+t)^2``.  Needs an expression-backed
-    initial density.
+    by ``rho(x, t) = rho0(x/(1+t)) / (1+t)^2``.
     """
-    from .expressions import substitute
-    from .fields import ScalarField, as_scalar_field
-
-    rho0 = as_scalar_field(rho0)
-    if not isinstance(rho0, ScalarField):
-        raise TypeError("dilation_density needs an expression-backed density")
     vars_t = ("x1", "x2", "x3", "t")
-    expr = rho0.expr
+    expr = as_scalar_field(rho0).expr
     for name in ("x1", "x2", "x3"):
         expr = substitute(expr, name, parse_expr(f"{name}/(1+t)", vars_t))
     inv = parse_expr("1/(1+t)", vars_t)

@@ -1,9 +1,8 @@
-"""Scalar/vector/matrix fields over ambient space-time points.
+"""Scalar/vector fields over ambient space-time points.
 
 A field evaluator exposes values, first and second spatial partials, and the
 time partial at points ``x`` in R^3 (arrays of shape ``(3, ...)``) and time
-``t``.  Analytic fields are expression-backed and give exact derivatives;
-callable-backed fields fall back to 4th-order central finite differences.
+``t``.  Fields are expression-backed and give exact derivatives.
 
 Evaluators are also callable on :class:`~surfcalc.autodiff.Dual` coordinates,
 which is how chart-coordinate derivatives of composed surface quantities are
@@ -17,10 +16,8 @@ import numpy as np
 from .expressions import Expr, Num, parse_expr
 
 __all__ = [
-    "MissingDerivative",
     "ScalarField",
     "VectorField",
-    "FDScalarField",
     "as_scalar_field",
     "as_vector_field",
     "random_scalar_field",
@@ -28,10 +25,6 @@ __all__ = [
 ]
 
 _VARS = ("x1", "x2", "x3", "t")
-
-
-class MissingDerivative(RuntimeError):
-    """A required derivative is unavailable (analytic missing, FD disabled)."""
 
 
 class ScalarField:
@@ -43,7 +36,12 @@ class ScalarField:
         if isinstance(expr, str):
             expr = parse_expr(expr, _VARS)
         elif not isinstance(expr, Expr):
-            expr = Num(float(expr))
+            try:
+                expr = Num(float(expr))
+            except TypeError:
+                raise TypeError("a scalar field is an expression string, an "
+                                f"Expr or a number, not {type(expr).__name__}"
+                                ) from None
         self.expr = expr
         self._partials = {}
 
@@ -86,60 +84,8 @@ def _bc(val, x):
     return val
 
 
-class FDScalarField:
-    """Scalar field backed by a plain callable; derivatives by central FD.
-
-    First partials use the 4th-order 5-point stencil with step
-    ``extent * 2**-10``; second partials nest the same stencil with a wider
-    step (``extent * 2**-5``) to keep cancellation error in check.
-    """
-
-    rank = "scalar"
-
-    def __init__(self, func, extent=1.0, allow_fd=True, _order=0):
-        self.func = func
-        self.extent = extent
-        self.allow_fd = allow_fd
-        self._order = _order
-        self.h1 = extent * 2.0 ** -10
-        self.h2 = extent * 2.0 ** -5
-
-    def __call__(self, x1, x2, x3, t=0.0):
-        return self.func(x1, x2, x3, t)
-
-    def d(self, var):
-        if not self.allow_fd:
-            raise MissingDerivative(
-                "analytic derivative unavailable and finite differences disabled"
-            )
-        h = self.h1 if self._order == 0 else self.h2
-        idx = {"x1": 0, "x2": 1, "x3": 2, "t": 3}[var]
-
-        def diffed(x1, x2, x3, t=0.0, _f=self.func, _i=idx, _h=h):
-            args = [np.asarray(x1, dtype=float), np.asarray(x2, dtype=float),
-                    np.asarray(x3, dtype=float), np.asarray(t, dtype=float)]
-
-            def at(offset):
-                shifted = list(args)
-                shifted[_i] = shifted[_i] + offset
-                return _f(*shifted)
-
-            return (8.0 * (at(_h) - at(-_h)) - (at(2 * _h) - at(-2 * _h))) / (12.0 * _h)
-
-        return FDScalarField(diffed, self.extent, self.allow_fd, self._order + 1)
-
-    value = ScalarField.value
-    grad = ScalarField.grad
-    hess = ScalarField.hess
-    dt = ScalarField.dt
-
-
 def as_scalar_field(f):
-    if isinstance(f, (ScalarField, FDScalarField)):
-        return f
-    if callable(f) and not isinstance(f, (str, Expr)):
-        return FDScalarField(f)
-    return ScalarField(f)
+    return f if isinstance(f, ScalarField) else ScalarField(f)
 
 
 class VectorField:

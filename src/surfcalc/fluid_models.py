@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Var, parse_expr, substitute
-from .fields import (FDScalarField, ScalarField, as_scalar_field,
-                     as_vector_field)
+from .fields import ScalarField, as_scalar_field, as_vector_field
 from .surface_ops import (dissipation_density, div_matrix_dual,
                           div_vector_dual, grad_scalar_dual, stress_dual)
 
@@ -50,13 +49,8 @@ class NonpositiveTemperature(RuntimeError):
 
 
 def _combine(func, *parts):
-    """Combine scalar fields into a derived field, keeping exact derivatives
-    when every part is expression-backed."""
-    parts = [as_scalar_field(p) for p in parts]
-    if all(isinstance(p, ScalarField) for p in parts):
-        return ScalarField(func(*[p.expr for p in parts]))
-    return FDScalarField(lambda x1, x2, x3, t=0.0:
-                         func(*[p(x1, x2, x3, t) for p in parts]))
+    """Combine scalar fields into a derived field with exact derivatives."""
+    return ScalarField(func(*[as_scalar_field(p).expr for p in parts]))
 
 
 @dataclass
@@ -147,12 +141,8 @@ class PressureLaw:
 
     def effective_field(self, rho_field):
         """The effective pressure as an ambient field composed with rho."""
-        rho_field = as_scalar_field(rho_field)
-        if isinstance(rho_field, ScalarField):
-            return ScalarField(substitute(self.eff_expr, "r", rho_field.expr))
-        return FDScalarField(lambda x1, x2, x3, t=0.0:
-                             self.eff_expr.evaluate(
-                                 {"r": rho_field(x1, x2, x3, t)}))
+        return ScalarField(substitute(self.eff_expr, "r",
+                                      as_scalar_field(rho_field).expr))
 
     def fd_consistency(self, rho, h=1e-6):
         """Max mismatch between the analytic effective pressure and the

@@ -38,7 +38,7 @@ __all__ = [
 _AMBIENT = ("x1", "x2", "x3")
 
 
-# -- ambient forms (plain MetricState + analytic/FD field derivatives) --------
+# -- ambient forms (plain MetricState + exact field derivatives) ------------
 
 
 def surface_gradient(f, metric, t=0.0):

@@ -23,8 +23,7 @@ from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, default_rule,
                              metric_at)
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
-from .fields import (FDScalarField, ScalarField, VectorField, as_scalar_field,
-                     as_vector_field)
+from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
 from .surface_ops import (_tangential_partial, dissipation_density,
                           div_matrix_dual, div_vector_dual, grad_scalar_dual,
                           stress_dual, strain_dual)
@@ -98,11 +97,7 @@ def time_window_variation(direction, T, tangential=False):
     """Direction field ``t (T - t) w(x, t)``: vanishes at t = 0 and t = T."""
     w = as_vector_field(direction)
     ramp = parse_expr(f"t*({float(T)} - t)", _AMB + ("t",))
-    comps = []
-    for c in w.comp:
-        if not isinstance(c, ScalarField):
-            raise TypeError("flow-map variations need expression-backed components")
-        comps.append(ScalarField(ramp * c.expr))
+    comps = [ScalarField(ramp * c.expr) for c in w.comp]
     return VariationField(VectorField(comps), tangential=tangential)
 
 
@@ -116,10 +111,7 @@ def _compose_ambient(expr, param):
 
 def _direction_exprs(variation):
     """The expressions ``z_i`` of a flow-map variation's direction."""
-    comps = variation.direction.comp
-    if not all(isinstance(c, ScalarField) for c in comps):
-        raise TypeError("flow-map variations need expression-backed components")
-    return [c.expr for c in comps]
+    return [c.expr for c in variation.direction.comp]
 
 
 def varied_atlas(atlas, variation, eps):
@@ -335,11 +327,7 @@ def check_action_variation(atlas, motion, variation, rho0=1.0, T=0.4,
 
 
 def _shifted_field(base, direction, eps):
-    if isinstance(base, ScalarField) and isinstance(direction, ScalarField):
-        return ScalarField(base.expr + Num(float(eps)) * direction.expr)
-    return FDScalarField(
-        lambda x1, x2, x3, t=0.0, _b=base, _d=direction, _e=float(eps):
-        _b(x1, x2, x3, t) + _e * _d(x1, x2, x3, t))
+    return ScalarField(base.expr + Num(float(eps)) * direction.expr)
 
 
 def _shifted_velocity(v, phi, eps):

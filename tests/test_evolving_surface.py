@@ -116,8 +116,6 @@ def test_dilation_density_closed_form():
     t = 0.7
     exact = (2 + 0.5 * x[2] / (1 + t)) / (1 + t) ** 2
     assert np.allclose(rho.value(x, t), exact)
-    with pytest.raises(TypeError):
-        dilation_density(lambda x1, x2, x3, t=0.0: x1)
 
 
 def test_dilation_density_solves_continuity(sphere):

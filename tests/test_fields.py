@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from surfcalc.fields import (FDScalarField, MissingDerivative, ScalarField,
-                             VectorField, as_scalar_field, as_vector_field,
-                             random_scalar_field, random_vector_field)
+from surfcalc.evolving_surface import dilation_density
+from surfcalc.fields import (ScalarField, VectorField, as_scalar_field,
+                             as_vector_field, random_scalar_field,
+                             random_vector_field)
+from surfcalc.fluid_models import FluidFields, pressure_law_builtin
+from surfcalc.variational_checks import time_window_variation
 
 
 def sample_points(rng, n=50):
@@ -29,32 +32,31 @@ def test_hessian_symmetry(rng):
     assert np.allclose(h, np.swapaxes(h, 0, 1))
 
 
-def test_fd_field_matches_analytic(rng):
-    """Callable-backed fields reproduce exact gradients to <= 1e-8."""
-    exact = ScalarField("sin(x1)*x2 + exp(0.5*x3)*cos(t)")
-    fd = FDScalarField(lambda x1, x2, x3, t=0.0:
-                       np.sin(x1) * x2 + np.exp(0.5 * x3) * np.cos(t))
-    x = sample_points(rng)
-    for t in (0.0, 0.4):
-        assert np.max(np.abs(fd.grad(x, t) - exact.grad(x, t))) <= 1e-8
-        assert np.max(np.abs(fd.dt(x, t) - exact.dt(x, t))) <= 1e-8
-    # nested second derivatives stay usable (looser by construction)
-    assert np.max(np.abs(fd.hess(x, 0.0) - exact.hess(x, 0.0))) <= 1e-5
-
-
-def test_fd_field_can_forbid_differencing():
-    fd = FDScalarField(lambda x1, x2, x3, t=0.0: x1, allow_fd=False)
-    with pytest.raises(MissingDerivative):
-        fd.d("x1")
-
-
 def test_as_scalar_field_dispatch():
     assert isinstance(as_scalar_field(2.5), ScalarField)
     assert isinstance(as_scalar_field("x1 + 1"), ScalarField)
-    assert isinstance(as_scalar_field(lambda x1, x2, x3, t=0.0: x1),
-                      FDScalarField)
+    with pytest.raises(TypeError):
+        as_scalar_field(lambda x1, x2, x3, t=0.0: x1)
     f = ScalarField("x1")
     assert as_scalar_field(f) is f
+
+
+def _plain(x1, x2, x3, t=0.0):
+    return 2.0 + x1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: VectorField([_plain, "0", "0"]),
+    lambda: FluidFields(rho=_plain),
+    lambda: pressure_law_builtin("quadratic").effective_field(_plain),
+    lambda: time_window_variation([_plain, "0", "0"], 1.0),
+    lambda: dilation_density(_plain),
+], ids=["VectorField", "FluidFields", "effective_field",
+        "time_window_variation", "dilation_density"])
+def test_callable_field_is_rejected(build):
+    """Fields are expressions only; a plain callable has no exact partials."""
+    with pytest.raises(TypeError, match="expression string"):
+        build()
 
 
 def test_vector_field_jacobian(rng):
