@@ -143,32 +143,36 @@ def moving_atlas(atlas, motion):
 
 # -- finite differences on uniform chart grids --------------------------------
 
-# 4th-order first derivative: central interior, one-sided at bounded edges.
+# 4th-order first derivative: central interior, one-sided at bounded edges
+# (for unpadded flow grids: a solver stage's ghost rows keep it central).
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+
+
+def _ix(axis, s):
+    """Index ``s`` along ``axis``."""
+    return (slice(None),) * axis + (s,)
+
+
+def _central_d1(a, axis, h):
+    """4th-order central first derivative along ``axis`` (spacing h) on the
+    rows two in from either end: n - 4 rows of n."""
+    return (8.0 * (a[_ix(axis, np.s_[3:-1])] - a[_ix(axis, np.s_[1:-3])])
+            - (a[_ix(axis, np.s_[4:])] - a[_ix(axis, np.s_[:-4])])) / (12.0 * h)
 
 
 def fd_derivative(arr, axis, h, periodic):
     """4th-order first derivative of nodal data along ``axis`` (spacing h)."""
     a = np.asarray(arr, dtype=float)
-    n = a.shape[axis]
-
-    def ix(s):
-        """Index ``s`` along ``axis``."""
-        return (slice(None),) * axis + (s,)
-
-    if periodic:
-        w = np.concatenate([a[ix(np.s_[-2:])], a, a[ix(np.s_[:2])]], axis)
-        # w[i + 2] = a[i mod n]
-        return (8.0 * (w[ix(np.s_[3:n + 3])] - w[ix(np.s_[1:n + 1])])
-                - (w[ix(np.s_[4:])] - w[ix(np.s_[:n])])) / (12.0 * h)
+    if periodic:  # w[i + 2] = a[i mod n]
+        w = np.concatenate([a[_ix(axis, np.s_[-2:])], a, a[_ix(axis, np.s_[:2])]], axis)
+        return _central_d1(w, axis, h)
     out = np.empty_like(a)
-    out[ix(np.s_[2:-2])] = (8.0 * (a[ix(np.s_[3:-1])] - a[ix(np.s_[1:-3])])
-                            - (a[ix(np.s_[4:])] - a[ix(np.s_[:-4])])) / (12.0 * h)
-    lo, hi = a[ix(np.s_[:5])], a[ix(np.s_[:-6:-1])]
+    out[_ix(axis, np.s_[2:-2])] = _central_d1(a, axis, h)
+    lo, hi = a[_ix(axis, np.s_[:5])], a[_ix(axis, np.s_[:-6:-1])]
     for k, edge in enumerate((_EDGE0, _EDGE1)):
-        out[ix(k)] = np.tensordot(edge, lo, axes=(0, axis)) / h
-        out[ix(-1 - k)] = -np.tensordot(edge, hi, axes=(0, axis)) / h
+        out[_ix(axis, k)] = np.tensordot(edge, lo, axes=(0, axis)) / h
+        out[_ix(axis, -1 - k)] = -np.tensordot(edge, hi, axes=(0, axis)) / h
     return out
 
 

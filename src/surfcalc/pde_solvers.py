@@ -6,8 +6,10 @@ Spatial discretization is the divergence-form chart Laplacian
 ``(1/sqrtJ) d_a ( sqrtJ g^{ab} e_J'(|grad|^2) d_b f )`` built from nested
 4th-order first-derivative stencils.  Bounded chart directions carry four
 ghost rows filled by bicubic interpolation from the partner chart (sphere
-atlas); after every step, overlap nodes are blended with partition-of-unity
-weights so the charts stay consistent.  Time integration is classical RK4.
+atlas).  Four rows are the reach of two nested 5-point stencils, so a stage
+runs no one-sided stencil: it takes central ones on the rows it keeps.  After
+every step, overlap nodes are blended with partition-of-unity weights so the
+charts stay consistent.  Time integration is classical RK4.
 
 scipy serves only the sparse ghost-fill and blend operators; it is imported
 when the first ``SurfaceGridSolver`` builds them, not with this module.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolving_surface import _chart_grid, _rk4, fd_derivative
+from .evolving_surface import _central_d1, _chart_grid, _rk4, fd_derivative
 from .expressions import Num, parse_expr
 from .fields import as_scalar_field, as_vector_field
 
@@ -225,15 +227,13 @@ class SurfaceGridSolver:
         Each ``values[m]`` is one (n1, n2) field or a stack (..., n1, n2)."""
         out = []
         for m in range(len(self.charts)):
-            p1, p2 = self.pads[m]
-            n1, n2 = self.resolution
             lead = values[m].shape[:-2]
-            pad = np.zeros(lead + (n1 + 2 * p1, n2 + 2 * p2))
-            pad[..., p1:p1 + n1, p2:p2 + n2 if p2 else None] = values[m]
+            pad = np.zeros(lead + self.Xpad[m].shape[1:])
+            self.interior(m, pad)[...] = values[m]
             if self.ghost_ops[m] is not None:
                 partner, op, rows = self.ghost_ops[m]
                 pad[..., rows, :] = _apply(op, values[partner]).reshape(
-                    lead + (len(rows), n2))
+                    lead + (len(rows), pad.shape[-1]))
             out.append(pad)
         return out
 
@@ -272,19 +272,24 @@ class SurfaceGridSolver:
         """Interior material positions per chart at time ``t``."""
         return [self.interior(m, st.x) for m, st in enumerate(self.metric(t))]
 
-    def interior(self, m, padded):
-        p1, p2 = self.pads[m]
-        n1, n2 = self.resolution
-        return padded[..., p1:p1 + n1, p2:p2 + n2 if p2 else None]
+    def interior(self, m, padded, k=_PAD):
+        """Rows of ``padded`` k in from each padded edge (default: interior)."""
+        return padded[(...,) + tuple(slice(k, -k or None) if p else slice(None)
+                                     for p in self.pads[m])]
 
     # -- spatial operators -----------------------------------------------------------
 
-    def _d(self, m, arr, axis):
-        per = self.charts[m].periodic[axis] and self.pads[m][axis] == 0
-        return fd_derivative(arr, arr.ndim - 2 + axis, self.haxes[m][axis], per)
+    def _d(self, m, arr, axis, k=0):
+        """Derivative along chart ``axis`` on the rows k in from each padded
+        edge: one-sided at k = 0, the central stencil alone at k >= 2."""
+        ax, h, pad = arr.ndim - 2 + axis, self.haxes[m][axis], self.pads[m][axis]
+        if pad and k:  # only axis 0 is ever padded
+            return _central_d1(arr[..., k - 2:2 - k or None, :], ax, h)
+        return fd_derivative(self.interior(m, arr, k), ax, h, not pad)
 
     def grad_chart(self, m, padded):
-        """Chart-coordinate derivatives (2, ...) of a padded array."""
+        """Chart-coordinate derivatives (2, ...) of a padded array on all of
+        its rows, as ``step_heat``'s guard reads them."""
         return np.stack([self._d(m, padded, 0), self._d(m, padded, 1)])
 
     def flux_divergence(self, values, t, flux, coef=1.0):
@@ -293,20 +298,20 @@ class SurfaceGridSolver:
         ``coef`` may be a scalar or an ambient scalar field.
         """
         pads = self.fill_ghosts(values)
-        states = self.metric(t)
         coef_f = as_scalar_field(coef)
         out = []
-        for m in range(len(self.charts)):
-            st = states[m]
-            df = self.grad_chart(m, pads[m])
+        for m, st in enumerate(self.metric(t)):
+            # f, flux and metric on the rows two in: all the interior div reads
+            inv_gram, sqrtJ = (self.interior(m, a, 2) for a in (st.inv_gram, st.sqrtJ))
+            df = np.stack([self._d(m, pads[m], a, 2) for a in range(2)])
             # |grad f|^2 = g^{ab} f,a f,b; a constant e_J' needs no z
             z = None if isinstance(flux.d_expr, Num) else np.einsum(
-                "ab...,a...,b...->...", st.inv_gram, df, df)
-            cval = coef_f.value(st.x, t)
-            scale = st.sqrtJ * cval * flux.deriv(z)
-            Fa = scale * np.einsum("ab...,b...->a...", st.inv_gram, df)
-            div = (self._d(m, Fa[0], 0) + self._d(m, Fa[1], 1)) / st.sqrtJ
-            out.append(self.interior(m, div))
+                "ab...,a...,b...->...", inv_gram, df, df)
+            cval = coef_f.value(self.interior(m, st.x, 2), t)
+            scale = sqrtJ * cval * flux.deriv(z)
+            Fa = scale * np.einsum("ab...,b...->a...", inv_gram, df)
+            out.append((self._d(m, Fa[0], 0, 2) + self._d(m, Fa[1], 1, 2))
+                       / self.interior(m, st.sqrtJ))
         return out
 
     # -- stability ---------------------------------------------------------------------
@@ -453,7 +458,7 @@ def step_barotropic_tangential(solver, field, law, dt):
             peff_pad = law.effective(np.maximum(pad[0], 1e-12))
             # chart derivatives (2, 5, ...) of the stack (rho, peff, v1, v2, v3)
             stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
-            ds = solver.interior(m, solver.grad_chart(m, stack))
+            ds = np.stack([solver._d(m, stack, a, _PAD) for a in range(2)])
             # tangential gradients g^{ab} g_a d_b f
             grad = [np.einsum("ab...,ai...,b...->i...", inv_gram[m], g[m],
                               ds[:, k]) for k in range(5)]

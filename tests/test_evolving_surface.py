@@ -6,6 +6,7 @@ import pytest
 from surfcalc import evolving_surface
 from surfcalc.chart_geometry import sphere_atlas
 from surfcalc.evolving_surface import (FlowState, JacobianCollapse, MotionLaw,
+                                       _central_d1,
                                        advance_flow, dilation_density,
                                        fd_derivative, integrate_grid,
                                        integrate_grid_vector,
@@ -42,6 +43,26 @@ def test_fd_derivative_order():
     vals = np.sin(3 * x)
     d = fd_derivative(vals, 0, h, periodic=False)
     assert np.max(np.abs(d - 3 * np.cos(3 * x))) <= 1e-4
+    assert np.array_equal(_central_d1(vals, 0, h), d[2:-2])
+    # periodic axis: the central stencil on the wrapped data
+    y = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
+    hy = y[1] - y[0]
+    dp = fd_derivative(np.sin(y), 0, hy, periodic=True)
+    assert np.max(np.abs(dp - np.cos(y))) <= 1e-4
+    wrapped = np.sin(np.concatenate([y[-2:], y, y[:2]]))
+    assert np.array_equal(dp, fd_derivative(wrapped, 0, hy, False)[2:-2])
+    # a (3, n1, n2) stack differentiated along axis 1
+    stack = np.stack([np.sin(k * x)[:, None] * np.cos(y)[None, :]
+                      for k in (1.0, 2.0, 3.0)])
+    ds = fd_derivative(stack, 1, h, periodic=False)
+    assert np.array_equal(_central_d1(stack, 1, h), ds[:, 2:-2])
+    for k, dk in zip((1.0, 2.0, 3.0), ds):
+        exact = k * np.cos(k * x)[:, None] * np.cos(y)[None, :]
+        assert np.max(np.abs(dk - exact)) <= 1e-4
+    dps = fd_derivative(stack, 2, hy, periodic=True)
+    for k, dk in zip((1.0, 2.0, 3.0), dps):
+        exact = -np.sin(k * x)[:, None] * np.sin(y)[None, :]
+        assert np.max(np.abs(dk - exact)) <= 1e-4
 
 
 def test_dilating_sphere_mass_conservation(sphere):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from surfcalc.chart_geometry import ChartFrame
-from surfcalc.evolving_surface import motion_builtin, moving_atlas
+from surfcalc.evolving_surface import fd_derivative, motion_builtin, moving_atlas
+from surfcalc.fields import as_scalar_field
 from surfcalc.fluid_models import CoefficientFields, pressure_law_builtin
 from scipy import sparse
 
@@ -264,6 +265,77 @@ def test_barotropic_step_conserves_mass(solver):
         n = solver.interior(m, st.n)
         vn = np.einsum("i...,i...->...", field.values[m][1:], n)
         assert np.max(np.abs(vn)) <= 1e-12
+
+
+def _full_rows_d(solver, m, arr, axis):
+    """fd_derivative over every padded row, one-sided at the padded edges."""
+    return fd_derivative(arr, arr.ndim - 2 + axis, solver.haxes[m][axis],
+                         not solver.pads[m][axis])
+
+
+def _flux_divergence_full_rows(solver, values, t, flux, coef):
+    """flux_divergence with every stencil on the whole padded arrays and the
+    interior cropped at the end (test oracle)."""
+    coef_f = as_scalar_field(coef)
+    out = []
+    for m, (st, pad) in enumerate(zip(solver.metric(t),
+                                      solver.fill_ghosts(values))):
+        df = np.stack([_full_rows_d(solver, m, pad, a) for a in range(2)])
+        z = np.einsum("ab...,a...,b...->...", st.inv_gram, df, df)
+        scale = st.sqrtJ * coef_f.value(st.x, t) * flux.deriv(z)
+        Fa = scale * np.einsum("ab...,b...->a...", st.inv_gram, df)
+        div = (_full_rows_d(solver, m, Fa[0], 0)
+               + _full_rows_d(solver, m, Fa[1], 1)) / st.sqrtJ
+        out.append(solver.interior(m, div))
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_solvers(sphere, torus):
+    return {
+        "static": SurfaceGridSolver(sphere, resolution=(16, 32)),
+        "dilating": SurfaceGridSolver(
+            moving_atlas(sphere, motion_builtin("dilation")),
+            resolution=(16, 32)),
+        "torus": SurfaceGridSolver(torus, resolution=(16, 24)),
+    }
+
+
+@pytest.mark.parametrize("law", ["linear", "quadratic"])
+@pytest.mark.parametrize("kind", ["static", "dilating", "torus"])
+def test_flux_divergence_equals_full_padded_route(small_solvers, kind, law):
+    # a stage takes central stencils on the rows it keeps; the one-sided
+    # edge rows and the ghost band of the full route never reach the interior
+    solver = small_solvers[kind]
+    flux = flux_law_builtin(law)
+    f = [np.sin(x[0] + 2.0 * x[1]) * (1.0 + 0.3 * x[2])
+         for x in solver.positions(0.0)]
+    for coef, t in ((1.0, 0.0), ("1 + 0.3*x1*x3 + t*x2^2", 0.3)):
+        got = solver.flux_divergence(f, t, flux, coef)
+        ref = _flux_divergence_full_rows(solver, f, t, flux, coef)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["static", "torus"])
+def test_barotropic_stage_equals_full_padded_route(small_solvers, kind,
+                                                   monkeypatch):
+    solver = small_solvers[kind]
+    law = pressure_law_builtin("quadratic")
+    vals = []
+    for m, st in enumerate(solver.metric(0.0)):
+        x, P = solver.interior(m, st.x), solver.interior(m, st.P)
+        v0 = np.stack([-0.3 * x[1] + 0.1 * x[2], 0.3 * x[0], -0.1 * x[0]])
+        vt = np.einsum("ij...,j...->i...", P, v0)
+        vals.append(np.concatenate([(2.0 + 0.2 * x[2])[None], vt]))
+    field = GridField(vals, 0.0)
+    got = step_barotropic_tangential(solver, field, law, 2e-4)
+    # the reference differentiates the whole padded stack, then crops
+    monkeypatch.setattr(solver, "_d", lambda m, arr, axis, k=0: solver.interior(
+        m, _full_rows_d(solver, m, arr, axis), k))
+    ref = step_barotropic_tangential(solver, field, law, 2e-4)
+    for a, b in zip(got.values, ref.values):
+        assert np.array_equal(a, b)
 
 
 def test_write_csv(tmp_path):
