@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import partial_of, value_of
 from .expressions import Expr, Num, evaluate_all, parse_expr
+from .fields import as_scalar_field, as_vector_field
 
 __all__ = [
     "SingularMetric",
@@ -193,11 +194,12 @@ def _metric_state(x, g, orientation):
 
 
 class ChartFrame:
-    """Dual-valued geometry of one chart at given coordinates.
+    """Dual-valued geometry of one chart at given coordinates and time.
 
-    Every quantity is a dual number seeded on ``X1, X2, t``, so one more
-    chart-coordinate (or time) derivative of anything assembled from the
-    frame can be read off its dual parts.
+    Every quantity is a dual number seeded on ``X1, X2`` only, so one more
+    chart-coordinate derivative of anything assembled from the frame can be
+    read off its dual parts.  Time enters as a plain parameter; the chart
+    velocity is :attr:`x_t`, the exact time partial of the parametrization.
     """
 
     def __init__(self, chart, X1, X2, t=0.0):
@@ -205,11 +207,10 @@ class ChartFrame:
         shape = np.broadcast(np.asarray(X1, dtype=float),
                              np.asarray(X2, dtype=float)).shape
         self.shape = shape
-        X1 = np.broadcast_to(np.asarray(X1, dtype=float), shape)
-        X2 = np.broadcast_to(np.asarray(X2, dtype=float), shape)
+        self.X1 = X1 = np.broadcast_to(np.asarray(X1, dtype=float), shape)
+        self.X2 = X2 = np.broadcast_to(np.asarray(X2, dtype=float), shape)
         self.t = t
-        env = {"X1": ad.seed("X1", X1), "X2": ad.seed("X2", X2),
-               "t": ad.seed("t", t)}
+        env = {"X1": ad.seed("X1", X1), "X2": ad.seed("X2", X2), "t": t}
         d = chart._dparam
         values = evaluate_all(chart.param + d["X1"] + d["X2"], env)
         self.x = values[:3]
@@ -232,6 +233,13 @@ class ChartFrame:
         self.n = [s * c / self.sqrtJ for c in cx]
 
     # -- derived quantities ---------------------------------------------------
+
+    @functools.cached_property
+    def x_t(self):
+        """Chart velocity dx/dt (3, ...): one plain evaluation of the exact
+        time partials of the parametrization, built on first read."""
+        return self.chart.evaluate(self.chart._dparam["t"], self.X1, self.X2,
+                                   self.t)
 
     @functools.cached_property
     def P(self):
@@ -263,10 +271,12 @@ class ChartFrame:
 
         ``q`` is a scalar, a vector (list) or a matrix (list of lists); the
         result has shape ``q``'s layout + ``self.shape``, constants included;
-        for a scalar ``q`` it is a read-only view.  With ``wrt`` (``"X1"``,
-        ``"X2"`` or ``"t"``) it holds that partial instead, zero where the
-        seed is absent.
+        for a scalar ``q`` it is a read-only view.  With ``wrt`` (``"X1"`` or
+        ``"X2"``) it holds that chart-coordinate partial instead, zero where
+        the seed is absent; the time partial of the position is :attr:`x_t`.
         """
+        if wrt not in (None, "X1", "X2"):
+            raise ValueError(f"a frame carries X1 and X2 partials, not {wrt!r}")
         if isinstance(q, list):
             return np.stack([self.values(c, wrt) for c in q])
         v = value_of(q) if wrt is None else partial_of(q, wrt, like=0.0)
@@ -281,11 +291,11 @@ class ChartFrame:
 
     def eval_scalar(self, f):
         """Evaluate an ambient scalar field on the (dual) surface points."""
-        return f(self.x[0], self.x[1], self.x[2], ad.seed("t", self.t))
+        return f(self.x[0], self.x[1], self.x[2], self.t)
 
     def eval_ambient_partial(self, f, var):
         """Evaluate an ambient partial d f/d var on the (dual) surface points."""
-        return f.d(var)(self.x[0], self.x[1], self.x[2], ad.seed("t", self.t))
+        return f.d(var)(self.x[0], self.x[1], self.x[2], self.t)
 
 
 def _dot3(a, b):
@@ -478,29 +488,21 @@ def default_rule(atlas):
     return QuadratureRule(atlas, order=48, periodic_order=96)
 
 
-def _field_values(field, x, t):
-    if hasattr(field, "value"):
-        return field.value(x, t)
-    if callable(field):
-        return field(x, t)
-    from .fields import as_scalar_field
-    return as_scalar_field(field).value(x, t)
-
-
 def integrate(field, atlas, rule, t=0.0):
     """Surface integral of a scalar field at time ``t``."""
+    value = as_scalar_field(field).value
     total = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         st = metric_at(chart, X, t)
-        total += float(np.sum(w * psi * _field_values(field, st.x, t) * st.sqrtJ))
+        total += float(np.sum(w * psi * value(st.x, t) * st.sqrtJ))
     return total
 
 
 def integrate_vector(field, atlas, rule, t=0.0):
     """Surface integral of a 3-vector field at time ``t``."""
+    value = as_vector_field(field).value
     total = np.zeros(3)
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         st = metric_at(chart, X, t)
-        vals = _field_values(field, st.x, t)
-        total += np.sum(w * psi * np.asarray(vals) * st.sqrtJ, axis=1)
+        total += np.sum(w * psi * value(st.x, t) * st.sqrtJ, axis=1)
     return total

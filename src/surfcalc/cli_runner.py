@@ -23,10 +23,10 @@ from .chart_geometry import (QuadratureRule, default_rule, integrate,
                              mean_curvature_at, metric_at)
 from .config import BUILTINS, ConfigError, load_scenario
 from .evolving_surface import (FlowState, advance_flow, dilation_density,
-                               integrate_grid, jacobian_rate_check,
-                               moving_atlas, transport_scalar,
-                               transport_theorem_check, transported_density,
-                               worst_of)
+                               integrate_grid, integrate_grid_vector,
+                               jacobian_rate_check, moving_atlas,
+                               transport_scalar, transport_theorem_check,
+                               transported_density, worst_of)
 from .fields import (ScalarField, as_scalar_field, as_vector_field,
                      random_scalar_field, random_vector_field)
 from .fluid_models import (CoefficientFields, FluidFields, residual_conservative,
@@ -478,8 +478,7 @@ def suite_conservation_report(scn, rng):
         conc = transport_scalar(cur, C0)
         vv = [vel.value(x, cur.t) for x in cur.x]
         mass = integrate_grid(cur, values=rho)
-        mom = [integrate_grid(cur, values=[r * v[i] for r, v in zip(rho, vv)])
-               for i in range(3)]
+        mom = integrate_grid_vector(cur, [r * v for r, v in zip(rho, vv)])
         eA = integrate_grid(cur, values=[
             r * (0.5 * np.einsum("i...,i...->...", v, v) + e0)
             for r, v in zip(rho, vv)])

@@ -228,7 +228,7 @@ class SurfaceGridSolver:
         out = []
         for m in range(len(self.charts)):
             lead = values[m].shape[:-2]
-            pad = np.zeros(lead + self.Xpad[m].shape[1:])
+            pad = np.empty(lead + self.Xpad[m].shape[1:])
             self.interior(m, pad)[...] = values[m]
             if self.ghost_ops[m] is not None:
                 partner, op, rows = self.ghost_ops[m]

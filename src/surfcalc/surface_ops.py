@@ -280,7 +280,7 @@ def _material_residuals(frame, f, v):
     t = frame.t
     vval = v.value(xarr, t)
     # consistency: the chart must move with v
-    res = {"chart_velocity_consistency": _maxabs(frame.values(frame.x, "t") - vval)}
+    res = {"chart_velocity_consistency": _maxabs(frame.x_t - vval)}
 
     nval = frame.values(frame.n)
 

@@ -512,7 +512,7 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
 
 
 def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
-                                 flux=None, grad_field=None, rule=None):
+                                 flux=None, rule=None):
     """Each energy evaluated through two independent routes.
 
     The *surface* route integrates the ambient-operator energy density over
@@ -524,13 +524,12 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
 
     ``fields.rho`` must be the transported density of the motion (checked by
     construction: its t=0 trace provides the reference weights) and
-    ``fields.v`` the motion's velocity.  ``grad_field`` (default
-    ``fields.theta``) feeds the generalized-flux energy.
+    ``fields.v`` the motion's velocity.  ``fields.theta`` feeds the
+    generalized-flux energy.
     """
     if rule is None:
         rule = default_rule(atlas)
     mov = moving_atlas(atlas, motion)
-    gfld = as_scalar_field(grad_field) if grad_field is not None else fields.theta
 
     surf = {}
     ref = {}
@@ -549,7 +548,7 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
         wgt = w * psi * st.sqrtJ          # surface measure
         wref = w * psi                    # reference measure (kernels carry sqrtJ)
 
-        xt = frame.values(frame.x, "t")
+        xt = frame.x_t
         xt2 = np.einsum("i...,i...->...", xt, xt)
 
         # metric rate from the chart derivatives of the velocity
@@ -610,22 +609,17 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
         # gradient energies: ambient projected gradient vs chart form
         def grad_pair(scalar, coef, name):
             g_amb = np.einsum("ij...,j...->i...", st.P, scalar.grad(st.x, t))
-            amb = 0.5 * coef * np.einsum("i...,i...->...", g_amb, g_amb)
+            zeta_amb = np.einsum("i...,i...->...", g_amb, g_amb)
             s_d = frame.eval_scalar(scalar)
             dch = np.stack([frame.values(s_d, a) for a in _X])
             zeta = np.einsum("ab...,a...,b...->...", st.inv_gram, dch, dch)
-            add(name, float(np.sum(wgt * amb)),
+            add(name, float(np.sum(wgt * (0.5 * coef * zeta_amb))),
                 float(np.sum(wref * st.sqrtJ * 0.5 * coef * zeta)))
-            return zeta
+            return zeta_amb, zeta
 
-        grad_pair(fields.theta, kap, "thermal")
+        zeta_amb, zeta_ref = grad_pair(fields.theta, kap, "thermal")
         grad_pair(fields.C, nu, "species")
         if flux is not None:
-            g_amb = np.einsum("ij...,j...->i...", st.P, gfld.grad(st.x, t))
-            zeta_amb = np.einsum("i...,i...->...", g_amb, g_amb)
-            s_d = frame.eval_scalar(gfld)
-            dch = np.stack([frame.values(s_d, a) for a in _X])
-            zeta_ref = np.einsum("ab...,a...,b...->...", st.inv_gram, dch, dch)
             add("flux",
                 float(np.sum(wgt * 0.5 * flux.density(zeta_amb))),
                 float(np.sum(wref * st.sqrtJ * 0.5 * flux.density(zeta_ref))))

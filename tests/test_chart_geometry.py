@@ -11,6 +11,7 @@ from surfcalc.chart_geometry import (Chart, OutOfDomain, QuadratureRule,
                                      metric_at, plane_chart, sphere_atlas,
                                      torus_atlas)
 from surfcalc.evolving_surface import motion_builtin, moving_atlas
+from surfcalc.fields import ScalarField
 from surfcalc.variational_checks import time_window_variation, varied_atlas
 from conftest import random_nodes
 
@@ -103,8 +104,10 @@ def test_frame_metric_consistency(sphere, rng):
 
 def test_vector_integral_odd_symmetry(sphere, sphere_rule_fast):
     # the position integrates to zero over the centered sphere
-    total = integrate_vector(lambda x, t: x, sphere, sphere_rule_fast)
+    total = integrate_vector(("x1", "x2", "x3"), sphere, sphere_rule_fast)
     assert np.max(np.abs(total)) <= 1e-9
+    with pytest.raises(TypeError):
+        integrate_vector(lambda x, t: x, sphere, sphere_rule_fast)
 
 
 def test_quadrature_convergence(sphere):
@@ -128,16 +131,28 @@ def test_frame_values_full_shape(rng):
 
 
 def test_frame_values_time_partial(sphere, rng):
-    """The ``t`` partial of the position is zero on the static sphere and
-    x(0) on the dilating sphere x(t) = (1 + t) x(0)."""
+    """The chart velocity ``x_t`` is zero on the static sphere and x(0) on
+    the dilating sphere x(t) = (1 + t) x(0); a ``t`` partial is no read."""
     dilating = moving_atlas(sphere, motion_builtin("dilation"))
     for base, moving in zip(sphere.charts, dilating.charts):
         X = random_nodes(base, rng, 100)
         static = base.frame(X[0], X[1], 0.4)
-        assert np.array_equal(static.values(static.x, "t"), np.zeros((3, 100)))
+        assert np.array_equal(static.x_t, np.zeros((3, 100)))
         frame = moving.frame(X[0], X[1], 0.4)
-        assert np.allclose(frame.values(frame.x, "t"), metric_at(base, X).x,
-                           rtol=0.0, atol=1e-15)
+        assert np.array_equal(frame.x_t, metric_at(base, X).x)
+        with pytest.raises(ValueError):
+            frame.values(frame.x, "t")
+
+
+def test_frame_duals_carry_chart_partials_only(sphere, rng):
+    """Time is a plain parameter of a frame: no dual it makes has a ``t``
+    part, on a rotating chart and for a ``t``-dependent field."""
+    chart = moving_atlas(sphere, motion_builtin("rotation")).charts[0]
+    X = random_nodes(chart, rng, 20)
+    frame = chart.frame(X[0], X[1], 0.3)
+    f = frame.eval_scalar(ScalarField("x1*t + sin(x3 - t)"))
+    for q in frame.x + [f]:
+        assert q.parts and set(q.parts) <= {"X1", "X2"}
 
 
 @pytest.mark.parametrize("surface", ["sphere", "torus", "dilating", "rotating",
