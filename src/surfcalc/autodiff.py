@@ -1,9 +1,9 @@
 """First-order forward-mode automatic differentiation with named seed directions.
 
 A ``Dual`` carries a value together with its partial derivatives with respect
-to a set of named directions (e.g. chart coordinates ``X1``, ``X2`` and time
-``t``).  Values and partials may be plain floats or numpy arrays, so a single
-Dual can represent a whole grid of evaluation points at once.
+to a set of named directions (e.g. the chart coordinates ``X1``, ``X2``).
+Values and partials may be plain floats or numpy arrays, so a single Dual can
+represent a whole grid of evaluation points at once.
 """
 
 from __future__ import annotations

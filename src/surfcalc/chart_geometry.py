@@ -174,23 +174,37 @@ class MetricState:
     P: np.ndarray           # tangential projector, (3, 3, ...)
 
 
-def _metric_state(x, g, orientation):
-    """MetricState of positions ``x`` (3, ...) and tangents ``g`` (2, 3, ...):
-    the value arithmetic of :class:`ChartFrame`, op by op (``a * (1/b)`` as in
-    ``Dual.__truediv__``), so a frame's snapshot equals its dual values."""
-    gram = np.array([[_dot3(g[a], g[b]) for b in range(2)] for a in range(2)])
-    J = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
-    if np.any(J <= _EPS_J):
+def _geometry(g, orientation):
+    """``(gram, J, sqrtJ, inv_gram, n)`` of the tangents ``g`` (``g[a][i]``),
+    as nested lists; the same ops on plain arrays and on duals (a quotient is
+    ``a * (1/b)``, as in ``Dual.__truediv__``)."""
+    gram = [[_dot3(g[a], g[b]) for b in range(2)] for a in range(2)]
+    J = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    if np.any(np.asarray(value_of(J)) <= _EPS_J):
         raise SingularMetric("Gram determinant non-positive: degenerate chart")
-    sqrtJ = np.sqrt(J)
+    sqrtJ = ad.sqrt(J)
+    # n before g^ab, so its cross product and 1/sqrtJ are freed before 1/J
+    r = 1.0 / sqrtJ
+    n = [(orientation * c) * r for c in _cross3(g[0], g[1])]
+    del r
     inv = 1.0 / J
-    inv_gram = np.array([[gram[1, 1] * inv, -gram[0, 1] * inv],
-                         [-gram[1, 0] * inv, gram[0, 0] * inv]])
-    n = np.array([(orientation * c) * (1.0 / sqrtJ) for c in _cross3(g[0], g[1])])
-    P = np.array([[(1.0 if i == j else 0.0) - n[i] * n[j] for j in range(3)]
-                  for i in range(3)])
+    inv_gram = [[gram[1][1] * inv, -gram[0][1] * inv],
+                [-gram[1][0] * inv, gram[0][0] * inv]]
+    return gram, J, sqrtJ, inv_gram, n
+
+
+def _projector(n):
+    """Tangential projector I - n n^T as nested lists."""
+    return [[(1.0 if i == j else 0.0) - n[i] * n[j] for j in range(3)]
+            for i in range(3)]
+
+
+def _metric_state(x, g, orientation):
+    """MetricState of positions ``x`` (3, ...) and tangents ``g`` (2, 3, ...)
+    through :func:`_geometry`, so a frame's snapshot equals its dual values."""
+    gram, J, sqrtJ, inv_gram, n = map(np.asarray, _geometry(g, orientation))
     return MetricState(x=x, g=g, gram=gram, inv_gram=inv_gram, J=J,
-                       sqrtJ=sqrtJ, n=n, P=P)
+                       sqrtJ=sqrtJ, n=n, P=np.array(_projector(n)))
 
 
 class ChartFrame:
@@ -215,22 +229,8 @@ class ChartFrame:
         values = evaluate_all(chart.param + d["X1"] + d["X2"], env)
         self.x = values[:3]
         self.g = [values[3:6], values[6:]]
-        # Gram matrix, inverse, area Jacobian (all dual)
-        g = self.g
-        self.gram = [[_dot3(g[a], g[b]) for b in range(2)] for a in range(2)]
-        det = self.gram[0][0] * self.gram[1][1] - self.gram[0][1] * self.gram[1][0]
-        self.J = det
-        Jval = value_of(det)
-        if np.any(np.asarray(Jval) <= _EPS_J):
-            raise SingularMetric("Gram determinant non-positive: degenerate chart")
-        self.sqrtJ = ad.sqrt(det)
-        inv = 1.0 / det
-        self.inv_gram = [[self.gram[1][1] * inv, -self.gram[0][1] * inv],
-                         [-self.gram[1][0] * inv, self.gram[0][0] * inv]]
-        # unit normal via g1 x g2 (its norm is sqrt(J)), orientation applied
-        cx = _cross3(g[0], g[1])
-        s = float(chart.orientation)
-        self.n = [s * c / self.sqrtJ for c in cx]
+        self.gram, self.J, self.sqrtJ, self.inv_gram, self.n = _geometry(
+            self.g, chart.orientation)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -244,27 +244,28 @@ class ChartFrame:
     @functools.cached_property
     def P(self):
         """Tangential projector I - n n^T (dual), built on first read."""
-        return [[(1.0 if i == j else 0.0) - self.n[i] * self.n[j]
-                 for j in range(3)] for i in range(3)]
+        return _projector(self.n)
 
-    def dual_div_tangent(self, f):
-        """Chart-form surface divergence of a dual 3-vector: g^ab g_a . df/dX_b.
-
-        Returns plain values (one dual-derivative level is consumed).
-        """
+    def tangential(self, q, i):
+        """Values of the ambient component ``i`` of the tangential derivative
+        g^ab g_a dq/dX_b of a dual scalar ``q`` (one derivative level is
+        consumed)."""
         out = 0.0
         for a in range(2):
             for b in range(2):
-                gab = value_of(self.inv_gram[a][b])
-                for i in range(3):
-                    out = out + gab * value_of(self.g[a][i]) * self.values(
-                        f[i], _CHART_VARS[b])
+                out = out + (value_of(self.inv_gram[a][b])
+                             * value_of(self.g[a][i])
+                             * self.values(q, _CHART_VARS[b]))
         return out
+
+    def div(self, f):
+        """Values of the chart-form surface divergence of a dual 3-vector."""
+        return sum(self.tangential(c, i) for i, c in enumerate(f))
 
     @property
     def H(self):
         """Mean curvature -div_G n (values)."""
-        return -self.dual_div_tangent(self.n)
+        return -self.div(self.n)
 
     def values(self, q, wrt=None):
         """Plain float array of a dual quantity over the frame's points.
@@ -292,10 +293,6 @@ class ChartFrame:
     def eval_scalar(self, f):
         """Evaluate an ambient scalar field on the (dual) surface points."""
         return f(self.x[0], self.x[1], self.x[2], self.t)
-
-    def eval_ambient_partial(self, f, var):
-        """Evaluate an ambient partial d f/d var on the (dual) surface points."""
-        return f.d(var)(self.x[0], self.x[1], self.x[2], self.t)
 
 
 def _dot3(a, b):

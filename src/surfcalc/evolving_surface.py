@@ -255,10 +255,6 @@ class FlowState:
         f = as_scalar_field(field_expr)
         self.sources[name] = (f, [np.zeros_like(s) for s in self.sqrtJ0])
 
-    def geometry(self, m):
-        """Grid-derived metric data for chart ``m`` at the current time."""
-        return self.geo[m]
-
     def copy(self):
         out = copy.copy(self)
         out.x = [xm.copy() for xm in self.x]
@@ -336,11 +332,10 @@ def transport_scalar(state, f0, source_name=None):
     f0 = as_scalar_field(f0)
     out = []
     for m in range(len(state.x)):
-        geo = state.geometry(m)
         num = f0.value(_initial_positions(state, m), 0.0) * state.sqrtJ0[m]
         if source_name is not None:
             num = num + state.sources[source_name][1][m]
-        out.append(num / geo.sqrtJ)
+        out.append(num / state.geo[m].sqrtJ)
     return out
 
 
@@ -351,7 +346,7 @@ def _initial_positions(state, m):
 
 def transported_density(state):
     """Exact density: reference weights divided by the current area element."""
-    return [state.rho0_tilde[m] / state.geometry(m).sqrtJ
+    return [state.rho0_tilde[m] / state.geo[m].sqrtJ
             for m in range(len(state.x))]
 
 
@@ -360,7 +355,7 @@ def integrate_grid(state, values):
     chart): trapezoid weights, pou, area element."""
     total = 0.0
     for m in range(len(state.x)):
-        geo = state.geometry(m)
+        geo = state.geo[m]
         total += float(np.sum(state.w[m] * state.psi[m] * values[m] * geo.sqrtJ))
     return total
 
@@ -404,8 +399,8 @@ def jacobian_rate_check(state, motion, dt_probe=1e-3):
     bwd = _flow_step(state.copy(), motion.velocity, -dt_probe)
     worst = 0.0
     for m in range(len(state.x)):
-        geo = state.geometry(m)
-        dsJ = (fwd.geometry(m).sqrtJ - bwd.geometry(m).sqrtJ) / (2.0 * dt_probe)
+        geo = state.geo[m]
+        dsJ = (fwd.geo[m].sqrtJ - bwd.geo[m].sqrtJ) / (2.0 * dt_probe)
         vval = motion.velocity.value(state.x[m], state.t)
         div_v = _div_tangent_grid(state, m, geo, vval)
         worst = worst_of(worst, float(np.max(np.abs(dsJ - div_v * geo.sqrtJ))))
@@ -425,7 +420,7 @@ def transport_theorem_check(state, motion, f, dt_probe=1e-3):
 
     integrands = []
     for m in range(len(state.x)):
-        geo = state.geometry(m)
+        geo = state.geo[m]
         xm, t = state.x[m], state.t
         vval = motion.velocity.value(xm, t)
         Dt_f = f.dt(xm, t) + np.einsum("i...,i...->...", vval, f.grad(xm, t))

@@ -17,7 +17,7 @@ import numpy as np
 from .expressions import Var, parse_expr, substitute
 from .fields import ScalarField, as_scalar_field, as_vector_field
 from .surface_ops import (dissipation_density, div_matrix_dual,
-                          div_vector_dual, grad_scalar_dual, stress_dual)
+                          grad_scalar_dual, stress_dual)
 
 __all__ = [
     "NonpositiveDensity",
@@ -208,7 +208,7 @@ class _Point:
         """Divergence of coef * tangential-gradient(scalar) (values)."""
         c_d = self.frame.eval_scalar(coef)
         q = [c_d * g for g in grad_scalar_dual(scalar, self.frame)]
-        return div_vector_dual(q, self.frame)
+        return self.frame.div(q)
 
 
 # -- residual evaluators ---------------------------------------------------------
@@ -254,7 +254,7 @@ def residual_conservative(fields, coeffs, frame):
     rho = pt.val(f.rho)
 
     # mass: DtN rho + div(rho v)
-    div_rhov = div_vector_dual([rho_d * v_d[i] for i in range(3)], fr)
+    div_rhov = fr.div([rho_d * v_d[i] for i in range(3)])
     r_mass = pt.DtN(f.rho) + div_rhov
 
     # momentum: DtN(rho v) + div(rho v x v - S) - rho F
@@ -268,7 +268,7 @@ def residual_conservative(fields, coeffs, frame):
         dtn = (f.rho.dt(pt.x, pt.t) * vval[i] + rho * f.v.comp[i].dt(pt.x, pt.t)
                + pt.vn * np.einsum("j...,j...->...", pt.n, grad_rvi))
         flux = [rho_d * v_d[i] * v_d[j] - S[i][j] for j in range(3)]
-        mom.append(dtn + div_vector_dual(flux, fr) - rho * Fv[i])
+        mom.append(dtn + fr.div(flux) - rho * Fv[i])
     r_mom_vec = np.stack(mom)
 
     # total energy: DtN e_A + div(e_A v - q_theta - S v) - rho Q - rho F.v
@@ -278,7 +278,7 @@ def residual_conservative(fields, coeffs, frame):
     q_d = [kappa_d * g for g in grad_scalar_dual(f.theta, fr)]
     Sv_d = [sum(S[i][j] * v_d[j] for j in range(3)) for i in range(3)]
     flux = [eA_d * v_d[i] - q_d[i] - Sv_d[i] for i in range(3)]
-    r_energy = (pt.DtN(eA) + div_vector_dual(flux, fr)
+    r_energy = (pt.DtN(eA) + fr.div(flux)
                 - rho * pt.val(c.Q_theta)
                 - rho * np.einsum("i...,i...->...", Fv, vval))
 
@@ -287,7 +287,7 @@ def residual_conservative(fields, coeffs, frame):
     nu_d = fr.eval_scalar(c.nu)
     qC_d = [nu_d * g for g in grad_scalar_dual(f.C, fr)]
     flux = [C_d * v_d[i] - qC_d[i] for i in range(3)]
-    r_conc = pt.DtN(f.C) + div_vector_dual(flux, fr) - pt.val(c.Q_C)
+    r_conc = pt.DtN(f.C) + fr.div(flux) - pt.val(c.Q_C)
     return {"mass": r_mass, "momentum": np.linalg.norm(r_mom_vec, axis=0),
             "momentum_vec": r_mom_vec, "energy": r_energy,
             "concentration": r_conc}

@@ -6,7 +6,9 @@ test-suite:
 * an **ambient** form built from the tangential projector applied to plain
   space derivatives of the field, and
 * a **chart** form built from chart-coordinate derivatives and the inverse
-  Gram matrix (evaluated through dual numbers on a :class:`ChartFrame`).
+  Gram matrix (evaluated through dual numbers on a :class:`ChartFrame`):
+  :meth:`ChartFrame.tangential` is the one tangential derivative
+  g^ab g_a d/dX_b, and :meth:`ChartFrame.div` sums it into div_G.
 
 The chart form survives one extra differentiation (its outputs are dual), so
 second-level operators such as the divergence of the surface stress tensor
@@ -28,7 +30,6 @@ __all__ = [
     "identity_residuals",
     "ibp_residuals",
     "grad_scalar_dual",
-    "div_vector_dual",
     "div_matrix_dual",
     "strain_dual",
     "stress_dual",
@@ -58,46 +59,27 @@ def surface_divergence_vec(v, metric, t=0.0):
 # -- chart (dual) forms --------------------------------------------------------
 
 
-def _tangential_partial(frame, q, i):
-    """Value of the i-th tangential derivative of a dual surface quantity q."""
-    out = 0.0
-    for a in range(2):
-        for b in range(2):
-            out = out + (value_of(frame.inv_gram[a][b]) * value_of(frame.g[a][i])
-                         * frame.values(q, ("X1", "X2")[b]))
-    return out
-
-
 def grad_scalar_dual(f, frame):
     """Tangential gradient of an ambient scalar on a frame; dual 3-vector."""
     f = as_scalar_field(f)
-    df = [frame.eval_ambient_partial(f, v) for v in _AMBIENT]
+    df = [frame.eval_scalar(f.d(v)) for v in _AMBIENT]
     return [sum(frame.P[i][j] * df[j] for j in range(3)) for i in range(3)]
-
-
-def div_vector_dual(F, frame):
-    """Surface divergence of a dual 3-vector quantity; returns plain values."""
-    return frame.dual_div_tangent(F)
 
 
 def div_matrix_dual(M, frame):
     """Row-wise surface divergence of a dual 3x3 quantity; values (3, ...)."""
-    return np.stack([
-        sum(_tangential_partial(frame, M[i][j], j) for j in range(3))
-        for i in range(3)
-    ])
+    return np.stack([frame.div(row) for row in M])
 
 
 def surface_divergence_vec_chart(v, frame):
     """Chart-form divergence of an ambient vector field (cross-check twin)."""
     v = as_vector_field(v)
-    F = [frame.eval_scalar(c) for c in v.comp]
-    return div_vector_dual(F, frame)
+    return frame.div([frame.eval_scalar(c) for c in v.comp])
 
 
 def surface_laplacian(f, frame):
     """Laplace-Beltrami of an ambient scalar field: div of tangential grad."""
-    return div_vector_dual(grad_scalar_dual(f, frame), frame)
+    return frame.div(grad_scalar_dual(f, frame))
 
 
 # -- strain and stress ---------------------------------------------------------
@@ -105,7 +87,7 @@ def surface_laplacian(f, frame):
 
 def _jac_dual(v, frame):
     """Dual ambient Jacobian dv_i/dx_j composed on the surface."""
-    return [[frame.eval_ambient_partial(v.comp[i], var) for var in _AMBIENT]
+    return [[frame.eval_scalar(v.comp[i].d(var)) for var in _AMBIENT]
             for i in range(3)]
 
 
@@ -207,7 +189,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     # divergence of (f P v): grad f . v + f H (n.v) + f div v
     v_d = [frame.eval_scalar(c) for c in v.comp]
     fPv = [sum(fP[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    div_fPv = div_vector_dual(fPv, frame)
+    div_fPv = frame.div(fPv)
     divv_val = surface_divergence_vec_chart(v, frame)
     vval = frame.values(v_d)
     res["projector_product_divergence"] = _maxabs(
@@ -216,7 +198,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
                    + fval * divv_val))
 
     # advection split: (v,grad)f = (v,grad_t)f + (v.n)(n,grad)f
-    df = [value_of(frame.eval_ambient_partial(f, var)) for var in _AMBIENT]
+    df = [value_of(frame.eval_scalar(f.d(var))) for var in _AMBIENT]
     full_adv = sum(vval[i] * df[i] for i in range(3))
     tang_adv = np.einsum("i...,i...->...", vval, gfval)
     vn = np.einsum("i...,i...->...", vval, nval)
@@ -243,7 +225,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     # product rules for the viscous and dilational fluxes and the stress
     muDproj = [[mu_d * Dproj[i][j] for j in range(3)] for i in range(3)]
     muDv = [sum(muDproj[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = div_vector_dual(muDv, frame)
+    lhs = frame.div(muDv)
     div_muD = div_matrix_dual(muDproj, frame)
     rhs = (np.einsum("i...,i...->...", div_muD, vval)
            + value_of(mu_d) * value_of(_contract(Dproj, Dproj)))
@@ -251,7 +233,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
 
     lamP = [[lam_d * divv * P[i][j] for j in range(3)] for i in range(3)]
     lamPv = [sum(lamP[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = div_vector_dual(lamPv, frame)
+    lhs = frame.div(lamPv)
     div_lamP = div_matrix_dual(lamP, frame)
     rhs = (np.einsum("i...,i...->...", div_lamP, vval)
            + value_of(lam_d) * value_of(divv) ** 2)
@@ -260,7 +242,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     # stress power S : Dproj
     power = dissipation_density(Dproj, divv, mu_d, lam_d) - g_d * divv
     Sv = [sum(S[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = div_vector_dual(Sv, frame)
+    lhs = frame.div(Sv)
     div_S = div_matrix_dual(S, frame)
     rhs = np.einsum("i...,i...->...", div_S, vval) + value_of(power)
     res["stress_power_decomposition"] = _maxabs(lhs - rhs)
@@ -294,8 +276,8 @@ def _material_residuals(frame, f, v):
     # divergence terms through the dual route
     f_d = frame.eval_scalar(f)
     v_d = [frame.eval_scalar(c) for c in v.comp]
-    div_fv = div_vector_dual([f_d * v_d[i] for i in range(3)], frame)
-    divv = div_vector_dual(v_d, frame)
+    div_fv = frame.div([f_d * v_d[i] for i in range(3)])
+    divv = frame.div(v_d)
     res["transport_commutation_scalar"] = _maxabs(
         (DtN_f + div_fv) - (Dt_f + divv * fval))
 
@@ -309,7 +291,7 @@ def _material_residuals(frame, f, v):
         dt_fvi = ft * vval[i] + fval * vt[i]
         dtn = dt_fvi + vn * np.einsum("j...,j...->...", nval, grad_fvi)
         row = [f_d * v_d[i] * v_d[j] for j in range(3)]
-        div_row = div_vector_dual(row, frame)
+        div_row = frame.div(row)
         lhs.append(dtn + div_row)
     lhs = np.stack(lhs)
     rhs = (Dt_f + divv * fval) * vval + fval * Dt_v
@@ -345,7 +327,7 @@ def ibp_residuals(f, phi, atlas, rule, t=0.0, m=0):
         H = frame.H
         acc_comp += np.sum(wgt * (gf[m] * gv + fv * gg[m] + H * st.n[m] * fv * gv))
         phi_d = [frame.eval_scalar(c) for c in phi.comp]
-        divphi = div_vector_dual(phi_d, frame)
+        divphi = frame.div(phi_d)
         phival = phi.value(st.x, t)
         flux = np.einsum("i...,i...->...", gf + fv * H * st.n, phival)
         acc_div += np.sum(wgt * (fv * divphi + flux))

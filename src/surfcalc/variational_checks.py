@@ -24,9 +24,8 @@ from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, default_rule,
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
-from .surface_ops import (_tangential_partial, dissipation_density,
-                          div_matrix_dual, div_vector_dual, grad_scalar_dual,
-                          stress_dual, strain_dual)
+from .surface_ops import (dissipation_density, div_matrix_dual,
+                          grad_scalar_dual, stress_dual, strain_dual)
 
 __all__ = [
     "DegenerateGradient",
@@ -248,7 +247,7 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
             force = rho * Dt_v
             if law is not None:
                 peff_d = law.eff_expr.evaluate({"r": rho_d})
-                gradp = np.stack([_tangential_partial(frame, peff_d, i)
+                gradp = np.stack([frame.tangential(peff_d, i)
                                   for i in range(3)])
                 force = (force + gradp
                          + frame.values(peff_d) * frame.H * frame.values(frame.n))
@@ -494,7 +493,7 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
                     "nonlinear flux variation needs |grad_G f| bounded away from 0")
         zeta_d = sum(c * c for c in gf)
         q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
-        divq = div_vector_dual(q, frame)
+        divq = frame.div(q)
         analytic += float(np.sum(w * psi * st.sqrtJ * divq * phi.value(st.x, t)))
         kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))
         for e, fe in shifted.items():
@@ -579,8 +578,7 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
             float(np.sum(wref * 0.5 * rho0t * xt2)))
         add("total",
             float(np.sum(wgt * (0.5 * rho * v2 + rho * evals))),
-            float(np.sum(wref * rho0t
-                         * (0.5 * xt2 + fields.e.value(st.x, t)))))
+            float(np.sum(wref * rho0t * (0.5 * xt2 + evals))))
         add("force_work",
             float(np.sum(wgt * rho * np.einsum("i...,i...->...", Fval, vval))),
             float(np.sum(wref * rho0t

@@ -36,7 +36,7 @@ def test_torus_area(torus, torus_rule):
     assert abs(area - exact) / exact <= 1e-10
 
 
-def test_sphere_pointwise_geometry(sphere, rng):
+def test_sphere_pointwise_geometry(sphere, torus, rng):
     R = 1.0
     for chart in sphere.charts:
         X = random_nodes(chart, rng, 200)
@@ -45,6 +45,15 @@ def test_sphere_pointwise_geometry(sphere, rng):
         assert np.allclose(np.linalg.norm(st.x, axis=0), R, atol=1e-12)
         assert np.allclose(st.n, st.x / R, atol=1e-12)
         assert np.max(np.abs(mean_curvature_at(chart, X) + 2.0 / R)) <= 1e-8
+    # the torus (R, r) = (2, 0.5) has non-constant curvature: outward normal
+    # (cos X2 cos X1, cos X2 sin X1, sin X2), H = -(1/r + cos X2/(R + r cos X2))
+    chart = torus.charts[0]
+    X = random_nodes(chart, rng, 1000)
+    c1, s1, c2, s2 = np.cos(X[0]), np.sin(X[0]), np.cos(X[1]), np.sin(X[1])
+    st = metric_at(chart, X)
+    assert np.max(np.abs(st.n - np.stack([c2 * c1, c2 * s1, s2]))) <= 1e-12
+    H = -(1.0 / 0.5 + c2 / (2.0 + 0.5 * c2))
+    assert np.max(np.abs(mean_curvature_at(chart, X) - H)) <= 1e-12
 
 
 def test_projector_identities(sphere, torus, rng):

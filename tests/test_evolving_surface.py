@@ -97,7 +97,7 @@ def test_rigid_motions_preserve_area_element(sphere):
     for name, tol in (("translation", 1e-12), ("rotation", 1e-9)):
         cur = advance_flow(state, motion_builtin(name), 0.05, steps=8)
         for m in range(len(cur.x)):
-            geo = cur.geometry(m)
+            geo = cur.geo[m]
             assert np.max(np.abs(geo.sqrtJ - state.sqrtJ0[m])) <= tol
 
 
