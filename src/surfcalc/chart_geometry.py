@@ -177,9 +177,11 @@ class MetricState:
 def _geometry(g, orientation):
     """``(gram, J, sqrtJ, inv_gram, n)`` of the tangents ``g`` (``g[a][i]``),
     as nested lists; the same ops on plain arrays and on duals (a quotient is
-    ``a * (1/b)``, as in ``Dual.__truediv__``)."""
-    gram = [[_dot3(g[a], g[b]) for b in range(2)] for a in range(2)]
-    J = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
+    ``a * (1/b)``, as in ``Dual.__truediv__``).  ``gram[1][0] is gram[0][1]``,
+    and ``inv_gram`` holds values only: no reader takes its partials."""
+    g01 = _dot3(g[0], g[1])
+    gram = [[_dot3(g[0], g[0]), g01], [g01, _dot3(g[1], g[1])]]
+    J = gram[0][0] * gram[1][1] - g01 * g01
     if np.any(np.asarray(value_of(J)) <= _EPS_J):
         raise SingularMetric("Gram determinant non-positive: degenerate chart")
     sqrtJ = ad.sqrt(J)
@@ -187,16 +189,20 @@ def _geometry(g, orientation):
     r = 1.0 / sqrtJ
     n = [(orientation * c) * r for c in _cross3(g[0], g[1])]
     del r
-    inv = 1.0 / J
-    inv_gram = [[gram[1][1] * inv, -gram[0][1] * inv],
-                [-gram[1][0] * inv, gram[0][0] * inv]]
+    inv = 1.0 / value_of(J)
+    off = -value_of(g01) * inv
+    inv_gram = [[value_of(gram[1][1]) * inv, off],
+                [off, value_of(gram[0][0]) * inv]]
     return gram, J, sqrtJ, inv_gram, n
 
 
 def _projector(n):
-    """Tangential projector I - n n^T as nested lists."""
-    return [[(1.0 if i == j else 0.0) - n[i] * n[j] for j in range(3)]
-            for i in range(3)]
+    """Tangential projector I - n n^T as nested lists; ``P[j][i] is P[i][j]``."""
+    P = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            P[i][j] = P[j][i] = (1.0 if i == j else 0.0) - n[i] * n[j]
+    return P
 
 
 def _metric_state(x, g, orientation):
@@ -210,9 +216,9 @@ def _metric_state(x, g, orientation):
 class ChartFrame:
     """Dual-valued geometry of one chart at given coordinates and time.
 
-    Every quantity is a dual number seeded on ``X1, X2`` only, so one more
-    chart-coordinate derivative of anything assembled from the frame can be
-    read off its dual parts.  Time enters as a plain parameter; the chart
+    Every quantity but ``inv_gram`` (values only) is a dual number seeded on
+    ``X1, X2`` only, so one more chart-coordinate derivative of anything
+    assembled from the frame can be read off its dual parts.  Time enters as a plain parameter; the chart
     velocity is :attr:`x_t`, the exact time partial of the parametrization.
     """
 
@@ -351,20 +357,6 @@ class ChartAtlas:
         if np.any(total <= 0):
             raise ValueError("partition-of-unity bumps do not cover the surface")
         return own / total
-
-    def validate_orientation(self, samples=200, seed=0):
-        """On star-shaped surfaces, check normals point away from the centroid."""
-        rng = np.random.default_rng(seed)
-        for chart in self.charts:
-            (lo1, hi1), (lo2, hi2) = chart.domain
-            X1 = rng.uniform(lo1, hi1, samples)
-            X2 = rng.uniform(lo2, hi2, samples)
-            st = metric_at(chart, np.stack([X1, X2]))
-            centroid = np.zeros(3)
-            radial = np.einsum("ik,ik->k", st.n, st.x - centroid[:, None])
-            if np.any(radial <= 0):
-                return False
-        return True
 
 
 def plane_chart(extent=1.0):

@@ -144,13 +144,6 @@ class PressureLaw:
         return ScalarField(substitute(self.eff_expr, "r",
                                       as_scalar_field(rho_field).expr))
 
-    def fd_consistency(self, rho, h=1e-6):
-        """Max mismatch between the analytic effective pressure and the
-        finite-difference construction rho*(p(rho+h)-p(rho-h))/(2h) - p."""
-        rho = np.asarray(rho, dtype=float)
-        fd = rho * (self.p(rho + h) - self.p(rho - h)) / (2.0 * h) - self.p(rho)
-        return float(np.max(np.abs(fd - self.effective(rho))))
-
 
 _PRESSURE_LAWS = {
     "linear": lambda a=1.0: PressureLaw(f"{a}*r", name="linear"),

@@ -66,11 +66,6 @@ class FluxLaw:
     def deriv(self, z):
         return self.d_expr.evaluate({"z": z})
 
-    def fd_consistency(self, z, h=1e-6):
-        z = np.asarray(z, dtype=float)
-        fd = (self.density(z + h) - self.density(z - h)) / (2.0 * h)
-        return float(np.max(np.abs(fd - self.deriv(z))))
-
 
 _FLUX_LAWS = {
     "linear": lambda kappa=1.0: FluxLaw(f"{kappa}*z", name="linear"),

@@ -219,7 +219,8 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
     Evaluates the surface integral of { rho D_t v [+ grad_G peff + peff H n] }
     . z over the unperturbed evolving surface, with the density taken from
     the exact conserved-weight representation and the effective pressure
-    peff = rho p'(rho) - p(rho).
+    peff = rho p'(rho) - p(rho).  One frame per Simpson node and chart: the
+    first node is t = 0, where the moving chart is the reference chart.
     """
     if rule is None:
         rule = default_rule(atlas)
@@ -228,14 +229,11 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
     z = variation.direction
     ts, wt = _simpson_nodes(T, nt)
     total = 0.0
-    for m, (chart, base) in enumerate(zip(mov.charts, atlas.charts)):
-        X, w, psi = rule.nodes[m]
-        # conserved density weight as a dual quantity in the chart coordinates
-        frame0 = base.frame(X[0], X[1], 0.0)
-        rho0t_d = frame0.eval_scalar(as_scalar_field(rho0)) * frame0.sqrtJ
-        del frame0  # one frame alive at a time
-        for tk, wk in zip(ts, wt):
+    for chart, (X, w, psi) in zip(mov.charts, rule.nodes):
+        for k, (tk, wk) in enumerate(zip(ts, wt)):
             frame = chart.frame(X[0], X[1], tk)
+            if not k:  # conserved density weight, dual in the chart coordinates
+                rho0t_d = frame.eval_scalar(as_scalar_field(rho0)) * frame.sqrtJ
             sJ = frame.values(frame.sqrtJ)
             x = frame.values(frame.x)
             rho_d = rho0t_d / frame.sqrtJ
@@ -410,11 +408,14 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
 # -- gradient-flux (generalized diffusion) variation ------------------------------
 
 
-def _flux_energy_terms(f, flux, frame, w, psi):
-    """One chart's flux-energy terms w psi sqrtJ e_J(|grad_G f|^2) on
-    ``frame``: their sum and the sum of their magnitudes."""
-    zeta = frame.values(sum(c * c for c in grad_scalar_dual(f, frame)))
-    terms = w * psi * frame.values(frame.sqrtJ) * flux.density(zeta)
+def _flux_energy_terms(f, flux, st, w, psi, t):
+    """One chart's flux-energy terms w psi sqrtJ e_J(|grad_G f|^2) on the
+    snapshot ``st``: their sum and the sum of their magnitudes.  The gradient
+    P grad f is summed in :func:`grad_scalar_dual`'s order, values only."""
+    df = [f.d(v).value(st.x, t) for v in _AMB]
+    zeta = sum(c * c for c in (sum(st.P[i][j] * df[j] for j in range(3))
+                               for i in range(3)))
+    terms = w * psi * st.sqrtJ * flux.density(zeta)
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
@@ -437,7 +438,7 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     """
     f = as_scalar_field(f)
     total, magnitude = _flux_energy(
-        _flux_energy_terms(f, flux, chart.frame(X[0], X[1], t), w, psi)
+        _flux_energy_terms(f, flux, metric_at(chart, X, t), w, psi, t)
         for chart, (X, w, psi) in zip(atlas.charts, rule.nodes))
     return (total, magnitude) if abs_sum else total
 
@@ -497,7 +498,7 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
         analytic += float(np.sum(w * psi * st.sqrtJ * divq * phi.value(st.x, t)))
         kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))
         for e, fe in shifted.items():
-            terms[e].append(_flux_energy_terms(fe, flux, frame, w, psi))
+            terms[e].append(_flux_energy_terms(fe, flux, st, w, psi, t))
         del frame, st, gf, zeta_d, q  # free them before the next frame
 
     report = _ladder_report(lambda e: _flux_energy(terms[e]), eps_list,

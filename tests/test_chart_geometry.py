@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from surfcalc.autodiff import value_of
-from surfcalc.chart_geometry import (Chart, OutOfDomain, QuadratureRule,
+from surfcalc.chart_geometry import (Chart, ChartAtlas, OutOfDomain,
+                                     QuadratureRule,
                                      SingularMetric, default_rule, integrate,
                                      integrate_vector, mean_curvature_at,
                                      metric_at, plane_chart, sphere_atlas,
@@ -96,9 +97,33 @@ def test_out_of_domain_rejected():
         chart.frame(np.array([5.0]), np.array([0.0]))
 
 
+def _outward(atlas, rule, centre):
+    """n . (x - centre) at every node of every chart, concatenated."""
+    out = []
+    for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
+        st = metric_at(chart, X)
+        out.append(np.einsum("i...,i...->...", st.n, st.x - centre(X)))
+    return np.concatenate(out)
+
+
+def _flipped(atlas):
+    return ChartAtlas([Chart(c.param, c.domain, c.periodic, -1, c.pou_bump,
+                             c.invert, c.name) for c in atlas.charts])
+
+
 def test_orientation_validation(sphere, torus):
-    sphere.validate_orientation()
-    torus.validate_orientation()
+    """Normals point away from the sphere's centre and from the torus's tube
+    centre R (cos X1, sin X1, 0) at every node; orientation -1 flips all."""
+    def origin(X):
+        return np.zeros((3, 1))
+
+    def tube(X):
+        return 2.0 * np.stack([np.cos(X[0]), np.sin(X[0]), 0.0 * X[0]])
+
+    for atlas, centre in ((sphere, origin), (torus, tube)):
+        rule = QuadratureRule(atlas, order=24, periodic_order=48)
+        assert np.all(_outward(atlas, rule, centre) > 0.0)
+        assert np.all(_outward(_flipped(atlas), rule, centre) < 0.0)
 
 
 def test_frame_metric_consistency(sphere, rng):
@@ -188,6 +213,27 @@ def test_metric_records_equal_frame_values(surface, sphere, sphere_rule, torus,
             for name in METRIC_FIELDS:
                 assert np.array_equal(getattr(st, name),
                                       frame.values(getattr(frame, name))), name
+
+
+@pytest.mark.parametrize("surface", ["sphere", "torus"])
+def test_frame_shares_symmetric_entries(surface, request):
+    """A dual frame builds g_01 and each off-diagonal P_ij once, and keeps
+    g^ab as plain arrays equal to metric_at's."""
+    atlas = moving_atlas(request.getfixturevalue(surface),
+                         motion_builtin("rotation"))
+    rule = QuadratureRule(atlas, order=24, periodic_order=48)
+    for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
+        frame = chart.frame(X[0], X[1], 0.3)
+        st = metric_at(chart, X, 0.3)
+        assert frame.gram[1][0] is frame.gram[0][1]
+        for i in range(3):
+            for j in range(3):
+                assert frame.P[j][i] is frame.P[i][j]
+        for a in range(2):
+            for b in range(2):
+                entry = frame.inv_gram[a][b]
+                assert type(entry) is np.ndarray
+                assert np.array_equal(entry, st.inv_gram[a, b])
 
 
 def test_degenerate_chart_raises_singular_metric():

@@ -13,6 +13,7 @@ from surfcalc.pde_solvers import flux_law_builtin
 from surfcalc.surface_ops import (div_matrix_dual, grad_scalar_dual,
                                   stress_dual)
 from surfcalc.variational_checks import (DegenerateGradient, VariationField,
+                                         action_first_variation,
                                          action_integral,
                                          check_action_variation,
                                          check_dissipation_work_variation,
@@ -22,7 +23,8 @@ from surfcalc.variational_checks import (DegenerateGradient, VariationField,
                                          jacobian_variation_residual,
                                          tangential_pairing_residual,
                                          time_window_variation, varied_atlas)
-from surfcalc.variational_checks import (_kernel_gradient_residual,
+from surfcalc.variational_checks import (_flux_energy, _flux_energy_terms,
+                                         _kernel_gradient_residual,
                                          _jet, _jet_data, _ladder_report,
                                          _shifted_field, _shifted_velocity)
 
@@ -372,3 +374,109 @@ def test_frame_projector_built_on_first_read(torus, torus_rule, rng,
         torus, motion_builtin("dilation"), var, "1 + 0.2*x3", 0.4,
         law=pressure_law_builtin("quadratic"), rule=torus_rule, nt=2)
     assert frames and all("P" not in f.__dict__ for f in frames)
+
+
+# -- partials only where one is read: the parent routes as oracles ---------------
+
+
+def _action_first_variation_frame0(atlas, motion, variation, rho0, T, law,
+                                   rule, nt):
+    """action_first_variation with the dual rho0_tilde read off an extra
+    frame on the reference chart (oracle)."""
+    mov = moving_atlas(atlas, motion)
+    vel, z = motion.velocity, variation.direction
+    ts, wt = variational_checks._simpson_nodes(T, nt)
+    total = 0.0
+    for m, (chart, base) in enumerate(zip(mov.charts, atlas.charts)):
+        X, w, psi = rule.nodes[m]
+        frame0 = base.frame(X[0], X[1], 0.0)
+        rho0t_d = frame0.eval_scalar(as_scalar_field(rho0)) * frame0.sqrtJ
+        for tk, wk in zip(ts, wt):
+            frame = chart.frame(X[0], X[1], tk)
+            sJ = frame.values(frame.sqrtJ)
+            x = frame.values(frame.x)
+            rho_d = rho0t_d / frame.sqrtJ
+            vval = vel.value(x, tk)
+            Dt_v = vel.dt(x, tk) + np.einsum("j...,ij...->i...", vval,
+                                             vel.jacobian(x, tk))
+            force = frame.values(rho_d) * Dt_v
+            if law is not None:
+                peff_d = law.eff_expr.evaluate({"r": rho_d})
+                gradp = np.stack([frame.tangential(peff_d, i)
+                                  for i in range(3)])
+                force = (force + gradp
+                         + frame.values(peff_d) * frame.H * frame.values(frame.n))
+            kernel = np.einsum("i...,i...->...", force, z.value(x, tk))
+            total += wk * float(np.sum(w * psi * kernel * sJ))
+    return total
+
+
+def _flux_terms_dual(f, flux, frame, w, psi):
+    """One chart's flux rung terms through grad_scalar_dual (oracle)."""
+    zeta = frame.values(sum(c * c for c in grad_scalar_dual(f, frame)))
+    terms = w * psi * frame.values(frame.sqrtJ) * flux.density(zeta)
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+MOTIONS = ["static", "translation", "rotation", "dilation"]
+
+
+@pytest.mark.parametrize("motion", MOTIONS)
+@pytest.mark.parametrize("surface", ["sphere", "torus"])
+def test_action_variation_reads_rho0_off_the_first_node(surface, motion,
+                                                        request):
+    """The t = 0 frame of the moving chart gives the same dual rho0_tilde as
+    a frame on the reference chart: the variation is bit-identical."""
+    atlas = request.getfixturevalue(surface)
+    rule = QuadratureRule(atlas, order=24, periodic_order=48)
+    var = time_window_variation(("x3", "-x1", "0.5*x2 + x1*x3"), 0.4)
+    for law in (None, "quadratic", "power"):
+        law = law and pressure_law_builtin(law)
+        for rho0 in ("1.0", "1 + 0.2*x3 - 0.1*x1*x2"):
+            args = (atlas, motion_builtin(motion), var, rho0, 0.4)
+            assert (action_first_variation(*args, law=law, rule=rule, nt=2)
+                    == _action_first_variation_frame0(*args, law, rule, 2))
+
+
+@pytest.mark.parametrize("motion", MOTIONS)
+@pytest.mark.parametrize("surface", ["sphere", "torus"])
+def test_flux_rungs_read_the_plain_snapshot(surface, motion, request):
+    """Flux rung terms from the plain snapshot (frame.metric() and metric_at)
+    equal those through grad_scalar_dual on the dual frame."""
+    atlas = moving_atlas(request.getfixturevalue(surface),
+                         motion_builtin(motion))
+    rule = QuadratureRule(atlas, order=24, periodic_order=48)
+    f, t = as_scalar_field("x1*x2 + sin(x3) + 2*x3"), 0.3
+    for flux in (flux_law_builtin("linear"), flux_law_builtin("quadratic")):
+        oracle, snapshot = [], []
+        for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
+            frame = chart.frame(X[0], X[1], t)
+            oracle.append(_flux_terms_dual(f, flux, frame, w, psi))
+            snapshot.append(_flux_energy_terms(f, flux, frame.metric(), w,
+                                               psi, t))
+        assert snapshot == oracle
+        assert (gradient_flux_energy(f, flux, atlas, rule, t, abs_sum=True)
+                == _flux_energy(oracle))
+
+
+def test_frames_built_per_check(torus, sphere, monkeypatch):
+    """One frame per Simpson node and chart in the action variation, one per
+    chart in the flux ladder, none for the flux energy."""
+    var = time_window_variation(("x3", "-x1", "0.5*x2"), 0.4)
+    flux = flux_law_builtin("quadratic")
+    for atlas in (torus, sphere):
+        rule = QuadratureRule(atlas, order=24, periodic_order=48)
+        nt = 4
+        frames = _count_frames(monkeypatch)
+        action_first_variation(atlas, motion_builtin("dilation"), var,
+                               "1 + 0.2*x3", 0.4,
+                               law=pressure_law_builtin("quadratic"),
+                               rule=rule, nt=nt)
+        assert len(frames) == len(atlas.charts) * (nt + 1)
+        frames.clear()
+        check_flux_variation("x1 + 2*x3", flux, "0.5*x1 + x2*x3", atlas,
+                             rule=rule, eps_list=(1e-2, 3e-3))
+        assert len(frames) == len(atlas.charts)
+        frames.clear()
+        gradient_flux_energy("x1 + 2*x3", flux, atlas, rule)
+        assert frames == []
