@@ -30,6 +30,7 @@ __all__ = [
     "MetricState",
     "QuadratureRule",
     "default_rule",
+    "blockwise",
     "metric_at",
     "mean_curvature_at",
     "integrate",
@@ -475,6 +476,22 @@ def default_rule(atlas):
     if len(atlas.charts) > 1:
         return QuadratureRule(atlas, order=160, periodic_order=384)
     return QuadratureRule(atlas, order=48, periodic_order=96)
+
+
+_BLOCK = 8192  # nodes per block of rule-wide frame work: fits a 4 MiB L2
+
+
+def blockwise(fn, *arrays):
+    """``fn`` on slices of at most ``_BLOCK`` nodes of ``arrays`` (node axis
+    last), its array (or tuple of arrays) results joined on the node axis.
+    Elementwise work rounds alike however the nodes are cut, so a reduction
+    over the result equals one over a single call on all nodes."""
+    n = np.shape(arrays[0])[-1]
+    parts = [fn(*(a[..., s:s + _BLOCK] for a in arrays))
+             for s in range(0, n, _BLOCK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+    return np.concatenate(parts, axis=-1)
 
 
 def integrate(field, atlas, rule, t=0.0):

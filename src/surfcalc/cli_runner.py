@@ -19,8 +19,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .chart_geometry import (QuadratureRule, default_rule, integrate,
-                             mean_curvature_at, metric_at)
+from .chart_geometry import (QuadratureRule, blockwise, default_rule,
+                             integrate, mean_curvature_at, metric_at)
 from .config import BUILTINS, ConfigError, load_scenario
 from .evolving_surface import (FlowState, advance_flow, dilation_density,
                                integrate_grid, integrate_grid_vector,
@@ -508,12 +508,14 @@ def suite_conservation_report(scn, rng):
              for _ in range(scn.get_int("stress_draws", 3))]
     totals = [np.zeros(3) for _ in draws]
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        frame = chart.frame(X[0], X[1], 0.0)
-        st = frame.metric()
-        for total, (v, sig) in zip(totals, draws):
-            total += np.sum(w * psi * st.sqrtJ * div_matrix_dual(
-                stress_dual(v, sig, 1.0, 0.5, frame)[0], frame), axis=1)
-        del frame, st  # free this chart's frame before the next is built
+        def block(X, w, psi):
+            frame = chart.frame(X[0], X[1], 0.0)
+            wgt = w * psi * frame.metric().sqrtJ
+            return np.stack([wgt * div_matrix_dual(
+                stress_dual(v, sig, 1.0, 0.5, frame)[0], frame)
+                for v, sig in draws])
+        for total, terms in zip(totals, blockwise(block, X, w, psi)):
+            total += np.sum(terms, axis=1)
     worst = worst_of(0.0, *(float(np.max(np.abs(total)))
                              for total in totals))
     rows.append(_row("stress_divergence_integral", worst,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import value_of
+from .chart_geometry import blockwise
 from .fields import as_scalar_field, as_vector_field
 
 __all__ = [
@@ -59,11 +60,15 @@ def surface_divergence_vec(v, metric, t=0.0):
 # -- chart (dual) forms --------------------------------------------------------
 
 
+def _apply(A, w):
+    """A w for a 3x3 ``A`` and a 3-vector ``w`` (nested lists, duals)."""
+    return [sum(A[i][j] * w[j] for j in range(3)) for i in range(3)]
+
+
 def grad_scalar_dual(f, frame):
     """Tangential gradient of an ambient scalar on a frame; dual 3-vector."""
     f = as_scalar_field(f)
-    df = [frame.eval_scalar(f.d(v)) for v in _AMBIENT]
-    return [sum(frame.P[i][j] * df[j] for j in range(3)) for i in range(3)]
+    return _apply(frame.P, [frame.eval_scalar(f.d(v)) for v in _AMBIENT])
 
 
 def div_matrix_dual(M, frame):
@@ -104,14 +109,14 @@ def _contract(A, B):
     return sum(A[i][j] * B[i][j] for i in range(3) for j in range(3))
 
 
-def strain_dual(v, frame):
+def strain_dual(v, frame, jac=None):
     """Dual strain of an ambient vector field on a frame.
 
     Returns ``(Dproj, divv)``: the doubly-projected strain P sym(grad v) P
     and the surface divergence (both dual, ready for one more derivative).
+    ``jac`` is ``v``'s :func:`_jac_dual` when the caller already holds it.
     """
-    v = as_vector_field(v)
-    jac = _jac_dual(v, frame)
+    jac = _jac_dual(as_vector_field(v), frame) if jac is None else jac
     P = frame.P
     Dproj = _matmul(P, _matmul(_sym(jac), P))
     divv = sum(P[i][j] * jac[i][j] for i in range(3) for j in range(3))
@@ -123,13 +128,14 @@ def dissipation_density(Dproj, divv, mu_d, lam_d):
     return 2.0 * mu_d * _contract(Dproj, Dproj) + lam_d * divv * divv
 
 
-def stress_dual(v, sigma, mu, lam, frame):
+def stress_dual(v, sigma, mu, lam, frame, jac=None):
     """Dual surface stress S = 2*mu*Dproj + (lam*divv - sigma)*P.
 
     Returns ``(S, Dproj, divv, mu_d, lam_d, sig_d)``: the stress, the strain
-    it is built from, and the dual coefficient values.
+    it is built from, and the dual coefficient values (``jac`` as in
+    :func:`strain_dual`).
     """
-    Dproj, divv = strain_dual(v, frame)
+    Dproj, divv = strain_dual(v, frame, jac)
     mu_d = frame.eval_scalar(as_scalar_field(mu))
     lam_d = frame.eval_scalar(as_scalar_field(lam))
     sig_d = frame.eval_scalar(as_scalar_field(sigma))
@@ -166,9 +172,10 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     nvec = frame.n
     res = {}
 
-    # gradient tangency
-    gf = grad_scalar_dual(f, frame)
-    proj_gf = [sum(P[i][j] * gf[j] for j in range(3)) for i in range(3)]
+    # gradient tangency; every dual field below is evaluated once per frame
+    df_d = [frame.eval_scalar(f.d(var)) for var in _AMBIENT]
+    gf = _apply(P, df_d)
+    proj_gf = _apply(P, gf)
     res["projected_gradient_idempotent"] = _maxabs(
         [value_of(proj_gf[i] - gf[i]) for i in range(3)])
     res["gradient_tangency"] = _maxabs(
@@ -188,9 +195,8 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
 
     # divergence of (f P v): grad f . v + f H (n.v) + f div v
     v_d = [frame.eval_scalar(c) for c in v.comp]
-    fPv = [sum(fP[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    div_fPv = frame.div(fPv)
-    divv_val = surface_divergence_vec_chart(v, frame)
+    div_fPv = frame.div(_apply(fP, v_d))
+    divv_val = frame.div(v_d)
     vval = frame.values(v_d)
     res["projector_product_divergence"] = _maxabs(
         div_fPv - (np.einsum("i...,i...->...", gfval, vval)
@@ -198,7 +204,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
                    + fval * divv_val))
 
     # advection split: (v,grad)f = (v,grad_t)f + (v.n)(n,grad)f
-    df = [value_of(frame.eval_scalar(f.d(var))) for var in _AMBIENT]
+    df = [value_of(d) for d in df_d]
     full_adv = sum(vval[i] * df[i] for i in range(3))
     tang_adv = np.einsum("i...,i...->...", vval, gfval)
     vn = np.einsum("i...,i...->...", vval, nval)
@@ -207,33 +213,31 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
 
     # strain equivalences, against the tangential strain sym(grad_t w) with
     # (grad_t w_i)_j = P_jk dw_i/dx_k
-    def tangential_strain(w):
-        jac = _jac_dual(w, frame)
+    def tangential_strain(jac):
         return _sym([[sum(P[j][k] * jac[i][k] for k in range(3))
                       for j in range(3)] for i in range(3)])
 
-    S, Dproj, divv, mu_d, lam_d, g_d = stress_dual(v, g, mu, lam, frame)
-    PDtP = _matmul(P, _matmul(tangential_strain(v), P))
+    jac_v, jac_phi = _jac_dual(v, frame), _jac_dual(phi, frame)
+    S, Dproj, divv, mu_d, lam_d, g_d = stress_dual(v, g, mu, lam, frame, jac_v)
+    PDtP = _matmul(P, _matmul(tangential_strain(jac_v), P))
     res["projected_strain_equivalence"] = _maxabs(
         [[value_of(Dproj[i][j] - PDtP[i][j]) for j in range(3)] for i in range(3)])
 
-    Dproj_phi, _ = strain_dual(phi, frame)
+    Dproj_phi, _ = strain_dual(phi, frame, jac_phi)
     res["strain_contraction_equivalence"] = _maxabs(
         value_of(_contract(Dproj, Dproj_phi)
-                 - _contract(Dproj, tangential_strain(phi))))
+                 - _contract(Dproj, tangential_strain(jac_phi))))
 
     # product rules for the viscous and dilational fluxes and the stress
     muDproj = [[mu_d * Dproj[i][j] for j in range(3)] for i in range(3)]
-    muDv = [sum(muDproj[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = frame.div(muDv)
+    lhs = frame.div(_apply(muDproj, v_d))
     div_muD = div_matrix_dual(muDproj, frame)
     rhs = (np.einsum("i...,i...->...", div_muD, vval)
            + value_of(mu_d) * value_of(_contract(Dproj, Dproj)))
     res["viscous_flux_product_rule"] = _maxabs(lhs - rhs)
 
     lamP = [[lam_d * divv * P[i][j] for j in range(3)] for i in range(3)]
-    lamPv = [sum(lamP[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = frame.div(lamPv)
+    lhs = frame.div(_apply(lamP, v_d))
     div_lamP = div_matrix_dual(lamP, frame)
     rhs = (np.einsum("i...,i...->...", div_lamP, vval)
            + value_of(lam_d) * value_of(divv) ** 2)
@@ -241,8 +245,7 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
 
     # stress power S : Dproj
     power = dissipation_density(Dproj, divv, mu_d, lam_d) - g_d * divv
-    Sv = [sum(S[i][j] * v_d[j] for j in range(3)) for i in range(3)]
-    lhs = frame.div(Sv)
+    lhs = frame.div(_apply(S, v_d))
     div_S = div_matrix_dual(S, frame)
     rhs = np.einsum("i...,i...->...", div_S, vval) + value_of(power)
     res["stress_power_decomposition"] = _maxabs(lhs - rhs)
@@ -317,18 +320,21 @@ def ibp_residuals(f, phi, atlas, rule, t=0.0, m=0):
     acc_comp = 0.0
     acc_div = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
-        wgt = w * psi * st.sqrtJ
-        gf = frame.values(grad_scalar_dual(f, frame))
-        gg = frame.values(grad_scalar_dual(g, frame))
-        fv = f.value(st.x, t)
-        gv = g.value(st.x, t)
-        H = frame.H
-        acc_comp += np.sum(wgt * (gf[m] * gv + fv * gg[m] + H * st.n[m] * fv * gv))
-        phi_d = [frame.eval_scalar(c) for c in phi.comp]
-        divphi = frame.div(phi_d)
-        phival = phi.value(st.x, t)
-        flux = np.einsum("i...,i...->...", gf + fv * H * st.n, phival)
-        acc_div += np.sum(wgt * (fv * divphi + flux))
+        def block(X, w, psi):
+            frame = chart.frame(X[0], X[1], t)
+            st = frame.metric()
+            wgt = w * psi * st.sqrtJ
+            gf = frame.values(grad_scalar_dual(f, frame))
+            gg = frame.values(grad_scalar_dual(g, frame))
+            fv = f.value(st.x, t)
+            gv = g.value(st.x, t)
+            H = frame.H
+            comp = wgt * (gf[m] * gv + fv * gg[m] + H * st.n[m] * fv * gv)
+            divphi = frame.div([frame.eval_scalar(c) for c in phi.comp])
+            flux = np.einsum("i...,i...->...", gf + fv * H * st.n,
+                             phi.value(st.x, t))
+            return np.stack([comp, wgt * (fv * divphi + flux)])
+        comp, div = blockwise(block, X, w, psi)
+        acc_comp += np.sum(comp)
+        acc_div += np.sum(div)
     return float(abs(acc_comp)), float(abs(acc_div))

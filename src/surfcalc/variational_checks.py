@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, default_rule,
-                             metric_at)
+from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, blockwise,
+                             default_rule, metric_at)
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
@@ -152,6 +152,11 @@ def _jet_data(jet):
     return x, xt, J, np.sqrt(J)
 
 
+def _sums(terms):
+    """``(sum, sum of magnitudes)`` of an array of terms."""
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
 def _simpson_nodes(T, nt):
     if nt < 2 or nt % 2:
         raise ValueError("nt must be a positive even interval count")
@@ -169,25 +174,31 @@ def _simpson_nodes(T, nt):
 def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
     """``{e: (A, sum of |terms|)}`` of the flow ``mov`` displaced by ``e * z``
     (empty ``z``: the flow itself) for each of ``rungs``, from one :func:`_jet`
-    evaluation per Simpson node and chart, summed in that order per rung."""
+    evaluation per Simpson node and chart block, summed in that order."""
     ts, wt = _simpson_nodes(T, nt)
     rho0 = as_scalar_field(rho0)
     jets = [_jet(ch, z) for ch in mov.charts]
     sums = {e: [0.0, 0.0] for e in rungs}
-    rho0t = {}
+    # per chart, the (rung, node) conserved density weights: filled at t = 0
+    rho0t = [np.empty((len(sums), X.shape[1])) for X, _, _ in rule.nodes]
     for k, (tk, wk) in enumerate(zip(ts, wt)):
         for m, (chart, (X, w, psi)) in enumerate(zip(mov.charts, rule.nodes)):
-            v = chart.evaluate(jets[m], X[0], X[1], tk)
-            for e, acc in sums.items():
-                x, xt, _, sJ = _jet_data(v[:12] + e * v[12:] if z else v)
-                if not k:  # t = 0 also gives the conserved density weights
-                    rho0t[m, e] = rho0.value(x, 0.0) * sJ
-                kernel = 0.5 * rho0t[m, e] * np.einsum("i...,i...->...", xt, xt)
-                if law is not None:
-                    kernel = kernel - law.p(rho0t[m, e] / sJ) * sJ
-                terms = w * psi * kernel
-                acc[0] -= wk * float(np.sum(terms))
-                acc[1] += wk * float(np.sum(np.abs(terms)))
+            def block(X, w, psi, r0):
+                v = chart.evaluate(jets[m], X[0], X[1], tk)
+                out = []
+                for i, e in enumerate(sums):
+                    x, xt, _, sJ = _jet_data(v[:12] + e * v[12:] if z else v)
+                    if not k:  # writes through to this block's rho0t[m]
+                        r0[i] = rho0.value(x, 0.0) * sJ
+                    kernel = 0.5 * r0[i] * np.einsum("i...,i...->...", xt, xt)
+                    if law is not None:
+                        kernel = kernel - law.p(r0[i] / sJ) * sJ
+                    out.append(w * psi * kernel)
+                return np.stack(out)
+            terms = blockwise(block, X, w, psi, rho0t[m])
+            for acc, terms_e in zip(sums.values(), terms):
+                acc[0] -= wk * float(np.sum(terms_e))
+                acc[1] += wk * float(np.sum(np.abs(terms_e)))
     return {e: tuple(acc) for e, acc in sums.items()}
 
 
@@ -219,8 +230,8 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
     Evaluates the surface integral of { rho D_t v [+ grad_G peff + peff H n] }
     . z over the unperturbed evolving surface, with the density taken from
     the exact conserved-weight representation and the effective pressure
-    peff = rho p'(rho) - p(rho).  One frame per Simpson node and chart: the
-    first node is t = 0, where the moving chart is the reference chart.
+    peff = rho p'(rho) - p(rho).  One frame per Simpson node and chart block:
+    the first node is t = 0, where the moving chart is the reference chart.
     """
     if rule is None:
         rule = default_rule(atlas)
@@ -230,29 +241,35 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
     ts, wt = _simpson_nodes(T, nt)
     total = 0.0
     for chart, (X, w, psi) in zip(mov.charts, rule.nodes):
-        for k, (tk, wk) in enumerate(zip(ts, wt)):
-            frame = chart.frame(X[0], X[1], tk)
-            if not k:  # conserved density weight, dual in the chart coordinates
-                rho0t_d = frame.eval_scalar(as_scalar_field(rho0)) * frame.sqrtJ
-            sJ = frame.values(frame.sqrtJ)
-            x = frame.values(frame.x)
-            rho_d = rho0t_d / frame.sqrtJ
-            rho = frame.values(rho_d)
-            # material acceleration of the prescribed velocity (ambient route)
-            vval = vel.value(x, tk)
-            jac = vel.jacobian(x, tk)
-            Dt_v = vel.dt(x, tk) + np.einsum("j...,ij...->i...", vval, jac)
-            force = rho * Dt_v
-            if law is not None:
-                peff_d = law.eff_expr.evaluate({"r": rho_d})
-                gradp = np.stack([frame.tangential(peff_d, i)
-                                  for i in range(3)])
-                force = (force + gradp
-                         + frame.values(peff_d) * frame.H * frame.values(frame.n))
-            zval = z.value(x, tk)
-            kernel = np.einsum("i...,i...->...", force, zval)
-            total += wk * float(np.sum(w * psi * kernel * sJ))
-            del frame  # free it before the next one is built
+        def block(X, w, psi):
+            out = []
+            for k, tk in enumerate(ts):
+                frame = chart.frame(X[0], X[1], tk)
+                if not k:  # conserved density weight, dual in X1, X2
+                    rho0t_d = (frame.eval_scalar(as_scalar_field(rho0))
+                               * frame.sqrtJ)
+                sJ = frame.values(frame.sqrtJ)
+                x = frame.values(frame.x)
+                rho_d = rho0t_d / frame.sqrtJ
+                rho = frame.values(rho_d)
+                # material acceleration of the prescribed velocity (ambient)
+                vval = vel.value(x, tk)
+                jac = vel.jacobian(x, tk)
+                Dt_v = vel.dt(x, tk) + np.einsum("j...,ij...->i...", vval, jac)
+                force = rho * Dt_v
+                if law is not None:
+                    peff_d = law.eff_expr.evaluate({"r": rho_d})
+                    gradp = np.stack([frame.tangential(peff_d, i)
+                                      for i in range(3)])
+                    force = (force + gradp + frame.values(peff_d) * frame.H
+                             * frame.values(frame.n))
+                zval = z.value(x, tk)
+                kernel = np.einsum("i...,i...->...", force, zval)
+                out.append(w * psi * kernel * sJ)
+                del frame  # free it before the next one is built
+            return np.stack(out)
+        for wk, terms in zip(wt, blockwise(block, X, w, psi)):
+            total += wk * float(np.sum(terms))
     return total
 
 
@@ -333,8 +350,8 @@ def _shifted_velocity(v, phi, eps):
 
 
 def _dissipation_work_terms(v, sigma, mu, lam, rho, F, frame, st, wgt, t):
-    """One chart's dissipation + work energy on ``frame`` (snapshot ``st``,
-    surface weights ``wgt``)."""
+    """Dissipation + work energy terms on ``frame`` (snapshot ``st``, surface
+    weights ``wgt``), per node."""
     Dproj, divv = strain_dual(v, frame)
     ed = frame.values(dissipation_density(
         Dproj, divv, frame.eval_scalar(mu), frame.eval_scalar(lam)))
@@ -343,7 +360,7 @@ def _dissipation_work_terms(v, sigma, mu, lam, rho, F, frame, st, wgt, t):
     work = (divv * sigma.value(st.x, t)
             + rho.value(st.x, t)
             * np.einsum("i...,i...->...", F.value(st.x, t), vval))
-    return float(np.sum(wgt * (-0.5 * ed + work)))
+    return wgt * (-0.5 * ed + work)
 
 
 def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
@@ -353,11 +370,12 @@ def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
             as_scalar_field(lam), as_scalar_field(rho), as_vector_field(F))
     total = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
-        total += _dissipation_work_terms(*args, frame, st,
-                                         w * psi * st.sqrtJ, t)
-        del frame, st  # free them before the next frame is built
+        def block(X, w, psi):
+            frame = chart.frame(X[0], X[1], t)
+            st = frame.metric()
+            return _dissipation_work_terms(*args, frame, st,
+                                           w * psi * st.sqrtJ, t)
+        total += float(np.sum(blockwise(block, X, w, psi)))
     return total
 
 
@@ -368,7 +386,7 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
     The functional is quadratic in epsilon, so the central difference is
     exact up to quadrature; the analytic side is the surface force
     int { div_G(2 mu D_G(v) + lam (div_G v) P - sigma P) + rho F } . phi.
-    Both rungs and the analytic side are evaluated on one frame per chart.
+    Both rungs and the analytic side are evaluated on one frame per block.
     """
     if rule is None:
         rule = default_rule(atlas)
@@ -379,24 +397,25 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
     tangential = isinstance(phi, VariationField) and phi.tangential
     shifted = [_shifted_velocity(v, direction, e) for e in (eps, -eps)]
 
-    energy = [0.0, 0.0]
-    analytic = 0.0
+    sums = [0.0, 0.0, 0.0]  # the +eps and -eps energies, the analytic side
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
-        wgt = w * psi * st.sqrtJ
-        for k, vk in enumerate(shifted):
-            energy[k] += _dissipation_work_terms(vk, sigma, mu, lam, rho_f,
-                                                 F_f, frame, st, wgt, t)
-        S = stress_dual(v, sigma, mu, lam, frame)[0]
-        force = div_matrix_dual(S, frame) + rho_f.value(st.x, t) * F_f.value(st.x, t)
-        phival = direction.value(st.x, t)
-        if tangential:
-            force = np.einsum("ij...,j...->i...", st.P, force)
-        kernel = np.einsum("i...,i...->...", force, phival)
-        analytic += float(np.sum(wgt * kernel))
-        del frame, st, S  # free them before the next frame is built
-    fd = (energy[0] - energy[1]) / (2.0 * eps)
+        def block(X, w, psi):
+            frame = chart.frame(X[0], X[1], t)
+            st = frame.metric()
+            wgt = w * psi * st.sqrtJ
+            out = [_dissipation_work_terms(vk, sigma, mu, lam, rho_f, F_f,
+                                           frame, st, wgt, t) for vk in shifted]
+            S = stress_dual(v, sigma, mu, lam, frame)[0]
+            force = (div_matrix_dual(S, frame)
+                     + rho_f.value(st.x, t) * F_f.value(st.x, t))
+            if tangential:
+                force = np.einsum("ij...,j...->i...", st.P, force)
+            kernel = np.einsum("i...,i...->...", force, direction.value(st.x, t))
+            return np.stack(out + [wgt * kernel])
+        sums = [a + float(np.sum(b))
+                for a, b in zip(sums, blockwise(block, X, w, psi))]
+    energy_p, energy_m, analytic = sums
+    fd = (energy_p - energy_m) / (2.0 * eps)
 
     report = {"fd": fd, "analytic": analytic, "error": abs(fd - analytic),
               "eps": float(eps)}
@@ -409,22 +428,21 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
 
 
 def _flux_energy_terms(f, flux, st, w, psi, t):
-    """One chart's flux-energy terms w psi sqrtJ e_J(|grad_G f|^2) on the
-    snapshot ``st``: their sum and the sum of their magnitudes.  The gradient
-    P grad f is summed in :func:`grad_scalar_dual`'s order, values only."""
+    """Flux-energy terms w psi sqrtJ e_J(|grad_G f|^2) on the snapshot ``st``,
+    per node.  The gradient P grad f is summed in :func:`grad_scalar_dual`'s
+    order, values only."""
     df = [f.d(v).value(st.x, t) for v in _AMB]
     zeta = sum(c * c for c in (sum(st.P[i][j] * df[j] for j in range(3))
                                for i in range(3)))
-    terms = w * psi * st.sqrtJ * flux.density(zeta)
-    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+    return w * psi * st.sqrtJ * flux.density(zeta)
 
 
-def _flux_energy(chart_terms):
-    """``(E, sum of |summed terms|)`` from per-chart :func:`_flux_energy_terms`
-    in chart order."""
+def _flux_energy(chart_sums):
+    """``(E, sum of |summed terms|)`` from the :func:`_sums` of each chart's
+    :func:`_flux_energy_terms`, in chart order."""
     total = 0.0
     magnitude = 0.0
-    for s, a in chart_terms:
+    for s, a in chart_sums:
         total -= 0.5 * s
         magnitude += 0.5 * a
     return total, magnitude
@@ -438,7 +456,7 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     """
     f = as_scalar_field(f)
     total, magnitude = _flux_energy(
-        _flux_energy_terms(f, flux, metric_at(chart, X, t), w, psi, t)
+        _sums(_flux_energy_terms(f, flux, metric_at(chart, X, t), w, psi, t))
         for chart, (X, w, psi) in zip(atlas.charts, rule.nodes))
     return (total, magnitude) if abs_sum else total
 
@@ -483,23 +501,28 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
     analytic = 0.0
     kernel_res = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
-        gf = grad_scalar_dual(f, frame)
-        grad_vals = frame.values(gf)
-        if not linear:
-            gnorm = np.sqrt(np.einsum("i...,i...->...", grad_vals, grad_vals))
-            if np.min(gnorm) < 1e-8:
-                raise DegenerateGradient(
-                    "nonlinear flux variation needs |grad_G f| bounded away from 0")
-        zeta_d = sum(c * c for c in gf)
-        q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
-        divq = frame.div(q)
-        analytic += float(np.sum(w * psi * st.sqrtJ * divq * phi.value(st.x, t)))
+        def block(X, w, psi):
+            frame = chart.frame(X[0], X[1], t)
+            st = frame.metric()
+            gf = grad_scalar_dual(f, frame)
+            grad_vals = frame.values(gf)
+            if not linear:
+                gnorm = np.sqrt(np.einsum("i...,i...->...", grad_vals, grad_vals))
+                if np.min(gnorm) < 1e-8:
+                    raise DegenerateGradient("nonlinear flux variation needs "
+                                             "|grad_G f| bounded away from 0")
+            zeta_d = sum(c * c for c in gf)
+            q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
+            divq = frame.div(q)
+            return (grad_vals, w * psi * st.sqrtJ * divq * phi.value(st.x, t),
+                    np.stack([_flux_energy_terms(fe, flux, st, w, psi, t)
+                              for fe in shifted.values()]))
+        grad_vals, an, rung_terms = blockwise(block, X, w, psi)
+        analytic += float(np.sum(an))
         kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))
-        for e, fe in shifted.items():
-            terms[e].append(_flux_energy_terms(fe, flux, st, w, psi, t))
-        del frame, st, gf, zeta_d, q  # free them before the next frame
+        for chart_sums, rung in zip(terms.values(), rung_terms):
+            chart_sums.append(_sums(rung))
+        del grad_vals, an, rung_terms, rung  # free them before the next chart
 
     report = _ladder_report(lambda e: _flux_energy(terms[e]), eps_list,
                             analytic)
@@ -531,98 +554,94 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
         rule = default_rule(atlas)
     mov = moving_atlas(atlas, motion)
 
+    names = (["kinetic", "total", "force_work"] + ["barotropic"] * (law is not None)
+             + ["pressure_work", "dissipation", "thermal", "species"]
+             + ["flux"] * (flux is not None))
     surf = {}
     ref = {}
+    for chart, (X, w, psi) in zip(mov.charts, rule.nodes):
+        def block(X, w, psi):
+            x0, _, _, sJ0 = _jet_data(chart.evaluate(_jet(chart), X[0], X[1],
+                                                     0.0))
+            rho0t = fields.rho.value(x0, 0.0) * sJ0
 
-    def add(name, a, b):
-        surf[name] = surf.get(name, 0.0) + a
-        ref[name] = ref.get(name, 0.0) + b
+            frame = chart.frame(X[0], X[1], t)
+            st = frame.metric()
+            wgt = w * psi * st.sqrtJ      # surface measure
+            wref = w * psi                # reference measure (kernels carry sqrtJ)
 
-    for m, chart in enumerate(mov.charts):
-        X, w, psi = rule.nodes[m]
-        x0, _, _, sJ0 = _jet_data(chart.evaluate(_jet(chart), X[0], X[1], 0.0))
-        rho0t = fields.rho.value(x0, 0.0) * sJ0
+            xt = frame.x_t
+            xt2 = np.einsum("i...,i...->...", xt, xt)
 
-        frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
-        wgt = w * psi * st.sqrtJ          # surface measure
-        wref = w * psi                    # reference measure (kernels carry sqrtJ)
+            # metric rate from the chart derivatives of the velocity
+            v_d = [frame.eval_scalar(c) for c in fields.v.comp]
+            gdot_basis = np.stack([frame.values(v_d, a) for a in _X])  # (2, 3, ...)
+            gdot = (np.einsum("ai...,bi...->ab...", st.g, gdot_basis)
+                    + np.einsum("ai...,bi...->ab...", gdot_basis, st.g))
 
-        xt = frame.x_t
-        xt2 = np.einsum("i...,i...->...", xt, xt)
+            # ambient pointwise data
+            rho = fields.rho.value(st.x, t)
+            vval = fields.v.value(st.x, t)
+            v2 = np.einsum("i...,i...->...", vval, vval)
+            jac = fields.v.jacobian(st.x, t)
+            divv = np.einsum("ij...,ij...->...", st.P, jac)
+            D = 0.5 * (jac + np.einsum("ij...->ji...", jac))
+            Dproj = np.einsum("ij...,jk...,kl...->il...", st.P, D, st.P)
+            mu = coeffs.mu.value(st.x, t)
+            lam = coeffs.lam.value(st.x, t)
+            kap = coeffs.kappa.value(st.x, t)
+            nu = coeffs.nu.value(st.x, t)
+            sig = fields.sigma.value(st.x, t)
+            evals = fields.e.value(st.x, t)
+            Fval = coeffs.F.value(st.x, t)
 
-        # metric rate from the chart derivatives of the velocity
-        v_d = [frame.eval_scalar(c) for c in fields.v.comp]
-        gdot_basis = np.stack([frame.values(v_d, a) for a in _X])   # (2, 3, ...)
-        gdot = (np.einsum("ai...,bi...->ab...", st.g, gdot_basis)
-                + np.einsum("ai...,bi...->ab...", gdot_basis, st.g))
+            # (surface, reference) terms in the order of ``names``:
+            # kinetic / total / work-by-force energies
+            pairs = [
+                (wgt * 0.5 * rho * v2, wref * 0.5 * rho0t * xt2),
+                (wgt * (0.5 * rho * v2 + rho * evals),
+                 wref * rho0t * (0.5 * xt2 + evals)),
+                (wgt * rho * np.einsum("i...,i...->...", Fval, vval),
+                 wref * rho0t * np.einsum("i...,i...->...", Fval, xt))]
+            if law is not None:
+                pairs.append((wgt * (0.5 * rho * v2 - law.p(rho)),
+                              wref * (0.5 * rho0t * xt2
+                                      - law.p(rho0t / st.sqrtJ) * st.sqrtJ)))
 
-        # ambient pointwise data
-        rho = fields.rho.value(st.x, t)
-        vval = fields.v.value(st.x, t)
-        v2 = np.einsum("i...,i...->...", vval, vval)
-        jac = fields.v.jacobian(st.x, t)
-        divv = np.einsum("ij...,ij...->...", st.P, jac)
-        D = 0.5 * (jac + np.einsum("ij...->ji...", jac))
-        Dproj = np.einsum("ij...,jk...,kl...->il...", st.P, D, st.P)
-        mu = coeffs.mu.value(st.x, t)
-        lam = coeffs.lam.value(st.x, t)
-        kap = coeffs.kappa.value(st.x, t)
-        nu = coeffs.nu.value(st.x, t)
-        sig = fields.sigma.value(st.x, t)
-        evals = fields.e.value(st.x, t)
-        Fval = coeffs.F.value(st.x, t)
+            # pressure work and viscous dissipation via the metric rate
+            tr_gdot = np.einsum("ab...,ab...->...", st.inv_gram, gdot)
+            gdot_sq = np.einsum("ab...,zh...,az...,bh...->...",
+                                gdot, gdot, st.inv_gram, st.inv_gram)
+            pairs.append((wgt * divv * sig,
+                          wref * st.sqrtJ * 0.5 * sig * tr_gdot))
+            ed_surf = 0.5 * (2.0 * mu * np.einsum("ij...,ij...->...", Dproj, Dproj)
+                             + lam * divv * divv)
+            ed_ref = (0.25 * mu * gdot_sq
+                      + 0.5 * lam * (0.5 * tr_gdot) ** 2)
+            pairs.append((wgt * ed_surf, wref * st.sqrtJ * ed_ref))
 
-        # kinetic / total / work-by-force energies
-        add("kinetic",
-            float(np.sum(wgt * 0.5 * rho * v2)),
-            float(np.sum(wref * 0.5 * rho0t * xt2)))
-        add("total",
-            float(np.sum(wgt * (0.5 * rho * v2 + rho * evals))),
-            float(np.sum(wref * rho0t * (0.5 * xt2 + evals))))
-        add("force_work",
-            float(np.sum(wgt * rho * np.einsum("i...,i...->...", Fval, vval))),
-            float(np.sum(wref * rho0t
-                         * np.einsum("i...,i...->...", Fval, xt))))
-        if law is not None:
-            add("barotropic",
-                float(np.sum(wgt * (0.5 * rho * v2 - law.p(rho)))),
-                float(np.sum(wref * (0.5 * rho0t * xt2
-                                     - law.p(rho0t / st.sqrtJ) * st.sqrtJ))))
+            # gradient energies: ambient projected gradient vs chart form
+            def grad_pair(scalar, coef):
+                g_amb = np.einsum("ij...,j...->i...", st.P, scalar.grad(st.x, t))
+                zeta_amb = np.einsum("i...,i...->...", g_amb, g_amb)
+                s_d = frame.eval_scalar(scalar)
+                dch = np.stack([frame.values(s_d, a) for a in _X])
+                zeta = np.einsum("ab...,a...,b...->...", st.inv_gram, dch, dch)
+                pairs.append((wgt * (0.5 * coef * zeta_amb),
+                              wref * st.sqrtJ * 0.5 * coef * zeta))
+                return zeta_amb, zeta
 
-        # pressure work and viscous dissipation via the metric rate
-        tr_gdot = np.einsum("ab...,ab...->...", st.inv_gram, gdot)
-        gdot_sq = np.einsum("ab...,zh...,az...,bh...->...",
-                            gdot, gdot, st.inv_gram, st.inv_gram)
-        add("pressure_work",
-            float(np.sum(wgt * divv * sig)),
-            float(np.sum(wref * st.sqrtJ * 0.5 * sig * tr_gdot)))
-        ed_surf = 0.5 * (2.0 * mu * np.einsum("ij...,ij...->...", Dproj, Dproj)
-                         + lam * divv * divv)
-        ed_ref = (0.25 * mu * gdot_sq
-                  + 0.5 * lam * (0.5 * tr_gdot) ** 2)
-        add("dissipation",
-            float(np.sum(wgt * ed_surf)),
-            float(np.sum(wref * st.sqrtJ * ed_ref)))
+            zeta_amb, zeta_ref = grad_pair(fields.theta, kap)
+            grad_pair(fields.C, nu)
+            if flux is not None:
+                pairs.append((wgt * 0.5 * flux.density(zeta_amb),
+                              wref * st.sqrtJ * 0.5 * flux.density(zeta_ref)))
+            return np.stack([a for pair in pairs for a in pair])
 
-        # gradient energies: ambient projected gradient vs chart form
-        def grad_pair(scalar, coef, name):
-            g_amb = np.einsum("ij...,j...->i...", st.P, scalar.grad(st.x, t))
-            zeta_amb = np.einsum("i...,i...->...", g_amb, g_amb)
-            s_d = frame.eval_scalar(scalar)
-            dch = np.stack([frame.values(s_d, a) for a in _X])
-            zeta = np.einsum("ab...,a...,b...->...", st.inv_gram, dch, dch)
-            add(name, float(np.sum(wgt * (0.5 * coef * zeta_amb))),
-                float(np.sum(wref * st.sqrtJ * 0.5 * coef * zeta)))
-            return zeta_amb, zeta
-
-        zeta_amb, zeta_ref = grad_pair(fields.theta, kap, "thermal")
-        grad_pair(fields.C, nu, "species")
-        if flux is not None:
-            add("flux",
-                float(np.sum(wgt * 0.5 * flux.density(zeta_amb))),
-                float(np.sum(wref * st.sqrtJ * 0.5 * flux.density(zeta_ref))))
-        del frame, st, v_d  # free them before the next frame is built
+        terms = blockwise(block, X, w, psi)
+        for name, a, b in zip(names, terms[0::2], terms[1::2]):
+            surf[name] = surf.get(name, 0.0) + float(np.sum(a))
+            ref[name] = ref.get(name, 0.0) + float(np.sum(b))
 
     report = {}
     for name in surf:
@@ -651,21 +670,22 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule=None,
     mov = moving_atlas(atlas, motion)
     z = _direction_exprs(variation)
     worst = 0.0
-    for m, chart in enumerate(mov.charts):
-        X = rule.nodes[m][0]
-        v = chart.evaluate(_jet(chart, z), X[0], X[1], t)
-        Jp, Jm = (_jet_data(v[:12] + e * v[12:])[2] for e in (eps, -eps))
-        dJ = (Jp - Jm) / (2.0 * eps)
+    for chart, (X, _, _) in zip(mov.charts, rule.nodes):
+        jet = _jet(chart, z)
+        def block(X):
+            v = chart.evaluate(jet, X[0], X[1], t)
+            Jp, Jm = (_jet_data(v[:12] + e * v[12:])[2] for e in (eps, -eps))
+            dJ = (Jp - Jm) / (2.0 * eps)
 
-        frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
-        y_d = [frame.eval_scalar(c) for c in variation.direction.comp]
-        dy = np.stack([frame.values(y_d, a) for a in _X])
-        # contravariant basis g^a = g^{ab} g_b
-        gup = np.einsum("ab...,bi...->ai...", st.inv_gram, st.g)
-        rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * st.J
-        worst = worst_of(worst, float(np.max(np.abs(dJ - rhs))))
-        del frame, st, y_d  # free them before the next frame is built
+            frame = chart.frame(X[0], X[1], t)
+            st = frame.metric()
+            y_d = [frame.eval_scalar(c) for c in variation.direction.comp]
+            dy = np.stack([frame.values(y_d, a) for a in _X])
+            # contravariant basis g^a = g^{ab} g_b
+            gup = np.einsum("ab...,bi...->ai...", st.inv_gram, st.g)
+            rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * st.J
+            return np.abs(dJ - rhs)
+        worst = worst_of(worst, float(np.max(blockwise(block, X))))
     return worst
 
 

@@ -1,0 +1,166 @@
+"""Rule-wide frame work runs in node blocks of ``chart_geometry._BLOCK``:
+every output is bit-identical however the nodes are cut, and the peak
+memory of a check is that of one block, not of one whole chart."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from surfcalc import chart_geometry
+from surfcalc.chart_geometry import QuadratureRule, blockwise
+from surfcalc.cli_runner import suite_conservation_report
+from surfcalc.config import load_scenario
+from surfcalc.evolving_surface import (dilation_density, motion_builtin,
+                                       moving_atlas)
+from surfcalc.fields import ScalarField
+from surfcalc.fluid_models import (CoefficientFields, FluidFields,
+                                   pressure_law_builtin)
+from surfcalc.pde_solvers import flux_law_builtin
+from surfcalc.surface_ops import ibp_residuals
+from surfcalc.variational_checks import (VariationField,
+                                         action_first_variation,
+                                         action_integral,
+                                         check_action_variation,
+                                         check_dissipation_work_variation,
+                                         check_energy_representations,
+                                         check_flux_variation,
+                                         dissipation_work_energy,
+                                         gradient_flux_energy,
+                                         jacobian_variation_residual,
+                                         time_window_variation)
+
+MOTIONS = ["static", "translation", "rotation", "dilation"]
+WOBBLE = ("0.9*x3*x1 + 0.6*x1", "-0.6*x1 + 0.3*x3", "0.6*x3 + 0.3*x2*x2")
+
+
+def test_blockwise_concatenates_node_slices(monkeypatch):
+    monkeypatch.setattr(chart_geometry, "_BLOCK", 4)
+    a = np.arange(22.0).reshape(2, 11)
+    sizes = []
+
+    def fn(x, y):
+        sizes.append(y.shape[-1])
+        return x * y, y + 1.0
+
+    prod, shifted = blockwise(fn, a, a[1])
+    assert sizes == [4, 4, 3]
+    assert np.array_equal(prod, a * a[1])
+    assert np.array_equal(shifted, a[1] + 1.0)
+
+
+def _stress_integral(atlas_name, motion, tmp_path):
+    """The stress-divergence row of the conservation report on a 24/48 rule."""
+    cfg = tmp_path / "stress.cfg"
+    cfg.write_text("\n".join([
+        "name = blocks", "suite = conservation-report",
+        f"surface.kind = {atlas_name}", f"motion.kind = {motion}",
+        "resolution = 16, 32", "dt = 0.05", "T = 0.05", "stress_draws = 2",
+        "quadrature.order = 24", "quadrature.periodic_order = 48"]))
+    rows, _ = suite_conservation_report(load_scenario(cfg),
+                                        np.random.default_rng(3))
+    return [r for r in rows if r["check"] == "stress_divergence_integral"]
+
+
+def _blocked_outputs(surface, atlas, motion_name, law, tmp_path):
+    """Every output of the functions that evaluate a rule in node blocks."""
+    rule = QuadratureRule(atlas, order=24, periodic_order=48)
+    motion = motion_builtin(motion_name)
+    mov = moving_atlas(atlas, motion)
+    var = time_window_variation(WOBBLE, 0.4)
+    rho0 = "1 + 0.2*x3"
+    out = {
+        "action_first_variation": action_first_variation(
+            atlas, motion, var, rho0, 0.4, law=law, rule=rule, nt=2),
+        "action_integral": action_integral(
+            atlas, motion, rho0, 0.4, law=law, rule=rule, nt=2,
+            variation=var, eps=1e-3, abs_sum=True),
+        "check_action_variation": check_action_variation(
+            atlas, motion, var, rho0=rho0, T=0.4, law=law,
+            eps_list=(1e-2, 3e-3), rule=rule, nt=2),
+    }
+    rho_ref = ScalarField("2 + 0.3*x3 - 0.1*x1*x2")
+    fields = FluidFields(
+        rho=dilation_density(rho_ref) if motion_name == "dilation" else rho_ref,
+        v=motion.velocity, sigma="0.3*x1 - x2*x3", e="1 + 0.2*x2",
+        theta="x1*x2 + 0.5*x3", C="0.4*x3*x3 - x1")
+    coeffs = CoefficientFields(mu=1.0, lam=0.5, kappa=1.2, nu=0.8,
+                               F=("0.1", "-0.2*x3", "0.3*x2"))
+    out["check_energy_representations"] = check_energy_representations(
+        atlas, motion, fields, coeffs, t=0.3, law=law,
+        flux=flux_law_builtin("quadratic"), rule=rule)
+    if law is not None:
+        return out
+    # the rest does not read a pressure law
+    out["jacobian_variation_residual"] = jacobian_variation_residual(
+        atlas, motion, var, 0.2, rule=rule)
+    f, phi = "x1*x2 + sin(x3) + 2*x3", "0.5*x1 + x2*x3"
+    for name in ("linear", "quadratic"):
+        flux = flux_law_builtin(name)
+        out["check_flux_variation", name] = check_flux_variation(
+            f, flux, phi, mov, rule=rule, t=0.3)
+        out["gradient_flux_energy", name] = gradient_flux_energy(
+            f, flux, mov, rule, 0.3, abs_sum=True)
+    v = ("x2*x3", "sin(x1)", "x1*x1 - 0.3*x2")
+    args = (v, "x3*x1 + 1", 1.0, 0.5, "2 + 0.5*x3", ("0.1", "-0.2*x3", "0.3*x2"))
+    out["dissipation_work_energy"] = dissipation_work_energy(
+        *args, mov, rule, t=0.3)
+    for tangential in (False, True):
+        out["check_dissipation_work_variation", tangential] = (
+            check_dissipation_work_variation(
+                *args, VariationField(("0.4*x3 + x1*x2", "cos(x2)", "0.2 - x1"),
+                                      tangential=tangential),
+                mov, rule=rule, t=0.3))
+    for m in range(3):
+        out["ibp_residuals", m] = ibp_residuals(
+            "x1*x3 + cos(x2)", ("x2", "x3*x1", "0.5 - x1"), mov, rule, t=0.3,
+            m=m)
+    out["stress_divergence_integral"] = _stress_integral(surface, motion_name,
+                                                         tmp_path)
+    return out
+
+
+@pytest.mark.parametrize("law", [None, "quadratic"])
+@pytest.mark.parametrize("motion", MOTIONS)
+@pytest.mark.parametrize("surface", ["sphere", "torus"])
+def test_blocked_rule_evaluation_is_bit_identical(surface, motion, law,
+                                                  request, monkeypatch,
+                                                  tmp_path):
+    """Blocks of 97 and 1000 nodes (neither divides a chart's node count)
+    give the same bits as one block per chart."""
+    atlas = request.getfixturevalue(surface)
+    law = law and pressure_law_builtin(law)
+    nodes = max(X.shape[1] for X, _, _ in
+                QuadratureRule(atlas, order=24, periodic_order=48).nodes)
+    monkeypatch.setattr(chart_geometry, "_BLOCK", nodes)
+    whole = _blocked_outputs(surface, atlas, motion, law, tmp_path)
+    for block in (97, 1000):
+        assert nodes % block
+        monkeypatch.setattr(chart_geometry, "_BLOCK", block)
+        cut = _blocked_outputs(surface, atlas, motion, law, tmp_path)
+        assert cut.keys() == whole.keys()
+        for key in whole:
+            assert cut[key] == whole[key], (block, key)
+
+
+def _peak_mib(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_rule_checks_peak_at_one_block(sphere, sphere_rule):
+    """On the 61,440-node sphere charts the flux ladder and the action
+    variation hold one block's frame at a time."""
+    flux_peak = _peak_mib(lambda: check_flux_variation(
+        "x1 + 2*x3", flux_law_builtin("quadratic"), "0.5*x1 + x2*x3", sphere,
+        rule=sphere_rule))
+    var = time_window_variation(WOBBLE, 0.4)
+    action_peak = _peak_mib(lambda: action_first_variation(
+        sphere, motion_builtin("dilation"), var, "1 + 0.2*x3", 0.4,
+        law=pressure_law_builtin("quadratic"), rule=sphere_rule, nt=2))
+    assert flux_peak <= 20.0, flux_peak
+    assert action_peak <= 20.0, action_peak

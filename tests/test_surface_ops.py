@@ -5,7 +5,7 @@ import pytest
 
 from surfcalc import surface_ops, variational_checks
 from surfcalc.autodiff import value_of
-from surfcalc.chart_geometry import QuadratureRule
+from surfcalc.chart_geometry import ChartFrame, QuadratureRule
 from surfcalc.fields import (ScalarField, random_scalar_field,
                              random_vector_field)
 from surfcalc.fluid_models import (CoefficientFields, FluidFields,
@@ -162,9 +162,9 @@ def test_each_strain_built_once(sphere, monkeypatch, rng):
     calls = []
     original = surface_ops.strain_dual
 
-    def counting(v, frame):
+    def counting(v, frame, jac=None):
         calls.append(v)
-        return original(v, frame)
+        return original(v, frame, jac)
 
     monkeypatch.setattr(surface_ops, "strain_dual", counting)
     monkeypatch.setattr(variational_checks, "strain_dual", counting)
@@ -185,6 +185,27 @@ def test_each_strain_built_once(sphere, monkeypatch, rng):
         calls.clear()
         run()
         assert len(calls) == frames, (name, len(calls))
+
+
+def test_identity_residuals_evaluate_each_field_once(sphere, rng,
+                                                     monkeypatch):
+    """identity_residuals evaluates each dual field once per frame: the
+    ambient partials of f, the components of v, one Jacobian each of v and
+    phi, and g, mu, lam (3 + 1 + 3 + 9 + 9 + 3 = 28 evaluations)."""
+    frame = frame_at(sphere, rng, 50)
+    seen = []
+    original = ChartFrame.eval_scalar
+
+    def recording(self, f):
+        seen.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(ChartFrame, "eval_scalar", recording)
+    identity_residuals(frame, "x1*x3 + 0.2*x2", ("x2*x3", "sin(x1)", "x1*x1"),
+                       ("0.4*x3", "cos(x2)", "0.2 - x1*x2"), "1 + 0.1*x3",
+                       "1 + 0.2*x1", "0.5 + 0.1*x2")
+    assert len(seen) == 28
+    assert len({id(f) for f in seen}) == len(seen)
 
 
 def test_integration_by_parts(sphere, torus, sphere_rule, torus_rule, rng):
