@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import partial_of, value_of
 from .expressions import Expr, Num, evaluate_all, parse_expr
-from .fields import as_scalar_field, as_vector_field
+from .fields import as_scalar_field
 
 __all__ = [
     "SingularMetric",
@@ -34,7 +34,6 @@ __all__ = [
     "metric_at",
     "mean_curvature_at",
     "integrate",
-    "integrate_vector",
     "plane_chart",
     "sphere_atlas",
     "torus_atlas",
@@ -501,14 +500,4 @@ def integrate(field, atlas, rule, t=0.0):
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         st = metric_at(chart, X, t)
         total += float(np.sum(w * psi * value(st.x, t) * st.sqrtJ))
-    return total
-
-
-def integrate_vector(field, atlas, rule, t=0.0):
-    """Surface integral of a 3-vector field at time ``t``."""
-    value = as_vector_field(field).value
-    total = np.zeros(3)
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        st = metric_at(chart, X, t)
-        total += np.sum(w * psi * value(st.x, t) * st.sqrtJ, axis=1)
     return total

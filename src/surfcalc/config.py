@@ -21,6 +21,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from inspect import signature
 
@@ -199,8 +200,8 @@ class Scenario:
         return res
 
     def quadrature(self):
-        order = self.get_int("quadrature.order")
-        periodic = self.get_int("quadrature.periodic_order")
+        order, periodic = (self._positive_int(f"quadrature.{key}")
+                           for key in ("order", "periodic_order"))
         if order is None and periodic is None:
             return None
         return (order or 32, periodic or 2 * (order or 32))
@@ -214,8 +215,19 @@ class Scenario:
             raise ConfigError(f"{self.where('T')}: T must be > 0")
         return dt, T
 
+    def _positive_int(self, key):
+        n = self.get_int(key)
+        if n is not None and n < 1:
+            raise ConfigError(f"{self.where(key)}: {key} must be >= 1")
+        return n
+
     def eps_ladder(self):
-        return self.get_floats("eps", (1e-2, 3e-3, 1e-3, 3e-4))
+        eps = self.get_floats("eps", (1e-2, 3e-3, 1e-3, 3e-4))
+        if (len(eps) < 2 or len(set(eps)) < len(eps)
+                or not all(0.0 < e < math.inf for e in eps)):
+            raise ConfigError(f"{self.where('eps')}: eps needs 2 or more "
+                              "distinct, finite, positive values")
+        return eps
 
     def seed(self):
         return self.get_int("seed", 0)

@@ -5,13 +5,13 @@ chart) by classical RK4 on ``dx/dt = v(x, t)``.  The area Jacobian is
 recomputed from the advanced grid by 4th-order finite differences in the
 chart coordinates, so it stays consistent with the grid quadrature.  The
 continuity equation is then solved exactly through the conserved-variable
-representation ``f = (f0 * sqrtJ0 + accumulated source) / sqrtJ``.
+representation ``f = f0 * sqrtJ0 / sqrtJ``.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,15 +214,13 @@ class FlowState:
     """Material-point grids for an atlas, advanced in time by RK4.
 
     ``geo`` holds the grid metric of the current positions, computed
-    wherever the positions are set.  ``sources`` maps a name to
-    ``(field, accumulators)`` where the accumulators hold per-chart values
-    of the time integral of ``field * sqrtJ`` along each trajectory,
-    advanced with the same RK4 stages as the flow itself.
+    wherever the positions are set.  ``x0`` holds the positions at t = 0
+    and is never written after :meth:`create`.
     """
 
     atlas: ChartAtlas
     t: float
-    X: list                # per chart: (2, n1, n2) reference coordinates
+    x0: list               # per chart: (3, n1, n2) positions at t = 0
     x: list                # per chart: (3, n1, n2) material positions
     hs: list               # per chart: (h1, h2)
     w: list                # per chart: (n1, n2) chart-coordinate weights
@@ -230,16 +228,14 @@ class FlowState:
     sqrtJ0: list           # per chart: (n1, n2) initial area element
     rho0_tilde: list       # per chart: (n1, n2) reference density weights
     geo: list              # per chart: MetricState of the positions x
-    sources: dict = field(default_factory=dict)
 
     @classmethod
     def create(cls, atlas, resolution=(48, 96), rho0=1.0):
         """Flow state at t = 0 on uniform grids of ``resolution`` per chart."""
         rho0 = as_scalar_field(rho0)
-        X, x, hs, w, psi = [], [], [], [], []
+        x, hs, w, psi = [], [], [], []
         for m, chart in enumerate(atlas.charts):
             Xm, hsm, wm, _ = _chart_grid(chart, resolution)
-            X.append(Xm)
             x.append(chart.position(Xm[0], Xm[1], 0.0))
             hs.append(hsm)
             w.append(wm)
@@ -247,19 +243,12 @@ class FlowState:
         geo = _grid_metrics(atlas, hs, x)
         sJ0 = [gm.sqrtJ for gm in geo]
         r0t = [rho0.value(xm, 0.0) * s for xm, s in zip(x, sJ0)]
-        return cls(atlas=atlas, t=0.0, X=X, x=x, hs=hs, w=w, psi=psi,
+        return cls(atlas=atlas, t=0.0, x0=x, x=x, hs=hs, w=w, psi=psi,
                    sqrtJ0=sJ0, rho0_tilde=r0t, geo=geo)
-
-    def track_source(self, name, field_expr):
-        """Register a source whose integral of ``F * sqrtJ`` is accumulated."""
-        f = as_scalar_field(field_expr)
-        self.sources[name] = (f, [np.zeros_like(s) for s in self.sqrtJ0])
 
     def copy(self):
         out = copy.copy(self)
         out.x = [xm.copy() for xm in self.x]
-        out.sources = {k: (f, [a.copy() for a in acc])
-                       for k, (f, acc) in self.sources.items()}
         return out
 
 
@@ -284,28 +273,11 @@ def _rk4(y, t, dt, rhs):
 
 def _flow_step(state, vel, dt):
     """Advance ``state`` in place by one RK4 step of ``dt`` (either sign):
-    the material points, their grid geometry and, on the same stages, every
-    tracked source.  Raises :class:`JacobianCollapse` when the advanced grid
-    degenerates."""
-    n = len(state.x)
-    accs = [acc for _, acc in state.sources.values()]
-    first = [state.geo]  # _rk4's first stage is at the current positions
-
-    def rhs(y, t):
-        xs = y[:n]
-        rates = []
-        if accs:  # one grid metric per chart and stage, shared by the sources
-            geos = first.pop() if first else _grid_metrics(state.atlas, state.hs, xs)
-            rates = [f.value(xm, t) * geo.sqrtJ
-                     for f, _ in state.sources.values()
-                     for xm, geo in zip(xs, geos)]
-        return [vel.value(xm, t) for xm in xs] + rates
-
-    y = _rk4(state.x + [a for acc in accs for a in acc], state.t, dt, rhs)
-    state.x = y[:n]
+    the material points, then their grid geometry.  Raises
+    :class:`JacobianCollapse` when the advanced grid degenerates."""
+    state.x = _rk4(state.x, state.t, dt,
+                   lambda xs, t: [vel.value(xm, t) for xm in xs])
     state.geo = _grid_metrics(state.atlas, state.hs, state.x)
-    for k, acc in enumerate(accs):
-        acc[:] = y[n * (k + 1):n * (k + 2)]
     state.t = state.t + dt
     return state
 
@@ -323,25 +295,15 @@ def advance_flow(state, motion, dt, steps=1):
 # -- transported scalars and integrals ----------------------------------------
 
 
-def transport_scalar(state, f0, source_name=None):
+def transport_scalar(state, f0):
     """Exact transported scalar at the current grid: per-chart nodal arrays.
 
-    Solves ``D_t f + (div v) f = F`` along the flow:
-    ``f = (f0(x(0)) sqrtJ(0) + integral of F sqrtJ) / sqrtJ(t)``.
+    Solves ``D_t f + (div v) f = 0`` along the flow:
+    ``f = f0(x(0)) sqrtJ(0) / sqrtJ(t)``.
     """
     f0 = as_scalar_field(f0)
-    out = []
-    for m in range(len(state.x)):
-        num = f0.value(_initial_positions(state, m), 0.0) * state.sqrtJ0[m]
-        if source_name is not None:
-            num = num + state.sources[source_name][1][m]
-        out.append(num / state.geo[m].sqrtJ)
-    return out
-
-
-def _initial_positions(state, m):
-    chart = state.atlas.charts[m]
-    return chart.position(state.X[m][0], state.X[m][1], 0.0)
+    return [f0.value(x0, 0.0) * s0 / geo.sqrtJ
+            for x0, s0, geo in zip(state.x0, state.sqrtJ0, state.geo)]
 
 
 def transported_density(state):

@@ -60,9 +60,6 @@ class Expr:
     def diff(self, var):
         raise NotImplementedError
 
-    def __call__(self, **env):
-        return self.evaluate(env)
-
     # operator sugar used when assembling expressions in code
     def __add__(self, other):
         return _add(self, _wrap(other))

@@ -1,7 +1,7 @@
 """Scalar/vector fields over ambient space-time points.
 
-A field evaluator exposes values, first and second spatial partials, and the
-time partial at points ``x`` in R^3 (arrays of shape ``(3, ...)``) and time
+A field evaluator exposes values, first spatial partials, and the time
+partial at points ``x`` in R^3 (arrays of shape ``(3, ...)``) and time
 ``t``.  Fields are expression-backed and give exact derivatives.
 
 Evaluators are also callable on :class:`~surfcalc.autodiff.Dual` coordinates,
@@ -29,8 +29,6 @@ _VARS = ("x1", "x2", "x3", "t")
 
 class ScalarField:
     """Expression-backed scalar field f(x1, x2, x3, t) with exact partials."""
-
-    rank = "scalar"
 
     def __init__(self, expr):
         if isinstance(expr, str):
@@ -62,13 +60,6 @@ class ScalarField:
     def grad(self, x, t=0.0):
         return np.stack([_bc(self.d(v)(x[0], x[1], x[2], t), x) for v in _VARS[:3]])
 
-    def hess(self, x, t=0.0):
-        rows = []
-        for vi in _VARS[:3]:
-            di = self.d(vi)
-            rows.append([_bc(di.d(vj)(x[0], x[1], x[2], t), x) for vj in _VARS[:3]])
-        return np.array(rows)
-
     def dt(self, x, t=0.0):
         return _bc(self.d("t")(x[0], x[1], x[2], t), x)
 
@@ -91,8 +82,6 @@ def as_scalar_field(f):
 class VectorField:
     """Vector field in R^3 assembled from three scalar components."""
 
-    rank = "vector"
-
     def __init__(self, components):
         self.comp = [as_scalar_field(c) for c in components]
         if len(self.comp) != 3:
@@ -113,9 +102,6 @@ class VectorField:
 
     def dt(self, x, t=0.0):
         return np.stack([c.dt(x, t) for c in self.comp])
-
-    def hess(self, x, t=0.0):
-        return np.stack([c.hess(x, t) for c in self.comp])
 
 
 def as_vector_field(v):

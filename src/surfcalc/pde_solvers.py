@@ -86,9 +86,6 @@ class GridField:
     values: list
     t: float
 
-    def copy(self):
-        return GridField([v.copy() for v in self.values], self.t)
-
 
 # -- interpolation helpers -------------------------------------------------------
 

@@ -122,3 +122,29 @@ def test_bundled_scenarios_load_and_validate():
         assert scn.suites() and set(scn.suites()) <= set(_SUITE_FUNCS)
         scn.build_surface()
         scn.build_motion()
+
+
+@pytest.mark.parametrize("value", ["1e-2", "1e-2, 0.01", "1e-2, -1e-3",
+                                   "1e-2, 0", "1e-2, inf", "1e-2, nan"])
+def test_eps_ladder_needs_two_distinct_positive_values(tmp_path, value):
+    """A one-rung, repeated, non-positive or non-finite ladder is an error
+    naming the line, not a crash inside the ladder report."""
+    path = write(tmp_path, f"name = x\neps = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:2: eps needs")):
+        load_scenario(path).eps_ladder()
+    scn = load_scenario(write(tmp_path, "name = x\neps = 3e-3, 1e-3\n"))
+    assert scn.eps_ladder() == (3e-3, 1e-3)
+
+
+@pytest.mark.parametrize("key", ["order", "periodic_order"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_quadrature_orders_below_one_are_errors(tmp_path, key, value):
+    """An order below 1 is an error naming the line; it does not fall back
+    to the default order."""
+    path = write(tmp_path, f"name = x\nquadrature.{key} = {value}\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}:2: quadrature.{key} must be >= 1")):
+        load_scenario(path).quadrature()
+    scn = load_scenario(write(tmp_path, f"name = x\nquadrature.{key} = 1\n"))
+    assert scn.quadrature() == {"order": (1, 2),
+                                "periodic_order": (32, 1)}[key]

@@ -119,18 +119,6 @@ def test_rk4_temporal_order(sphere):
     assert order >= 3.8, order
 
 
-def test_transport_scalar_with_source(sphere):
-    # D_t f + (div v) f = 1 on the static sphere: f grows linearly in time
-    motion = motion_builtin("static")
-    state = FlowState.create(sphere, resolution=(24, 48))
-    state.track_source("unit", 1.0)
-    cur = advance_flow(state, motion, 0.05, steps=10)
-    vals = transport_scalar(cur, ScalarField("x3"), source_name="unit")
-    for m in range(len(vals)):
-        exact = cur.x[m][2] + cur.t
-        assert np.max(np.abs(vals[m] - exact)) <= 1e-12
-
-
 def test_dilation_density_closed_form():
     rho = dilation_density(ScalarField("2 + 0.5*x3"))
     x = np.array([[0.3], [0.1], [-0.2]])
@@ -149,6 +137,9 @@ def test_dilation_density_solves_continuity(sphere):
     grid = transported_density(cur)
     for m in range(len(grid)):
         assert np.max(np.abs(grid[m] - rho.value(cur.x[m], cur.t))) <= 1e-6
+    # transport_scalar reads the t = 0 positions: the same (f0 sqrtJ0) / sqrtJ
+    scalar = transport_scalar(cur, ScalarField("2 + 0.5*x3"))
+    assert all(np.array_equal(a, b) for a, b in zip(scalar, grid))
 
 
 def test_jacobian_collapse_detected(sphere):
@@ -203,43 +194,29 @@ def test_flow_state_keeps_its_grid_geometry(sphere, monkeypatch):
                for geo, s0 in zip(state.geo, state.sqrtJ0))
 
 
-@pytest.mark.parametrize("sources, built", [(0, 6), (1, 24), (2, 24)])
-def test_one_grid_metric_per_chart_and_stage(sphere, monkeypatch, sources,
-                                             built):
-    """Three RK4 steps on the two-chart sphere build each chart's metric at
-    every step's end and, with tracked sources, at the three later stages:
-    the first stage reads the state's own metric, and sources share them."""
+def test_one_grid_metric_per_chart_and_step(sphere, monkeypatch):
+    """Three RK4 steps on the two-chart sphere build each chart's grid
+    metric once per step, at the step's end: no RK4 stage builds one."""
     state = FlowState.create(sphere, resolution=(16, 32))
-    for k in range(sources):
-        state.track_source(f"s{k}", ScalarField(f"x1*x2 + {k}*t"))
     calls = _count_geometries(monkeypatch)
     advance_flow(state, motion_builtin("dilation"), 0.02, steps=3)
-    assert len(calls) == built
+    assert len(calls) == 3 * len(sphere.charts)
 
 
-def test_source_accumulators_match_per_source_reference(sphere):
-    """Shared stage metrics leave every accumulator bit-identical to a
-    per-source RK4 that rebuilds the grid metric at each of its stages."""
+def test_flow_positions_match_reference_rk4(sphere):
+    """advance_flow's positions are bit-identical to a plain RK4 of the
+    velocity, and the t = 0 positions stay as create evaluated them."""
     motion = motion_builtin("dilation")
-    fields = {"a": ScalarField("x1*x2 + t"), "b": ScalarField("1 + x3*x3")}
     state = FlowState.create(sphere, resolution=(16, 32))
-    for name, f in fields.items():
-        state.track_source(name, f)
     end = advance_flow(state, motion, 0.02, steps=3)
-    n = len(sphere.charts)
-    for name, f in fields.items():
-        def rhs(y, t, f=f):
-            rates = [f.value(xm, t) * evolving_surface._geometry_from_positions(
-                xm, h, chart.periodic, chart.orientation).sqrtJ
-                for xm, h, chart in zip(y[:n], state.hs, sphere.charts)]
-            return [motion.velocity.value(xm, t) for xm in y[:n]] + rates
-
-        y, t = state.x + [np.zeros_like(s) for s in state.sqrtJ0], 0.0
-        for _ in range(3):
-            y, t = evolving_surface._rk4(y, t, 0.02, rhs), t + 0.02
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(end.sources[name][1], y[n:]))
-        assert all(np.array_equal(a, b) for a, b in zip(end.x, y[:n]))
+    y, t = state.x, 0.0
+    for _ in range(3):
+        y = evolving_surface._rk4(
+            y, t, 0.02, lambda xs, t: [motion.velocity.value(xm, t) for xm in xs])
+        t += 0.02
+    assert all(np.array_equal(a, b) for a, b in zip(end.x, y))
+    fresh = FlowState.create(sphere, resolution=(16, 32))
+    assert all(np.array_equal(a, b) for a, b in zip(end.x0, fresh.x))
 
 
 def test_jacobian_collapse_on_backward_probe(sphere):

@@ -25,13 +25,6 @@ def test_scalar_field_values_and_derivatives(rng):
     assert np.allclose(f.dt(x, t=0.3), 0.6)
 
 
-def test_hessian_symmetry(rng):
-    f = ScalarField("x1^2*x2 + cos(x2*x3)")
-    x = sample_points(rng)
-    h = f.hess(x)
-    assert np.allclose(h, np.swapaxes(h, 0, 1))
-
-
 def test_as_scalar_field_dispatch():
     assert isinstance(as_scalar_field(2.5), ScalarField)
     assert isinstance(as_scalar_field("x1 + 1"), ScalarField)
