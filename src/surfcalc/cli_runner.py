@@ -361,13 +361,12 @@ def suite_simulate_barotropic(scn, rng):
 
 
 def suite_check_variations(scn, rng):
+    T, nt = scn.variation_window()
     atlas = scn.build_surface()
     motion = scn.build_motion()
     rule = _rule_for(scn, atlas)
     law = scn.build_pressure_law()
     flux = scn.build_flux_law() or flux_law_builtin("quadratic")
-    T = scn.get_float("T", 0.4)
-    nt = scn.get_int("nt", 20)
     eps = scn.eps_ladder()
 
     zdir = scn.get_vector_field("variation.z", as_vector_field(

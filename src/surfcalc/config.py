@@ -215,6 +215,17 @@ class Scenario:
             raise ConfigError(f"{self.where('T')}: T must be > 0")
         return dt, T
 
+    def variation_window(self):
+        """``(T, nt)``: the action variation's window and its even count of
+        Simpson intervals."""
+        T = self.get_float("T", 0.4)
+        nt = self.get_int("nt", 20)
+        if not 0.0 < T < math.inf:
+            raise ConfigError(f"{self.where('T')}: T must be finite and > 0")
+        if nt < 2 or nt % 2:
+            raise ConfigError(f"{self.where('nt')}: nt must be even and >= 2")
+        return T, nt
+
     def _positive_int(self, key):
         n = self.get_int(key)
         if n is not None and n < 1:

@@ -2,9 +2,10 @@
 
 Expressions are built over named variables (ambient coordinates ``x1, x2, x3``
 and time ``t``, or chart coordinates ``X1, X2``) from ``+ - * / ^``, integer
-and fractional powers, and the functions ``sin``, ``cos``, ``exp``.  They can
-be parsed from strings (the scenario-config field grammar) or assembled
-programmatically.
+and fractional powers, and the functions ``sin``, ``cos``, ``exp``, ``sqrt``.
+They can be parsed from strings (the scenario-config field grammar, a subset
+of Python's: :mod:`ast` parses it and :func:`parse_expr` maps the nodes) or
+assembled programmatically.
 
 Evaluation accepts floats, numpy arrays, or :class:`~surfcalc.autodiff.Dual`
 numbers, so derivatives propagate automatically through compositions.  Exact
@@ -18,7 +19,10 @@ computes each distinct function call once.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
+import warnings
 import weakref
 
 from . import autodiff as ad
@@ -326,170 +330,88 @@ def _pow(base, expo):
     return Pow(base, expo)
 
 
+_REBUILD = {Add: _add, Sub: _sub, Mul: _mul, Div: _div, Pow: _pow, Call: Call}
+
+
 def substitute(expr, name, replacement):
     """Replace every occurrence of variable ``name`` with ``replacement``."""
-    if isinstance(expr, Num):
-        return expr
     if isinstance(expr, Var):
         return replacement if expr.name == name else expr
-    if isinstance(expr, Add):
-        return _add(substitute(expr.a, name, replacement),
-                    substitute(expr.b, name, replacement))
-    if isinstance(expr, Sub):
-        return _sub(substitute(expr.a, name, replacement),
-                    substitute(expr.b, name, replacement))
-    if isinstance(expr, Mul):
-        return _mul(substitute(expr.a, name, replacement),
-                    substitute(expr.b, name, replacement))
-    if isinstance(expr, Div):
-        return _div(substitute(expr.a, name, replacement),
-                    substitute(expr.b, name, replacement))
-    if isinstance(expr, Pow):
-        return _pow(substitute(expr.base, name, replacement), expr.expo)
-    if isinstance(expr, Call):
-        return Call(expr.fn, substitute(expr.arg, name, replacement))
-    raise TypeError(f"cannot substitute into {type(expr).__name__}")
+    if isinstance(expr, Num):
+        return expr
+    rebuild = _REBUILD.get(type(expr))
+    if rebuild is None:
+        raise TypeError(f"cannot substitute into {type(expr).__name__}")
+    fields = (getattr(expr, f) for f in expr._fields)
+    return rebuild(*(substitute(f, name, replacement) if isinstance(f, Expr)
+                     else f for f in fields))
 
 
-# -- tokenizer / recursive-descent parser ------------------------------------
+# -- reading a field expression: Python's ast parses, nodes map onto Expr ----
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
-
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE" and (
-                j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-")
-            ):
-                j += 2
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif text.startswith("**", i):
-            tokens.append(("op", "^"))
-            i += 2
-        elif c in "+-*/^()":
-            tokens.append(("op", c))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r} in expression")
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value):
-        kind, text = self.next()
-        if kind != "op" or text != value:
-            raise ParseError(f"expected {value!r}, got {text!r}")
-
-    def parse(self):
-        e = self.expr()
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing input at {self.peek()[1]!r}")
-        return e
-
-    def expr(self):
-        e = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            e = _add(e, rhs) if op == "+" else _sub(e, rhs)
-        return e
-
-    def term(self):
-        e = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            e = _mul(e, rhs) if op == "*" else _div(e, rhs)
-        return e
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return _mul(Num(-1.0), self.unary())
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            # exponent must be a constant (possibly signed) number
-            sign = 1.0
-            while self.peek() in (("op", "-"), ("op", "+")):
-                if self.next()[1] == "-":
-                    sign = -sign
-            kind, text = self.next()
-            if kind == "num":
-                expo = sign * float(text)
-            elif kind == "name" and text in _CONSTANTS:
-                expo = sign * _CONSTANTS[text]
-            else:
-                raise ParseError("exponent must be a numeric constant")
-            return _pow(base, expo)
-        return base
-
-    def atom(self):
-        kind, text = self.next()
-        if kind == "num":
-            try:
-                return Num(float(text))
-            except ValueError:
-                raise ParseError(f"malformed number {text!r}") from None
-        if kind == "op" and text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                self.next()
-                arg = self.expr()
-                self.expect(")")
-                return Call(text, arg)
-            if text in _CONSTANTS:
-                return Num(_CONSTANTS[text])
-            if self.variables is not None and text not in self.variables:
-                raise ParseError(f"unknown variable {text!r}")
-            return Var(text)
-        raise ParseError(f"unexpected token {text!r}")
+_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div}
+_SIGN = {ast.UAdd: 1.0, ast.USub: -1.0}
+# anything outside the grammar's characters (a comment, a comma, a quote)
+# is rejected before Python reads the text
+_BAD_CHAR = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]")
+# Python rejects the leading zeros of "007"; the field grammar reads 7
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=[0-9])")
+_DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def parse_expr(text, variables=("x1", "x2", "x3", "t")):
     """Parse ``text`` into an :class:`Expr` over the given variable names.
 
-    Pass ``variables=None`` to accept any identifier.
+    Pass ``variables=None`` to accept any name that is not a Python keyword.
     """
-    return _Parser(_tokenize(text), variables).parse()
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r} in expression")
+    source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "1if" warns, it must not print
+        try:
+            body = ast.parse(source, mode="eval").body
+        except (SyntaxError, ValueError, Warning) as exc:
+            raise ParseError(f"malformed expression {text!r}: "
+                             f"{getattr(exc, 'msg', exc)}") from None
+
+    def read(node):
+        kind = type(node)
+        if kind is ast.BinOp and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](read(node.left), read(node.right))
+        if kind is ast.BinOp and type(node.op) is ast.Pow:
+            return _pow(read(node.left), exponent(node.right))
+        if kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return _mul(Num(-1.0), read(node.operand))
+        if kind is ast.UnaryOp and type(node.op) is ast.UAdd:
+            return read(node.operand)
+        if kind is ast.Constant:
+            number = source[node.col_offset:node.end_col_offset]
+            if _DECIMAL.fullmatch(number):
+                return Num(float(number))
+        if kind is ast.Name:
+            if node.id in _CONSTANTS:
+                return Num(_CONSTANTS[node.id])
+            if variables is not None and node.id not in variables:
+                raise ParseError(f"unknown variable {node.id!r}")
+            return Var(node.id)
+        # "f(a)" only: not "f()", "(f)(a)" or "f(*a)"
+        if (kind is ast.Call and type(node.func) is ast.Name
+                and node.func.col_offset == node.col_offset
+                and len(node.args) == 1 and not node.keywords):
+            return Call(node.func.id, read(node.args[0]))
+        raise ParseError(f"unsupported expression "
+                         f"{source[node.col_offset:node.end_col_offset]!r}")
+
+    def exponent(node):
+        """A signed number, ``pi`` or ``e``."""
+        if type(node) is ast.UnaryOp and type(node.op) in _SIGN:
+            return _SIGN[type(node.op)] * exponent(node.operand)
+        if type(node) is ast.Constant or (type(node) is ast.Name
+                                          and node.id in _CONSTANTS):
+            return read(node).value
+        raise ParseError("exponent must be a numeric constant")
+
+    return read(body)

@@ -191,3 +191,21 @@ def test_nan_residuals_fail(runner, tmp_path):
     for name in ("mass", "momentum", "energy"):
         row = rows[f"conservative_equivalence_{name}"]
         assert math.isnan(row["value"]) and not row["pass"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("T = 0", "T must be finite and > 0"),
+    ("T = -0.4", "T must be finite and > 0"),
+    ("nt = 3", "nt must be even and >= 2"),
+    ("nt = 0", "nt must be even and >= 2"),
+])
+def test_variation_window_is_checked(runner, tmp_path, line, message):
+    """A window with no length, or an odd Simpson count, is an error naming
+    the line; T = 0 would pass on a vacuous ladder, and nt = 3 fail inside
+    the quadrature without a line."""
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("name = w\nsuite = check-variations\nsurface.kind = torus\n"
+                   f"motion.kind = dilation\n{line}\n")
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0, out.output
+    assert f"{cfg}:5: {message}" in out.output

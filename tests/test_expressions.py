@@ -1,10 +1,12 @@
 import math
+import operator
+import warnings
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from surfcalc import autodiff as ad
@@ -40,9 +42,31 @@ def test_functions():
 
 
 def test_parse_errors():
-    for bad in ("x1 +", "sin()", "bogus(x1)", "x9", "1..2", "(x1", "x1 x2"):
+    for bad in ("x1 +", "sin()", "bogus(x1)", "x9", "1..2", "(x1", "x1 x2",
+                "t^2e-", "x1 # c", "0x1F", "1_000", "True", "'a'", "x1 % 2",
+                "sin(x1, x2)", "x1 if t else x2", "(sin)(x1)", "x1^x2",
+                "x1^2^3", "x1 // 2", "1if t else x2"):
         with pytest.raises(ParseError):
             parse_expr(bad, VARS)
+
+
+def test_parse_errors_print_no_warning():
+    """Python warns about "1if" while it tokenizes; the reader turns that
+    into a ParseError and nothing is printed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError):
+            parse_expr("1if t else x2", VARS)
+    assert caught == []
+
+
+def test_number_and_exponent_forms():
+    assert parse_expr("x1^(2)", VARS) is parse_expr("x1^2", VARS)
+    assert parse_expr("x1^(-2)", VARS) is parse_expr("x1^-2", VARS)
+    assert parse_expr("x1**-+-pi", VARS) is parse_expr("x1^pi", VARS)
+    assert parse_expr("007 * x1", VARS) is parse_expr("7.0*x1", VARS)
+    assert parse_expr("1.e1 + .5E-1 * x1\n\t- 2", VARS) is \
+        (Num(10.0) + Num(0.05) * Var("x1")) - 2.0
 
 
 def test_diff_matches_finite_difference():
@@ -69,6 +93,18 @@ def test_substitute():
     assert ev(s, x2=2.0, t=0.5) == pytest.approx(9.5)
     # substitution leaves other variables alone
     assert ev(substitute(e, "x3", Num(7.0)), x1=2.0, t=0.0) == pytest.approx(4.0)
+
+
+def test_substitute_resimplifies_and_rejects_unknown_nodes():
+    x1, x2 = Var("x1"), Var("x2")
+    assert substitute(x1 * x2, "x2", Num(0.0)) is Num(0.0)
+    assert substitute(Call("sin", x2) ** 3, "x2", x1) is Call("sin", x1) ** 3
+
+    class Opaque(Expr):
+        _fields = ("a",)
+
+    with pytest.raises(TypeError, match="Opaque"):
+        substitute(Opaque(x1) + x2, "x1", x2)
 
 
 def test_simplifying_constructors():
@@ -184,3 +220,46 @@ def test_repr_parses_back(e, point):
     env = dict(zip(("x1", "x2", "t"), point))
     again = parse_expr(repr(e), ("x1", "x2", "t"))
     assert again.evaluate(env) == e.evaluate(env)
+
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+_LITERALS = st.floats(0.0, 1e3).map(lambda v: (repr(v), Num(v)))
+_CONSTS = st.sampled_from([("pi", Num(math.pi)), ("e", Num(math.e))])
+
+
+@st.composite
+def _source_and_tree(draw, depth=4):
+    """A fully parenthesised source string and the tree it must read as,
+    the tree built through the Expr operators, ``**`` and ``Call``."""
+    kind = draw(st.sampled_from("v" if depth == 0 else "vb^-f"))
+    try:
+        if kind == "v":
+            return draw(st.sampled_from([(v, Var(v)) for v in VARS])
+                        | _LITERALS | _CONSTS)
+        text, tree = draw(_source_and_tree(depth - 1))
+        if kind == "b":
+            op = draw(st.sampled_from(sorted(_BINOPS)))
+            rtext, rtree = draw(_source_and_tree(depth - 1))
+            return f"({text} {op} {rtext})", _BINOPS[op](tree, rtree)
+        if kind == "^":
+            sign = draw(st.sampled_from(["", "-"]))
+            etext, expo = draw(_LITERALS | _CONSTS)
+            caret = draw(st.sampled_from(["^", "**"]))
+            value = -expo.value if sign else expo.value
+            return f"({text} {caret} {sign}{etext})", tree ** value
+        if kind == "-":
+            return f"(-{text})", -tree
+        fn = draw(st.sampled_from(["sin", "cos", "exp", "sqrt"]))
+        return f"{fn}({text})", Call(fn, tree)
+    except (ArithmeticError, TypeError):
+        # constant folding left the reals (1/0, a negative base to a
+        # fractional power): the parser raises the same, nothing to compare
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_source_and_tree())
+def test_parse_matches_operator_built_tree(pair):
+    text, tree = pair
+    assert parse_expr(text, VARS) is tree
