@@ -26,14 +26,14 @@ from .evolving_surface import (FlowState, advance_flow, dilation_density,
                                integrate_grid, integrate_grid_vector,
                                jacobian_rate_check, moving_atlas,
                                transport_scalar, transport_theorem_check,
-                               transported_density, worst_of)
+                               worst_of)
 from .fields import (ScalarField, as_scalar_field, as_vector_field,
                      random_scalar_field, random_vector_field)
 from .fluid_models import (CoefficientFields, FluidFields, residual_conservative,
                            residual_full, thermo_quantities)
 from .pde_solvers import (GridField, SurfaceGridSolver, flux_law_builtin,
                           step_barotropic_tangential, step_diffusion,
-                          step_heat, write_csv)
+                          step_heat)
 from .surface_ops import (div_matrix_dual, identity_residuals, stress_dual)
 from .variational_checks import (VariationField, check_action_variation,
                                  check_dissipation_work_variation,
@@ -170,13 +170,12 @@ def suite_verify_identities(scn, rng):
 def suite_transport(scn, rng):
     atlas = scn.build_surface()
     motion = scn.build_motion()
-    dt, T = scn.time_window()
-    steps = max(1, round(T / dt))
+    dt, steps = scn.time_window()
     res = scn.resolution()
     rho0 = scn.get_scalar_field("fields.rho0", as_scalar_field(1.0))
 
-    state = FlowState.create(atlas, resolution=res, rho0=rho0)
-    mass0 = integrate_grid(state, values=transported_density(state))
+    state = FlowState.create(atlas, resolution=res)
+    mass0 = integrate_grid(state, values=transport_scalar(state, rho0))
     series = [(0.0, mass0)]
     checkpoints = max(1, steps // 10)
     cur = state
@@ -185,7 +184,7 @@ def suite_transport(scn, rng):
         n = min(checkpoints, steps - done)
         cur = advance_flow(cur, motion, dt, steps=n)
         done += n
-        series.append((cur.t, integrate_grid(cur, values=transported_density(cur))))
+        series.append((cur.t, integrate_grid(cur, values=transport_scalar(cur, rho0))))
     drift = worst_of(*(abs(m - mass0) for _, m in series)) / max(1.0, abs(mass0))
 
     jac = jacobian_rate_check(cur, motion)
@@ -275,13 +274,12 @@ def suite_residuals(scn, rng):
 def suite_simulate_heat(scn, rng):
     atlas = scn.build_surface()
     res = scn.resolution("resolution", (32, 64))
-    dt, T = scn.time_window()
+    dt, steps = scn.time_window()
     flux = scn.build_flux_law() or flux_law_builtin("linear")
     coeffs = CoefficientFields(F=("0", "0", "0"), Q_theta=0.0)
     solver = SurfaceGridSolver(atlas, res)
     xs = solver.positions(0.0)
     field = GridField([x[2].copy() for x in xs], 0.0)
-    steps = max(1, round(T / dt))
     series = []
     for k in range(steps):
         field = step_heat(solver, field, coeffs, flux, dt)
@@ -299,7 +297,7 @@ def suite_simulate_heat(scn, rng):
 def suite_simulate_diffusion(scn, rng):
     atlas = scn.build_surface()
     res = scn.resolution("resolution", (32, 64))
-    dt, T = scn.time_window()
+    dt, steps = scn.time_window()
     flux = scn.build_flux_law() or flux_law_builtin("linear")
     coeffs = CoefficientFields(Q_C=scn.get_scalar_field(
         "coeffs.Q_C", as_scalar_field(1.0)))
@@ -307,7 +305,6 @@ def suite_simulate_diffusion(scn, rng):
     xs = solver.positions(0.0)
     field = GridField([1.0 + 0.5 * x[2] for x in xs], 0.0)
     mass0 = solver.integrate(field.values, 0.0)
-    steps = max(1, round(T / dt))
     series = [(0.0, mass0, 0.0)]
     for k in range(steps):
         field = step_diffusion(solver, field, coeffs, flux, dt)
@@ -331,7 +328,7 @@ def suite_simulate_diffusion(scn, rng):
 def suite_simulate_barotropic(scn, rng):
     atlas = scn.build_surface()
     res = scn.resolution("resolution", (32, 64))
-    dt, T = scn.time_window()
+    dt, steps = scn.time_window()
     law = scn.build_pressure_law()
     if law is None:
         raise ConfigError(f"{scn.source}: simulate-barotropic needs pressure.kind")
@@ -347,7 +344,6 @@ def suite_simulate_barotropic(scn, rng):
         vals.append(np.concatenate([rho0.value(x, 0.0)[None], vt]))
     field = GridField(vals, 0.0)
     mass0 = solver.integrate([v[0] for v in field.values], 0.0)
-    steps = max(1, round(T / dt))
     series = [(0.0, mass0)]
     for k in range(steps):
         field = step_barotropic_tangential(solver, field, law, dt)
@@ -457,15 +453,14 @@ def suite_conservation_report(scn, rng):
     closed-surface vanishing of the integrated stress divergence."""
     atlas = scn.build_surface()
     motion = scn.build_motion()
-    dt, T = scn.time_window()
+    dt, steps = scn.time_window()
     res = scn.resolution()
-    steps = max(1, round(T / dt))
     rho0 = scn.get_scalar_field("fields.rho0", ScalarField("2 + 0.3*x3"))
     C0 = scn.get_scalar_field("fields.C0", ScalarField("1 + 0.2*x1"))
     e0 = scn.get_float("fields.e0", 0.7)
     vel = motion.velocity
 
-    state = FlowState.create(atlas, resolution=res, rho0=rho0)
+    state = FlowState.create(atlas, resolution=res)
     rows_ts = []
     cur = state
     ncheck = min(10, steps)
@@ -473,7 +468,7 @@ def suite_conservation_report(scn, rng):
         if k > 0:
             n = steps // ncheck + (1 if k <= steps % ncheck else 0)
             cur = advance_flow(cur, motion, dt, steps=n)
-        rho = transported_density(cur)
+        rho = transport_scalar(cur, rho0)
         conc = transport_scalar(cur, C0)
         vv = [vel.value(x, cur.t) for x in cur.x]
         mass = integrate_grid(cur, values=rho)
@@ -584,9 +579,10 @@ def run(scenario_file, suite_override, out_dir):
         ok = all(r["pass"] for r in rows)
         all_pass = all_pass and ok
         summary["suites"][s] = {"pass": ok, "checks": rows}
-        _write_check_csv(os.path.join(out_dir, f"{s}.csv"), rows)
+        cols = ("check", "value", "tolerance", "pass")
+        csvs[s] = (cols, [[r[c] for c in cols] for r in rows])
         for name, (header, data) in csvs.items():
-            write_csv(os.path.join(out_dir, f"{name}.csv"), header, data)
+            _write_csv(os.path.join(out_dir, f"{name}.csv"), header, data)
         status = "PASS" if ok else "FAIL"
         click.echo(f"[{status}] {s}: {len(rows)} checks")
         for r in rows:
@@ -608,15 +604,16 @@ def run(scenario_file, suite_override, out_dir):
     raise SystemExit(0 if all_pass else 1)
 
 
-def _write_check_csv(path, rows):
+def _write_csv(path, header, rows):
+    """A CSV of ``rows`` under ``header``: str and bool cells as they are,
+    any other cell as the repr of its float (full precision)."""
     import csv
 
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(("check", "value", "tolerance", "pass"))
-        for r in rows:
-            wr.writerow((r["check"], repr(r["value"]),
-                         repr(r["tolerance"]), r["pass"]))
+        wr.writerow(header)
+        wr.writerows([c if isinstance(c, (str, bool)) else repr(float(c))
+                      for c in row] for row in rows)
 
 
 @main.command("list-builtins")

@@ -207,13 +207,13 @@ class Scenario:
         return (order or 32, periodic or 2 * (order or 32))
 
     def time_window(self):
+        """``(dt, steps)``: the time step and the step count that spans T."""
         dt = self.get_float("dt", 1e-3)
         T = self.get_float("T", 0.5)
-        if dt <= 0:
-            raise ConfigError(f"{self.where('dt')}: dt must be > 0")
-        if T <= 0:
-            raise ConfigError(f"{self.where('T')}: T must be > 0")
-        return dt, T
+        for key, value in (("dt", dt), ("T", T)):
+            if not 0.0 < value < math.inf:  # a NaN fails too
+                raise ConfigError(f"{self.where(key)}: {key} must be finite and > 0")
+        return dt, max(1, round(T / dt))
 
     def variation_window(self):
         """``(T, nt)``: the action variation's window and its even count of

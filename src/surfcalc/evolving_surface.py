@@ -30,7 +30,6 @@ __all__ = [
     "fd_derivative",
     "jacobian_rate_check",
     "transport_scalar",
-    "transported_density",
     "transport_theorem_check",
     "worst_of",
     "integrate_grid",
@@ -214,8 +213,9 @@ class FlowState:
     """Material-point grids for an atlas, advanced in time by RK4.
 
     ``geo`` holds the grid metric of the current positions, computed
-    wherever the positions are set.  ``x0`` holds the positions at t = 0
-    and is never written after :meth:`create`.
+    wherever the positions are set.  ``x0`` and ``sqrtJ0`` (at t = 0) are
+    never written after :meth:`create`; :func:`transport_scalar` carries an
+    initial density or concentration along the flow from them.
     """
 
     atlas: ChartAtlas
@@ -226,13 +226,11 @@ class FlowState:
     w: list                # per chart: (n1, n2) chart-coordinate weights
     psi: list              # per chart: (n1, n2) partition-of-unity values
     sqrtJ0: list           # per chart: (n1, n2) initial area element
-    rho0_tilde: list       # per chart: (n1, n2) reference density weights
     geo: list              # per chart: MetricState of the positions x
 
     @classmethod
-    def create(cls, atlas, resolution=(48, 96), rho0=1.0):
+    def create(cls, atlas, resolution=(48, 96)):
         """Flow state at t = 0 on uniform grids of ``resolution`` per chart."""
-        rho0 = as_scalar_field(rho0)
         x, hs, w, psi = [], [], [], []
         for m, chart in enumerate(atlas.charts):
             Xm, hsm, wm, _ = _chart_grid(chart, resolution)
@@ -241,10 +239,8 @@ class FlowState:
             w.append(wm)
             psi.append(atlas.pou(m, Xm[0], Xm[1]))
         geo = _grid_metrics(atlas, hs, x)
-        sJ0 = [gm.sqrtJ for gm in geo]
-        r0t = [rho0.value(xm, 0.0) * s for xm, s in zip(x, sJ0)]
         return cls(atlas=atlas, t=0.0, x0=x, x=x, hs=hs, w=w, psi=psi,
-                   sqrtJ0=sJ0, rho0_tilde=r0t, geo=geo)
+                   sqrtJ0=[gm.sqrtJ for gm in geo], geo=geo)
 
     def copy(self):
         out = copy.copy(self)
@@ -304,12 +300,6 @@ def transport_scalar(state, f0):
     f0 = as_scalar_field(f0)
     return [f0.value(x0, 0.0) * s0 / geo.sqrtJ
             for x0, s0, geo in zip(state.x0, state.sqrtJ0, state.geo)]
-
-
-def transported_density(state):
-    """Exact density: reference weights divided by the current area element."""
-    return [state.rho0_tilde[m] / state.geo[m].sqrtJ
-            for m in range(len(state.x))]
 
 
 def integrate_grid(state, values):

@@ -414,4 +414,7 @@ def parse_expr(text, variables=("x1", "x2", "x3", "t")):
             return read(node).value
         raise ParseError("exponent must be a numeric constant")
 
-    return read(body)
+    try:
+        return read(body)
+    except (ArithmeticError, TypeError) as exc:  # folding "1/0", "(-8)^0.5"
+        raise ParseError(f"bad constant in {text!r}: {exc}") from None

@@ -34,7 +34,6 @@ __all__ = [
     "step_heat",
     "step_diffusion",
     "step_barotropic_tangential",
-    "write_csv",
 ]
 
 _PAD = 4
@@ -271,18 +270,13 @@ class SurfaceGridSolver:
 
     # -- spatial operators -----------------------------------------------------------
 
-    def _d(self, m, arr, axis, k=0):
-        """Derivative along chart ``axis`` on the rows k in from each padded
-        edge: one-sided at k = 0, the central stencil alone at k >= 2."""
+    def _d(self, m, arr, axis, k):
+        """Derivative along chart ``axis`` on the rows k >= 2 in from each
+        padded edge: the central stencil alone (a periodic axis wraps)."""
         ax, h, pad = arr.ndim - 2 + axis, self.haxes[m][axis], self.pads[m][axis]
-        if pad and k:  # only axis 0 is ever padded
+        if pad:  # only axis 0 is ever padded
             return _central_d1(arr[..., k - 2:2 - k or None, :], ax, h)
-        return fd_derivative(self.interior(m, arr, k), ax, h, not pad)
-
-    def grad_chart(self, m, padded):
-        """Chart-coordinate derivatives (2, ...) of a padded array on all of
-        its rows, as ``step_heat``'s guard reads them."""
-        return np.stack([self._d(m, padded, 0), self._d(m, padded, 1)])
+        return fd_derivative(self.interior(m, arr, k), ax, h, True)
 
     def flux_divergence(self, values, t, flux, coef=1.0):
         """Interior values of div_G(coef * e_J'(|grad f|^2) grad f) per chart.
@@ -356,22 +350,25 @@ def step_heat(solver, field, coeffs, flux, dt, rho0=1.0):
 
     ``field`` holds the product (specific heat * temperature) at the nodes;
     the density is the exact transported one.  The right-hand side is
-    ``(div_G q + rho Q_theta + F1) / rho`` at fixed reference coordinates.
+    ``(div_G q + rho Q_theta + F1) / rho`` at fixed reference coordinates,
+    with q the flux of theta = field / C_theta.  The stability guard bounds
+    e_J' over [0, max |grad theta|^2], read on the rows the flux reads.
     """
     c = coeffs
+    xs = solver.positions(field.t)
+    cth = [c.C_theta.value(xs[m], field.t) for m in range(len(xs))]
     zmax = 0.0
     if not isinstance(flux.d_expr, Num):  # a constant e_J' needs no z
-        pads = solver.fill_ghosts(field.values)
+        pads = solver.fill_ghosts([v / cm for v, cm in zip(field.values, cth)])
         for m, st in enumerate(solver.metric(field.t)):
-            df = solver.grad_chart(m, pads[m])
-            z = np.einsum("ab...,a...,b...->...", st.inv_gram, df, df)
+            df = np.stack([solver._d(m, pads[m], a, 2) for a in range(2)])
+            z = np.einsum("ab...,a...,b...->...",
+                          solver.interior(m, st.inv_gram, 2), df, df)
             zmax = max(zmax, float(np.max(z)))
     mass0 = _reference_mass(solver, rho0)
     rho_now = _transported_rho(solver, mass0, field.t)
     coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
-    xs = solver.positions(field.t)
-    cth_min = min(float(np.min(np.abs(c.C_theta.value(xs[m], field.t))))
-                  for m in range(len(rho_now)))
+    cth_min = min(float(np.min(np.abs(cm))) for cm in cth)
     rho_min = min(float(np.min(r)) for r in rho_now)
     solver.check_parabolic_dt(dt, coef / max(rho_min * cth_min, 1e-30), field.t)
 
@@ -473,14 +470,3 @@ def step_barotropic_tangential(solver, field, law, dt):
     project(stepped.values)
     project(solver.blend(stepped.values))
     return stepped
-
-
-def write_csv(path, header, rows):
-    """Write a simple CSV time series with full float precision."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([repr(float(v)) for v in row])

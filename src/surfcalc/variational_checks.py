@@ -10,9 +10,10 @@ must agree to quadrature precision.
 
 Flow-map variations are exact: the perturbed chart map is the expression-level
 composition ``x + eps * z(x, t)``, so the varied surface is the image of the
-displaced parametrization with no projection step.  An action ladder forms
-each rung as ``p + eps * C``, with the displaced chart's values, from one
-evaluation of ``p``, ``C = z o p`` and their partials per time node and chart.
+displaced parametrization with no projection step.  Every ladder forms its
+rungs from values evaluated once: an action rung is ``p + eps * C`` (``p``,
+``C = z o p`` and their partials per time node and chart), a flux or
+dissipation rung ``df + eps * dphi`` (partials, or dual Jacobians, per block).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, blockwise,
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
-from .surface_ops import (dissipation_density, div_matrix_dual,
+from .surface_ops import (_jac_dual, dissipation_density, div_matrix_dual,
                           grad_scalar_dual, stress_dual, strain_dual)
 
 __all__ = [
@@ -340,41 +341,31 @@ def check_action_variation(atlas, motion, variation, rho0=1.0, T=0.4,
 # -- dissipation/work variation --------------------------------------------------
 
 
-def _shifted_field(base, direction, eps):
-    return ScalarField(base.expr + Num(float(eps)) * direction.expr)
-
-
-def _shifted_velocity(v, phi, eps):
-    return VectorField([_shifted_field(a, b, eps)
-                        for a, b in zip(v.comp, phi.comp)])
-
-
-def _dissipation_work_terms(v, sigma, mu, lam, rho, F, frame, st, wgt, t):
-    """Dissipation + work energy terms on ``frame`` (snapshot ``st``, surface
-    weights ``wgt``), per node."""
-    Dproj, divv = strain_dual(v, frame)
-    ed = frame.values(dissipation_density(
-        Dproj, divv, frame.eval_scalar(mu), frame.eval_scalar(lam)))
-    divv = frame.values(divv)
-    vval = v.value(st.x, t)
-    work = (divv * sigma.value(st.x, t)
-            + rho.value(st.x, t)
-            * np.einsum("i...,i...->...", F.value(st.x, t), vval))
+def _dissipation_work_terms(jac, vval, mu_d, lam_d, sig, rho, F, frame, wgt):
+    """Dissipation + work energy terms on ``frame`` (surface weights ``wgt``),
+    per node, of the velocity with dual Jacobian ``jac`` and values ``vval``;
+    ``mu_d``, ``lam_d`` are dual coefficients, ``sig``, ``rho``, ``F`` values."""
+    Dproj, divv = strain_dual(None, frame, jac)
+    ed = frame.values(dissipation_density(Dproj, divv, mu_d, lam_d))
+    work = (frame.values(divv) * sig
+            + rho * np.einsum("i...,i...->...", F, vval))
     return wgt * (-0.5 * ed + work)
 
 
 def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
     """E = -int (1/2)(2 mu |D_G(v)|^2 + lam |div_G v|^2) + int (div_G v) sigma
     + int rho F . v over the surface at time ``t``."""
-    args = (as_vector_field(v), as_scalar_field(sigma), as_scalar_field(mu),
-            as_scalar_field(lam), as_scalar_field(rho), as_vector_field(F))
+    v, F = as_vector_field(v), as_vector_field(F)
+    sigma, mu, lam, rho = (as_scalar_field(a) for a in (sigma, mu, lam, rho))
     total = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
         def block(X, w, psi):
             frame = chart.frame(X[0], X[1], t)
             st = frame.metric()
-            return _dissipation_work_terms(*args, frame, st,
-                                           w * psi * st.sqrtJ, t)
+            return _dissipation_work_terms(
+                _jac_dual(v, frame), v.value(st.x, t), frame.eval_scalar(mu),
+                frame.eval_scalar(lam), sigma.value(st.x, t),
+                rho.value(st.x, t), F.value(st.x, t), frame, w * psi * st.sqrtJ)
         total += float(np.sum(blockwise(block, X, w, psi)))
     return total
 
@@ -386,7 +377,8 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
     The functional is quadratic in epsilon, so the central difference is
     exact up to quadrature; the analytic side is the surface force
     int { div_G(2 mu D_G(v) + lam (div_G v) P - sigma P) + rho F } . phi.
-    Both rungs and the analytic side are evaluated on one frame per block.
+    Both rungs and the analytic side are evaluated on one frame per block:
+    the rung v + e phi has Jacobian jv + e jphi and values vval + e phival.
     """
     if rule is None:
         rule = default_rule(atlas)
@@ -395,7 +387,6 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
     F_f = as_vector_field(F)
     direction = phi.direction if isinstance(phi, VariationField) else as_vector_field(phi)
     tangential = isinstance(phi, VariationField) and phi.tangential
-    shifted = [_shifted_velocity(v, direction, e) for e in (eps, -eps)]
 
     sums = [0.0, 0.0, 0.0]  # the +eps and -eps energies, the analytic side
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
@@ -403,14 +394,18 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
             frame = chart.frame(X[0], X[1], t)
             st = frame.metric()
             wgt = w * psi * st.sqrtJ
-            out = [_dissipation_work_terms(vk, sigma, mu, lam, rho_f, F_f,
-                                           frame, st, wgt, t) for vk in shifted]
-            S = stress_dual(v, sigma, mu, lam, frame)[0]
-            force = (div_matrix_dual(S, frame)
-                     + rho_f.value(st.x, t) * F_f.value(st.x, t))
+            jv, jphi = _jac_dual(v, frame), _jac_dual(direction, frame)
+            vval, phival = v.value(st.x, t), direction.value(st.x, t)
+            S, _, _, mu_d, lam_d, _ = stress_dual(v, sigma, mu, lam, frame, jv)
+            sig, rho, Fv = (a.value(st.x, t) for a in (sigma, rho_f, F_f))
+            out = [_dissipation_work_terms(
+                [[a + e * b for a, b in zip(ra, rb)] for ra, rb in zip(jv, jphi)],
+                vval + e * phival, mu_d, lam_d, sig, rho, Fv, frame, wgt)
+                for e in (eps, -eps)]
+            force = div_matrix_dual(S, frame) + rho * Fv
             if tangential:
                 force = np.einsum("ij...,j...->i...", st.P, force)
-            kernel = np.einsum("i...,i...->...", force, direction.value(st.x, t))
+            kernel = np.einsum("i...,i...->...", force, phival)
             return np.stack(out + [wgt * kernel])
         sums = [a + float(np.sum(b))
                 for a, b in zip(sums, blockwise(block, X, w, psi))]
@@ -427,11 +422,15 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
 # -- gradient-flux (generalized diffusion) variation ------------------------------
 
 
-def _flux_energy_terms(f, flux, st, w, psi, t):
+def _partials(f, x, t):
+    """The ambient partials of ``f`` at points ``x``: a list of 3 arrays."""
+    return [f.d(v).value(x, t) for v in _AMB]
+
+
+def _flux_energy_terms(df, flux, st, w, psi):
     """Flux-energy terms w psi sqrtJ e_J(|grad_G f|^2) on the snapshot ``st``,
-    per node.  The gradient P grad f is summed in :func:`grad_scalar_dual`'s
-    order, values only."""
-    df = [f.d(v).value(st.x, t) for v in _AMB]
+    per node, from the ambient partials ``df`` of f.  The gradient P grad f
+    is summed in :func:`grad_scalar_dual`'s order, values only."""
     zeta = sum(c * c for c in (sum(st.P[i][j] * df[j] for j in range(3))
                                for i in range(3)))
     return w * psi * st.sqrtJ * flux.density(zeta)
@@ -455,8 +454,12 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     as in :func:`action_integral`.
     """
     f = as_scalar_field(f)
+
+    def chart_sums(chart, X, w, psi):
+        st = metric_at(chart, X, t)
+        return _sums(_flux_energy_terms(_partials(f, st.x, t), flux, st, w, psi))
     total, magnitude = _flux_energy(
-        _sums(_flux_energy_terms(f, flux, metric_at(chart, X, t), w, psi, t))
+        chart_sums(chart, X, w, psi)
         for chart, (X, w, psi) in zip(atlas.charts, rule.nodes))
     return (total, magnitude) if abs_sum else total
 
@@ -493,9 +496,9 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
     phi = as_scalar_field(phi)
     linear = isinstance(flux.d_expr, Num)
 
-    # every rung's shifted energy is evaluated on the analytic side's frame
+    # every rung f + e phi is evaluated on the analytic side's frame, with
+    # the partials df + e dphi of f and phi evaluated once per block
     rungs = [s * float(e) for e in eps_list for s in (1.0, -1.0)]
-    shifted = {e: _shifted_field(f, phi, e) for e in rungs}
     terms = {e: [] for e in rungs}
 
     analytic = 0.0
@@ -514,9 +517,11 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
             zeta_d = sum(c * c for c in gf)
             q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
             divq = frame.div(q)
+            df, dphi = _partials(f, st.x, t), _partials(phi, st.x, t)
             return (grad_vals, w * psi * st.sqrtJ * divq * phi.value(st.x, t),
-                    np.stack([_flux_energy_terms(fe, flux, st, w, psi, t)
-                              for fe in shifted.values()]))
+                    np.stack([_flux_energy_terms(
+                        [a + e * b for a, b in zip(df, dphi)], flux, st, w, psi)
+                        for e in rungs]))
         grad_vals, an, rung_terms = blockwise(block, X, w, psi)
         analytic += float(np.sum(an))
         kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))

@@ -20,8 +20,8 @@ from surfcalc.chart_geometry import (QuadratureRule, default_rule, integrate,
 from surfcalc.cli_runner import main as cli_main
 from surfcalc.evolving_surface import (FlowState, MotionLaw, advance_flow,
                                        integrate_grid, jacobian_rate_check,
-                                       motion_builtin, transport_theorem_check,
-                                       transported_density)
+                                       motion_builtin, transport_scalar,
+                                       transport_theorem_check)
 from surfcalc.fields import (ScalarField, VectorField, random_scalar_field,
                              random_vector_field)
 from surfcalc.fluid_models import (CoefficientFields, FluidFields,
@@ -117,14 +117,14 @@ def test_criterion_03_integration_by_parts(sphere, sphere_rule, torus,
 
 def test_criterion_04_transport(sphere):
     motion = motion_builtin("dilation")
-    state = FlowState.create(sphere, resolution=(48, 96),
-                             rho0=ScalarField("1 + 0.3*x3"))
-    mass0 = integrate_grid(state, values=transported_density(state))
+    rho0 = ScalarField("1 + 0.3*x3")
+    state = FlowState.create(sphere, resolution=(48, 96))
+    mass0 = integrate_grid(state, values=transport_scalar(state, rho0))
     cur = state
     drift = 0.0
     for _ in range(20):
         cur = advance_flow(cur, motion, 0.05, steps=1)
-        mass = integrate_grid(cur, values=transported_density(cur))
+        mass = integrate_grid(cur, values=transport_scalar(cur, rho0))
         drift = max(drift, abs(mass - mass0) / abs(mass0))
     jac = jacobian_rate_check(cur, motion)
     thm = transport_theorem_check(cur, motion, ScalarField("1 + 0.3*x3"))

@@ -2,10 +2,11 @@ import importlib.resources as resources
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from surfcalc.cli_runner import _row, _slope_row, main
+from surfcalc.cli_runner import _row, _slope_row, _write_csv, main
 from surfcalc.variational_checks import _ladder_report
 
 
@@ -209,3 +210,39 @@ def test_variation_window_is_checked(runner, tmp_path, line, message):
     out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
     assert out.exit_code != 0, out.output
     assert f"{cfg}:5: {message}" in out.output
+
+
+def test_write_csv(tmp_path):
+    """Strings and booleans are written as they are, every other cell as
+    the repr of its float (full precision)."""
+    path = tmp_path / "series.csv"
+    _write_csv(path, ("t", "value", "pass"),
+               [(0.0, 1.0, True), (np.float64(0.5), 1.0 / 3.0, False)])
+    lines = path.read_text().strip().splitlines()
+    assert lines == ["t,value,pass", "0.0,1.0,True",
+                     f"0.5,{1.0 / 3.0!r},False"]
+
+
+@pytest.mark.parametrize("line", ["T = inf", "T = nan", "T = 0",
+                                  "dt = inf", "dt = nan", "dt = -1e-3"])
+def test_time_window_is_checked(runner, tmp_path, line):
+    """The step count round(T / dt) needs a finite, positive T and dt; any
+    other value is an error naming the line, not an OverflowError."""
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("name = w\nsuite = transport\nsurface.kind = sphere\n"
+                   f"motion.kind = dilation\n{line}\n")
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0, out.output
+    key = line.split()[0]
+    assert f"{cfg}:5: {key} must be finite and > 0" in out.output
+
+
+def test_unfoldable_constant_names_the_line(runner, tmp_path):
+    """A constant that cannot be folded (a division by zero) is a parse
+    error of its key, reported with the file's line."""
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("name = z\nsuite = residuals\nsurface.kind = sphere\n"
+                   "fields.rho = 1/0\n")
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0
+    assert f"{cfg}:4: bad expression for fields.rho" in out.output

@@ -50,7 +50,7 @@ def test_scenario_accessors(tmp_path, rng):
     assert scn.suites() == ["transport", "verify-geometry"]
     assert scn.get_float("surface.R") == 1.5
     assert scn.resolution() == (32, 64)
-    assert scn.time_window() == (0.01, 0.2)
+    assert scn.time_window() == (0.01, 20)
     assert scn.seed() == 3
     assert scn.tolerance("mass", 1e-6) == 1e-9
     assert scn.tolerance("other", 1e-6) == 1e-6

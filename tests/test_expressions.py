@@ -45,7 +45,8 @@ def test_parse_errors():
     for bad in ("x1 +", "sin()", "bogus(x1)", "x9", "1..2", "(x1", "x1 x2",
                 "t^2e-", "x1 # c", "0x1F", "1_000", "True", "'a'", "x1 % 2",
                 "sin(x1, x2)", "x1 if t else x2", "(sin)(x1)", "x1^x2",
-                "x1^2^3", "x1 // 2", "1if t else x2"):
+                "x1^2^3", "x1 // 2", "1if t else x2",
+                "1/0", "0^-1", "10^400", "(-8)^0.5"):
         with pytest.raises(ParseError):
             parse_expr(bad, VARS)
 

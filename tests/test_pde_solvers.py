@@ -13,7 +13,7 @@ from surfcalc.pde_solvers import (FluxLaw, GridField, StabilityViolation,
                                   SurfaceGridSolver, _interp_matrix,
                                   flux_law_builtin,
                                   step_barotropic_tangential, step_diffusion,
-                                  step_heat, write_csv)
+                                  step_heat)
 
 
 @pytest.fixture(scope="module")
@@ -162,21 +162,47 @@ def test_stability_guard(solver):
 
 @pytest.mark.parametrize("law", ["linear", "quadratic"])
 def test_step_heat_guard_raises(solver, law):
-    # the bound of step_heat's own guard: e_J' over [0, max |grad f|^2]
+    # the bound of step_heat's own guard: e_J' over [0, max |grad f|^2],
+    # read on padded rows [2:-2], where the stage's flux divergence reads
     coeffs = CoefficientFields(F=("0", "0", "0"), Q_theta=0.0)
     flux = flux_law_builtin(law)
     field = GridField([x[2].copy() for x in solver.positions(0.0)], 0.0)
     zmax = 0.0
     for m, (st, pad) in enumerate(zip(solver.metric(0.0),
                                       solver.fill_ghosts(field.values))):
-        df = solver.grad_chart(m, pad)
-        zmax = max(zmax, float(np.max(np.einsum("ab...,a...,b...->...",
-                                                st.inv_gram, df, df))))
+        df = np.stack([solver._d(m, pad, a, 2) for a in range(2)])
+        zmax = max(zmax, float(np.max(np.einsum(
+            "ab...,a...,b...->...", solver.interior(m, st.inv_gram, 2),
+            df, df))))
     coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, zmax, 8)))))
     bound = solver.check_parabolic_dt(0.0, coef)
     with pytest.raises(StabilityViolation):
         step_heat(solver, field, coeffs, flux, 10.0 * bound)
     step_heat(solver, field, coeffs, flux, 0.5 * bound)
+
+
+def test_step_heat_guard_scales_with_specific_heat(solver, monkeypatch):
+    """The field holds C_theta * theta and the flux acts on theta, whose
+    diffusivity is e_J' / (rho C_theta): with theta fixed, the largest dt
+    the guard admits (the bound it checks dt against) grows in proportion
+    to C_theta."""
+    bounds = []
+    check = solver.check_parabolic_dt
+
+    def recording(dt, max_coef, t=0.0):
+        bounds.append(check(0.0, max_coef, t))
+        raise StabilityViolation("bound recorded")
+
+    monkeypatch.setattr(solver, "check_parabolic_dt", recording)
+    flux = flux_law_builtin("quadratic")
+    xs = solver.positions(0.0)
+    for c in (0.5, 1.0, 2.0):
+        coeffs = CoefficientFields(C_theta=c, F=("0", "0", "0"), Q_theta=0.0)
+        field = GridField([c * x[2] for x in xs], 0.0)
+        with pytest.raises(StabilityViolation, match="bound recorded"):
+            step_heat(solver, field, coeffs, flux, 1.0)
+    assert bounds[1] == pytest.approx(2.0 * bounds[0], rel=1e-12)
+    assert bounds[2] == pytest.approx(2.0 * bounds[1], rel=1e-12)
 
 
 def test_static_metric_built_once(solver):
@@ -343,11 +369,3 @@ def test_barotropic_stage_equals_full_padded_route(small_solvers, kind,
     ref = step_barotropic_tangential(solver, field, law, 2e-4)
     for a, b in zip(got.values, ref.values):
         assert np.array_equal(a, b)
-
-
-def test_write_csv(tmp_path):
-    path = tmp_path / "series.csv"
-    write_csv(path, ("t", "value"), [(0.0, 1.0), (0.5, 1.0 / 3.0)])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,value"
-    assert float(lines[2].split(",")[1]) == 1.0 / 3.0

@@ -6,6 +6,7 @@ import pytest
 from surfcalc import chart_geometry, variational_checks
 from surfcalc.chart_geometry import Chart, QuadratureRule
 from surfcalc.evolving_surface import motion_builtin, moving_atlas, worst_of
+from surfcalc.expressions import Num
 from surfcalc.fields import ScalarField, VectorField, as_scalar_field, \
     as_vector_field, random_scalar_field, random_vector_field
 from surfcalc.fluid_models import pressure_law_builtin
@@ -26,8 +27,7 @@ from surfcalc.variational_checks import (DegenerateGradient, VariationField,
 from surfcalc.variational_checks import (_flux_energy, _flux_energy_terms,
                                          _kernel_gradient_residual,
                                          _jet, _jet_data, _ladder_report,
-                                         _shifted_field, _shifted_velocity,
-                                         _sums)
+                                         _partials, _sums)
 
 
 def test_time_window_variation_vanishes_at_endpoints(sphere, sphere_rule_fast):
@@ -195,6 +195,16 @@ def _count_frames(monkeypatch):
     return calls
 
 
+def _shifted(base, direction, eps):
+    """The rung base + eps * direction built as an expression (a field, or
+    a vector field component by component), so each rung's partials come
+    from differentiating it (test oracle)."""
+    if isinstance(base, VectorField):
+        return VectorField([_shifted(a, b, eps)
+                            for a, b in zip(base.comp, direction.comp)])
+    return ScalarField(base.expr + Num(float(eps)) * direction.expr)
+
+
 def _flux_ladder_by_rung(f, flux, phi, atlas, rule, eps_list):
     """check_flux_variation as one frame per chart per rung: the analytic
     side on its own frames, each rung through gradient_flux_energy."""
@@ -212,7 +222,7 @@ def _flux_ladder_by_rung(f, flux, phi, atlas, rule, eps_list):
         kernel_res = worst_of(kernel_res, _kernel_gradient_residual(
             flux, frame.values(gf)))
     report = _ladder_report(
-        lambda e: gradient_flux_energy(_shifted_field(f, phi, e), flux, atlas,
+        lambda e: gradient_flux_energy(_shifted(f, phi, e), flux, atlas,
                                        rule, abs_sum=True),
         eps_list, analytic)
     report["kernel_gradient_residual"] = kernel_res
@@ -246,7 +256,7 @@ def test_dissipation_ladder_on_one_frame_is_bit_identical(sphere,
     sigma, rho, F = "x3*x1 + 1", "2 + 0.5*x3", ("0.1", "-0.2*x3", "0.3*x2")
     phi = as_vector_field(("0.4*x3 + x1*x2", "cos(x2)", "0.2 - x1"))
     rule, eps = sphere_rule_fast, 1e-3
-    energies = [dissipation_work_energy(_shifted_velocity(v, phi, e), sigma,
+    energies = [dissipation_work_energy(_shifted(v, phi, e), sigma,
                                         1.0, 0.5, rho, F, sphere, rule)
                 for e in (eps, -eps)]
     analytic = 0.0
@@ -459,8 +469,9 @@ def test_flux_rungs_read_the_plain_snapshot(surface, motion, request):
         for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
             frame = chart.frame(X[0], X[1], t)
             oracle.append(_flux_terms_dual(f, flux, frame, w, psi))
-            snapshot.append(_flux_energy_terms(f, flux, frame.metric(), w,
-                                               psi, t))
+            st = frame.metric()
+            snapshot.append(_flux_energy_terms(_partials(f, st.x, t), flux,
+                                               st, w, psi))
         assert all(np.array_equal(a, b) for a, b in zip(snapshot, oracle))
         assert (gradient_flux_energy(f, flux, atlas, rule, t, abs_sum=True)
                 == _flux_energy(map(_sums, oracle)))
@@ -487,3 +498,25 @@ def test_frames_built_per_check(torus, sphere, monkeypatch):
         frames.clear()
         gradient_flux_energy("x1 + 2*x3", flux, atlas, rule)
         assert frames == []
+
+
+def test_flux_ladder_builds_no_field_per_rung(torus, monkeypatch):
+    """A flux rung is df + e*dphi of partials evaluated once per block: the
+    fields built (f, phi and their three partials each) do not grow with
+    the ladder."""
+    built = []
+    original = ScalarField.__init__
+
+    def counting(self, expr):
+        built.append(expr)
+        original(self, expr)
+
+    monkeypatch.setattr(ScalarField, "__init__", counting)
+    rule = QuadratureRule(torus, order=24, periodic_order=48)
+    counts = []
+    for eps in ((1e-2, 3e-3), (1e-2, 3e-3, 1e-3, 3e-4)):
+        built.clear()
+        check_flux_variation("x1 + 2*x3", flux_law_builtin("quadratic"),
+                             "0.5*x1 + x2*x3", torus, rule=rule, eps_list=eps)
+        counts.append(len(built))
+    assert counts == [8, 8]
