@@ -27,10 +27,13 @@ __all__ = [
     "Chart",
     "ChartAtlas",
     "ChartFrame",
+    "ChartGrid",
     "MetricState",
     "QuadratureRule",
     "default_rule",
     "blockwise",
+    "fd_derivative",
+    "grid_integral",
     "metric_at",
     "mean_curvature_at",
     "integrate",
@@ -211,6 +214,72 @@ def _metric_state(x, g, orientation):
     gram, J, sqrtJ, inv_gram, n = map(np.asarray, _geometry(g, orientation))
     return MetricState(x=x, g=g, gram=gram, inv_gram=inv_gram, J=J,
                        sqrtJ=sqrtJ, n=n, P=np.array(_projector(n)))
+
+
+# -- padded uniform chart grids ------------------------------------------------
+
+_PAD = 4  # ghost rows per bounded side: the reach of two nested 5-point stencils
+
+
+def _crop(a, pads, ks):
+    """Rows of ``a`` ks[d] in from each edge of every padded axis d."""
+    (p1, p2), (k1, k2) = pads, ks
+    return a[..., slice(k1, -k1 or None) if p1 else slice(None),
+             slice(k2, -k2 or None) if p2 else slice(None)]
+
+
+def fd_derivative(a, axis, h, pads, k=_PAD):
+    """4th-order first derivative along chart ``axis`` (spacing h) of nodal
+    data (..., n1, n2) padded by ``pads`` rows per side, on the rows k >= 2
+    in from each padded edge: the central stencil alone, reading the ghost
+    rows of a padded axis and wrapping an unpadded (periodic) one."""
+    w = _crop(a, pads, (k - 2, k) if axis == 0 else (k, k - 2))
+
+    def rows(s):
+        return w[(..., s) + (slice(None),) * (1 - axis)]
+
+    if not pads[axis]:  # w[i + 2] = a[i mod n]
+        w = np.concatenate([rows(np.s_[-2:]), w, rows(np.s_[:2])], axis - 2)
+    return (8.0 * (rows(np.s_[3:-1]) - rows(np.s_[1:-3]))
+            - (rows(np.s_[4:]) - rows(np.s_[:-4]))) / (12.0 * h)
+
+
+class ChartGrid:
+    """Uniform nodes of chart ``m``, ``shape`` interior ones, with ``_PAD``
+    ghost rows on each side of a bounded direction (none on a periodic one).
+
+    ``X`` holds the padded node coordinates, ``axes`` the 1-D interior ones;
+    ``w`` (trapezoid weights) and ``psi`` live on the interior nodes.
+    """
+
+    def __init__(self, atlas, m, shape):
+        chart = atlas.charts[m]
+        per, dom = chart.periodic, chart.domain
+        self.pads = tuple(0 if q else _PAD for q in per)
+        self.hs = tuple((hi - lo) / (n if q else n - 1)
+                        for (lo, hi), q, n in zip(dom, per, shape))
+        self.axes = tuple(lo + h * np.arange(n)
+                          for (lo, _), h, n in zip(dom, self.hs, shape))
+        self.X = np.stack(np.meshgrid(*(
+            np.concatenate([xs[0] + h * np.arange(-p, 0), xs,
+                            xs[-1] + h * np.arange(1, p + 1)])
+            for xs, h, p in zip(self.axes, self.hs, self.pads)), indexing="ij"))
+        self.w = np.outer(*(h * np.r_[0.5, np.ones(n - 2), 0.5] if p
+                            else np.full(n, h)
+                            for h, p, n in zip(self.hs, self.pads, shape)))
+        Xi = self.interior(self.X)
+        self.psi = atlas.pou(m, Xi[0], Xi[1])
+
+    def interior(self, a, k=_PAD):
+        """Rows of padded ``a`` k in from each padded edge (default: interior)."""
+        return _crop(a, self.pads, (k, k))
+
+
+def grid_integral(grids, values, sqrtJ):
+    """Sum of w psi values sqrtJ over the interior nodes of chart ``grids``
+    (one array each per chart): the surface integral of ``values``."""
+    return sum(float(np.sum(g.w * g.psi * v * s))
+               for g, v, s in zip(grids, values, sqrtJ))
 
 
 class ChartFrame:

@@ -207,13 +207,18 @@ class Scenario:
         return (order or 32, periodic or 2 * (order or 32))
 
     def time_window(self):
-        """``(dt, steps)``: the time step and the step count that spans T."""
+        """``(dt, steps)``: the time step and the step count that spans T,
+        which must be whole to rounding (a run ends at ``steps * dt``)."""
         dt = self.get_float("dt", 1e-3)
         T = self.get_float("T", 0.5)
         for key, value in (("dt", dt), ("T", T)):
             if not 0.0 < value < math.inf:  # a NaN fails too
                 raise ConfigError(f"{self.where(key)}: {key} must be finite and > 0")
-        return dt, max(1, round(T / dt))
+        steps = T / dt
+        if steps < math.inf and math.isclose(steps, round(steps), rel_tol=1e-9):
+            return dt, round(steps)
+        raise ConfigError(f"{self.where('dt' if 'dt' in self.entries else 'T')}: "
+                          f"T = {T:g} is not a whole number of steps dt = {dt:g}")
 
     def variation_window(self):
         """``(T, nt)``: the action variation's window and its even count of

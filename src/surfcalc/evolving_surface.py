@@ -1,21 +1,23 @@
 """Flow-map evolution, Jacobian dynamics, and exact scalar transport.
 
-Material points are carried on fixed reference grids (one uniform grid per
-chart) by classical RK4 on ``dx/dt = v(x, t)``.  The area Jacobian is
-recomputed from the advanced grid by 4th-order finite differences in the
-chart coordinates, so it stays consistent with the grid quadrature.  The
-continuity equation is then solved exactly through the conserved-variable
-representation ``f = f0 * sqrtJ0 / sqrtJ``.
+Material points are carried on fixed reference grids (one padded
+:class:`~surfcalc.chart_geometry.ChartGrid` per chart, the grid the solvers
+use) by classical RK4 on ``dx/dt = v(x, t)``.  The area Jacobian is
+recomputed from the advanced grid by 4th-order central differences in the
+chart coordinates: the ghost rows of a bounded direction are advected too,
+so no edge needs a one-sided stencil.  It stays consistent with the grid
+quadrature.  The continuity equation is then solved exactly through the
+conserved-variable representation ``f = f0 * sqrtJ0 / sqrtJ``.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chart_geometry import Chart, ChartAtlas, SingularMetric, _metric_state
+from .chart_geometry import (Chart, ChartAtlas, ChartGrid, SingularMetric,
+                             _metric_state, fd_derivative, grid_integral)
 from .expressions import parse_expr, substitute
 from .fields import ScalarField, as_scalar_field, as_vector_field
 
@@ -27,7 +29,6 @@ __all__ = [
     "moving_atlas",
     "FlowState",
     "advance_flow",
-    "fd_derivative",
     "jacobian_rate_check",
     "transport_scalar",
     "transport_theorem_check",
@@ -140,67 +141,11 @@ def moving_atlas(atlas, motion):
     return ChartAtlas(charts, name=atlas.name + "+" + motion.name)
 
 
-# -- finite differences on uniform chart grids --------------------------------
-
-# 4th-order first derivative: central interior, one-sided at bounded edges
-# (for unpadded flow grids: a solver stage's ghost rows keep it central).
-_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-
-
-def _ix(axis, s):
-    """Index ``s`` along ``axis``."""
-    return (slice(None),) * axis + (s,)
-
-
-def _central_d1(a, axis, h):
-    """4th-order central first derivative along ``axis`` (spacing h) on the
-    rows two in from either end: n - 4 rows of n."""
-    return (8.0 * (a[_ix(axis, np.s_[3:-1])] - a[_ix(axis, np.s_[1:-3])])
-            - (a[_ix(axis, np.s_[4:])] - a[_ix(axis, np.s_[:-4])])) / (12.0 * h)
-
-
-def fd_derivative(arr, axis, h, periodic):
-    """4th-order first derivative of nodal data along ``axis`` (spacing h)."""
-    a = np.asarray(arr, dtype=float)
-    if periodic:  # w[i + 2] = a[i mod n]
-        w = np.concatenate([a[_ix(axis, np.s_[-2:])], a, a[_ix(axis, np.s_[:2])]], axis)
-        return _central_d1(w, axis, h)
-    out = np.empty_like(a)
-    out[_ix(axis, np.s_[2:-2])] = _central_d1(a, axis, h)
-    lo, hi = a[_ix(axis, np.s_[:5])], a[_ix(axis, np.s_[:-6:-1])]
-    for k, edge in enumerate((_EDGE0, _EDGE1)):
-        out[_ix(axis, k)] = np.tensordot(edge, lo, axes=(0, axis)) / h
-        out[_ix(axis, -1 - k)] = -np.tensordot(edge, hi, axes=(0, axis)) / h
-    return out
-
-
-def _chart_grid(chart, shape):
-    """Uniform reference grid, spacings, trapezoid weights, and the 1-D node
-    axes of a chart."""
-    axes, hs, ws = [], [], []
-    for (lo, hi), per, n in zip(chart.domain, chart.periodic, shape):
-        if per:
-            h = (hi - lo) / n
-            xs = lo + h * np.arange(n)
-            w = np.full(n, h)
-        else:
-            h = (hi - lo) / (n - 1)
-            xs = lo + h * np.arange(n)
-            w = np.full(n, h)
-            w[0] = w[-1] = 0.5 * h
-        axes.append(xs)
-        hs.append(h)
-        ws.append(w)
-    X1, X2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.stack([X1, X2]), tuple(hs), np.outer(ws[0], ws[1]), tuple(axes)
-
-
-def _geometry_from_positions(x, hs, periodic, orientation):
-    """MetricState of nodal positions with FD tangents in the chart."""
-    g = np.stack([fd_derivative(x, 1 + a, hs[a], periodic[a]) for a in range(2)])
+def _geometry_from_positions(xp, grid, orientation):
+    """MetricState at the interior nodes of padded positions ``xp`` on ``grid``."""
+    g = np.stack([fd_derivative(xp, a, grid.hs[a], grid.pads) for a in range(2)])
     try:
-        return _metric_state(x, g, orientation)
+        return _metric_state(grid.interior(xp), g, orientation)
     except SingularMetric:
         raise JacobianCollapse("grid Jacobian non-positive") from None
 
@@ -210,48 +155,47 @@ def _geometry_from_positions(x, hs, periodic, orientation):
 
 @dataclass
 class FlowState:
-    """Material-point grids for an atlas, advanced in time by RK4.
+    """Material points on each chart's padded :class:`ChartGrid`, advanced
+    in time by RK4.
 
-    ``geo`` holds the grid metric of the current positions, computed
-    wherever the positions are set.  ``x0`` and ``sqrtJ0`` (at t = 0) are
-    never written after :meth:`create`; :func:`transport_scalar` carries an
-    initial density or concentration along the flow from them.
+    ``geo`` holds the grid metric of the current interior positions,
+    computed wherever the positions are set.  ``x0`` and ``sqrtJ0`` (at
+    t = 0) are never written after :meth:`create`; :func:`transport_scalar`
+    carries an initial density or concentration along the flow from them.
     """
 
     atlas: ChartAtlas
     t: float
-    x0: list               # per chart: (3, n1, n2) positions at t = 0
-    x: list                # per chart: (3, n1, n2) material positions
-    hs: list               # per chart: (h1, h2)
-    w: list                # per chart: (n1, n2) chart-coordinate weights
-    psi: list              # per chart: (n1, n2) partition-of-unity values
+    grids: list            # per chart: ChartGrid
+    xpad: list             # per chart: (3, n1p, n2p) padded material positions
+    x0: list               # per chart: (3, n1, n2) interior positions at t = 0
     sqrtJ0: list           # per chart: (n1, n2) initial area element
     geo: list              # per chart: MetricState of the positions x
+
+    @property
+    def x(self):
+        """Per chart: (3, n1, n2) interior material positions (views)."""
+        return [g.interior(xp) for g, xp in zip(self.grids, self.xpad)]
 
     @classmethod
     def create(cls, atlas, resolution=(48, 96)):
         """Flow state at t = 0 on uniform grids of ``resolution`` per chart."""
-        x, hs, w, psi = [], [], [], []
-        for m, chart in enumerate(atlas.charts):
-            Xm, hsm, wm, _ = _chart_grid(chart, resolution)
-            x.append(chart.position(Xm[0], Xm[1], 0.0))
-            hs.append(hsm)
-            w.append(wm)
-            psi.append(atlas.pou(m, Xm[0], Xm[1]))
-        geo = _grid_metrics(atlas, hs, x)
-        return cls(atlas=atlas, t=0.0, x0=x, x=x, hs=hs, w=w, psi=psi,
+        grids = [ChartGrid(atlas, m, resolution) for m in range(len(atlas.charts))]
+        xpad = [chart.position(g.X[0], g.X[1], 0.0)
+                for chart, g in zip(atlas.charts, grids)]
+        geo = _grid_metrics(atlas, grids, xpad)
+        return cls(atlas=atlas, t=0.0, grids=grids, xpad=xpad,
+                   x0=[g.interior(xp) for g, xp in zip(grids, xpad)],
                    sqrtJ0=[gm.sqrtJ for gm in geo], geo=geo)
 
     def copy(self):
-        out = copy.copy(self)
-        out.x = [xm.copy() for xm in self.x]
-        return out
+        return replace(self, xpad=[xp.copy() for xp in self.xpad])
 
 
-def _grid_metrics(atlas, hs, xs):
-    """Grid metric of each chart's nodal positions ``xs`` (spacings ``hs``)."""
-    return [_geometry_from_positions(xm, h, chart.periodic, chart.orientation)
-            for xm, h, chart in zip(xs, hs, atlas.charts)]
+def _grid_metrics(atlas, grids, xpad):
+    """Grid metric of each chart's padded nodal positions ``xpad``."""
+    return [_geometry_from_positions(xp, g, chart.orientation)
+            for xp, g, chart in zip(xpad, grids, atlas.charts)]
 
 
 def _rk4(y, t, dt, rhs):
@@ -271,9 +215,9 @@ def _flow_step(state, vel, dt):
     """Advance ``state`` in place by one RK4 step of ``dt`` (either sign):
     the material points, then their grid geometry.  Raises
     :class:`JacobianCollapse` when the advanced grid degenerates."""
-    state.x = _rk4(state.x, state.t, dt,
-                   lambda xs, t: [vel.value(xm, t) for xm in xs])
-    state.geo = _grid_metrics(state.atlas, state.hs, state.x)
+    state.xpad = _rk4(state.xpad, state.t, dt,
+                      lambda xs, t: [vel.value(xm, t) for xm in xs])
+    state.geo = _grid_metrics(state.atlas, state.grids, state.xpad)
     state.t = state.t + dt
     return state
 
@@ -305,17 +249,11 @@ def transport_scalar(state, f0):
 def integrate_grid(state, values):
     """Surface integral over the grid of nodal arrays ``values`` (one per
     chart): trapezoid weights, pou, area element."""
-    total = 0.0
-    for m in range(len(state.x)):
-        geo = state.geo[m]
-        total += float(np.sum(state.w[m] * state.psi[m] * values[m] * geo.sqrtJ))
-    return total
+    return grid_integral(state.grids, values, [geo.sqrtJ for geo in state.geo])
 
 
 def integrate_grid_vector(state, values):
-    return np.array([
-        integrate_grid(state, values=[v[i] for v in values]) for i in range(3)
-    ])
+    return np.array([integrate_grid(state, [v[i] for v in values]) for i in range(3)])
 
 
 # -- checks --------------------------------------------------------------------
@@ -331,12 +269,11 @@ def worst_of(*values):
     return float(np.max(values))
 
 
-def _div_tangent_grid(state, m, geo, vec_nodal):
-    """Chart-form surface divergence of nodal ambient vectors on chart m."""
-    chart = state.atlas.charts[m]
-    dv = np.stack([fd_derivative(vec_nodal, 1 + a, state.hs[m][a],
-                                 chart.periodic[a]) for a in range(2)])
-    # g^{ab} g_a . dvec/dX_b
+def _div_tangent_grid(state, m, vec_pad):
+    """Chart-form surface divergence g^{ab} g_a . dvec/dX_b, at the interior
+    nodes of chart m, of ambient vectors at its padded nodes."""
+    grid, geo = state.grids[m], state.geo[m]
+    dv = np.stack([fd_derivative(vec_pad, a, grid.hs[a], grid.pads) for a in range(2)])
     return np.einsum("ab...,ai...,bi...->...", geo.inv_gram, geo.g, dv)
 
 
@@ -350,11 +287,10 @@ def jacobian_rate_check(state, motion, dt_probe=1e-3):
     fwd = advance_flow(state, motion, dt_probe)
     bwd = _flow_step(state.copy(), motion.velocity, -dt_probe)
     worst = 0.0
-    for m in range(len(state.x)):
-        geo = state.geo[m]
+    for m, geo in enumerate(state.geo):
         dsJ = (fwd.geo[m].sqrtJ - bwd.geo[m].sqrtJ) / (2.0 * dt_probe)
-        vval = motion.velocity.value(state.x[m], state.t)
-        div_v = _div_tangent_grid(state, m, geo, vval)
+        vpad = motion.velocity.value(state.xpad[m], state.t)
+        div_v = _div_tangent_grid(state, m, vpad)
         worst = worst_of(worst, float(np.max(np.abs(dsJ - div_v * geo.sqrtJ))))
     return worst
 
@@ -371,12 +307,12 @@ def transport_theorem_check(state, motion, f, dt_probe=1e-3):
     lhs = (integral(fwd) - integral(bwd)) / (2.0 * dt_probe)
 
     integrands = []
-    for m in range(len(state.x)):
-        geo = state.geo[m]
-        xm, t = state.x[m], state.t
-        vval = motion.velocity.value(xm, t)
+    t = state.t
+    for m, xm in enumerate(state.x):
+        vpad = motion.velocity.value(state.xpad[m], t)
+        vval = state.grids[m].interior(vpad)
         Dt_f = f.dt(xm, t) + np.einsum("i...,i...->...", vval, f.grad(xm, t))
-        div_v = _div_tangent_grid(state, m, geo, vval)
+        div_v = _div_tangent_grid(state, m, vpad)
         integrands.append(Dt_f + f.value(xm, t) * div_v)
     rhs = integrate_grid(state, integrands)
     scale = max(1.0, abs(lhs), abs(rhs))

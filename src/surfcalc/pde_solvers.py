@@ -4,10 +4,11 @@ system on a static surface.
 
 Spatial discretization is the divergence-form chart Laplacian
 ``(1/sqrtJ) d_a ( sqrtJ g^{ab} e_J'(|grad|^2) d_b f )`` built from nested
-4th-order first-derivative stencils.  Bounded chart directions carry four
-ghost rows filled by bicubic interpolation from the partner chart (sphere
+4th-order first-derivative stencils on each chart's padded ``ChartGrid``,
+the grid the flow map uses: a bounded direction carries four ghost rows per
+side, filled by bicubic interpolation from the partner chart (sphere
 atlas).  Four rows are the reach of two nested 5-point stencils, so a stage
-runs no one-sided stencil: it takes central ones on the rows it keeps.  After
+takes central stencils alone, on the rows it keeps.  After
 every step, overlap nodes are blended with partition-of-unity weights so the
 charts stay consistent.  Time integration is classical RK4.
 
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolving_surface import _central_d1, _chart_grid, _rk4, fd_derivative
+from .chart_geometry import _PAD, ChartGrid, fd_derivative, grid_integral
+from .evolving_surface import _rk4
 from .expressions import Num, parse_expr
 from .fields import as_scalar_field, as_vector_field
 
@@ -36,7 +38,6 @@ __all__ = [
     "step_barotropic_tangential",
 ]
 
-_PAD = 4
 _RK4_REAL_LIMIT = 2.78
 _D1_GAIN_SQ = 1.89  # max |symbol|^2 of the 4th-order first-derivative stencil
 
@@ -153,29 +154,9 @@ class SurfaceGridSolver:
         self.atlas = atlas
         self.resolution = tuple(resolution)
         self.charts = atlas.charts
-        self.axes = []       # per chart: (xs1, xs2) interior node coordinates
-        self.haxes = []      # per chart: (h1, h2)
-        self.pads = []       # per chart: (p1, p2)
-        self.Xpad = []       # per chart: (2, n1p, n2p) padded coordinates
-        self.weights = []    # per chart: (n1, n2) quadrature weights
-        self.psi = []        # per chart: (n1, n2) partition of unity
-        for m, chart in enumerate(self.charts):
-            _, hs, w, axs = _chart_grid(chart, self.resolution)
-            if not all(chart.periodic) and len(self.charts) < 2:
-                raise ValueError("bounded chart directions need a partner chart")
-            pads = tuple(0 if per else _PAD for per in chart.periodic)
-            self.axes.append(axs)
-            self.haxes.append(hs)
-            self.pads.append(pads)
-            pax = [np.concatenate([axs[d][0] + hs[d] * np.arange(-pads[d], 0),
-                                   axs[d],
-                                   axs[d][-1] + hs[d] * np.arange(1, pads[d] + 1)])
-                   for d in range(2)]
-            X1, X2 = np.meshgrid(pax[0], pax[1], indexing="ij")
-            self.Xpad.append(np.stack([X1, X2]))
-            self.weights.append(w)
-            Xi = self.interior(m, self.Xpad[m])
-            self.psi.append(atlas.pou(m, Xi[0], Xi[1]))
+        if len(self.charts) < 2 and not all(self.charts[0].periodic):
+            raise ValueError("bounded chart directions need a partner chart")
+        self.grids = [ChartGrid(atlas, m, resolution) for m in range(len(self.charts))]
         self._build_couplers()
         self._static = all(c.time_independent for c in self.charts)
         self._metric_cache = {}
@@ -183,33 +164,30 @@ class SurfaceGridSolver:
     # -- cross-chart coupling ----------------------------------------------------
 
     def _build_couplers(self):
-        """Ghost-fill and overlap-blend sparse operators (reference coords)."""
-        self.ghost_ops = []   # per chart: None or (partner, csr, ghost rows)
-        self.blend_ops = []   # per chart: None or (partner, csr, node index)
+        """Ghost-fill and overlap-blend sparse operators (reference coords),
+        per chart: ``(partner, csr, ghost rows)`` and ``(partner, csr, node
+        index)``, or None on a one-chart atlas."""
+        self.ghost_ops = [None] * len(self.charts)
+        self.blend_ops = [None] * len(self.charts)
         if len(self.charts) < 2:
-            self.ghost_ops = [None] * len(self.charts)
-            self.blend_ops = [None] * len(self.charts)
             return
-        for m in range(len(self.charts)):
-            partner = 1 - m
-            p1, p2 = self.pads[m]
+        for m, g in enumerate(self.grids):
+            p1, p2 = g.pads
             if p2 != 0:
                 raise ValueError("padding in a periodic direction is unsupported")
-            Xp = self.Xpad[m]
-            n1, n2 = self.resolution
-            ghost_rows = list(range(p1)) + list(range(p1 + n1, 2 * p1 + n1))
-            self.ghost_ops.append((partner, self._partner_op(
-                m, Xp[0][ghost_rows], Xp[1][ghost_rows]), ghost_rows))
+            rows = np.r_[:p1, -p1:0]  # the ghost rows of axis 0
+            self.ghost_ops[m] = (1 - m, self._partner_op(
+                m, g.X[0][rows], g.X[1][rows]), rows)
             # blend rows: interior nodes where our pou weight is below 1
-            need = np.nonzero(self.psi[m] < 1.0 - 1e-13)
-            self.blend_ops.append((partner, self._partner_op(
-                m, self.axes[m][0][need[0]], self.axes[m][1][need[1]]), need))
+            need = np.nonzero(g.psi < 1.0 - 1e-13)
+            self.blend_ops[m] = (1 - m, self._partner_op(
+                m, g.axes[0][need[0]], g.axes[1][need[1]]), need)
 
     def _partner_op(self, m, X1, X2):
         """Interpolation from the partner chart's grid to chart m's points."""
         other = self.charts[1 - m]
         Y1, Y2 = other.invert(self.charts[m].position(X1, X2, 0.0))
-        return _interp_matrix(self.axes[1 - m], other.periodic,
+        return _interp_matrix(self.grids[1 - m].axes, other.periodic,
                               self.resolution, np.stack([Y1, Y2], axis=-1))
 
     def fill_ghosts(self, values):
@@ -219,7 +197,7 @@ class SurfaceGridSolver:
         out = []
         for m in range(len(self.charts)):
             lead = values[m].shape[:-2]
-            pad = np.empty(lead + self.Xpad[m].shape[1:])
+            pad = np.empty(lead + self.grids[m].X.shape[1:])
             self.interior(m, pad)[...] = values[m]
             if self.ghost_ops[m] is not None:
                 partner, op, rows = self.ghost_ops[m]
@@ -237,7 +215,7 @@ class SurfaceGridSolver:
         interped = [_apply(bop, values[partner])
                     for partner, bop, _ in self.blend_ops]
         for m, (_, _, need) in enumerate(self.blend_ops):
-            psi = self.psi[m][need]
+            psi = self.grids[m].psi[need]
             own = values[m][(...,) + need]
             values[m][(...,) + need] = psi * own + (1.0 - psi) * interped[m]
         return values
@@ -252,8 +230,8 @@ class SurfaceGridSolver:
         """
         key = None if self._static else float(t)
         if key not in self._metric_cache:
-            states = [chart.metric(Xp[0], Xp[1], t)
-                      for chart, Xp in zip(self.charts, self.Xpad)]
+            states = [chart.metric(g.X[0], g.X[1], t)
+                      for chart, g in zip(self.charts, self.grids)]
             if len(self._metric_cache) > 8:
                 self._metric_cache.clear()
             self._metric_cache[key] = states
@@ -265,18 +243,14 @@ class SurfaceGridSolver:
 
     def interior(self, m, padded, k=_PAD):
         """Rows of ``padded`` k in from each padded edge (default: interior)."""
-        return padded[(...,) + tuple(slice(k, -k or None) if p else slice(None)
-                                     for p in self.pads[m])]
+        return self.grids[m].interior(padded, k)
 
     # -- spatial operators -----------------------------------------------------------
 
     def _d(self, m, arr, axis, k):
-        """Derivative along chart ``axis`` on the rows k >= 2 in from each
-        padded edge: the central stencil alone (a periodic axis wraps)."""
-        ax, h, pad = arr.ndim - 2 + axis, self.haxes[m][axis], self.pads[m][axis]
-        if pad:  # only axis 0 is ever padded
-            return _central_d1(arr[..., k - 2:2 - k or None, :], ax, h)
-        return fd_derivative(self.interior(m, arr, k), ax, h, True)
+        """Derivative along chart ``axis`` on the rows k in from each padded edge."""
+        g = self.grids[m]
+        return fd_derivative(arr, axis, g.hs[axis], g.pads, k)
 
     def flux_divergence(self, values, t, flux, coef=1.0):
         """Interior values of div_G(coef * e_J'(|grad f|^2) grad f) per chart.
@@ -306,7 +280,7 @@ class SurfaceGridSolver:
         """Raise StabilityViolation if dt exceeds the RK4 parabolic bound."""
         lam = 0.0
         for m, st in enumerate(self.metric(t)):
-            h1, h2 = self.haxes[m]
+            h1, h2 = self.grids[m].hs
             lam = max(lam, float(np.max(
                 _D1_GAIN_SQ * (st.inv_gram[0, 0] / h1 ** 2
                                + st.inv_gram[1, 1] / h2 ** 2))))
@@ -320,12 +294,8 @@ class SurfaceGridSolver:
 
     def integrate(self, values, t):
         """Surface integral of interior nodal values at time ``t``."""
-        total = 0.0
-        for m, st in enumerate(self.metric(t)):
-            sj = self.interior(m, st.sqrtJ)
-            total += float(np.sum(self.weights[m] * self.psi[m]
-                                  * values[m] * sj))
-        return total
+        return grid_integral(self.grids, values, [
+            g.interior(st.sqrtJ) for g, st in zip(self.grids, self.metric(t))])
 
 
 # -- time steppers -------------------------------------------------------------------

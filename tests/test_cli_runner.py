@@ -237,6 +237,18 @@ def test_time_window_is_checked(runner, tmp_path, line):
     assert f"{cfg}:5: {key} must be finite and > 0" in out.output
 
 
+@pytest.mark.parametrize("lines", ["T = 0.5\ndt = 0.3", "T = 0.5\ndt = 0.6"])
+def test_time_window_needs_whole_steps(runner, tmp_path, lines):
+    """T must be a whole number of steps dt (to rounding): a run would
+    otherwise end at steps * dt, not at T."""
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("name = w\nsuite = transport\nsurface.kind = sphere\n"
+                   f"motion.kind = dilation\n{lines}\n")
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0, out.output
+    assert f"{cfg}:6: T = 0.5 is not a whole number of steps dt = " in out.output
+
+
 def test_unfoldable_constant_names_the_line(runner, tmp_path):
     """A constant that cannot be folded (a division by zero) is a parse
     error of its key, reported with the file's line."""

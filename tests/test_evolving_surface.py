@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from surfcalc import evolving_surface
-from surfcalc.chart_geometry import sphere_atlas
+from surfcalc.chart_geometry import fd_derivative, sphere_atlas
 from surfcalc.evolving_surface import (FlowState, JacobianCollapse, MotionLaw,
-                                       _central_d1,
                                        advance_flow, dilation_density,
-                                       fd_derivative, integrate_grid,
+                                       integrate_grid,
                                        integrate_grid_vector,
                                        jacobian_rate_check, motion_builtin,
                                        moving_atlas, transport_scalar,
@@ -37,30 +36,27 @@ def test_moving_atlas_positions(sphere):
 
 
 def test_fd_derivative_order():
-    x = np.linspace(0.0, 1.0, 33)
-    h = x[1] - x[0]
-    vals = np.sin(3 * x)
-    d = fd_derivative(vals, 0, h, periodic=False)
-    assert np.max(np.abs(d - 3 * np.cos(3 * x))) <= 1e-4
-    assert np.array_equal(_central_d1(vals, 0, h), d[2:-2])
-    # periodic axis: the central stencil on the wrapped data
+    # periodic (unpadded) axis: the central stencil on the wrapped data,
+    # which equals the padded route on data padded by two rows per side
     y = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
     hy = y[1] - y[0]
-    dp = fd_derivative(np.sin(y), 0, hy, periodic=True)
+    dp = fd_derivative(np.sin(y)[None, :], 1, hy, (0, 0))[0]
     assert np.max(np.abs(dp - np.cos(y))) <= 1e-4
-    wrapped = np.sin(np.concatenate([y[-2:], y, y[:2]]))
-    assert np.array_equal(dp, fd_derivative(wrapped, 0, hy, False)[2:-2])
-    # a (3, n1, n2) stack differentiated along axis 1
+    wrapped = np.sin(np.concatenate([y[-2:], y, y[:2]]))[None, :]
+    assert np.array_equal(dp, fd_derivative(wrapped, 1, hy, (0, 2), k=2)[0])
+    # a (3, n1, n2) stack, axis 0 padded by four ghost rows per side
+    x = np.linspace(-4 / 32, 1.0 + 4 / 32, 41)
+    h = x[1] - x[0]
     stack = np.stack([np.sin(k * x)[:, None] * np.cos(y)[None, :]
                       for k in (1.0, 2.0, 3.0)])
-    ds = fd_derivative(stack, 1, h, periodic=False)
-    assert np.array_equal(_central_d1(stack, 1, h), ds[:, 2:-2])
+    ds = fd_derivative(stack, 0, h, (4, 0))
+    assert ds.shape == (3, 33, 48)
     for k, dk in zip((1.0, 2.0, 3.0), ds):
-        exact = k * np.cos(k * x)[:, None] * np.cos(y)[None, :]
+        exact = k * np.cos(k * x[4:-4])[:, None] * np.cos(y)[None, :]
         assert np.max(np.abs(dk - exact)) <= 1e-4
-    dps = fd_derivative(stack, 2, hy, periodic=True)
+    dps = fd_derivative(stack, 1, hy, (4, 0))
     for k, dk in zip((1.0, 2.0, 3.0), dps):
-        exact = -np.sin(k * x)[:, None] * np.sin(y)[None, :]
+        exact = -np.sin(k * x[4:-4])[:, None] * np.sin(y)[None, :]
         assert np.max(np.abs(dk - exact)) <= 1e-4
 
 
@@ -180,7 +176,7 @@ def test_flow_state_keeps_its_grid_geometry(sphere, monkeypatch):
     for m, geo in enumerate(cur.geo):
         chart = sphere.charts[m]
         fresh = evolving_surface._geometry_from_positions(
-            cur.x[m], cur.hs[m], chart.periodic, chart.orientation)
+            cur.xpad[m], cur.grids[m], chart.orientation)
         assert np.array_equal(geo.sqrtJ, fresh.sqrtJ)
         assert np.array_equal(geo.inv_gram, fresh.inv_gram)
     # the state it was advanced from keeps its own geometry

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from surfcalc.chart_geometry import ChartFrame
-from surfcalc.evolving_surface import fd_derivative, motion_builtin, moving_atlas
+from surfcalc.chart_geometry import ChartFrame, fd_derivative
+from surfcalc.evolving_surface import (FlowState, integrate_grid,
+                                       motion_builtin, moving_atlas)
 from surfcalc.fields import as_scalar_field
 from surfcalc.fluid_models import CoefficientFields, pressure_law_builtin
 from scipy import sparse
@@ -153,6 +156,24 @@ def test_solver_integrates_area(solver):
     assert abs(area - 4 * math.pi) / (4 * math.pi) <= 1e-5
 
 
+def test_flow_and_solver_share_one_grid(sphere, solver):
+    """The flow map and the solver build the same padded chart grids, and
+    both integrals are the one grid sum: equal values and area elements give
+    equal bits."""
+    state = FlowState.create(sphere, resolution=solver.resolution)
+    for a, b in zip(state.grids, solver.grids):
+        assert a.hs == b.hs and a.pads == b.pads
+        for name in ("X", "w", "psi"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert all(np.array_equal(p, q) for p, q in zip(a.axes, b.axes))
+    vals = [1.0 + 0.3 * x[0] * x[2] for x in solver.positions(0.0)]
+    sqrtJ = [solver.interior(m, st.sqrtJ)
+             for m, st in enumerate(solver.metric(0.0))]
+    on_solver = dataclasses.replace(
+        state, geo=[SimpleNamespace(sqrtJ=s) for s in sqrtJ])
+    assert integrate_grid(on_solver, vals) == solver.integrate(vals, 0.0)
+
+
 def test_stability_guard(solver):
     bound = solver.check_parabolic_dt(1e-5, 1.0)
     assert bound > 1e-5
@@ -226,7 +247,7 @@ def test_solver_metric_builds_no_frame(sphere, monkeypatch):
     moving = SurfaceGridSolver(
         moving_atlas(sphere, motion_builtin("dilation")), resolution=(16, 32))
     frames = [ChartFrame(chart, Xp[0], Xp[1], 0.3)
-              for chart, Xp in zip(moving.charts, moving.Xpad)]
+              for chart, Xp in zip(moving.charts, (g.X for g in moving.grids))]
     built = []
     original = ChartFrame.__init__
 
@@ -300,10 +321,32 @@ def test_barotropic_step_conserves_mass(solver):
         assert np.max(np.abs(vn)) <= 1e-12
 
 
+# 4th-order one-sided first-derivative rows at a bounded edge (oracle only)
+_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+
+
 def _full_rows_d(solver, m, arr, axis):
-    """fd_derivative over every padded row, one-sided at the padded edges."""
-    return fd_derivative(arr, arr.ndim - 2 + axis, solver.haxes[m][axis],
-                         not solver.pads[m][axis])
+    """Derivative over every padded row: a periodic axis wraps, a padded one
+    takes the central stencil inside and one-sided ones at its edges."""
+    grid = solver.grids[m]
+    h = grid.hs[axis]
+    if not grid.pads[axis]:
+        return fd_derivative(arr, axis, h, (0, 0))
+    ax = arr.ndim - 2 + axis
+
+    def ix(s):
+        return (slice(None),) * ax + (s,)
+
+    out = np.empty_like(arr)
+    out[ix(np.s_[2:-2])] = fd_derivative(
+        arr, axis, h, tuple(p if d == axis else 0
+                            for d, p in enumerate(grid.pads)), 2)
+    lo, hi = arr[ix(np.s_[:5])], arr[ix(np.s_[:-6:-1])]
+    for k, edge in enumerate((_EDGE0, _EDGE1)):
+        out[ix(k)] = np.tensordot(edge, lo, axes=(0, ax)) / h
+        out[ix(-1 - k)] = -np.tensordot(edge, hi, axes=(0, ax)) / h
+    return out
 
 
 def _flux_divergence_full_rows(solver, values, t, flux, coef):
