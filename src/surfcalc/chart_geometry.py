@@ -154,8 +154,8 @@ class Chart:
         no domain check (solver grids are padded past bounded edges)."""
         d = self._dparam
         v = self.evaluate(self.param + d["X1"] + d["X2"], X1, X2, t)
-        return _metric_state(v[:3], v[3:].reshape((2, 3) + v.shape[1:]),
-                             self.orientation)
+        g = v[3:].reshape((2, 3) + v.shape[1:])
+        return _metric_state(v[:3], g, _geometry(g, self.orientation))
 
     def _require_domain(self, X1, X2):
         if not np.all(self.contains(X1, X2, margin=1e-12)):
@@ -208,10 +208,10 @@ def _projector(n):
     return P
 
 
-def _metric_state(x, g, orientation):
-    """MetricState of positions ``x`` (3, ...) and tangents ``g`` (2, 3, ...)
-    through :func:`_geometry`, so a frame's snapshot equals its dual values."""
-    gram, J, sqrtJ, inv_gram, n = map(np.asarray, _geometry(g, orientation))
+def _metric_state(x, g, geo):
+    """MetricState of positions ``x`` (3, ...), tangents ``g`` (2, 3, ...)
+    and their :func:`_geometry` values ``geo`` (of a frame: its duals')."""
+    gram, J, sqrtJ, inv_gram, n = map(np.asarray, geo)
     return MetricState(x=x, g=g, gram=gram, inv_gram=inv_gram, J=J,
                        sqrtJ=sqrtJ, n=n, P=np.array(_projector(n)))
 
@@ -360,8 +360,9 @@ class ChartFrame:
 
     def metric(self):
         """The frame's values as a plain-array MetricState."""
-        return _metric_state(self.values(self.x), self.values(self.g),
-                             self.chart.orientation)
+        return _metric_state(self.values(self.x), self.values(self.g), [
+            self.values(q) for q in (self.gram, self.J, self.sqrtJ,
+                                     self.inv_gram, self.n)])
 
     # -- field composition ----------------------------------------------------
 
@@ -530,7 +531,7 @@ class QuadratureRule:
             w = W.ravel()
             if np.any(w <= 0):
                 raise ValueError("quadrature weights must be positive")
-            psi = atlas.pou(m, X[0], X[1])
+            psi = blockwise(lambda X: atlas.pou(m, X[0], X[1]), X)
             self.nodes.append((X, w, psi))
 
 
@@ -546,14 +547,19 @@ def default_rule(atlas):
     return QuadratureRule(atlas, order=48, periodic_order=96)
 
 
-_BLOCK = 8192  # nodes per block of rule-wide frame work: fits a 4 MiB L2
+_BLOCK = 8192  # nodes per block of rule-wide work: fits a 4 MiB L2
+# Freeing one untouched 8 MiB array lifts glibc's heap-trim threshold to
+# twice its size, above a block's working set, so each block reuses the
+# freed heap of the last instead of faulting it back in from the system.
+np.empty(1 << 20)
 
 
 def blockwise(fn, *arrays):
     """``fn`` on slices of at most ``_BLOCK`` nodes of ``arrays`` (node axis
     last), its array (or tuple of arrays) results joined on the node axis.
-    Elementwise work rounds alike however the nodes are cut, so a reduction
-    over the result equals one over a single call on all nodes."""
+    Every rule-wide loop runs through it, so one block's geometry is held
+    at a time.  Elementwise work rounds alike however the nodes are cut, so
+    a reduction over the result equals one over a single call on all nodes."""
     n = np.shape(arrays[0])[-1]
     parts = [fn(*(a[..., s:s + _BLOCK] for a in arrays))
              for s in range(0, n, _BLOCK)]
@@ -567,6 +573,8 @@ def integrate(field, atlas, rule, t=0.0):
     value = as_scalar_field(field).value
     total = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        st = metric_at(chart, X, t)
-        total += float(np.sum(w * psi * value(st.x, t) * st.sqrtJ))
+        def terms(X, w, psi):
+            st = metric_at(chart, X, t)
+            return w * psi * value(st.x, t) * st.sqrtJ
+        total += float(np.sum(blockwise(terms, X, w, psi)))
     return total

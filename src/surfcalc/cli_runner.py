@@ -24,7 +24,7 @@ from .chart_geometry import (QuadratureRule, blockwise, default_rule,
 from .config import BUILTINS, ConfigError, load_scenario
 from .evolving_surface import (FlowState, advance_flow, dilation_density,
                                integrate_grid, integrate_grid_vector,
-                               jacobian_rate_check, moving_atlas,
+                               jacobian_rate_check, moving_atlas, probe_steps,
                                transport_scalar, transport_theorem_check,
                                worst_of)
 from .fields import (ScalarField, as_scalar_field, as_vector_field,
@@ -187,9 +187,10 @@ def suite_transport(scn, rng):
         series.append((cur.t, integrate_grid(cur, values=transport_scalar(cur, rho0))))
     drift = worst_of(*(abs(m - mass0) for _, m in series)) / max(1.0, abs(mass0))
 
-    jac = jacobian_rate_check(cur, motion)
+    probes = probe_steps(cur, motion)
+    jac = jacobian_rate_check(cur, motion, probes)
     f_test = scn.get_scalar_field("fields.test", ScalarField("1 + 0.3*x3"))
-    thm = transport_theorem_check(cur, motion, f_test)
+    thm = transport_theorem_check(cur, motion, f_test, probes)
 
     rows = [
         _row("mass_drift", drift, scn.tolerance("mass", 1e-8)),
@@ -448,21 +449,17 @@ def suite_check_representations(scn, rng):
     return rows, {}
 
 
-def suite_conservation_report(scn, rng):
-    """Conserved-integral drifts along an exactly transported state, plus the
-    closed-surface vanishing of the integrated stress divergence."""
-    atlas = scn.build_surface()
-    motion = scn.build_motion()
+def _conserved_series(scn, atlas, motion):
+    """Rows (t, mass, momentum, energy, concentration, angular momentum) of
+    the transported state at up to ten checkpoints; the states die here."""
     dt, steps = scn.time_window()
     res = scn.resolution()
     rho0 = scn.get_scalar_field("fields.rho0", ScalarField("2 + 0.3*x3"))
     C0 = scn.get_scalar_field("fields.C0", ScalarField("1 + 0.2*x1"))
     e0 = scn.get_float("fields.e0", 0.7)
     vel = motion.velocity
-
-    state = FlowState.create(atlas, resolution=res)
+    cur = FlowState.create(atlas, resolution=res)
     rows_ts = []
-    cur = state
     ncheck = min(10, steps)
     for k in range(ncheck + 1):
         if k > 0:
@@ -484,7 +481,14 @@ def suite_conservation_report(scn, rng):
                 x[j] * r * v[l] - x[l] * r * v[j]
                 for x, r, v in zip(cur.x, rho, vv)]))
         rows_ts.append((cur.t, mass, *mom, eA, cint, *ang))
+    return rows_ts
 
+
+def suite_conservation_report(scn, rng):
+    """Conserved-integral drifts along an exactly transported state, plus the
+    closed-surface vanishing of the integrated stress divergence."""
+    atlas = scn.build_surface()
+    rows_ts = _conserved_series(scn, atlas, scn.build_motion())
     arr = np.asarray(rows_ts)
     names = ("mass", "momentum_x", "momentum_y", "momentum_z",
              "energy", "concentration", "angular_x", "angular_y", "angular_z")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chart_geometry import (Chart, ChartAtlas, ChartGrid, SingularMetric,
-                             _metric_state, fd_derivative, grid_integral)
+                             _geometry, _metric_state, fd_derivative,
+                             grid_integral)
 from .expressions import parse_expr, substitute
 from .fields import ScalarField, as_scalar_field, as_vector_field
 
@@ -30,6 +31,7 @@ __all__ = [
     "FlowState",
     "advance_flow",
     "jacobian_rate_check",
+    "probe_steps",
     "transport_scalar",
     "transport_theorem_check",
     "worst_of",
@@ -145,7 +147,7 @@ def _geometry_from_positions(xp, grid, orientation):
     """MetricState at the interior nodes of padded positions ``xp`` on ``grid``."""
     g = np.stack([fd_derivative(xp, a, grid.hs[a], grid.pads) for a in range(2)])
     try:
-        return _metric_state(grid.interior(xp), g, orientation)
+        return _metric_state(grid.interior(xp), g, _geometry(g, orientation))
     except SingularMetric:
         raise JacobianCollapse("grid Jacobian non-positive") from None
 
@@ -277,15 +279,21 @@ def _div_tangent_grid(state, m, vec_pad):
     return np.einsum("ab...,ai...,bi...->...", geo.inv_gram, geo.g, dv)
 
 
-def jacobian_rate_check(state, motion, dt_probe=1e-3):
+def probe_steps(state, motion, dt_probe=1e-3):
+    """``(fwd, bwd, dt_probe)``: the states one RK4 step of ``dt_probe``
+    after and before ``state``, read by both transport checks."""
+    return (advance_flow(state, motion, dt_probe),
+            _flow_step(state.copy(), motion.velocity, -dt_probe), dt_probe)
+
+
+def jacobian_rate_check(state, motion, probes):
     """Max residual of d(sqrtJ)/dt = (div v) sqrtJ at the grid nodes.
 
     The time derivative is a central difference of the grid-derived area
-    element across two short RK4 probe steps; the divergence side is
-    evaluated in chart form from the same grid.
+    element across the two short RK4 probe steps of :func:`probe_steps`;
+    the divergence side is evaluated in chart form from the same grid.
     """
-    fwd = advance_flow(state, motion, dt_probe)
-    bwd = _flow_step(state.copy(), motion.velocity, -dt_probe)
+    fwd, bwd, dt_probe = probes
     worst = 0.0
     for m, geo in enumerate(state.geo):
         dsJ = (fwd.geo[m].sqrtJ - bwd.geo[m].sqrtJ) / (2.0 * dt_probe)
@@ -295,15 +303,14 @@ def jacobian_rate_check(state, motion, dt_probe=1e-3):
     return worst
 
 
-def transport_theorem_check(state, motion, f, dt_probe=1e-3):
+def transport_theorem_check(state, motion, f, probes):
     """Relative residual of d/dt (integral of f) = integral of D_t f + f div v."""
     f = as_scalar_field(f)
 
     def integral(st):
         return integrate_grid(st, [f.value(x, st.t) for x in st.x])
 
-    fwd = advance_flow(state, motion, dt_probe)
-    bwd = _flow_step(state.copy(), motion.velocity, -dt_probe)
+    fwd, bwd, dt_probe = probes
     lhs = (integral(fwd) - integral(bwd)) / (2.0 * dt_probe)
 
     integrands = []

@@ -40,6 +40,7 @@ __all__ = [
 
 _RK4_REAL_LIMIT = 2.78
 _D1_GAIN_SQ = 1.89  # max |symbol|^2 of the 4th-order first-derivative stencil
+_METRIC_LEVELS = 4  # time levels SurfaceGridSolver.metric keeps
 
 
 class StabilityViolation(RuntimeError):
@@ -223,19 +224,19 @@ class SurfaceGridSolver:
     # -- metric data ---------------------------------------------------------------
 
     def metric(self, t):
-        """Padded metric snapshots per chart at time ``t`` (cached).
-
-        An atlas whose charts are all time-independent has one cache entry,
-        shared by every ``t``.
-        """
+        """Padded metric snapshots per chart at time ``t``, cached for the
+        ``_METRIC_LEVELS`` most recently read levels (t = 0, and one RK4
+        step's t, t + dt/2 and t + dt); the least recently read is evicted.
+        A time-independent atlas has one entry, shared by every ``t``."""
         key = None if self._static else float(t)
-        if key not in self._metric_cache:
+        states = self._metric_cache.pop(key, None)
+        if states is None:
             states = [chart.metric(g.X[0], g.X[1], t)
                       for chart, g in zip(self.charts, self.grids)]
-            if len(self._metric_cache) > 8:
-                self._metric_cache.clear()
-            self._metric_cache[key] = states
-        return self._metric_cache[key]
+            if len(self._metric_cache) >= _METRIC_LEVELS:
+                del self._metric_cache[next(iter(self._metric_cache))]
+        self._metric_cache[key] = states  # now the most recently read
+        return states
 
     def positions(self, t):
         """Interior material positions per chart at time ``t``."""

@@ -79,17 +79,20 @@ class VariationField:
         """Max |z| over the quadrature nodes at the initial time."""
         worst = 0.0
         for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
-            x = chart.position(X[0], X[1], t0)
-            worst = worst_of(worst, float(np.max(np.abs(self.values(x, t0)))))
+            def block(X):
+                return np.abs(self.values(chart.position(X[0], X[1], t0), t0))
+            worst = worst_of(worst, float(np.max(blockwise(block, X))))
         return worst
 
     def tangency_residual(self, atlas, rule, t=0.0):
         """Max |z . n| over the quadrature nodes at time ``t``."""
         worst = 0.0
         for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
-            st = metric_at(chart, X, t)
-            zn = np.einsum("i...,i...->...", self.values(st.x, t), st.n)
-            worst = worst_of(worst, float(np.max(np.abs(zn))))
+            def block(X):
+                st = metric_at(chart, X, t)
+                return np.abs(np.einsum("i...,i...->...", self.values(st.x, t),
+                                        st.n))
+            worst = worst_of(worst, float(np.max(blockwise(block, X))))
         return worst
 
 
@@ -456,8 +459,10 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     f = as_scalar_field(f)
 
     def chart_sums(chart, X, w, psi):
-        st = metric_at(chart, X, t)
-        return _sums(_flux_energy_terms(_partials(f, st.x, t), flux, st, w, psi))
+        def block(X, w, psi):
+            st = metric_at(chart, X, t)
+            return _flux_energy_terms(_partials(f, st.x, t), flux, st, w, psi)
+        return _sums(blockwise(block, X, w, psi))
     total, magnitude = _flux_energy(
         chart_sums(chart, X, w, psi)
         for chart, (X, w, psi) in zip(atlas.charts, rule.nodes))
@@ -703,12 +708,16 @@ def tangential_pairing_residual(f, z, atlas, rule=None, t=0.0):
     lhs = 0.0
     rhs = 0.0
     for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        st = metric_at(chart, X, t)
-        wgt = w * psi * st.sqrtJ
-        fv = f.value(st.x, t)
-        zv = z.value(st.x, t)
-        Pz = np.einsum("ij...,j...->i...", st.P, zv)
-        Pf = np.einsum("ij...,j...->i...", st.P, fv)
-        lhs += float(np.sum(wgt * np.einsum("i...,i...->...", fv, Pz)))
-        rhs += float(np.sum(wgt * np.einsum("i...,i...->...", Pf, zv)))
+        def block(X, w, psi):
+            st = metric_at(chart, X, t)
+            wgt = w * psi * st.sqrtJ
+            fv = f.value(st.x, t)
+            zv = z.value(st.x, t)
+            Pz = np.einsum("ij...,j...->i...", st.P, zv)
+            Pf = np.einsum("ij...,j...->i...", st.P, fv)
+            return (wgt * np.einsum("i...,i...->...", fv, Pz),
+                    wgt * np.einsum("i...,i...->...", Pf, zv))
+        lhs_terms, rhs_terms = blockwise(block, X, w, psi)
+        lhs += float(np.sum(lhs_terms))
+        rhs += float(np.sum(rhs_terms))
     return abs(lhs - rhs)

@@ -20,7 +20,8 @@ from surfcalc.chart_geometry import (QuadratureRule, default_rule, integrate,
 from surfcalc.cli_runner import main as cli_main
 from surfcalc.evolving_surface import (FlowState, MotionLaw, advance_flow,
                                        integrate_grid, jacobian_rate_check,
-                                       motion_builtin, transport_scalar,
+                                       motion_builtin, probe_steps,
+                                       transport_scalar,
                                        transport_theorem_check)
 from surfcalc.fields import (ScalarField, VectorField, random_scalar_field,
                              random_vector_field)
@@ -126,8 +127,10 @@ def test_criterion_04_transport(sphere):
         cur = advance_flow(cur, motion, 0.05, steps=1)
         mass = integrate_grid(cur, values=transport_scalar(cur, rho0))
         drift = max(drift, abs(mass - mass0) / abs(mass0))
-    jac = jacobian_rate_check(cur, motion)
-    thm = transport_theorem_check(cur, motion, ScalarField("1 + 0.3*x3"))
+    probes = probe_steps(cur, motion)
+    jac = jacobian_rate_check(cur, motion, probes)
+    thm = transport_theorem_check(cur, motion, ScalarField("1 + 0.3*x3"),
+                                  probes)
 
     # RK4 order on a time-modulated radial flow (exact map x0 exp(sin t);
     # the canonical dilation itself is integrated exactly by RK4)

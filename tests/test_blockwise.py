@@ -2,14 +2,23 @@
 every output is bit-identical however the nodes are cut, and the peak
 memory of a check is that of one block, not of one whole chart."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surfcalc
 from surfcalc import chart_geometry
-from surfcalc.chart_geometry import QuadratureRule, blockwise
-from surfcalc.cli_runner import suite_conservation_report
+from surfcalc.chart_geometry import (QuadratureRule, blockwise, default_rule,
+                                     integrate)
+from surfcalc.cli_runner import (suite_conservation_report,
+                                 suite_verify_geometry)
 from surfcalc.config import load_scenario
 from surfcalc.evolving_surface import (dilation_density, motion_builtin,
                                        moving_atlas)
@@ -28,6 +37,7 @@ from surfcalc.variational_checks import (VariationField,
                                          dissipation_work_energy,
                                          gradient_flux_energy,
                                          jacobian_variation_residual,
+                                         tangential_pairing_residual,
                                          time_window_variation)
 
 MOTIONS = ["static", "translation", "rotation", "dilation"]
@@ -92,6 +102,13 @@ def _blocked_outputs(surface, atlas, motion_name, law, tmp_path):
     if law is not None:
         return out
     # the rest does not read a pressure law
+    out["psi"] = [psi.tobytes() for _, _, psi in rule.nodes]
+    out["integrate"] = integrate("1 + x1*x3 - 0.2*x2", mov, rule, t=0.3)
+    direction = VariationField(WOBBLE)
+    out["initial_residual"] = direction.initial_residual(mov, rule, t0=0.3)
+    out["tangency_residual"] = direction.tangency_residual(mov, rule, t=0.3)
+    out["tangential_pairing_residual"] = tangential_pairing_residual(
+        WOBBLE, ("x2*x3", "sin(x1)", "x1*x1 - 0.3*x2"), mov, rule, t=0.3)
     out["jacobian_variation_residual"] = jacobian_variation_residual(
         atlas, motion, var, 0.2, rule=rule)
     f, phi = "x1*x2 + sin(x3) + 2*x3", "0.5*x1 + x2*x3"
@@ -152,9 +169,19 @@ def _peak_mib(run):
         tracemalloc.stop()
 
 
+def _scenario_path(name):
+    return resources.files("surfcalc") / "scenarios" / f"{name}.cfg"
+
+
+def _scenario(name):
+    return load_scenario(str(_scenario_path(name)))
+
+
 def test_dense_rule_checks_peak_at_one_block(sphere, sphere_rule):
-    """On the 61,440-node sphere charts the flux ladder and the action
-    variation hold one block's frame at a time."""
+    """On the 61,440-node sphere charts the flux ladder, the action
+    variation, the area integral, the rule's own partition of unity and two
+    rule-wide suites hold one block's geometry at a time (one whole chart at
+    a time peaked at 31.9, 10.0, 36.4 and 26.4 MiB on the last four)."""
     flux_peak = _peak_mib(lambda: check_flux_variation(
         "x1 + 2*x3", flux_law_builtin("quadratic"), "0.5*x1 + x2*x3", sphere,
         rule=sphere_rule))
@@ -164,3 +191,36 @@ def test_dense_rule_checks_peak_at_one_block(sphere, sphere_rule):
         law=pressure_law_builtin("quadratic"), rule=sphere_rule, nt=2))
     assert flux_peak <= 20.0, flux_peak
     assert action_peak <= 20.0, action_peak
+    area_peak = _peak_mib(lambda: integrate(1.0, sphere, sphere_rule))
+    rule_peak = _peak_mib(lambda: default_rule(sphere))
+    geometry_peak = _peak_mib(lambda: suite_verify_geometry(
+        _scenario("sphere_identities"), np.random.default_rng(0)))
+    report_peak = _peak_mib(lambda: suite_conservation_report(
+        _scenario("conservation_translation"), np.random.default_rng(0)))
+    assert area_peak <= 6.0, area_peak
+    assert rule_peak <= 8.0, rule_peak
+    assert geometry_peak <= 12.0, geometry_peak
+    assert report_peak <= 24.0, report_peak
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's heap-trim threshold")
+def test_blocks_reuse_the_heap_the_last_block_freed():
+    """In a fresh process the conservation report's minor page faults stay
+    near those of its peak working set: each block of the stress integral
+    reuses the heap of the block before (with that heap trimmed after every
+    block, the report took about 48,000 faults)."""
+    cfg = str(_scenario_path("conservation_translation"))
+    code = ("import resource, numpy as np\n"
+            "from surfcalc.cli_runner import suite_conservation_report\n"
+            "from surfcalc.config import load_scenario\n"
+            f"scn = load_scenario({cfg!r})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "suite_conservation_report(scn, np.random.default_rng(0))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    path = os.pathsep.join([str(Path(surfcalc.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert int(out.stdout) <= 15_000, out.stdout

@@ -215,6 +215,23 @@ def test_metric_records_equal_frame_values(surface, sphere, sphere_rule, torus,
                                       frame.values(getattr(frame, name))), name
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("surface", ["sphere", "torus", "dilation",
+                                     "rotation"])
+def test_frame_metric_equals_chart_metric(surface, t, sphere, torus):
+    """``frame.metric()`` reads the frame's own geometry and ``Chart.metric``
+    builds it from plain values: both give the same MetricState, bit for
+    bit, on every chart."""
+    atlas = {"sphere": sphere, "torus": torus}.get(surface) or moving_atlas(
+        sphere, motion_builtin(surface))
+    rule = QuadratureRule(atlas, order=24, periodic_order=48)
+    for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
+        st = chart.frame(X[0], X[1], t).metric()
+        ref = chart.metric(X[0], X[1], t)
+        for name in METRIC_FIELDS:
+            assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+
+
 @pytest.mark.parametrize("surface", ["sphere", "torus"])
 def test_frame_shares_symmetric_entries(surface, request):
     """A dual frame builds g_01 and each off-diagonal P_ij once, and keeps

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from surfcalc import cli_runner, evolving_surface
 from surfcalc.cli_runner import _row, _slope_row, _write_csv, main
+from surfcalc.config import load_scenario
 from surfcalc.variational_checks import _ladder_report
 
 
@@ -64,6 +66,35 @@ def test_run_transport_scenario(runner, tmp_path):
                                "--out", str(out_dir)])
     assert out.exit_code == 0, out.output
     assert (out_dir / "transport_mass.csv").exists()
+
+
+def test_transport_checks_share_probe_steps(monkeypatch):
+    """The Jacobian-rate and transport-theorem checks read one pair of
+    probe steps: 25 flow steps and 2 probes (4 probes built them twice), and
+    each row equals the check run on probe steps built for it alone."""
+    steps = []
+    flow_step = evolving_surface._flow_step
+
+    def counting(*args):
+        steps.append(args[2])
+        return flow_step(*args)
+
+    checked = {}
+    for name in ("jacobian_rate_check", "transport_theorem_check"):
+        def recording(*args, _check=getattr(cli_runner, name), **kwargs):
+            checked[_check] = args
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(cli_runner, name, recording)
+    monkeypatch.setattr(evolving_surface, "_flow_step", counting)
+    rows, _ = cli_runner.suite_transport(
+        load_scenario(scenario_path("dilating_sphere_mass.cfg")),
+        np.random.default_rng(0))
+    assert len(steps) == 27 and steps[-2:] == [1e-3, -1e-3]
+    monkeypatch.undo()
+    values = {r["check"]: r["value"] for r in rows}
+    assert [check(*args[:-1], evolving_surface.probe_steps(*args[:2]))
+            for check, args in checked.items()] == [
+        values["jacobian_rate_residual"], values["transport_theorem_residual"]]
 
 
 def test_repeated_runs_are_identical(runner, tmp_path):

@@ -10,7 +10,8 @@ from surfcalc.evolving_surface import (FlowState, JacobianCollapse, MotionLaw,
                                        integrate_grid,
                                        integrate_grid_vector,
                                        jacobian_rate_check, motion_builtin,
-                                       moving_atlas, transport_scalar,
+                                       moving_atlas, probe_steps,
+                                       transport_scalar,
                                        transport_theorem_check)
 from surfcalc.fields import ScalarField
 
@@ -80,9 +81,10 @@ def test_jacobian_rate_and_transport_theorem(sphere):
     motion = motion_builtin("dilation")
     state = FlowState.create(sphere, resolution=(48, 96))
     cur = advance_flow(state, motion, 0.02, steps=10)
-    assert jacobian_rate_check(cur, motion) <= 1e-6
-    assert transport_theorem_check(cur, motion,
-                                   ScalarField("1 + 0.3*x3")) <= 1e-6
+    probes = probe_steps(cur, motion)
+    assert jacobian_rate_check(cur, motion, probes) <= 1e-6
+    assert transport_theorem_check(cur, motion, ScalarField("1 + 0.3*x3"),
+                                   probes) <= 1e-6
 
 
 def test_rigid_motions_preserve_area_element(sphere):
@@ -210,7 +212,7 @@ def test_flow_positions_match_reference_rk4(sphere):
 
 
 def test_jacobian_collapse_on_backward_probe(sphere):
-    """jacobian_rate_check's backward RK4 probe step raises the collapse.
+    """The backward RK4 probe step of the transport checks raises the collapse.
     a(t) vanishes at t = 0 and t = -dt/2 and is 6/dt at t = -dt, so the
     backward step of v = a(t) x maps every node to (about) the origin while
     the forward step stays regular."""
@@ -220,4 +222,4 @@ def test_jacobian_collapse_on_backward_probe(sphere):
     state = FlowState.create(sphere, resolution=(16, 32))
     advance_flow(state, motion, dt)
     with pytest.raises(JacobianCollapse):
-        jacobian_rate_check(state, motion, dt_probe=dt)
+        probe_steps(state, motion, dt_probe=dt)

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from surfcalc.chart_geometry import ChartFrame, fd_derivative
+from surfcalc import pde_solvers
+from surfcalc.chart_geometry import Chart, ChartFrame, fd_derivative
 from surfcalc.evolving_surface import (FlowState, integrate_grid,
                                        motion_builtin, moving_atlas)
 from surfcalc.fields import as_scalar_field
@@ -262,6 +263,47 @@ def test_solver_metric_builds_no_frame(sphere, monkeypatch):
         for name in ("x", "g", "gram", "inv_gram", "J", "sqrtJ", "n", "P"):
             assert np.array_equal(getattr(st, name),
                                   frame.values(getattr(frame, name))), name
+
+
+def _moving_run(sphere, stepper, coeffs, monkeypatch):
+    """20 steps of ``stepper`` on the dilating 16x32 sphere: the final
+    values, the Chart.metric calls and the most time levels cached."""
+    moving = SurfaceGridSolver(
+        moving_atlas(sphere, motion_builtin("dilation")), resolution=(16, 32))
+    field = GridField([1.0 + 0.5 * x[2] for x in moving.positions(0.0)], 0.0)
+    calls = []
+    original = Chart.metric
+
+    def counting(self, *args):
+        calls.append(args[2])
+        return original(self, *args)
+
+    levels = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(Chart, "metric", counting)
+        for _ in range(20):
+            field = stepper(moving, field, coeffs, flux_law_builtin("linear"),
+                            2e-4)
+            levels = max(levels, len(moving._metric_cache))
+    return field.values, len(calls), levels
+
+
+@pytest.mark.parametrize("stepper, coeffs", [
+    (step_heat, CoefficientFields(F=("0", "0", "0"), Q_theta=0.0)),
+    (step_diffusion, CoefficientFields(Q_C=1.0))])
+def test_metric_cache_holds_one_rk4_step(sphere, stepper, coeffs, monkeypatch):
+    """The moving solver keeps t = 0 and one RK4 step's three time levels:
+    each level is built once per chart (40 levels after t = 0, where the old
+    clear-all cache of 9 levels made 88 calls), and the fields equal those
+    of a cache that never evicts, bit for bit."""
+    values, calls, levels = _moving_run(sphere, stepper, coeffs, monkeypatch)
+    assert levels <= 4
+    assert calls <= 88
+    monkeypatch.setattr(pde_solvers, "_METRIC_LEVELS", 10 ** 6)
+    kept, kept_calls, _ = _moving_run(sphere, stepper, coeffs, monkeypatch)
+    assert calls == kept_calls
+    for a, b in zip(values, kept):
+        assert np.array_equal(a, b)
 
 
 def test_heat_decay_short(solver):
