@@ -32,6 +32,8 @@ __all__ = [
     "QuadratureRule",
     "default_rule",
     "blockwise",
+    "rule_terms",
+    "rule_sums",
     "fd_derivative",
     "grid_integral",
     "metric_at",
@@ -557,9 +559,10 @@ np.empty(1 << 20)
 def blockwise(fn, *arrays):
     """``fn`` on slices of at most ``_BLOCK`` nodes of ``arrays`` (node axis
     last), its array (or tuple of arrays) results joined on the node axis.
-    Every rule-wide loop runs through it, so one block's geometry is held
-    at a time.  Elementwise work rounds alike however the nodes are cut, so
-    a reduction over the result equals one over a single call on all nodes."""
+    Every rule-wide loop runs through it by way of :func:`rule_terms`, so
+    one block's geometry is held at a time.  Elementwise work rounds alike
+    however the nodes are cut, so a reduction over the result equals one
+    over a single call on all nodes."""
     n = np.shape(arrays[0])[-1]
     parts = [fn(*(a[..., s:s + _BLOCK] for a in arrays))
              for s in range(0, n, _BLOCK)]
@@ -568,13 +571,29 @@ def blockwise(fn, *arrays):
     return np.concatenate(parts, axis=-1)
 
 
+def rule_terms(charts, rule, fn, *per_chart):
+    """For each chart of ``rule``, in order, ``fn(chart, X, w, psi, *arrays)``
+    through :func:`blockwise`, ``arrays`` being that chart's entries of each
+    of ``per_chart``.  Every rule-wide loop is this one: node blocks, joined
+    per chart, for one reduction over the chart's whole node axis."""
+    for chart, nodes, *arrays in zip(charts, rule.nodes, *per_chart):
+        yield blockwise(functools.partial(fn, chart), *nodes, *arrays)
+
+
+def rule_sums(charts, rule, fn):
+    """``np.sum(terms, axis=-1)`` of each chart's :func:`rule_terms`, added
+    in chart order from 0.0."""
+    total = 0.0
+    for terms in rule_terms(charts, rule, fn):
+        total += np.sum(terms, axis=-1)
+    return total
+
+
 def integrate(field, atlas, rule, t=0.0):
     """Surface integral of a scalar field at time ``t``."""
     value = as_scalar_field(field).value
-    total = 0.0
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        def terms(X, w, psi):
-            st = metric_at(chart, X, t)
-            return w * psi * value(st.x, t) * st.sqrtJ
-        total += float(np.sum(blockwise(terms, X, w, psi)))
-    return total
+
+    def terms(chart, X, w, psi):
+        st = metric_at(chart, X, t)
+        return w * psi * value(st.x, t) * st.sqrtJ
+    return float(rule_sums(atlas.charts, rule, terms))

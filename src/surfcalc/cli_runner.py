@@ -19,8 +19,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .chart_geometry import (QuadratureRule, blockwise, default_rule,
-                             integrate, mean_curvature_at, metric_at)
+from .chart_geometry import (QuadratureRule, default_rule, integrate,
+                             mean_curvature_at, metric_at, rule_sums)
 from .config import BUILTINS, ConfigError, load_scenario
 from .evolving_surface import (FlowState, advance_flow, dilation_density,
                                integrate_grid, integrate_grid_vector,
@@ -34,7 +34,8 @@ from .fluid_models import (CoefficientFields, FluidFields, residual_conservative
 from .pde_solvers import (GridField, SurfaceGridSolver, flux_law_builtin,
                           step_barotropic_tangential, step_diffusion,
                           step_heat)
-from .surface_ops import (div_matrix_dual, identity_residuals, stress_dual)
+from .surface_ops import (div_matrix_dual, identity_residuals,
+                          material_residuals, stress_dual)
 from .variational_checks import (VariationField, check_action_variation,
                                  check_dissipation_work_variation,
                                  check_energy_representations,
@@ -158,8 +159,7 @@ def suite_verify_identities(scn, rng):
         for m, chart in enumerate(mov.charts):
             nodes = _random_nodes(atlas, rng, samples)[m]
             frame = chart.frame(nodes[0], nodes[1], t_eval)
-            res = identity_residuals(frame, f, motion.velocity,
-                                     motion_velocity=motion.velocity)
+            res = material_residuals(frame, f, motion.velocity)
             for key in ("transport_commutation_scalar",
                         "transport_commutation_momentum"):
                 worst[key] = worst_of(worst.get(key, 0.0), res[key])
@@ -504,18 +504,15 @@ def suite_conservation_report(scn, rng):
     rule = _rule_for(scn, atlas)
     draws = [(random_vector_field(rng), random_scalar_field(rng))
              for _ in range(scn.get_int("stress_draws", 3))]
-    totals = [np.zeros(3) for _ in draws]
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        def block(X, w, psi):
-            frame = chart.frame(X[0], X[1], 0.0)
-            wgt = w * psi * frame.metric().sqrtJ
-            return np.stack([wgt * div_matrix_dual(
-                stress_dual(v, sig, 1.0, 0.5, frame)[0], frame)
-                for v, sig in draws])
-        for total, terms in zip(totals, blockwise(block, X, w, psi)):
-            total += np.sum(terms, axis=1)
-    worst = worst_of(0.0, *(float(np.max(np.abs(total)))
-                             for total in totals))
+
+    def block(chart, X, w, psi):
+        frame = chart.frame(X[0], X[1], 0.0)
+        wgt = w * psi * frame.metric().sqrtJ
+        return np.stack([wgt * div_matrix_dual(
+            stress_dual(v, sig, 1.0, 0.5, frame)[0], frame)
+            for v, sig in draws])
+    worst = worst_of(0.0, *(float(np.max(np.abs(total))) for total in
+                            rule_sums(atlas.charts, rule, block)))
     rows.append(_row("stress_divergence_integral", worst,
                      scn.tolerance("stress", 1e-7)))
 

@@ -253,13 +253,9 @@ class SurfaceGridSolver:
         g = self.grids[m]
         return fd_derivative(arr, axis, g.hs[axis], g.pads, k)
 
-    def flux_divergence(self, values, t, flux, coef=1.0):
-        """Interior values of div_G(coef * e_J'(|grad f|^2) grad f) per chart.
-
-        ``coef`` may be a scalar or an ambient scalar field.
-        """
+    def flux_divergence(self, values, t, flux):
+        """Interior values of div_G(e_J'(|grad f|^2) grad f) per chart."""
         pads = self.fill_ghosts(values)
-        coef_f = as_scalar_field(coef)
         out = []
         for m, st in enumerate(self.metric(t)):
             # f, flux and metric on the rows two in: all the interior div reads
@@ -268,8 +264,7 @@ class SurfaceGridSolver:
             # |grad f|^2 = g^{ab} f,a f,b; a constant e_J' needs no z
             z = None if isinstance(flux.d_expr, Num) else np.einsum(
                 "ab...,a...,b...->...", inv_gram, df, df)
-            cval = coef_f.value(self.interior(m, st.x, 2), t)
-            scale = sqrtJ * cval * flux.deriv(z)
+            scale = sqrtJ * flux.deriv(z)
             Fa = scale * np.einsum("ab...,b...->a...", inv_gram, df)
             out.append((self._d(m, Fa[0], 0, 2) + self._d(m, Fa[1], 1, 2))
                        / self.interior(m, st.sqrtJ))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import value_of
-from .chart_geometry import blockwise
+from .chart_geometry import rule_sums
 from .fields import as_scalar_field, as_vector_field
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "surface_divergence_vec_chart",
     "surface_laplacian",
     "identity_residuals",
+    "material_residuals",
     "ibp_residuals",
     "grad_scalar_dual",
     "div_matrix_dual",
@@ -152,14 +153,11 @@ def _maxabs(x):
     return float(np.max(np.abs(np.asarray(x, dtype=float))))
 
 
-def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
-                       motion_velocity=None):
+def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None):
     """Pointwise residuals of the tangential-calculus identities on a frame.
 
-    ``f, g, mu, lam`` are scalar fields, ``v, phi`` vector fields.  If
-    ``motion_velocity`` is supplied (and the frame's chart moves with it),
-    the two material-derivative commutation identities are included.
-    Returns a dict of max-abs residuals.
+    ``f, g, mu, lam`` are scalar fields, ``v, phi`` vector fields.  Returns
+    a dict of max-abs residuals.
     """
     f = as_scalar_field(f)
     v = as_vector_field(v)
@@ -251,16 +249,14 @@ def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None,
     res["stress_power_decomposition"] = _maxabs(lhs - rhs)
 
     res["stress_contraction"] = _maxabs(value_of(_contract(S, Dproj) - power))
-
-    # material-derivative commutation (needs a chart moving with the velocity)
-    if motion_velocity is not None:
-        w = as_vector_field(motion_velocity)
-        res.update(_material_residuals(frame, f, w))
     return res
 
 
-def _material_residuals(frame, f, v):
-    """Commutation identities between material derivatives and transport terms."""
+def material_residuals(frame, f, v):
+    """Max-abs residuals of the commutation identities between material
+    derivatives and transport terms, for the scalar field ``f`` on a frame
+    whose chart moves with the velocity field ``v``."""
+    f, v = as_scalar_field(f), as_vector_field(v)
     xarr = frame.values(frame.x)
     t = frame.t
     vval = v.value(xarr, t)
@@ -317,24 +313,19 @@ def ibp_residuals(f, phi, atlas, rule, t=0.0, m=0):
     phi = as_vector_field(phi)
     g = phi.comp[m]
 
-    acc_comp = 0.0
-    acc_div = 0.0
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        def block(X, w, psi):
-            frame = chart.frame(X[0], X[1], t)
-            st = frame.metric()
-            wgt = w * psi * st.sqrtJ
-            gf = frame.values(grad_scalar_dual(f, frame))
-            gg = frame.values(grad_scalar_dual(g, frame))
-            fv = f.value(st.x, t)
-            gv = g.value(st.x, t)
-            H = frame.H
-            comp = wgt * (gf[m] * gv + fv * gg[m] + H * st.n[m] * fv * gv)
-            divphi = frame.div([frame.eval_scalar(c) for c in phi.comp])
-            flux = np.einsum("i...,i...->...", gf + fv * H * st.n,
-                             phi.value(st.x, t))
-            return np.stack([comp, wgt * (fv * divphi + flux)])
-        comp, div = blockwise(block, X, w, psi)
-        acc_comp += np.sum(comp)
-        acc_div += np.sum(div)
-    return float(abs(acc_comp)), float(abs(acc_div))
+    def block(chart, X, w, psi):
+        frame = chart.frame(X[0], X[1], t)
+        st = frame.metric()
+        wgt = w * psi * st.sqrtJ
+        gf = frame.values(grad_scalar_dual(f, frame))
+        gg = frame.values(grad_scalar_dual(g, frame))
+        fv = f.value(st.x, t)
+        gv = g.value(st.x, t)
+        H = frame.H
+        comp = wgt * (gf[m] * gv + fv * gg[m] + H * st.n[m] * fv * gv)
+        divphi = frame.div([frame.eval_scalar(c) for c in phi.comp])
+        flux = np.einsum("i...,i...->...", gf + fv * H * st.n,
+                         phi.value(st.x, t))
+        return np.stack([comp, wgt * (fv * divphi + flux)])
+    comp, div = rule_sums(atlas.charts, rule, block)
+    return float(abs(comp)), float(abs(div))

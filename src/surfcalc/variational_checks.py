@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, blockwise,
-                             default_rule, metric_at)
+from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, default_rule,
+                             metric_at, rule_sums, rule_terms)
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
@@ -77,23 +77,19 @@ class VariationField:
 
     def initial_residual(self, atlas, rule, t0=0.0):
         """Max |z| over the quadrature nodes at the initial time."""
-        worst = 0.0
-        for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
-            def block(X):
-                return np.abs(self.values(chart.position(X[0], X[1], t0), t0))
-            worst = worst_of(worst, float(np.max(blockwise(block, X))))
-        return worst
+        def block(chart, X, w, psi):
+            return np.abs(self.values(chart.position(X[0], X[1], t0), t0))
+        return worst_of(0.0, *(float(np.max(a)) for a in
+                               rule_terms(atlas.charts, rule, block)))
 
     def tangency_residual(self, atlas, rule, t=0.0):
         """Max |z . n| over the quadrature nodes at time ``t``."""
-        worst = 0.0
-        for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
-            def block(X):
-                st = metric_at(chart, X, t)
-                return np.abs(np.einsum("i...,i...->...", self.values(st.x, t),
-                                        st.n))
-            worst = worst_of(worst, float(np.max(blockwise(block, X))))
-        return worst
+        def block(chart, X, w, psi):
+            st = metric_at(chart, X, t)
+            return np.abs(np.einsum("i...,i...->...", self.values(st.x, t),
+                                    st.n))
+        return worst_of(0.0, *(float(np.max(a)) for a in
+                               rule_terms(atlas.charts, rule, block)))
 
 
 def time_window_variation(direction, T, tangential=False):
@@ -156,11 +152,6 @@ def _jet_data(jet):
     return x, xt, J, np.sqrt(J)
 
 
-def _sums(terms):
-    """``(sum, sum of magnitudes)`` of an array of terms."""
-    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
-
-
 def _simpson_nodes(T, nt):
     if nt < 2 or nt % 2:
         raise ValueError("nt must be a positive even interval count")
@@ -181,29 +172,27 @@ def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
     evaluation per Simpson node and chart block, summed in that order."""
     ts, wt = _simpson_nodes(T, nt)
     rho0 = as_scalar_field(rho0)
-    jets = [_jet(ch, z) for ch in mov.charts]
-    sums = {e: [0.0, 0.0] for e in rungs}
+    jets = {ch: _jet(ch, z) for ch in mov.charts}
+    total, magnitude = np.zeros((2, len(rungs)))
     # per chart, the (rung, node) conserved density weights: filled at t = 0
-    rho0t = [np.empty((len(sums), X.shape[1])) for X, _, _ in rule.nodes]
+    rho0t = [np.empty((len(rungs), X.shape[1])) for X, _, _ in rule.nodes]
     for k, (tk, wk) in enumerate(zip(ts, wt)):
-        for m, (chart, (X, w, psi)) in enumerate(zip(mov.charts, rule.nodes)):
-            def block(X, w, psi, r0):
-                v = chart.evaluate(jets[m], X[0], X[1], tk)
-                out = []
-                for i, e in enumerate(sums):
-                    x, xt, _, sJ = _jet_data(v[:12] + e * v[12:] if z else v)
-                    if not k:  # writes through to this block's rho0t[m]
-                        r0[i] = rho0.value(x, 0.0) * sJ
-                    kernel = 0.5 * r0[i] * np.einsum("i...,i...->...", xt, xt)
-                    if law is not None:
-                        kernel = kernel - law.p(r0[i] / sJ) * sJ
-                    out.append(w * psi * kernel)
-                return np.stack(out)
-            terms = blockwise(block, X, w, psi, rho0t[m])
-            for acc, terms_e in zip(sums.values(), terms):
-                acc[0] -= wk * float(np.sum(terms_e))
-                acc[1] += wk * float(np.sum(np.abs(terms_e)))
-    return {e: tuple(acc) for e, acc in sums.items()}
+        def block(chart, X, w, psi, r0):
+            v = chart.evaluate(jets[chart], X[0], X[1], tk)
+            out = []
+            for i, e in enumerate(rungs):
+                x, xt, _, sJ = _jet_data(v[:12] + e * v[12:] if z else v)
+                if not k:  # writes through to this block's rows of rho0t
+                    r0[i] = rho0.value(x, 0.0) * sJ
+                kernel = 0.5 * r0[i] * np.einsum("i...,i...->...", xt, xt)
+                if law is not None:
+                    kernel = kernel - law.p(r0[i] / sJ) * sJ
+                out.append(w * psi * kernel)
+            return np.stack(out)
+        for terms in rule_terms(mov.charts, rule, block, rho0t):
+            total -= wk * np.sum(terms, axis=-1)
+            magnitude += wk * np.array([np.sum(np.abs(a)) for a in terms])
+    return {e: (float(a), float(b)) for e, a, b in zip(rungs, total, magnitude)}
 
 
 def action_integral(atlas, motion, rho0, T, law=None, rule=None, nt=16,
@@ -243,37 +232,38 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
     vel = motion.velocity
     z = variation.direction
     ts, wt = _simpson_nodes(T, nt)
+
+    def block(chart, X, w, psi):
+        out = []
+        for k, tk in enumerate(ts):
+            frame = chart.frame(X[0], X[1], tk)
+            if not k:  # conserved density weight, dual in X1, X2
+                rho0t_d = (frame.eval_scalar(as_scalar_field(rho0))
+                           * frame.sqrtJ)
+            sJ = frame.values(frame.sqrtJ)
+            x = frame.values(frame.x)
+            rho_d = rho0t_d / frame.sqrtJ
+            rho = frame.values(rho_d)
+            # material acceleration of the prescribed velocity (ambient)
+            vval = vel.value(x, tk)
+            jac = vel.jacobian(x, tk)
+            Dt_v = vel.dt(x, tk) + np.einsum("j...,ij...->i...", vval, jac)
+            force = rho * Dt_v
+            if law is not None:
+                peff_d = law.eff_expr.evaluate({"r": rho_d})
+                gradp = np.stack([frame.tangential(peff_d, i)
+                                  for i in range(3)])
+                force = (force + gradp + frame.values(peff_d) * frame.H
+                         * frame.values(frame.n))
+            zval = z.value(x, tk)
+            kernel = np.einsum("i...,i...->...", force, zval)
+            out.append(w * psi * kernel * sJ)
+            del frame  # free it before the next one is built
+        return np.stack(out)
     total = 0.0
-    for chart, (X, w, psi) in zip(mov.charts, rule.nodes):
-        def block(X, w, psi):
-            out = []
-            for k, tk in enumerate(ts):
-                frame = chart.frame(X[0], X[1], tk)
-                if not k:  # conserved density weight, dual in X1, X2
-                    rho0t_d = (frame.eval_scalar(as_scalar_field(rho0))
-                               * frame.sqrtJ)
-                sJ = frame.values(frame.sqrtJ)
-                x = frame.values(frame.x)
-                rho_d = rho0t_d / frame.sqrtJ
-                rho = frame.values(rho_d)
-                # material acceleration of the prescribed velocity (ambient)
-                vval = vel.value(x, tk)
-                jac = vel.jacobian(x, tk)
-                Dt_v = vel.dt(x, tk) + np.einsum("j...,ij...->i...", vval, jac)
-                force = rho * Dt_v
-                if law is not None:
-                    peff_d = law.eff_expr.evaluate({"r": rho_d})
-                    gradp = np.stack([frame.tangential(peff_d, i)
-                                      for i in range(3)])
-                    force = (force + gradp + frame.values(peff_d) * frame.H
-                             * frame.values(frame.n))
-                zval = z.value(x, tk)
-                kernel = np.einsum("i...,i...->...", force, zval)
-                out.append(w * psi * kernel * sJ)
-                del frame  # free it before the next one is built
-            return np.stack(out)
-        for wk, terms in zip(wt, blockwise(block, X, w, psi)):
-            total += wk * float(np.sum(terms))
+    for terms in rule_terms(mov.charts, rule, block):
+        for wk, s in zip(wt, np.sum(terms, axis=-1)):
+            total += wk * float(s)
     return total
 
 
@@ -360,17 +350,15 @@ def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
     + int rho F . v over the surface at time ``t``."""
     v, F = as_vector_field(v), as_vector_field(F)
     sigma, mu, lam, rho = (as_scalar_field(a) for a in (sigma, mu, lam, rho))
-    total = 0.0
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        def block(X, w, psi):
-            frame = chart.frame(X[0], X[1], t)
-            st = frame.metric()
-            return _dissipation_work_terms(
-                _jac_dual(v, frame), v.value(st.x, t), frame.eval_scalar(mu),
-                frame.eval_scalar(lam), sigma.value(st.x, t),
-                rho.value(st.x, t), F.value(st.x, t), frame, w * psi * st.sqrtJ)
-        total += float(np.sum(blockwise(block, X, w, psi)))
-    return total
+
+    def block(chart, X, w, psi):
+        frame = chart.frame(X[0], X[1], t)
+        st = frame.metric()
+        return _dissipation_work_terms(
+            _jac_dual(v, frame), v.value(st.x, t), frame.eval_scalar(mu),
+            frame.eval_scalar(lam), sigma.value(st.x, t),
+            rho.value(st.x, t), F.value(st.x, t), frame, w * psi * st.sqrtJ)
+    return float(rule_sums(atlas.charts, rule, block))
 
 
 def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
@@ -382,37 +370,36 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
     int { div_G(2 mu D_G(v) + lam (div_G v) P - sigma P) + rho F } . phi.
     Both rungs and the analytic side are evaluated on one frame per block:
     the rung v + e phi has Jacobian jv + e jphi and values vval + e phival.
+    ``phi`` is a :class:`VariationField`; a tangential one projects the
+    surface force and adds its ``tangency_residual`` to the report.
     """
     if rule is None:
         rule = default_rule(atlas)
     v = as_vector_field(v)
     sigma, mu, lam, rho_f = (as_scalar_field(a) for a in (sigma, mu, lam, rho))
     F_f = as_vector_field(F)
-    direction = phi.direction if isinstance(phi, VariationField) else as_vector_field(phi)
-    tangential = isinstance(phi, VariationField) and phi.tangential
+    direction, tangential = phi.direction, phi.tangential
 
-    sums = [0.0, 0.0, 0.0]  # the +eps and -eps energies, the analytic side
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        def block(X, w, psi):
-            frame = chart.frame(X[0], X[1], t)
-            st = frame.metric()
-            wgt = w * psi * st.sqrtJ
-            jv, jphi = _jac_dual(v, frame), _jac_dual(direction, frame)
-            vval, phival = v.value(st.x, t), direction.value(st.x, t)
-            S, _, _, mu_d, lam_d, _ = stress_dual(v, sigma, mu, lam, frame, jv)
-            sig, rho, Fv = (a.value(st.x, t) for a in (sigma, rho_f, F_f))
-            out = [_dissipation_work_terms(
-                [[a + e * b for a, b in zip(ra, rb)] for ra, rb in zip(jv, jphi)],
-                vval + e * phival, mu_d, lam_d, sig, rho, Fv, frame, wgt)
-                for e in (eps, -eps)]
-            force = div_matrix_dual(S, frame) + rho * Fv
-            if tangential:
-                force = np.einsum("ij...,j...->i...", st.P, force)
-            kernel = np.einsum("i...,i...->...", force, phival)
-            return np.stack(out + [wgt * kernel])
-        sums = [a + float(np.sum(b))
-                for a, b in zip(sums, blockwise(block, X, w, psi))]
-    energy_p, energy_m, analytic = sums
+    def block(chart, X, w, psi):
+        frame = chart.frame(X[0], X[1], t)
+        st = frame.metric()
+        wgt = w * psi * st.sqrtJ
+        jv, jphi = _jac_dual(v, frame), _jac_dual(direction, frame)
+        vval, phival = v.value(st.x, t), direction.value(st.x, t)
+        S, _, _, mu_d, lam_d, _ = stress_dual(v, sigma, mu, lam, frame, jv)
+        sig, rho, Fv = (a.value(st.x, t) for a in (sigma, rho_f, F_f))
+        out = [_dissipation_work_terms(
+            [[a + e * b for a, b in zip(ra, rb)] for ra, rb in zip(jv, jphi)],
+            vval + e * phival, mu_d, lam_d, sig, rho, Fv, frame, wgt)
+            for e in (eps, -eps)]
+        force = div_matrix_dual(S, frame) + rho * Fv
+        if tangential:
+            force = np.einsum("ij...,j...->i...", st.P, force)
+        kernel = np.einsum("i...,i...->...", force, phival)
+        return np.stack(out + [wgt * kernel])
+    # the +eps and -eps energies, the analytic side
+    energy_p, energy_m, analytic = map(float, rule_sums(atlas.charts, rule,
+                                                        block))
     fd = (energy_p - energy_m) / (2.0 * eps)
 
     report = {"fd": fd, "analytic": analytic, "error": abs(fd - analytic),
@@ -439,17 +426,6 @@ def _flux_energy_terms(df, flux, st, w, psi):
     return w * psi * st.sqrtJ * flux.density(zeta)
 
 
-def _flux_energy(chart_sums):
-    """``(E, sum of |summed terms|)`` from the :func:`_sums` of each chart's
-    :func:`_flux_energy_terms`, in chart order."""
-    total = 0.0
-    magnitude = 0.0
-    for s, a in chart_sums:
-        total -= 0.5 * s
-        magnitude += 0.5 * a
-    return total, magnitude
-
-
 def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     """E = -int (1/2) e_J(|grad_G f|^2) over the surface at time ``t``.
 
@@ -458,14 +434,12 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
     """
     f = as_scalar_field(f)
 
-    def chart_sums(chart, X, w, psi):
-        def block(X, w, psi):
-            st = metric_at(chart, X, t)
-            return _flux_energy_terms(_partials(f, st.x, t), flux, st, w, psi)
-        return _sums(blockwise(block, X, w, psi))
-    total, magnitude = _flux_energy(
-        chart_sums(chart, X, w, psi)
-        for chart, (X, w, psi) in zip(atlas.charts, rule.nodes))
+    def block(chart, X, w, psi):
+        st = metric_at(chart, X, t)
+        terms = _flux_energy_terms(_partials(f, st.x, t), flux, st, w, psi)
+        return np.stack([terms, np.abs(terms)])
+    s, a = rule_sums(atlas.charts, rule, block)
+    total, magnitude = float(0.0 - 0.5 * s), float(0.5 * a)  # 0.0 - 0.0 is +0.0
     return (total, magnitude) if abs_sum else total
 
 
@@ -504,38 +478,36 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
     # every rung f + e phi is evaluated on the analytic side's frame, with
     # the partials df + e dphi of f and phi evaluated once per block
     rungs = [s * float(e) for e in eps_list for s in (1.0, -1.0)]
-    terms = {e: [] for e in rungs}
 
-    analytic = 0.0
-    kernel_res = 0.0
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        def block(X, w, psi):
-            frame = chart.frame(X[0], X[1], t)
-            st = frame.metric()
-            gf = grad_scalar_dual(f, frame)
-            grad_vals = frame.values(gf)
-            if not linear:
-                gnorm = np.sqrt(np.einsum("i...,i...->...", grad_vals, grad_vals))
-                if np.min(gnorm) < 1e-8:
-                    raise DegenerateGradient("nonlinear flux variation needs "
-                                             "|grad_G f| bounded away from 0")
-            zeta_d = sum(c * c for c in gf)
-            q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
-            divq = frame.div(q)
-            df, dphi = _partials(f, st.x, t), _partials(phi, st.x, t)
-            return (grad_vals, w * psi * st.sqrtJ * divq * phi.value(st.x, t),
-                    np.stack([_flux_energy_terms(
-                        [a + e * b for a, b in zip(df, dphi)], flux, st, w, psi)
-                        for e in rungs]))
-        grad_vals, an, rung_terms = blockwise(block, X, w, psi)
+    def block(chart, X, w, psi):
+        frame = chart.frame(X[0], X[1], t)
+        st = frame.metric()
+        gf = grad_scalar_dual(f, frame)
+        grad_vals = frame.values(gf)
+        if not linear:
+            gnorm = np.sqrt(np.einsum("i...,i...->...", grad_vals, grad_vals))
+            if np.min(gnorm) < 1e-8:
+                raise DegenerateGradient("nonlinear flux variation needs "
+                                         "|grad_G f| bounded away from 0")
+        zeta_d = sum(c * c for c in gf)
+        q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
+        divq = frame.div(q)
+        df, dphi = _partials(f, st.x, t), _partials(phi, st.x, t)
+        return (grad_vals, w * psi * st.sqrtJ * divq * phi.value(st.x, t),
+                np.stack([_flux_energy_terms(
+                    [a + e * b for a, b in zip(df, dphi)], flux, st, w, psi)
+                    for e in rungs]))
+    analytic = kernel_res = sums = magnitude = 0.0
+    for grad_vals, an, terms in rule_terms(atlas.charts, rule, block):
         analytic += float(np.sum(an))
         kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))
-        for chart_sums, rung in zip(terms.values(), rung_terms):
-            chart_sums.append(_sums(rung))
-        del grad_vals, an, rung_terms, rung  # free them before the next chart
+        sums += np.sum(terms, axis=-1)
+        magnitude += np.array([np.sum(np.abs(a)) for a in terms])
+        del grad_vals, an, terms  # free them before the next chart
 
-    report = _ladder_report(lambda e: _flux_energy(terms[e]), eps_list,
-                            analytic)
+    energy = {e: (float(0.0 - 0.5 * s), float(0.5 * a))
+              for e, s, a in zip(rungs, sums, magnitude)}
+    report = _ladder_report(energy.__getitem__, eps_list, analytic)
     report["linear"] = linear
     report["kernel_gradient_residual"] = kernel_res
     return report
@@ -567,95 +539,89 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
     names = (["kinetic", "total", "force_work"] + ["barotropic"] * (law is not None)
              + ["pressure_work", "dissipation", "thermal", "species"]
              + ["flux"] * (flux is not None))
-    surf = {}
-    ref = {}
-    for chart, (X, w, psi) in zip(mov.charts, rule.nodes):
-        def block(X, w, psi):
-            x0, _, _, sJ0 = _jet_data(chart.evaluate(_jet(chart), X[0], X[1],
-                                                     0.0))
-            rho0t = fields.rho.value(x0, 0.0) * sJ0
 
-            frame = chart.frame(X[0], X[1], t)
-            st = frame.metric()
-            wgt = w * psi * st.sqrtJ      # surface measure
-            wref = w * psi                # reference measure (kernels carry sqrtJ)
+    def block(chart, X, w, psi):
+        x0, _, _, sJ0 = _jet_data(chart.evaluate(_jet(chart), X[0], X[1],
+                                                 0.0))
+        rho0t = fields.rho.value(x0, 0.0) * sJ0
 
-            xt = frame.x_t
-            xt2 = np.einsum("i...,i...->...", xt, xt)
+        frame = chart.frame(X[0], X[1], t)
+        st = frame.metric()
+        wgt = w * psi * st.sqrtJ      # surface measure
+        wref = w * psi                # reference measure (kernels carry sqrtJ)
 
-            # metric rate from the chart derivatives of the velocity
-            v_d = [frame.eval_scalar(c) for c in fields.v.comp]
-            gdot_basis = np.stack([frame.values(v_d, a) for a in _X])  # (2, 3, ...)
-            gdot = (np.einsum("ai...,bi...->ab...", st.g, gdot_basis)
-                    + np.einsum("ai...,bi...->ab...", gdot_basis, st.g))
+        xt = frame.x_t
+        xt2 = np.einsum("i...,i...->...", xt, xt)
 
-            # ambient pointwise data
-            rho = fields.rho.value(st.x, t)
-            vval = fields.v.value(st.x, t)
-            v2 = np.einsum("i...,i...->...", vval, vval)
-            jac = fields.v.jacobian(st.x, t)
-            divv = np.einsum("ij...,ij...->...", st.P, jac)
-            D = 0.5 * (jac + np.einsum("ij...->ji...", jac))
-            Dproj = np.einsum("ij...,jk...,kl...->il...", st.P, D, st.P)
-            mu = coeffs.mu.value(st.x, t)
-            lam = coeffs.lam.value(st.x, t)
-            kap = coeffs.kappa.value(st.x, t)
-            nu = coeffs.nu.value(st.x, t)
-            sig = fields.sigma.value(st.x, t)
-            evals = fields.e.value(st.x, t)
-            Fval = coeffs.F.value(st.x, t)
+        # metric rate from the chart derivatives of the velocity
+        v_d = [frame.eval_scalar(c) for c in fields.v.comp]
+        gdot_basis = np.stack([frame.values(v_d, a) for a in _X])  # (2, 3, ...)
+        gdot = (np.einsum("ai...,bi...->ab...", st.g, gdot_basis)
+                + np.einsum("ai...,bi...->ab...", gdot_basis, st.g))
 
-            # (surface, reference) terms in the order of ``names``:
-            # kinetic / total / work-by-force energies
-            pairs = [
-                (wgt * 0.5 * rho * v2, wref * 0.5 * rho0t * xt2),
-                (wgt * (0.5 * rho * v2 + rho * evals),
-                 wref * rho0t * (0.5 * xt2 + evals)),
-                (wgt * rho * np.einsum("i...,i...->...", Fval, vval),
-                 wref * rho0t * np.einsum("i...,i...->...", Fval, xt))]
-            if law is not None:
-                pairs.append((wgt * (0.5 * rho * v2 - law.p(rho)),
-                              wref * (0.5 * rho0t * xt2
-                                      - law.p(rho0t / st.sqrtJ) * st.sqrtJ)))
+        # ambient pointwise data
+        rho = fields.rho.value(st.x, t)
+        vval = fields.v.value(st.x, t)
+        v2 = np.einsum("i...,i...->...", vval, vval)
+        jac = fields.v.jacobian(st.x, t)
+        divv = np.einsum("ij...,ij...->...", st.P, jac)
+        D = 0.5 * (jac + np.einsum("ij...->ji...", jac))
+        Dproj = np.einsum("ij...,jk...,kl...->il...", st.P, D, st.P)
+        mu = coeffs.mu.value(st.x, t)
+        lam = coeffs.lam.value(st.x, t)
+        kap = coeffs.kappa.value(st.x, t)
+        nu = coeffs.nu.value(st.x, t)
+        sig = fields.sigma.value(st.x, t)
+        evals = fields.e.value(st.x, t)
+        Fval = coeffs.F.value(st.x, t)
 
-            # pressure work and viscous dissipation via the metric rate
-            tr_gdot = np.einsum("ab...,ab...->...", st.inv_gram, gdot)
-            gdot_sq = np.einsum("ab...,zh...,az...,bh...->...",
-                                gdot, gdot, st.inv_gram, st.inv_gram)
-            pairs.append((wgt * divv * sig,
-                          wref * st.sqrtJ * 0.5 * sig * tr_gdot))
-            ed_surf = 0.5 * (2.0 * mu * np.einsum("ij...,ij...->...", Dproj, Dproj)
-                             + lam * divv * divv)
-            ed_ref = (0.25 * mu * gdot_sq
-                      + 0.5 * lam * (0.5 * tr_gdot) ** 2)
-            pairs.append((wgt * ed_surf, wref * st.sqrtJ * ed_ref))
+        # (surface, reference) terms in the order of ``names``:
+        # kinetic / total / work-by-force energies
+        pairs = [
+            (wgt * 0.5 * rho * v2, wref * 0.5 * rho0t * xt2),
+            (wgt * (0.5 * rho * v2 + rho * evals),
+             wref * rho0t * (0.5 * xt2 + evals)),
+            (wgt * rho * np.einsum("i...,i...->...", Fval, vval),
+             wref * rho0t * np.einsum("i...,i...->...", Fval, xt))]
+        if law is not None:
+            pairs.append((wgt * (0.5 * rho * v2 - law.p(rho)),
+                          wref * (0.5 * rho0t * xt2
+                                  - law.p(rho0t / st.sqrtJ) * st.sqrtJ)))
 
-            # gradient energies: ambient projected gradient vs chart form
-            def grad_pair(scalar, coef):
-                g_amb = np.einsum("ij...,j...->i...", st.P, scalar.grad(st.x, t))
-                zeta_amb = np.einsum("i...,i...->...", g_amb, g_amb)
-                s_d = frame.eval_scalar(scalar)
-                dch = np.stack([frame.values(s_d, a) for a in _X])
-                zeta = np.einsum("ab...,a...,b...->...", st.inv_gram, dch, dch)
-                pairs.append((wgt * (0.5 * coef * zeta_amb),
-                              wref * st.sqrtJ * 0.5 * coef * zeta))
-                return zeta_amb, zeta
+        # pressure work and viscous dissipation via the metric rate
+        tr_gdot = np.einsum("ab...,ab...->...", st.inv_gram, gdot)
+        gdot_sq = np.einsum("ab...,zh...,az...,bh...->...",
+                            gdot, gdot, st.inv_gram, st.inv_gram)
+        pairs.append((wgt * divv * sig,
+                      wref * st.sqrtJ * 0.5 * sig * tr_gdot))
+        ed_surf = 0.5 * (2.0 * mu * np.einsum("ij...,ij...->...", Dproj, Dproj)
+                         + lam * divv * divv)
+        ed_ref = (0.25 * mu * gdot_sq
+                  + 0.5 * lam * (0.5 * tr_gdot) ** 2)
+        pairs.append((wgt * ed_surf, wref * st.sqrtJ * ed_ref))
 
-            zeta_amb, zeta_ref = grad_pair(fields.theta, kap)
-            grad_pair(fields.C, nu)
-            if flux is not None:
-                pairs.append((wgt * 0.5 * flux.density(zeta_amb),
-                              wref * st.sqrtJ * 0.5 * flux.density(zeta_ref)))
-            return np.stack([a for pair in pairs for a in pair])
+        # gradient energies: ambient projected gradient vs chart form
+        def grad_pair(scalar, coef):
+            g_amb = np.einsum("ij...,j...->i...", st.P, scalar.grad(st.x, t))
+            zeta_amb = np.einsum("i...,i...->...", g_amb, g_amb)
+            s_d = frame.eval_scalar(scalar)
+            dch = np.stack([frame.values(s_d, a) for a in _X])
+            zeta = np.einsum("ab...,a...,b...->...", st.inv_gram, dch, dch)
+            pairs.append((wgt * (0.5 * coef * zeta_amb),
+                          wref * st.sqrtJ * 0.5 * coef * zeta))
+            return zeta_amb, zeta
 
-        terms = blockwise(block, X, w, psi)
-        for name, a, b in zip(names, terms[0::2], terms[1::2]):
-            surf[name] = surf.get(name, 0.0) + float(np.sum(a))
-            ref[name] = ref.get(name, 0.0) + float(np.sum(b))
+        zeta_amb, zeta_ref = grad_pair(fields.theta, kap)
+        grad_pair(fields.C, nu)
+        if flux is not None:
+            pairs.append((wgt * 0.5 * flux.density(zeta_amb),
+                          wref * st.sqrtJ * 0.5 * flux.density(zeta_ref)))
+        return np.stack([a for pair in pairs for a in pair])
+    sums = rule_sums(mov.charts, rule, block)
 
     report = {}
-    for name in surf:
-        a, b = surf[name], ref[name]
+    for name, a, b in zip(names, map(float, sums[0::2]),
+                          map(float, sums[1::2])):
         report[name] = {
             "surface": a,
             "reference": b,
@@ -679,24 +645,23 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule=None,
         rule = QuadratureRule(atlas, order=24, periodic_order=48)
     mov = moving_atlas(atlas, motion)
     z = _direction_exprs(variation)
-    worst = 0.0
-    for chart, (X, _, _) in zip(mov.charts, rule.nodes):
-        jet = _jet(chart, z)
-        def block(X):
-            v = chart.evaluate(jet, X[0], X[1], t)
-            Jp, Jm = (_jet_data(v[:12] + e * v[12:])[2] for e in (eps, -eps))
-            dJ = (Jp - Jm) / (2.0 * eps)
+    jets = {ch: _jet(ch, z) for ch in mov.charts}
 
-            frame = chart.frame(X[0], X[1], t)
-            st = frame.metric()
-            y_d = [frame.eval_scalar(c) for c in variation.direction.comp]
-            dy = np.stack([frame.values(y_d, a) for a in _X])
-            # contravariant basis g^a = g^{ab} g_b
-            gup = np.einsum("ab...,bi...->ai...", st.inv_gram, st.g)
-            rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * st.J
-            return np.abs(dJ - rhs)
-        worst = worst_of(worst, float(np.max(blockwise(block, X))))
-    return worst
+    def block(chart, X, w, psi):
+        v = chart.evaluate(jets[chart], X[0], X[1], t)
+        Jp, Jm = (_jet_data(v[:12] + e * v[12:])[2] for e in (eps, -eps))
+        dJ = (Jp - Jm) / (2.0 * eps)
+
+        frame = chart.frame(X[0], X[1], t)
+        st = frame.metric()
+        y_d = [frame.eval_scalar(c) for c in variation.direction.comp]
+        dy = np.stack([frame.values(y_d, a) for a in _X])
+        # contravariant basis g^a = g^{ab} g_b
+        gup = np.einsum("ab...,bi...->ai...", st.inv_gram, st.g)
+        rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * st.J
+        return np.abs(dJ - rhs)
+    return worst_of(0.0, *(float(np.max(a)) for a in
+                           rule_terms(mov.charts, rule, block)))
 
 
 def tangential_pairing_residual(f, z, atlas, rule=None, t=0.0):
@@ -705,19 +670,15 @@ def tangential_pairing_residual(f, z, atlas, rule=None, t=0.0):
         rule = default_rule(atlas)
     f = as_vector_field(f)
     z = as_vector_field(z)
-    lhs = 0.0
-    rhs = 0.0
-    for chart, (X, w, psi) in zip(atlas.charts, rule.nodes):
-        def block(X, w, psi):
-            st = metric_at(chart, X, t)
-            wgt = w * psi * st.sqrtJ
-            fv = f.value(st.x, t)
-            zv = z.value(st.x, t)
-            Pz = np.einsum("ij...,j...->i...", st.P, zv)
-            Pf = np.einsum("ij...,j...->i...", st.P, fv)
-            return (wgt * np.einsum("i...,i...->...", fv, Pz),
-                    wgt * np.einsum("i...,i...->...", Pf, zv))
-        lhs_terms, rhs_terms = blockwise(block, X, w, psi)
-        lhs += float(np.sum(lhs_terms))
-        rhs += float(np.sum(rhs_terms))
-    return abs(lhs - rhs)
+
+    def block(chart, X, w, psi):
+        st = metric_at(chart, X, t)
+        wgt = w * psi * st.sqrtJ
+        fv = f.value(st.x, t)
+        zv = z.value(st.x, t)
+        Pz = np.einsum("ij...,j...->i...", st.P, zv)
+        Pf = np.einsum("ij...,j...->i...", st.P, fv)
+        return np.stack([wgt * np.einsum("i...,i...->...", fv, Pz),
+                         wgt * np.einsum("i...,i...->...", Pf, zv)])
+    lhs, rhs = rule_sums(atlas.charts, rule, block)
+    return float(abs(lhs - rhs))

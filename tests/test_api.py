@@ -13,6 +13,7 @@ import pytest
 import surfcalc
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def _modules():
@@ -43,3 +44,28 @@ def test_traced_spans_exist():
     for module, attr, _, _ in spans:
         mod = importlib.import_module(f"surfcalc.{module}")
         operator.attrgetter(attr)(mod)  # AttributeError names what is gone
+
+
+@pytest.mark.skipif(not WORKLOADS.exists(), reason="no benchmark/workloads.py")
+def test_benchmark_imports_resolve():
+    """Every name the benchmark's workloads import from surfcalc, and every
+    attribute they read off an imported surfcalc module, exists."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {}
+    names = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and node.module.split(".")[0] == "surfcalc"):
+            for alias in node.names:
+                names.append((node.module, alias.name))
+                if node.module == "surfcalc":
+                    modules[alias.asname or alias.name] = f"surfcalc.{alias.name}"
+    assert names
+    for module, name in names:
+        mod = importlib.import_module(module)
+        if not hasattr(mod, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id",
+                                                       None) in modules:
+            getattr(importlib.import_module(modules[node.value.id]), node.attr)

@@ -2,6 +2,7 @@
 every output is bit-identical however the nodes are cut, and the peak
 memory of a check is that of one block, not of one whole chart."""
 
+import ast
 import os
 import platform
 import subprocess
@@ -16,7 +17,8 @@ import pytest
 import surfcalc
 from surfcalc import chart_geometry
 from surfcalc.chart_geometry import (QuadratureRule, blockwise, default_rule,
-                                     integrate)
+                                     integrate, metric_at, rule_sums,
+                                     rule_terms)
 from surfcalc.cli_runner import (suite_conservation_report,
                                  suite_verify_geometry)
 from surfcalc.config import load_scenario
@@ -57,6 +59,46 @@ def test_blockwise_concatenates_node_slices(monkeypatch):
     assert sizes == [4, 4, 3]
     assert np.array_equal(prod, a * a[1])
     assert np.array_equal(shifted, a[1] + 1.0)
+
+
+def test_only_chart_geometry_calls_blockwise():
+    """Every rule-wide loop goes through ``rule_terms``: no other module
+    cuts node blocks itself."""
+    callers = set()
+    for path in Path(surfcalc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "blockwise" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.add(path.stem)
+    assert callers == {"chart_geometry"}
+
+
+def test_rule_sums_add_whole_chart_sums_in_chart_order(sphere, torus,
+                                                      monkeypatch):
+    """At 97-node blocks each row of ``rule_sums`` is the float sum of that
+    row over each whole chart, added chart by chart; ``rule_terms`` hands
+    each chart its own ``per_chart`` array."""
+    monkeypatch.setattr(chart_geometry, "_BLOCK", 97)
+
+    def fn(chart, X, w, psi, extra):
+        st = metric_at(chart, X, 0.3)
+        return np.stack([w * psi * st.sqrtJ, extra * np.sin(X[0]) * w,
+                         psi * st.x[2] - extra])
+    for atlas in (sphere, torus):
+        rule = QuadratureRule(atlas, order=24, periodic_order=48)
+        extras = [np.cos(X[1]) for X, _, _ in rule.nodes]
+        whole = [fn(chart, X, w, psi, e) for chart, (X, w, psi), e
+                 in zip(atlas.charts, rule.nodes, extras)]
+        cut = rule_terms(atlas.charts, rule, fn, extras)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(cut, whole, strict=True))
+        want = [0.0] * 3
+        for terms in whole:
+            want = [s + float(np.sum(row)) for s, row in zip(want, terms)]
+        got = rule_sums(atlas.charts, rule, lambda chart, X, w, psi: fn(
+            chart, X, w, psi, np.cos(X[1])))
+        assert [float(s) for s in got] == want
 
 
 def _stress_integral(atlas_name, motion, tmp_path):

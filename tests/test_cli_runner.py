@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from surfcalc import cli_runner, evolving_surface
+from surfcalc import cli_runner, evolving_surface, surface_ops
 from surfcalc.cli_runner import _row, _slope_row, _write_csv, main
 from surfcalc.config import load_scenario
 from surfcalc.variational_checks import _ladder_report
@@ -34,6 +34,25 @@ def test_list_builtins(runner):
                  "power(a=1.0, gamma=1.4)", "verify-geometry",
                  "conservation-report"):
         assert word in out.output
+
+
+def test_moving_chart_pass_checks_material_identities_only(monkeypatch):
+    """verify-identities builds the stress once per family and reference
+    chart (4 x 2 on sphere_identities); the moving-chart pass adds none."""
+    calls = []
+    original = surface_ops.stress_dual
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(surface_ops, "stress_dual", counting)
+    scn = load_scenario(scenario_path("sphere_identities.cfg"))
+    rows, _ = cli_runner.suite_verify_identities(scn, np.random.default_rng(0))
+    assert len(calls) == 8
+    checks = {r["check"] for r in rows}
+    assert {"transport_commutation_scalar",
+            "transport_commutation_momentum"} <= checks
 
 
 def test_run_identities_scenario(runner, tmp_path):
