@@ -274,7 +274,7 @@ def suite_residuals(scn, rng):
 
 def suite_simulate_heat(scn, rng):
     atlas = scn.build_surface()
-    res = scn.resolution("resolution", (32, 64))
+    res = scn.resolution((32, 64))
     dt, steps = scn.time_window()
     flux = scn.build_flux_law() or flux_law_builtin("linear")
     coeffs = CoefficientFields(F=("0", "0", "0"), Q_theta=0.0)
@@ -297,7 +297,7 @@ def suite_simulate_heat(scn, rng):
 
 def suite_simulate_diffusion(scn, rng):
     atlas = scn.build_surface()
-    res = scn.resolution("resolution", (32, 64))
+    res = scn.resolution((32, 64))
     dt, steps = scn.time_window()
     flux = scn.build_flux_law() or flux_law_builtin("linear")
     coeffs = CoefficientFields(Q_C=scn.get_scalar_field(
@@ -328,7 +328,7 @@ def suite_simulate_diffusion(scn, rng):
 
 def suite_simulate_barotropic(scn, rng):
     atlas = scn.build_surface()
-    res = scn.resolution("resolution", (32, 64))
+    res = scn.resolution((32, 64))
     dt, steps = scn.time_window()
     law = scn.build_pressure_law()
     if law is None:
@@ -405,10 +405,10 @@ def suite_check_variations(scn, rng):
     rows.append(_slope_row("flux_variation_nonlinear_slope", nl,
                            scn.tolerance("slope", 0.1)))
 
-    rows.append(_row("jacobian_variation_identity",
-                     jacobian_variation_residual(atlas, motion, var,
-                                                 t=0.5 * T),
-                     scn.tolerance("jacobian_variation", 1e-7)))
+    rows.append(_row("jacobian_variation_identity", jacobian_variation_residual(
+        atlas, motion, var, 0.5 * T,
+        QuadratureRule(atlas, order=24, periodic_order=48)),
+        scn.tolerance("jacobian_variation", 1e-7)))
     rows.append(_row("tangential_pairing", tangential_pairing_residual(
         fields.v, zdir, atlas, rule), scn.tolerance("pairing", 1e-10)))
     return rows, {}

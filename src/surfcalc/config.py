@@ -192,11 +192,11 @@ class Scenario:
     def build_flux_law(self):
         return self._build("flux")
 
-    def resolution(self, key="resolution", default=(48, 96)):
-        res = self.get_ints(key, default)
+    def resolution(self, default=(48, 96)):
+        res = self.get_ints("resolution", default)
         if len(res) != 2 or min(res) < 16:
-            raise ConfigError(f"{self.where(key)}: "
-                              f"{key} needs two integers >= 16")
+            raise ConfigError(f"{self.where('resolution')}: "
+                              "resolution needs two integers >= 16")
         return res
 
     def quadrature(self):

@@ -361,10 +361,7 @@ _DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def parse_expr(text, variables=("x1", "x2", "x3", "t")):
-    """Parse ``text`` into an :class:`Expr` over the given variable names.
-
-    Pass ``variables=None`` to accept any name that is not a Python keyword.
-    """
+    """Parse ``text`` into an :class:`Expr` over the given variable names."""
     bad = _BAD_CHAR.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r} in expression")
@@ -394,7 +391,7 @@ def parse_expr(text, variables=("x1", "x2", "x3", "t")):
         if kind is ast.Name:
             if node.id in _CONSTANTS:
                 return Num(_CONSTANTS[node.id])
-            if variables is not None and node.id not in variables:
+            if node.id not in variables:
                 raise ParseError(f"unknown variable {node.id!r}")
             return Var(node.id)
         # "f(a)" only: not "f()", "(f)(a)" or "f(*a)"

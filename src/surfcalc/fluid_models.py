@@ -165,16 +165,14 @@ def pressure_law_builtin(name, **params):
 class _Point:
     """Numeric point data shared by the residual evaluators."""
 
-    def __init__(self, frame, fields, coeffs):
+    def __init__(self, frame, v):
         self.frame = frame
         self.t = frame.t
         self.x = frame.values(frame.x)
         self.n = frame.values(frame.n)
         self.P = frame.values(frame.P)
-        self.v = fields.v.value(self.x, self.t)
+        self.v = v.value(self.x, self.t)
         self.vn = np.einsum("i...,i...->...", self.v, self.n)
-        self.fields = fields
-        self.coeffs = coeffs
 
     def Dt(self, f):
         """Material derivative of an ambient scalar field."""
@@ -210,7 +208,7 @@ class _Point:
 def residual_full(fields, coeffs, frame):
     """Pointwise residuals of the four lines of the full system
     (mass, momentum, internal energy, concentration)."""
-    pt = _Point(frame, fields, coeffs)
+    pt = _Point(frame, fields.v)
     f, c = fields, coeffs
     S, Dproj, divv, mu_d, lam_d, _ = stress_dual(f.v, f.sigma, c.mu, c.lam, frame)
     divS = div_matrix_dual(S, frame)
@@ -237,7 +235,7 @@ def residual_full(fields, coeffs, frame):
 
 def residual_conservative(fields, coeffs, frame):
     """Pointwise residuals of the conservative form of the system."""
-    pt = _Point(frame, fields, coeffs)
+    pt = _Point(frame, fields.v)
     f, c = fields, coeffs
     S = stress_dual(f.v, f.sigma, c.mu, c.lam, frame)[0]
     fr = frame
@@ -290,7 +288,7 @@ def residual_tangential(fields, coeffs, frame):
     """Residuals of the tangential system: projected momentum plus the
     tangency constraint |v.n| (mass/energy/concentration as in the full
     system)."""
-    pt = _Point(frame, fields, coeffs)
+    pt = _Point(frame, fields.v)
     out = residual_full(fields, coeffs, frame)
     resid = np.einsum("ij...,j...->i...", pt.P, out["momentum_vec"])
     out["momentum"] = np.linalg.norm(resid, axis=0)
@@ -302,7 +300,7 @@ def residual_tangential(fields, coeffs, frame):
 def residual_noncanonical(fields, coeffs, frame):
     """Residual of the momentum law with explicit pressure gradient and
     curvature force, driven by the viscous stress of the tangential part."""
-    pt = _Point(frame, fields, coeffs)
+    pt = _Point(frame, fields.v)
     u = fields.u if fields.u is not None else fields.v
     divS_u = div_matrix_dual(
         stress_dual(u, 0.0, coeffs.mu, coeffs.lam, frame)[0], frame)
@@ -319,7 +317,7 @@ def residual_noncanonical(fields, coeffs, frame):
 def residual_barotropic(fields, law, frame, variant="full"):
     """Residual of the barotropic momentum law (full or tangential variant),
     with the effective pressure derived from the law and the density."""
-    pt = _Point(frame, fields, CoefficientFields())
+    pt = _Point(frame, fields.v)
     rho_f = fields.rho
     rho = pt.val(rho_f)
     if np.any(rho <= 0):
@@ -344,7 +342,7 @@ def thermo_quantities(fields, coeffs, frame):
     """Enthalpy-equation residual, entropy-equation residual, pointwise
     entropy production, the free-energy identity residual, and the two
     (distinct) dissipation densities."""
-    pt = _Point(frame, fields, coeffs)
+    pt = _Point(frame, fields.v)
     f, c = fields, coeffs
     rho = pt.val(f.rho)
     theta = pt.val(f.theta)
@@ -392,7 +390,7 @@ def thermo_quantities(fields, coeffs, frame):
 
 def manufactured_heat_source(fields, coeffs, frame):
     """Nodal heat source making the internal-energy line hold exactly."""
-    pt = _Point(frame, fields, coeffs)
+    pt = _Point(frame, fields.v)
     _, Dproj, divv, mu_d, lam_d, _ = stress_dual(
         fields.v, fields.sigma, coeffs.mu, coeffs.lam, frame)
     e_tilde = frame.values(dissipation_density(Dproj, divv, mu_d, lam_d))
@@ -405,7 +403,7 @@ def manufactured_heat_source(fields, coeffs, frame):
 
 def manufactured_force(fields, coeffs, frame):
     """Nodal external force making the momentum line hold exactly."""
-    pt = _Point(frame, fields, coeffs)
+    pt = _Point(frame, fields.v)
     divS = div_matrix_dual(
         stress_dual(fields.v, fields.sigma, coeffs.mu, coeffs.lam, frame)[0], frame)
     rho = pt.val(fields.rho)

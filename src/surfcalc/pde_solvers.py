@@ -18,6 +18,7 @@ when the first ``SurfaceGridSolver`` builds them, not with this module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,10 @@ class SurfaceGridSolver:
         self.grids = [ChartGrid(atlas, m, resolution) for m in range(len(self.charts))]
         self._build_couplers()
         self._static = all(c.time_independent for c in self.charts)
-        self._metric_cache = {}
+        charts, grids = self.charts, self.grids  # no cycle through self
+        self._metric_cache = functools.lru_cache(_METRIC_LEVELS)(
+            lambda t: [chart.metric(g.X[0], g.X[1], t)
+                       for chart, g in zip(charts, grids)])
 
     # -- cross-chart coupling ----------------------------------------------------
 
@@ -228,15 +232,7 @@ class SurfaceGridSolver:
         ``_METRIC_LEVELS`` most recently read levels (t = 0, and one RK4
         step's t, t + dt/2 and t + dt); the least recently read is evicted.
         A time-independent atlas has one entry, shared by every ``t``."""
-        key = None if self._static else float(t)
-        states = self._metric_cache.pop(key, None)
-        if states is None:
-            states = [chart.metric(g.X[0], g.X[1], t)
-                      for chart, g in zip(self.charts, self.grids)]
-            if len(self._metric_cache) >= _METRIC_LEVELS:
-                del self._metric_cache[next(iter(self._metric_cache))]
-        self._metric_cache[key] = states  # now the most recently read
-        return states
+        return self._metric_cache(0.0 if self._static else float(t))
 
     def positions(self, t):
         """Interior material positions per chart at time ``t``."""
@@ -311,6 +307,20 @@ def _transported_rho(solver, mass0, t):
     return [mass0[m] / solver.interior(m, st[m].sqrtJ) for m in range(len(mass0))]
 
 
+def _flux_bound(solver, values, t, flux):
+    """Max |e_J'| over [0, max |grad u|^2] of the interior ``values`` u at
+    time ``t``, the gradient read on the rows the flux divergence reads."""
+    zmax = 0.0
+    if not isinstance(flux.d_expr, Num):  # a constant e_J' needs no z
+        pads = solver.fill_ghosts(values)
+        for m, st in enumerate(solver.metric(t)):
+            df = np.stack([solver._d(m, pads[m], a, 2) for a in range(2)])
+            z = np.einsum("ab...,a...,b...->...",
+                          solver.interior(m, st.inv_gram, 2), df, df)
+            zmax = max(zmax, float(np.max(z)))
+    return float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
+
+
 def step_heat(solver, field, coeffs, flux, dt, rho0=1.0):
     """One RK4 step of the generalized heat equation in Lagrangian form.
 
@@ -318,22 +328,15 @@ def step_heat(solver, field, coeffs, flux, dt, rho0=1.0):
     the density is the exact transported one.  The right-hand side is
     ``(div_G q + rho Q_theta + F1) / rho`` at fixed reference coordinates,
     with q the flux of theta = field / C_theta.  The stability guard bounds
-    e_J' over [0, max |grad theta|^2], read on the rows the flux reads.
+    e_J' by :func:`_flux_bound` of theta.
     """
     c = coeffs
     xs = solver.positions(field.t)
     cth = [c.C_theta.value(xs[m], field.t) for m in range(len(xs))]
-    zmax = 0.0
-    if not isinstance(flux.d_expr, Num):  # a constant e_J' needs no z
-        pads = solver.fill_ghosts([v / cm for v, cm in zip(field.values, cth)])
-        for m, st in enumerate(solver.metric(field.t)):
-            df = np.stack([solver._d(m, pads[m], a, 2) for a in range(2)])
-            z = np.einsum("ab...,a...,b...->...",
-                          solver.interior(m, st.inv_gram, 2), df, df)
-            zmax = max(zmax, float(np.max(z)))
+    coef = _flux_bound(solver, [v / cm for v, cm in zip(field.values, cth)],
+                       field.t, flux)
     mass0 = _reference_mass(solver, rho0)
     rho_now = _transported_rho(solver, mass0, field.t)
-    coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
     cth_min = min(float(np.min(np.abs(cm))) for cm in cth)
     rho_min = min(float(np.min(r)) for r in rho_now)
     solver.check_parabolic_dt(dt, coef / max(rho_min * cth_min, 1e-30), field.t)
@@ -358,10 +361,10 @@ def step_diffusion(solver, field, coeffs, flux, dt):
 
     ``field`` holds the concentration C; internally the conserved variable
     C*sqrtJ is advanced at fixed reference coordinates, which realizes the
-    (div v)C transport term exactly.
+    (div v)C transport term exactly.  The guard is :func:`_flux_bound` of C.
     """
     c = coeffs
-    coef = float(np.max(np.abs(flux.deriv(np.array([0.0, 1.0])))))
+    coef = _flux_bound(solver, field.values, field.t, flux)
     solver.check_parabolic_dt(dt, max(coef, 1e-30), field.t)
 
     st_t = solver.metric(field.t)

@@ -153,18 +153,14 @@ def _maxabs(x):
     return float(np.max(np.abs(np.asarray(x, dtype=float))))
 
 
-def identity_residuals(frame, f, v, phi=None, g=None, mu=None, lam=None):
+def identity_residuals(frame, f, v, phi, g, mu, lam):
     """Pointwise residuals of the tangential-calculus identities on a frame.
 
     ``f, g, mu, lam`` are scalar fields, ``v, phi`` vector fields.  Returns
     a dict of max-abs residuals.
     """
-    f = as_scalar_field(f)
-    v = as_vector_field(v)
-    phi = as_vector_field(phi) if phi is not None else v
-    g = as_scalar_field(g if g is not None else 1.0)
-    mu = as_scalar_field(mu if mu is not None else 1.0)
-    lam = as_scalar_field(lam if lam is not None else 1.0)
+    f, g, mu, lam = (as_scalar_field(a) for a in (f, g, mu, lam))
+    v, phi = as_vector_field(v), as_vector_field(phi)
 
     P = frame.P
     nvec = frame.n

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart_geometry import (Chart, ChartAtlas, QuadratureRule, default_rule,
-                             metric_at, rule_sums, rule_terms)
+from .chart_geometry import (Chart, ChartAtlas, metric_at, rule_sums,
+                             rule_terms)
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
@@ -92,12 +92,12 @@ class VariationField:
                                rule_terms(atlas.charts, rule, block)))
 
 
-def time_window_variation(direction, T, tangential=False):
+def time_window_variation(direction, T):
     """Direction field ``t (T - t) w(x, t)``: vanishes at t = 0 and t = T."""
     w = as_vector_field(direction)
     ramp = parse_expr(f"t*({float(T)} - t)", _AMB + ("t",))
     comps = [ScalarField(ramp * c.expr) for c in w.comp]
-    return VariationField(VectorField(comps), tangential=tangential)
+    return VariationField(VectorField(comps))
 
 
 def _compose_ambient(expr, param):
@@ -195,29 +195,26 @@ def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
     return {e: (float(a), float(b)) for e, a, b in zip(rungs, total, magnitude)}
 
 
-def action_integral(atlas, motion, rho0, T, law=None, rule=None, nt=16,
-                    variation=None, eps=0.0, abs_sum=False):
+def action_integral(atlas, motion, rho0, T, law=None, *, rule, nt=16,
+                    variation=None, eps=0.0):
     """Action of the (possibly perturbed) flow over [0, T], in reference form.
 
     A = -int_0^T int psi { (1/2) rho0_tilde |x_t|^2 - p(rho0_tilde/sqrtJ) sqrtJ }
     over the chart rectangles, with Simpson quadrature in time.  The density
     never needs a separate solve: the continuity equation is built into the
     conserved-weight representation.  ``variation``/``eps`` displace the flow
-    map by ``eps * z`` exactly.  With ``abs_sum`` the result is the pair
-    ``(A, sum of |summed terms|)``; machine epsilon times the second bounds
-    the rounding error of the first.
+    map by ``eps * z`` exactly.  Returns the pair ``(A, sum of |summed
+    terms|)``; machine epsilon times the second bounds the rounding error of
+    the first.
     """
-    if rule is None:
-        rule = default_rule(atlas)
     eps = float(eps)
     z = [] if variation is None or eps == 0.0 else _direction_exprs(variation)
-    pair = _action_rungs(moving_atlas(atlas, motion), rule, rho0, T, law, nt,
+    return _action_rungs(moving_atlas(atlas, motion), rule, rho0, T, law, nt,
                          z, [eps])[eps]
-    return pair if abs_sum else pair[0]
 
 
-def action_first_variation(atlas, motion, variation, rho0, T, law=None,
-                           rule=None, nt=16):
+def action_first_variation(atlas, motion, variation, rho0, T, law=None, *,
+                           rule, nt=16):
     """Analytic first variation of the action along ``variation``.
 
     Evaluates the surface integral of { rho D_t v [+ grad_G peff + peff H n] }
@@ -226,8 +223,6 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None,
     peff = rho p'(rho) - p(rho).  One frame per Simpson node and chart block:
     the first node is t = 0, where the moving chart is the reference chart.
     """
-    if rule is None:
-        rule = default_rule(atlas)
     mov = moving_atlas(atlas, motion)
     vel = motion.velocity
     z = variation.direction
@@ -306,8 +301,8 @@ def _ladder_report(energy, eps_list, analytic):
 
 
 def check_action_variation(atlas, motion, variation, rho0=1.0, T=0.4,
-                           law=None, eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
-                           rule=None, nt=16):
+                           law=None, eps_list=(1e-2, 3e-3, 1e-3, 3e-4), *,
+                           rule, nt=16):
     """Central-difference derivative of the action versus its analytic value.
 
     Returns a report with the finite-difference values per epsilon, the
@@ -317,8 +312,6 @@ def check_action_variation(atlas, motion, variation, rho0=1.0, T=0.4,
     epsilons.  ``floor_limited`` flags ladders where no rung rises above its
     estimated rounding noise, so no slope is meaningful.
     """
-    if rule is None:
-        rule = default_rule(atlas)
     analytic = action_first_variation(atlas, motion, variation, rho0, T,
                                       law=law, rule=rule, nt=nt)
     rungs = [s * float(e) for e in eps_list for s in (1.0, -1.0)]
@@ -362,7 +355,7 @@ def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
 
 
 def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
-                                     rule=None, t=0.0, eps=1e-3):
+                                     rule, t=0.0, eps=1e-3):
     """Velocity variation of the dissipation + work functional.
 
     The functional is quadratic in epsilon, so the central difference is
@@ -373,8 +366,6 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
     ``phi`` is a :class:`VariationField`; a tangential one projects the
     surface force and adds its ``tangency_residual`` to the report.
     """
-    if rule is None:
-        rule = default_rule(atlas)
     v = as_vector_field(v)
     sigma, mu, lam, rho_f = (as_scalar_field(a) for a in (sigma, mu, lam, rho))
     F_f = as_vector_field(F)
@@ -426,12 +417,9 @@ def _flux_energy_terms(df, flux, st, w, psi):
     return w * psi * st.sqrtJ * flux.density(zeta)
 
 
-def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
-    """E = -int (1/2) e_J(|grad_G f|^2) over the surface at time ``t``.
-
-    With ``abs_sum`` the result is the pair ``(E, sum of |summed terms|)``,
-    as in :func:`action_integral`.
-    """
+def gradient_flux_energy(f, flux, atlas, rule, t=0.0):
+    """The pair ``(E, sum of |summed terms|)``, as in :func:`action_integral`,
+    of E = -int (1/2) e_J(|grad_G f|^2) over the surface at time ``t``."""
     f = as_scalar_field(f)
 
     def block(chart, X, w, psi):
@@ -439,8 +427,7 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0, abs_sum=False):
         terms = _flux_energy_terms(_partials(f, st.x, t), flux, st, w, psi)
         return np.stack([terms, np.abs(terms)])
     s, a = rule_sums(atlas.charts, rule, block)
-    total, magnitude = float(0.0 - 0.5 * s), float(0.5 * a)  # 0.0 - 0.0 is +0.0
-    return (total, magnitude) if abs_sum else total
+    return float(0.0 - 0.5 * s), float(0.5 * a)  # 0.0 - 0.0 is +0.0
 
 
 def _kernel_gradient_residual(flux, grad_vals):
@@ -459,7 +446,7 @@ def _kernel_gradient_residual(flux, grad_vals):
     return worst
 
 
-def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
+def check_flux_variation(f, flux, phi, atlas, rule, t=0.0,
                          eps_list=(1e-2, 3e-3, 1e-3, 3e-4)):
     """Scalar variation of the gradient-flux energy versus the flux divergence.
 
@@ -469,8 +456,6 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
     flags a ladder with none.  Also performs the pointwise kernel-derivative
     consistency check.  Nonlinear laws require a nowhere-vanishing gradient.
     """
-    if rule is None:
-        rule = default_rule(atlas)
     f = as_scalar_field(f)
     phi = as_scalar_field(phi)
     linear = isinstance(flux.d_expr, Num)
@@ -517,7 +502,7 @@ def check_flux_variation(f, flux, phi, atlas, rule=None, t=0.0,
 
 
 def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
-                                 flux=None, rule=None):
+                                 flux=None, *, rule):
     """Each energy evaluated through two independent routes.
 
     The *surface* route integrates the ambient-operator energy density over
@@ -532,8 +517,6 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
     ``fields.v`` the motion's velocity.  ``fields.theta`` feeds the
     generalized-flux energy.
     """
-    if rule is None:
-        rule = default_rule(atlas)
     mov = moving_atlas(atlas, motion)
 
     names = (["kinetic", "total", "force_work"] + ["barotropic"] * (law is not None)
@@ -633,16 +616,14 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
 # -- pointwise variation identities -----------------------------------------------
 
 
-def jacobian_variation_residual(atlas, motion, variation, t, rule=None,
-                                eps=1e-4):
+def jacobian_variation_residual(atlas, motion, variation, t, rule):
     """Max residual of dJ/d eps = 2 (g^a . d y/dX_a) J at quadrature nodes.
 
     The left side is a central difference of the Gram determinant of the
     displaced chart maps; the right side contracts the contravariant basis
     with the chart derivatives of the variation along the unperturbed map.
     """
-    if rule is None:
-        rule = QuadratureRule(atlas, order=24, periodic_order=48)
+    eps = 1e-4
     mov = moving_atlas(atlas, motion)
     z = _direction_exprs(variation)
     jets = {ch: _jet(ch, z) for ch in mov.charts}
@@ -664,10 +645,8 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule=None,
                            rule_terms(mov.charts, rule, block)))
 
 
-def tangential_pairing_residual(f, z, atlas, rule=None, t=0.0):
+def tangential_pairing_residual(f, z, atlas, rule, t=0.0):
     """|int f . (P z) - int (P f) . z|: the projector moves across the pairing."""
-    if rule is None:
-        rule = default_rule(atlas)
     f = as_vector_field(f)
     z = as_vector_field(z)
 

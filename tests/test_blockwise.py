@@ -126,7 +126,7 @@ def _blocked_outputs(surface, atlas, motion_name, law, tmp_path):
             atlas, motion, var, rho0, 0.4, law=law, rule=rule, nt=2),
         "action_integral": action_integral(
             atlas, motion, rho0, 0.4, law=law, rule=rule, nt=2,
-            variation=var, eps=1e-3, abs_sum=True),
+            variation=var, eps=1e-3),
         "check_action_variation": check_action_variation(
             atlas, motion, var, rho0=rho0, T=0.4, law=law,
             eps_list=(1e-2, 3e-3), rule=rule, nt=2),
@@ -159,7 +159,7 @@ def _blocked_outputs(surface, atlas, motion_name, law, tmp_path):
         out["check_flux_variation", name] = check_flux_variation(
             f, flux, phi, mov, rule=rule, t=0.3)
         out["gradient_flux_energy", name] = gradient_flux_energy(
-            f, flux, mov, rule, 0.3, abs_sum=True)
+            f, flux, mov, rule, 0.3)
     v = ("x2*x3", "sin(x1)", "x1*x1 - 0.3*x2")
     args = (v, "x3*x1 + 1", 1.0, 0.5, "2 + 0.5*x3", ("0.1", "-0.2*x3", "0.3*x2"))
     out["dissipation_work_energy"] = dissipation_work_energy(

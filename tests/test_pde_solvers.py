@@ -182,25 +182,47 @@ def test_stability_guard(solver):
         solver.check_parabolic_dt(10.0 * bound, 1.0)
 
 
-@pytest.mark.parametrize("law", ["linear", "quadratic"])
-def test_step_heat_guard_raises(solver, law):
-    # the bound of step_heat's own guard: e_J' over [0, max |grad f|^2],
-    # read on padded rows [2:-2], where the stage's flux divergence reads
-    coeffs = CoefficientFields(F=("0", "0", "0"), Q_theta=0.0)
-    flux = flux_law_builtin(law)
-    field = GridField([x[2].copy() for x in solver.positions(0.0)], 0.0)
+def _guard_bound(solver, values, flux):
+    """The bound of the steppers' guard at unit density and specific heat:
+    e_J' over [0, max |grad u|^2], read on padded rows [2:-2], where the
+    stage's flux divergence reads."""
     zmax = 0.0
     for m, (st, pad) in enumerate(zip(solver.metric(0.0),
-                                      solver.fill_ghosts(field.values))):
+                                      solver.fill_ghosts(values))):
         df = np.stack([solver._d(m, pad, a, 2) for a in range(2)])
         zmax = max(zmax, float(np.max(np.einsum(
             "ab...,a...,b...->...", solver.interior(m, st.inv_gram, 2),
             df, df))))
     coef = float(np.max(np.abs(flux.deriv(np.linspace(0.0, zmax, 8)))))
-    bound = solver.check_parabolic_dt(0.0, coef)
+    return solver.check_parabolic_dt(0.0, coef)
+
+
+@pytest.mark.parametrize("law", ["linear", "quadratic"])
+def test_step_heat_guard_raises(solver, law):
+    coeffs = CoefficientFields(F=("0", "0", "0"), Q_theta=0.0)
+    flux = flux_law_builtin(law)
+    field = GridField([x[2].copy() for x in solver.positions(0.0)], 0.0)
+    bound = _guard_bound(solver, field.values, flux)
     with pytest.raises(StabilityViolation):
         step_heat(solver, field, coeffs, flux, 10.0 * bound)
     step_heat(solver, field, coeffs, flux, 0.5 * bound)
+
+
+@pytest.mark.parametrize("law", ["linear", "quadratic"])
+def test_step_diffusion_guard_raises(solver, law):
+    """|grad C|^2 of C = 6 x3 reaches 36, so the quadratic flux's e_J' = 2z
+    is bounded over [0, 36]: a dt admitted for z <= 1 alone is refused."""
+    coeffs = CoefficientFields(Q_C=1.0)
+    flux = flux_law_builtin(law)
+    field = GridField([6.0 * x[2] for x in solver.positions(0.0)], 0.0)
+    bound = _guard_bound(solver, field.values, flux)
+    with pytest.raises(StabilityViolation):
+        step_diffusion(solver, field, coeffs, flux, 10.0 * bound)
+    if law == "quadratic":
+        with pytest.raises(StabilityViolation):
+            step_diffusion(solver, field, coeffs, flux,
+                           0.5 * solver.check_parabolic_dt(0.0, 2.0))
+    step_diffusion(solver, field, coeffs, flux, 0.5 * bound)
 
 
 def test_step_heat_guard_scales_with_specific_heat(solver, monkeypatch):
@@ -284,7 +306,8 @@ def _moving_run(sphere, stepper, coeffs, monkeypatch):
         for _ in range(20):
             field = stepper(moving, field, coeffs, flux_law_builtin("linear"),
                             2e-4)
-            levels = max(levels, len(moving._metric_cache))
+            levels = max(levels,
+                         moving._metric_cache.cache_info().currsize)
     return field.values, len(calls), levels
 
 

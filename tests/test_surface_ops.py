@@ -34,7 +34,7 @@ def test_identity_residuals_random_families(sphere, torus, rng):
             phi = random_vector_field(rng)
             g = random_scalar_field(rng)
             frame = frame_at(atlas, rng, 300)
-            res = identity_residuals(frame, f, v, phi, g)
+            res = identity_residuals(frame, f, v, phi, g, 1.0, 1.0)
             for key, val in res.items():
                 assert val <= 1e-9, (atlas.name, key, val)
 
