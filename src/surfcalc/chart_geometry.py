@@ -512,7 +512,6 @@ class QuadratureRule:
     """
 
     def __init__(self, atlas, order=32, periodic_order=64):
-        self.atlas = atlas
         self.nodes = []
         for m, chart in enumerate(atlas.charts):
             axes = []

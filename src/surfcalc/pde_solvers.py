@@ -11,9 +11,6 @@ atlas).  Four rows are the reach of two nested 5-point stencils, so a stage
 takes central stencils alone, on the rows it keeps.  After
 every step, overlap nodes are blended with partition-of-unity weights so the
 charts stay consistent.  Time integration is classical RK4.
-
-scipy serves only the sparse ghost-fill and blend operators; it is imported
-when the first ``SurfaceGridSolver`` builds them, not with this module.
 """
 
 from __future__ import annotations
@@ -106,37 +103,41 @@ def _lagrange_cubic_weights(s):
     return np.stack(w, axis=-1)
 
 
-def _interp_matrix(axes, periodic, shape, targets):
-    """Sparse bicubic interpolation from a uniform chart grid to targets.
+def _interp_stencils(axes, periodic, shape, targets):
+    """Bicubic interpolation stencils from a uniform chart grid to targets.
 
     ``axes`` are the 1-D node coordinates, ``targets`` an (N, 2) array of
-    chart coordinates.  Returns a CSR matrix of shape (N, n1*n2).
+    chart coordinates.  Returns ``(cols, wts)``, each (16, N): the flat grid
+    indices of each target's 4x4 stencil, ascending per target, and their
+    weights.
     """
-    from scipy import sparse
-
-    n1, n2 = shape
+    n2 = shape[1]
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
     idx, wgt = [], []
     for d, (ax, per, n) in enumerate(zip(axes, periodic, shape)):
         pos = (targets[:, d] - ax[0]) / (ax[1] - ax[0])
-        j0 = np.floor(pos).astype(np.int64) - 1
+        j0 = np.floor(pos).astype(np.intp) - 1
         if not per:
             j0 = np.clip(j0, 0, n - 4)
         ids = j0[:, None] + np.arange(4)
         idx.append(ids % n if per else ids)
         wgt.append(_lagrange_cubic_weights(pos - j0))
-    rows = np.repeat(np.arange(len(targets)), 16)
-    cols = (idx[0][:, :, None] * n2 + idx[1][:, None, :]).ravel()
-    vals = (wgt[0][:, :, None] * wgt[1][:, None, :]).ravel()
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(len(targets), n1 * n2))
+    cols = (idx[0][:, :, None] * n2 + idx[1][:, None, :]).reshape(-1, 16)
+    wts = (wgt[0][:, :, None] * wgt[1][:, None, :]).reshape(-1, 16)
+    order = np.argsort(cols, axis=1, kind="stable")
+    return tuple(np.ascontiguousarray(np.take_along_axis(a, order, 1).T)
+                 for a in (cols, wts))
 
 
 def _apply(op, values):
-    """``op`` applied to each (n1, n2) field of a stack (..., n1, n2), as one
-    sparse product on an (n1*n2, k) block; returns (..., op rows)."""
-    lead = values.shape[:-2]
-    flat = values.reshape(-1, values.shape[-2] * values.shape[-1])
-    return (op @ flat.T).T.reshape(lead + (op.shape[0],))
+    """Stencil gather ``op`` applied to each (n1, n2) field of a stack
+    (..., n1, n2); returns (..., N).  Summed over the non-contiguous stencil
+    axis, a target's 16 terms are added one after another in ascending index
+    order, as a CSR product adds them."""
+    cols, wts = op
+    g = np.take(values.reshape(values.shape[:-2] + (-1,)), cols, axis=-1)
+    g *= wts
+    return g.sum(axis=-2)
 
 
 # -- the grid solver --------------------------------------------------------------
@@ -153,7 +154,6 @@ class SurfaceGridSolver:
     """
 
     def __init__(self, atlas, resolution=(64, 128)):
-        self.atlas = atlas
         self.resolution = tuple(resolution)
         self.charts = atlas.charts
         if len(self.charts) < 2 and not all(self.charts[0].periodic):
@@ -169,8 +169,8 @@ class SurfaceGridSolver:
     # -- cross-chart coupling ----------------------------------------------------
 
     def _build_couplers(self):
-        """Ghost-fill and overlap-blend sparse operators (reference coords),
-        per chart: ``(partner, csr, ghost rows)`` and ``(partner, csr, node
+        """Ghost-fill and overlap-blend stencil gathers (reference coords),
+        per chart: ``(partner, op, ghost rows)`` and ``(partner, op, node
         index)``, or None on a one-chart atlas."""
         self.ghost_ops = [None] * len(self.charts)
         self.blend_ops = [None] * len(self.charts)
@@ -192,8 +192,8 @@ class SurfaceGridSolver:
         """Interpolation from the partner chart's grid to chart m's points."""
         other = self.charts[1 - m]
         Y1, Y2 = other.invert(self.charts[m].position(X1, X2, 0.0))
-        return _interp_matrix(self.grids[1 - m].axes, other.periodic,
-                              self.resolution, np.stack([Y1, Y2], axis=-1))
+        return _interp_stencils(self.grids[1 - m].axes, other.periodic,
+                                self.resolution, np.stack([Y1, Y2], axis=-1))
 
     def fill_ghosts(self, values):
         """Padded per-chart arrays with ghost rows interpolated cross-chart.

@@ -14,7 +14,7 @@ from surfcalc.fluid_models import CoefficientFields, pressure_law_builtin
 from scipy import sparse
 
 from surfcalc.pde_solvers import (FluxLaw, GridField, StabilityViolation,
-                                  SurfaceGridSolver, _interp_matrix,
+                                  SurfaceGridSolver, _apply, _interp_stencils,
                                   flux_law_builtin,
                                   step_barotropic_tangential, step_diffusion,
                                   step_heat)
@@ -45,7 +45,8 @@ def test_flux_laws():
 
 
 def _interp_matrix_loop(axes, periodic, shape, targets):
-    """The per-target loop that ``_interp_matrix`` replaces (test oracle)."""
+    """A per-target loop building the interpolation as a CSR matrix (test
+    oracle for ``_interp_stencils``)."""
     def weights(s):
         w = np.empty(4)
         pts = (0.0, 1.0, 2.0, 3.0)
@@ -113,19 +114,25 @@ def _edge_targets(axes, periodic, rng):
                            np.stack([u1.ravel(), u2.ravel()], axis=-1)])
 
 
-@pytest.mark.parametrize("periodic", [(False, True), (True, False),
-                                      (False, False), (True, True)])
+_PERIODICITIES = [(False, True), (True, False), (False, False), (True, True)]
+
+
+@pytest.mark.parametrize("periodic", _PERIODICITIES)
 def test_interp_matrix_matches_loop(periodic):
     rng = np.random.default_rng(7)
     shape = (13, 24)
     axes = _grid_axes(shape, periodic, rng)
     targets = _edge_targets(axes, periodic, rng)
-    got = _interp_matrix(axes, periodic, shape, targets)
+    cols, wts = _interp_stencils(axes, periodic, shape, targets)
     want = _interp_matrix_loop(axes, periodic, shape, targets)
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    # the oracle's CSR keeps 16 entries per row, its columns ascending
+    assert np.array_equal(want.indptr, 16 * np.arange(len(targets) + 1))
+    assert cols.shape == wts.shape == (16, len(targets))
+    # scipy stores int32 indices on a small matrix; np.take reads intp ones
+    # without a cast
+    assert cols.dtype == np.intp and wts.dtype == want.data.dtype
+    assert np.array_equal(cols, want.indices.reshape(-1, 16).T)
+    assert np.array_equal(wts, want.data.reshape(-1, 16).T)
 
 
 def test_interp_matrix_reproduces_bicubics():
@@ -141,14 +148,31 @@ def test_interp_matrix_reproduces_bicubics():
         return np.polynomial.polynomial.polyval2d(X1, X2, coef)
 
     X1, X2 = np.meshgrid(*axes, indexing="ij")
-    op = _interp_matrix(axes, (False, False), shape, targets)
-    assert np.max(np.abs(op @ p(X1, X2).ravel()
+    op = _interp_stencils(axes, (False, False), shape, targets)
+    assert np.max(np.abs(_apply(op, p(X1, X2))
                          - p(targets[:, 0], targets[:, 1]))) <= 1e-12
     for periodic in [(False, True), (True, False), (False, False)]:
         axes = _grid_axes(shape, periodic, rng)
-        op = _interp_matrix(axes, periodic, shape,
-                            _edge_targets(axes, periodic, rng))
-        assert np.max(np.abs(op.sum(axis=1) - 1.0)) <= 1e-12
+        _, wts = _interp_stencils(axes, periodic, shape,
+                                  _edge_targets(axes, periodic, rng))
+        assert np.max(np.abs(wts.sum(axis=0) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("periodic", _PERIODICITIES)
+def test_apply_equals_csr_product(periodic):
+    """The gather adds each stencil's 16 terms in the order a CSR product
+    does, so both give the same bits on one field and on stacks of them."""
+    rng = np.random.default_rng(11)
+    shape = (13, 24)
+    axes = _grid_axes(shape, periodic, rng)
+    targets = _edge_targets(axes, periodic, rng)
+    op = _interp_stencils(axes, periodic, shape, targets)
+    csr = _interp_matrix_loop(axes, periodic, shape, targets)
+    for lead in [(), (4,), (2, 3)]:
+        v = rng.normal(size=lead + shape)
+        want = (csr @ v.reshape(-1, csr.shape[1]).T).T.reshape(
+            lead + (len(targets),))
+        assert np.array_equal(_apply(op, v), want), lead
 
 
 def test_solver_integrates_area(solver):
