@@ -556,34 +556,42 @@ np.empty(1 << 20)
 
 def blockwise(fn, *arrays):
     """``fn`` on slices of at most ``_BLOCK`` nodes of ``arrays`` (node axis
-    last), its array (or tuple of arrays) results joined on the node axis.
-    Every rule-wide loop runs through it by way of :func:`rule_terms`, so
-    one block's geometry is held at a time.  Elementwise work rounds alike
-    however the nodes are cut, so a reduction over the result equals one
-    over a single call on all nodes."""
+    last), its array results written into one output made at the first
+    block: one copy of the result and one block's work are held at a time.
+    Elementwise work rounds alike however the nodes are cut, so a reduction
+    over the result equals one over a single call on all nodes."""
     n = np.shape(arrays[0])[-1]
-    parts = [fn(*(a[..., s:s + _BLOCK] for a in arrays))
-             for s in range(0, n, _BLOCK)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
-    return np.concatenate(parts, axis=-1)
+    out = None
+    for s in range(0, n, _BLOCK):
+        out = _put(out, fn(*(a[..., s:s + _BLOCK] for a in arrays)), s, n)
+    return out
 
 
-def rule_terms(charts, rule, fn, *per_chart):
-    """For each chart of ``rule``, in order, ``fn(chart, X, w, psi, *arrays)``
-    through :func:`blockwise`, ``arrays`` being that chart's entries of each
-    of ``per_chart``.  Every rule-wide loop is this one: node blocks, joined
-    per chart, for one reduction over the chart's whole node axis."""
-    for chart, nodes, *arrays in zip(charts, rule.nodes, *per_chart):
-        yield blockwise(functools.partial(fn, chart), *nodes, *arrays)
+def _put(out, part, s, n):
+    """``out`` (if None, a new ``n``-node array like ``part``) with ``part``
+    at node ``s``: no name in :func:`blockwise` keeps a block once written."""
+    if out is None:
+        out = np.empty(part.shape[:-1] + (n,), part.dtype)
+    out[..., s:s + _BLOCK] = part
+    return out
+
+
+def rule_terms(reduce, charts, rule, fn, *per_chart):
+    """``reduce(terms)`` for each chart of ``rule``, in chart order: ``terms``
+    is ``fn(chart, X, w, psi, *arrays)`` through :func:`blockwise`, ``arrays``
+    being that chart's entries of each of ``per_chart``.  Every rule-wide loop
+    is this one.  A chart's terms are reduced over its whole node axis, and
+    dropped, before the next chart's are computed."""
+    return [reduce(blockwise(functools.partial(fn, chart), *nodes, *arrays))
+            for chart, nodes, *arrays in zip(charts, rule.nodes, *per_chart)]
 
 
 def rule_sums(charts, rule, fn):
     """``np.sum(terms, axis=-1)`` of each chart's :func:`rule_terms`, added
     in chart order from 0.0."""
     total = 0.0
-    for terms in rule_terms(charts, rule, fn):
-        total += np.sum(terms, axis=-1)
+    for s in rule_terms(lambda a: np.sum(a, axis=-1), charts, rule, fn):
+        total += s
     return total
 
 

@@ -507,7 +507,7 @@ def suite_conservation_report(scn, rng):
 
     def block(chart, X, w, psi):
         frame = chart.frame(X[0], X[1], 0.0)
-        wgt = w * psi * frame.metric().sqrtJ
+        wgt = w * psi * frame.values(frame.sqrtJ)
         return np.stack([wgt * div_matrix_dual(
             stress_dual(v, sig, 1.0, 0.5, frame)[0], frame)
             for v, sig in draws])
@@ -566,17 +566,16 @@ def run(scenario_file, suite_override, out_dir):
     os.makedirs(out_dir, exist_ok=True)
 
     summary = {"scenario": scn.name, "seed": scn.seed(), "suites": {}}
-    all_pass = True
+    all_pass, raised = True, False
     for s in suites:
         rng = np.random.default_rng(scn.seed())
         try:
             rows, csvs = _SUITE_FUNCS[s](scn, rng)
         except ConfigError as exc:
             raise click.ClickException(str(exc))
-        except Exception as exc:
-            raise click.ClickException(
-                f"scenario {scn.name!r}, suite {s!r}: "
-                f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # a failed row; the other suites still run
+            rows, csvs, raised = [_row("error", math.nan, 0.0, message=(
+                f"{type(exc).__name__}: {exc}"))], {}, True
         ok = all(r["pass"] for r in rows)
         all_pass = all_pass and ok
         summary["suites"][s] = {"pass": ok, "checks": rows}
@@ -589,10 +588,11 @@ def run(scenario_file, suite_override, out_dir):
         for r in rows:
             mark = "ok" if r["pass"] else "FAIL"
             note = " (inconclusive)" if r.get("inconclusive") else ""
+            note += f" {r['message']}" if "message" in r else ""
             click.echo(f"    {mark:4s} {r['check']}: {r['value']:.3e} "
                        f"<= {r['tolerance']:.1e}{note}")
 
-    if not suite_override:
+    if not suite_override and not raised:  # a raised suite left keys unread
         try:
             scn.check_consumed()
         except ConfigError as exc:

@@ -413,10 +413,11 @@ def step_barotropic_tangential(solver, field, law, dt):
             raise NonpositiveDensity("barotropic density became non-positive")
         out = []
         for m, pad in enumerate(solver.fill_ghosts(vals)):
+            pad = solver.interior(m, pad, 2)  # the rows the stencils read
             peff_pad = law.effective(np.maximum(pad[0], 1e-12))
             # chart derivatives (2, 5, ...) of the stack (rho, peff, v1, v2, v3)
             stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
-            ds = np.stack([solver._d(m, stack, a, _PAD) for a in range(2)])
+            ds = np.stack([solver._d(m, stack, a, 2) for a in range(2)])
             # tangential gradients g^{ab} g_a d_b f
             grad = [np.einsum("ab...,ai...,b...->i...", inv_gram[m], g[m],
                               ds[:, k]) for k in range(5)]
@@ -424,8 +425,8 @@ def step_barotropic_tangential(solver, field, law, dt):
             div_v = np.einsum("ab...,ai...,bi...->...", inv_gram[m], g[m],
                               ds[:, 2:])
             # tangential advection (v, grad_t) of each quantity
-            vint = solver.interior(m, pad[1:])
-            rho_i = solver.interior(m, pad[0])
+            vint = solver.interior(m, pad[1:], 2)
+            rho_i = solver.interior(m, pad[0], 2)
             drho = -np.einsum("i...,i...->...", vint, grad[0]) - div_v * rho_i
             dv = np.empty_like(vint)
             for i in range(3):

@@ -79,8 +79,7 @@ class VariationField:
         """Max |z| over the quadrature nodes at the initial time."""
         def block(chart, X, w, psi):
             return np.abs(self.values(chart.position(X[0], X[1], t0), t0))
-        return worst_of(0.0, *(float(np.max(a)) for a in
-                               rule_terms(atlas.charts, rule, block)))
+        return worst_of(0.0, *rule_terms(np.max, atlas.charts, rule, block))
 
     def tangency_residual(self, atlas, rule, t=0.0):
         """Max |z . n| over the quadrature nodes at time ``t``."""
@@ -88,8 +87,7 @@ class VariationField:
             st = metric_at(chart, X, t)
             return np.abs(np.einsum("i...,i...->...", self.values(st.x, t),
                                     st.n))
-        return worst_of(0.0, *(float(np.max(a)) for a in
-                               rule_terms(atlas.charts, rule, block)))
+        return worst_of(0.0, *rule_terms(np.max, atlas.charts, rule, block))
 
 
 def time_window_variation(direction, T):
@@ -166,6 +164,11 @@ def _simpson_nodes(T, nt):
 # -- action integral and its variation ------------------------------------------
 
 
+def _sum_and_magnitude(terms):
+    """Per row of ``terms``: its sum and its sum of absolute values."""
+    return np.sum(terms, axis=-1), np.array([np.sum(np.abs(a)) for a in terms])
+
+
 def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
     """``{e: (A, sum of |terms|)}`` of the flow ``mov`` displaced by ``e * z``
     (empty ``z``: the flow itself) for each of ``rungs``, from one :func:`_jet`
@@ -189,9 +192,10 @@ def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
                     kernel = kernel - law.p(r0[i] / sJ) * sJ
                 out.append(w * psi * kernel)
             return np.stack(out)
-        for terms in rule_terms(mov.charts, rule, block, rho0t):
-            total -= wk * np.sum(terms, axis=-1)
-            magnitude += wk * np.array([np.sum(np.abs(a)) for a in terms])
+        for s, a in rule_terms(_sum_and_magnitude, mov.charts, rule, block,
+                               rho0t):
+            total -= wk * s
+            magnitude += wk * a
     return {e: (float(a), float(b)) for e, a, b in zip(rungs, total, magnitude)}
 
 
@@ -256,8 +260,9 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None, *,
             del frame  # free it before the next one is built
         return np.stack(out)
     total = 0.0
-    for terms in rule_terms(mov.charts, rule, block):
-        for wk, s in zip(wt, np.sum(terms, axis=-1)):
+    for sums in rule_terms(lambda a: np.sum(a, axis=-1), mov.charts, rule,
+                           block):
+        for wk, s in zip(wt, sums):
             total += wk * float(s)
     return total
 
@@ -408,13 +413,13 @@ def _partials(f, x, t):
     return [f.d(v).value(x, t) for v in _AMB]
 
 
-def _flux_energy_terms(df, flux, st, w, psi):
-    """Flux-energy terms w psi sqrtJ e_J(|grad_G f|^2) on the snapshot ``st``,
-    per node, from the ambient partials ``df`` of f.  The gradient P grad f
-    is summed in :func:`grad_scalar_dual`'s order, values only."""
-    zeta = sum(c * c for c in (sum(st.P[i][j] * df[j] for j in range(3))
+def _flux_energy_terms(df, flux, P, sqrtJ, w, psi):
+    """Flux-energy terms w psi sqrtJ e_J(|grad_G f|^2), per node, from the
+    ambient partials ``df`` of f and the projector values ``P``.  The
+    gradient P grad f is summed in :func:`grad_scalar_dual`'s order."""
+    zeta = sum(c * c for c in (sum(P[i][j] * df[j] for j in range(3))
                                for i in range(3)))
-    return w * psi * st.sqrtJ * flux.density(zeta)
+    return w * psi * sqrtJ * flux.density(zeta)
 
 
 def gradient_flux_energy(f, flux, atlas, rule, t=0.0):
@@ -424,7 +429,8 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0):
 
     def block(chart, X, w, psi):
         st = metric_at(chart, X, t)
-        terms = _flux_energy_terms(_partials(f, st.x, t), flux, st, w, psi)
+        terms = _flux_energy_terms(_partials(f, st.x, t), flux, st.P,
+                                   st.sqrtJ, w, psi)
         return np.stack([terms, np.abs(terms)])
     s, a = rule_sums(atlas.charts, rule, block)
     return float(0.0 - 0.5 * s), float(0.5 * a)  # 0.0 - 0.0 is +0.0
@@ -463,10 +469,12 @@ def check_flux_variation(f, flux, phi, atlas, rule, t=0.0,
     # every rung f + e phi is evaluated on the analytic side's frame, with
     # the partials df + e dphi of f and phi evaluated once per block
     rungs = [s * float(e) for e in eps_list for s in (1.0, -1.0)]
+    kernel_res = 0.0
 
     def block(chart, X, w, psi):
+        nonlocal kernel_res
         frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
+        x, sJ, P = (frame.values(q) for q in (frame.x, frame.sqrtJ, frame.P))
         gf = grad_scalar_dual(f, frame)
         grad_vals = frame.values(gf)
         if not linear:
@@ -477,22 +485,20 @@ def check_flux_variation(f, flux, phi, atlas, rule, t=0.0,
         zeta_d = sum(c * c for c in gf)
         q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
         divq = frame.div(q)
-        df, dphi = _partials(f, st.x, t), _partials(phi, st.x, t)
-        return (grad_vals, w * psi * st.sqrtJ * divq * phi.value(st.x, t),
-                np.stack([_flux_energy_terms(
-                    [a + e * b for a, b in zip(df, dphi)], flux, st, w, psi)
-                    for e in rungs]))
-    analytic = kernel_res = sums = magnitude = 0.0
-    for grad_vals, an, terms in rule_terms(atlas.charts, rule, block):
-        analytic += float(np.sum(an))
-        kernel_res = worst_of(kernel_res, _kernel_gradient_residual(flux, grad_vals))
-        sums += np.sum(terms, axis=-1)
-        magnitude += np.array([np.sum(np.abs(a)) for a in terms])
-        del grad_vals, an, terms  # free them before the next chart
+        kernel_res = worst_of(kernel_res,
+                              _kernel_gradient_residual(flux, grad_vals))
+        df, dphi = _partials(f, x, t), _partials(phi, x, t)
+        return np.stack([w * psi * sJ * divq * phi.value(x, t)] + [
+            _flux_energy_terms([a + e * b for a, b in zip(df, dphi)], flux, P,
+                               sJ, w, psi) for e in rungs])
+    sums = magnitude = 0.0  # row 0: the analytic side; then one per rung
+    for s, a in rule_terms(_sum_and_magnitude, atlas.charts, rule, block):
+        sums += s
+        magnitude += a
 
     energy = {e: (float(0.0 - 0.5 * s), float(0.5 * a))
-              for e, s, a in zip(rungs, sums, magnitude)}
-    report = _ladder_report(energy.__getitem__, eps_list, analytic)
+              for e, s, a in zip(rungs, sums[1:], magnitude[1:])}
+    report = _ladder_report(energy.__getitem__, eps_list, float(sums[0]))
     report["linear"] = linear
     report["kernel_gradient_residual"] = kernel_res
     return report
@@ -641,8 +647,7 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule):
         gup = np.einsum("ab...,bi...->ai...", st.inv_gram, st.g)
         rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * st.J
         return np.abs(dJ - rhs)
-    return worst_of(0.0, *(float(np.max(a)) for a in
-                           rule_terms(mov.charts, rule, block)))
+    return worst_of(0.0, *rule_terms(np.max, mov.charts, rule, block))
 
 
 def tangential_pairing_residual(f, z, atlas, rule, t=0.0):

@@ -1,6 +1,7 @@
 """Rule-wide frame work runs in node blocks of ``chart_geometry._BLOCK``:
 every output is bit-identical however the nodes are cut, and the peak
-memory of a check is that of one block, not of one whole chart."""
+memory of a check is that of one block and one chart's terms, not of
+one whole chart's geometry."""
 
 import ast
 import os
@@ -53,12 +54,53 @@ def test_blockwise_concatenates_node_slices(monkeypatch):
 
     def fn(x, y):
         sizes.append(y.shape[-1])
-        return x * y, y + 1.0
+        return x * y + 1.0
 
-    prod, shifted = blockwise(fn, a, a[1])
+    out = blockwise(fn, a, a[1])
     assert sizes == [4, 4, 3]
-    assert np.array_equal(prod, a * a[1])
-    assert np.array_equal(shifted, a[1] + 1.0)
+    assert out.shape == a.shape and np.array_equal(out, a * a[1] + 1.0)
+
+
+def test_blockwise_holds_one_copy_of_its_result():
+    """The blocks are written into one output made at the first block, so a
+    fresh (k, n) result peaks at that output and one block: joining a list
+    of blocks at the end held the result twice."""
+    x = np.linspace(0.0, 1.0, 100_000)
+    rows = np.arange(1.0, 9.0)
+    nbytes = rows.size * x.size * 8
+    tracemalloc.start()
+    try:
+        out = blockwise(lambda a: np.outer(rows, a), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, np.outer(rows, x))
+    assert peak < 1.5 * nbytes, peak / nbytes
+
+
+def test_rule_sums_drop_each_chart_before_the_next(sphere, monkeypatch):
+    """At the first block of chart 1, the traced memory holds none of chart
+    0's terms: ``rule_terms`` reduces a chart's terms before it computes the
+    next chart."""
+    monkeypatch.setattr(chart_geometry, "_BLOCK", 300)
+    rule = QuadratureRule(sphere, order=24, periodic_order=48)
+    rows = np.arange(1.0, 65.0)
+    chart0_bytes = rows.size * rule.nodes[0][0].shape[1] * 8
+    readings = []
+
+    def fn(chart, X, w, psi):
+        if chart is sphere.charts[1] and not readings:
+            readings.append(tracemalloc.get_traced_memory()[0])
+        return np.outer(rows, w * psi)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sums = rule_sums(sphere.charts, rule, fn)
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == rows.shape
+    assert readings[0] - base < chart0_bytes / 4, (readings[0] - base,
+                                                   chart0_bytes)
 
 
 def test_only_chart_geometry_calls_blockwise():
@@ -90,7 +132,7 @@ def test_rule_sums_add_whole_chart_sums_in_chart_order(sphere, torus,
         extras = [np.cos(X[1]) for X, _, _ in rule.nodes]
         whole = [fn(chart, X, w, psi, e) for chart, (X, w, psi), e
                  in zip(atlas.charts, rule.nodes, extras)]
-        cut = rule_terms(atlas.charts, rule, fn, extras)
+        cut = rule_terms(np.copy, atlas.charts, rule, fn, extras)
         assert all(np.array_equal(a, b)
                    for a, b in zip(cut, whole, strict=True))
         want = [0.0] * 3
@@ -222,8 +264,12 @@ def _scenario(name):
 def test_dense_rule_checks_peak_at_one_block(sphere, sphere_rule):
     """On the 61,440-node sphere charts the flux ladder, the action
     variation, the area integral, the rule's own partition of unity and two
-    rule-wide suites hold one block's geometry at a time (one whole chart at
-    a time peaked at 31.9, 10.0, 36.4 and 26.4 MiB on the last four)."""
+    rule-wide suites hold one block's geometry and one chart's terms at a
+    time.  Each bound is the measured peak plus about 10%: 12.3, 8.1, 3.4,
+    5.5, 7.8 and 18.0 MiB.  Two charts' terms, and a chart's terms held
+    twice, peaked at 13.5, 9.2, 3.7, 5.4, 8.2 and 21.3 MiB; one whole
+    chart's geometry at a time, at 31.9, 10.0, 36.4 and 26.4 MiB on the
+    last four."""
     flux_peak = _peak_mib(lambda: check_flux_variation(
         "x1 + 2*x3", flux_law_builtin("quadratic"), "0.5*x1 + x2*x3", sphere,
         rule=sphere_rule))
@@ -231,18 +277,18 @@ def test_dense_rule_checks_peak_at_one_block(sphere, sphere_rule):
     action_peak = _peak_mib(lambda: action_first_variation(
         sphere, motion_builtin("dilation"), var, "1 + 0.2*x3", 0.4,
         law=pressure_law_builtin("quadratic"), rule=sphere_rule, nt=2))
-    assert flux_peak <= 20.0, flux_peak
-    assert action_peak <= 20.0, action_peak
+    assert flux_peak <= 13.4, flux_peak
+    assert action_peak <= 8.9, action_peak
     area_peak = _peak_mib(lambda: integrate(1.0, sphere, sphere_rule))
     rule_peak = _peak_mib(lambda: default_rule(sphere))
     geometry_peak = _peak_mib(lambda: suite_verify_geometry(
         _scenario("sphere_identities"), np.random.default_rng(0)))
     report_peak = _peak_mib(lambda: suite_conservation_report(
         _scenario("conservation_translation"), np.random.default_rng(0)))
-    assert area_peak <= 6.0, area_peak
-    assert rule_peak <= 8.0, rule_peak
-    assert geometry_peak <= 12.0, geometry_peak
-    assert report_peak <= 24.0, report_peak
+    assert area_peak <= 3.7, area_peak
+    assert rule_peak <= 6.0, rule_peak
+    assert geometry_peak <= 8.6, geometry_peak
+    assert report_peak <= 19.8, report_peak
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

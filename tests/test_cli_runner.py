@@ -1,6 +1,7 @@
 import importlib.resources as resources
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,30 @@ def test_failing_check_sets_exit_code(runner, tmp_path):
                                "--out", str(tmp_path / "o")])
     assert out.exit_code == 1
     assert "FAIL" in out.output
+
+
+def test_raising_suite_leaves_a_summary(runner, tmp_path):
+    """A suite that raises becomes one failed ``error`` row with the
+    exception's type and text; the other suites still run, and the summary
+    is written with ``pass: false``."""
+    text = Path(scenario_path("heat_sphere.cfg")).read_text()
+    cfg = tmp_path / "unstable.cfg"
+    cfg.write_text(text.replace("dt = 5e-4", "dt = 0.01").replace(
+        "suite = simulate-heat", "suite = verify-geometry, simulate-heat"))
+    out_dir = tmp_path / "o"
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(out_dir)])
+    assert out.exit_code == 1, out.output
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["pass"] is False
+    geometry = summary["suites"]["verify-geometry"]
+    assert geometry["pass"] and len(geometry["checks"]) > 1
+    heat = summary["suites"]["simulate-heat"]
+    assert not heat["pass"] and len(heat["checks"]) == 1
+    row = heat["checks"][0]
+    assert row["check"] == "error" and not row["pass"]
+    assert math.isnan(row["value"]) and row["tolerance"] == 0.0
+    assert row["message"].startswith("StabilityViolation: ")
+    assert row["message"] in out.output
 
 
 def test_missing_slope_is_not_a_pass():

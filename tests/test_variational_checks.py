@@ -473,7 +473,7 @@ def test_flux_rungs_read_the_plain_snapshot(surface, motion, request):
             oracle.append(_flux_terms_dual(f, flux, frame, w, psi))
             st = frame.metric()
             snapshot.append(_flux_energy_terms(_partials(f, st.x, t), flux,
-                                               st, w, psi))
+                                               st.P, st.sqrtJ, w, psi))
         assert all(np.array_equal(a, b) for a, b in zip(snapshot, oracle))
         total = magnitude = 0.0
         for a in oracle:  # E and its sum of |terms|, added chart by chart
