@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chart_geometry import (Chart, ChartAtlas, ChartGrid, SingularMetric,
-                             _geometry, _metric_state, fd_derivative,
-                             grid_integral)
+                             _metric_state, fd_derivative, grid_integral)
 from .expressions import parse_expr, substitute
 from .fields import ScalarField, as_scalar_field, as_vector_field
 
@@ -147,7 +146,7 @@ def _geometry_from_positions(xp, grid, orientation):
     """MetricState at the interior nodes of padded positions ``xp`` on ``grid``."""
     g = np.stack([fd_derivative(xp, a, grid.hs[a], grid.pads) for a in range(2)])
     try:
-        return _metric_state(grid.interior(xp), g, _geometry(g, orientation))
+        return _metric_state(grid.interior(xp), g, orientation)
     except SingularMetric:
         raise JacobianCollapse("grid Jacobian non-positive") from None
 

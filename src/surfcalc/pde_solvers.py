@@ -392,9 +392,12 @@ def step_barotropic_tangential(solver, field, law, dt):
 
     ``field.values[m]`` stacks (rho, v1, v2, v3) as a (4, n1, n2) array; the
     velocity is re-projected onto the tangent space after every stage.
+    Raises ValueError on a moving atlas: all stages read ``field.t``'s metric.
     """
     from .fluid_models import NonpositiveDensity
 
+    if not solver._static:
+        raise ValueError("the barotropic step needs a static surface")
     states = solver.metric(field.t)
     P = [solver.interior(m, st.P) for m, st in enumerate(states)]
     # g^{ab} and g_a at the interior nodes, where the stage needs derivatives

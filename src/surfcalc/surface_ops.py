@@ -311,17 +311,16 @@ def ibp_residuals(f, phi, atlas, rule, t=0.0, m=0):
 
     def block(chart, X, w, psi):
         frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
-        wgt = w * psi * st.sqrtJ
+        x, n = frame.values(frame.x), frame.values(frame.n)
+        wgt = w * psi * frame.values(frame.sqrtJ)
         gf = frame.values(grad_scalar_dual(f, frame))
         gg = frame.values(grad_scalar_dual(g, frame))
-        fv = f.value(st.x, t)
-        gv = g.value(st.x, t)
+        fv = f.value(x, t)
+        gv = g.value(x, t)
         H = frame.H
-        comp = wgt * (gf[m] * gv + fv * gg[m] + H * st.n[m] * fv * gv)
+        comp = wgt * (gf[m] * gv + fv * gg[m] + H * n[m] * fv * gv)
         divphi = frame.div([frame.eval_scalar(c) for c in phi.comp])
-        flux = np.einsum("i...,i...->...", gf + fv * H * st.n,
-                         phi.value(st.x, t))
+        flux = np.einsum("i...,i...->...", gf + fv * H * n, phi.value(x, t))
         return np.stack([comp, wgt * (fv * divphi + flux)])
     comp, div = rule_sums(atlas.charts, rule, block)
     return float(abs(comp)), float(abs(div))

@@ -351,11 +351,11 @@ def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
 
     def block(chart, X, w, psi):
         frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
+        x = frame.values(frame.x)
         return _dissipation_work_terms(
-            _jac_dual(v, frame), v.value(st.x, t), frame.eval_scalar(mu),
-            frame.eval_scalar(lam), sigma.value(st.x, t),
-            rho.value(st.x, t), F.value(st.x, t), frame, w * psi * st.sqrtJ)
+            _jac_dual(v, frame), v.value(x, t), frame.eval_scalar(mu),
+            frame.eval_scalar(lam), sigma.value(x, t), rho.value(x, t),
+            F.value(x, t), frame, w * psi * frame.values(frame.sqrtJ))
     return float(rule_sums(atlas.charts, rule, block))
 
 
@@ -378,19 +378,20 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
 
     def block(chart, X, w, psi):
         frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
-        wgt = w * psi * st.sqrtJ
+        x = frame.values(frame.x)
+        wgt = w * psi * frame.values(frame.sqrtJ)
         jv, jphi = _jac_dual(v, frame), _jac_dual(direction, frame)
-        vval, phival = v.value(st.x, t), direction.value(st.x, t)
+        vval, phival = v.value(x, t), direction.value(x, t)
         S, _, _, mu_d, lam_d, _ = stress_dual(v, sigma, mu, lam, frame, jv)
-        sig, rho, Fv = (a.value(st.x, t) for a in (sigma, rho_f, F_f))
+        sig, rho, Fv = (a.value(x, t) for a in (sigma, rho_f, F_f))
         out = [_dissipation_work_terms(
             [[a + e * b for a, b in zip(ra, rb)] for ra, rb in zip(jv, jphi)],
             vval + e * phival, mu_d, lam_d, sig, rho, Fv, frame, wgt)
             for e in (eps, -eps)]
         force = div_matrix_dual(S, frame) + rho * Fv
         if tangential:
-            force = np.einsum("ij...,j...->i...", st.P, force)
+            force = np.einsum("ij...,j...->i...", frame.values(frame.P),
+                              force)
         kernel = np.einsum("i...,i...->...", force, phival)
         return np.stack(out + [wgt * kernel])
     # the +eps and -eps energies, the analytic side
@@ -640,12 +641,13 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule):
         dJ = (Jp - Jm) / (2.0 * eps)
 
         frame = chart.frame(X[0], X[1], t)
-        st = frame.metric()
         y_d = [frame.eval_scalar(c) for c in variation.direction.comp]
         dy = np.stack([frame.values(y_d, a) for a in _X])
         # contravariant basis g^a = g^{ab} g_b
-        gup = np.einsum("ab...,bi...->ai...", st.inv_gram, st.g)
-        rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * st.J
+        gup = np.einsum("ab...,bi...->ai...", frame.values(frame.inv_gram),
+                        frame.values(frame.g))
+        rhs = (2.0 * np.einsum("ai...,ai...->...", gup, dy)
+               * frame.values(frame.J))
         return np.abs(dJ - rhs)
     return worst_of(0.0, *rule_terms(np.max, mov.charts, rule, block))
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from surfcalc import evolving_surface
 from surfcalc.autodiff import value_of
 from surfcalc.chart_geometry import (Chart, ChartAtlas, OutOfDomain,
                                      QuadratureRule,
@@ -11,7 +12,8 @@ from surfcalc.chart_geometry import (Chart, ChartAtlas, OutOfDomain,
                                      mean_curvature_at,
                                      metric_at, plane_chart, sphere_atlas,
                                      torus_atlas)
-from surfcalc.evolving_surface import motion_builtin, moving_atlas
+from surfcalc.evolving_surface import (FlowState, advance_flow, motion_builtin,
+                                       moving_atlas)
 from surfcalc.fields import ScalarField
 from surfcalc.variational_checks import time_window_variation, varied_atlas
 from conftest import random_nodes
@@ -267,3 +269,52 @@ def test_degenerate_chart_raises_singular_metric():
         with pytest.raises(OutOfDomain):
             metric_at(chart, X + 2.0)
         assert np.all(metric_at(chart, X[:, [0, 2]]).J > 0)
+
+
+def _eager_geometry(g, orientation):
+    """Every derived field of tangents ``g`` (2, 3, ...) at once, in the
+    order and by the formulas of the former eager plain-array kernel."""
+    g01 = g[0][0] * g[1][0] + g[0][1] * g[1][1] + g[0][2] * g[1][2]
+    g00 = g[0][0] * g[0][0] + g[0][1] * g[0][1] + g[0][2] * g[0][2]
+    g11 = g[1][0] * g[1][0] + g[1][1] * g[1][1] + g[1][2] * g[1][2]
+    J = g00 * g11 - g01 * g01
+    sqrtJ = np.sqrt(J)
+    r = 1.0 / sqrtJ
+    c = [g[0][1] * g[1][2] - g[0][2] * g[1][1],
+         g[0][2] * g[1][0] - g[0][0] * g[1][2],
+         g[0][0] * g[1][1] - g[0][1] * g[1][0]]
+    n = np.array([(orientation * ci) * r for ci in c])
+    P = np.array([[(1.0 if i == j else 0.0) - n[i] * n[j] for j in range(3)]
+                  for i in range(3)])
+    return {"gram": np.array([[g00, g01], [g01, g11]]), "J": J,
+            "sqrtJ": sqrtJ, "n": n, "P": P}
+
+
+@pytest.mark.parametrize("first", ["gram", "J", "n", "P"])
+@pytest.mark.parametrize("source", ["sphere", "torus", "dilating", "flow"])
+def test_derived_metric_fields_equal_eager_values(source, first, sphere,
+                                                  torus):
+    """A snapshot holds x, g_a, g^ab and sqrt J only; g_ab, J, n and P are
+    built on first read, bit for bit equal to an eager build of all of them,
+    whichever is read first (``Chart.metric`` and flow-map snapshots)."""
+    if source == "flow":
+        state = advance_flow(FlowState.create(sphere, resolution=(16, 32)),
+                             motion_builtin("dilation"), 0.02)
+        states = [evolving_surface._geometry_from_positions(
+            xp, grid, chart.orientation)
+            for xp, grid, chart in zip(state.xpad, state.grids, sphere.charts)]
+        charts = sphere.charts
+    else:
+        atlas = {"sphere": sphere, "torus": torus}.get(source) or moving_atlas(
+            sphere, motion_builtin("dilation"))
+        rule = QuadratureRule(atlas, order=24, periodic_order=48)
+        charts = atlas.charts
+        states = [chart.metric(X[0], X[1], 0.3)
+                  for chart, (X, _, _) in zip(charts, rule.nodes)]
+    for st, chart in zip(states, charts):
+        assert set(vars(st)) == {"x", "g", "inv_gram", "sqrtJ", "orientation"}
+        ref = _eager_geometry(st.g, chart.orientation)
+        assert np.array_equal(st.sqrtJ, ref["sqrtJ"])
+        for name in (first,) + tuple(k for k in ("gram", "J", "n", "P")
+                                     if k != first):
+            assert np.array_equal(getattr(st, name), ref[name]), name

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -550,3 +551,78 @@ def test_barotropic_stage_equals_full_padded_route(small_solvers, kind,
     ref = step_barotropic_tangential(solver, field, law, 2e-4)
     for a, b in zip(got.values, ref.values):
         assert np.array_equal(a, b)
+
+
+def _rotating_fluid(solver):
+    """(rho, v) of a rigid rotation about x3, tangent to the unit sphere."""
+    return GridField([np.stack([2.0 + 0.2 * x[2], -0.3 * x[1], 0.3 * x[0],
+                                np.zeros_like(x[0])])
+                      for x in solver.positions(0.0)], 0.0)
+
+
+def test_barotropic_step_refuses_a_moving_surface(sphere):
+    """Every stage of the barotropic step reads the metric at ``field.t``,
+    so a moving atlas is refused instead of stepped on a frozen surface."""
+    moving = SurfaceGridSolver(
+        moving_atlas(sphere, motion_builtin("dilation")), resolution=(16, 32))
+    with pytest.raises(ValueError, match="static surface"):
+        step_barotropic_tangential(moving, _rotating_fluid(moving),
+                                   pressure_law_builtin("quadratic"), 1e-3)
+
+
+def test_stages_build_only_the_metric_fields_they_read(sphere, monkeypatch):
+    """Heat and diffusion stages read x, g^ab and sqrt J: no snapshot of a
+    static or a dilating solver builds g_ab, J, n or P.  The barotropic
+    stage builds n and P on its own solver's snapshots only."""
+    built = []
+    original = Chart.metric
+
+    def recording(self, *args):
+        built.append(original(self, *args))
+        return built[-1]
+
+    monkeypatch.setattr(Chart, "metric", recording)
+    dilating = moving_atlas(sphere, motion_builtin("dilation"))
+    flux = flux_law_builtin("linear")
+    for atlas in (sphere, dilating):
+        solver = SurfaceGridSolver(atlas, resolution=(16, 32))
+        xs = solver.positions(0.0)
+        heat = GridField([x[2].copy() for x in xs], 0.0)
+        species = GridField([1.0 + 0.5 * x[2] for x in xs], 0.0)
+        for _ in range(3):
+            heat = step_heat(solver, heat, CoefficientFields(
+                F=("0", "0", "0"), Q_theta=0.0), flux, 2e-4)
+            species = step_diffusion(solver, species,
+                                     CoefficientFields(Q_C=1.0), flux, 2e-4)
+    solver = SurfaceGridSolver(sphere, resolution=(16, 32))
+    field = _rotating_fluid(solver)
+    derived = {"gram", "J", "n", "P"}
+    assert built and all(not derived & set(vars(st)) for st in built)
+    step_barotropic_tangential(solver, field,
+                               pressure_law_builtin("quadratic"), 2e-4)
+    for st in solver.metric(0.0):
+        assert derived & set(vars(st)) == {"n", "P"}
+    assert all(not derived & set(vars(st)) for st in built[:-2])
+
+
+def test_moving_metric_cache_holds_four_slim_levels(sphere):
+    """After 20 diffusion steps on the dilating 32x64 sphere the metric
+    cache keeps four time levels of x, g_a, g^ab and sqrt J per chart:
+    14 rows of 40 x 64 padded nodes, 2.19 MiB in all (4.86 MiB with every
+    field held)."""
+    coeffs, flux = CoefficientFields(Q_C=0.0), flux_law_builtin("linear")
+    tracemalloc.start()
+    try:
+        solver = SurfaceGridSolver(
+            moving_atlas(sphere, motion_builtin("dilation")), (32, 64))
+        field = GridField([1.0 + 0.5 * x[2] for x in solver.positions(0.0)],
+                          0.0)
+        for _ in range(20):
+            field = step_diffusion(solver, field, coeffs, flux, 5e-4)
+        held = tracemalloc.get_traced_memory()[0]
+        solver._metric_cache.cache_clear()
+        retained = (held - tracemalloc.get_traced_memory()[0]) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert solver._metric_cache.cache_info().maxsize == 4
+    assert retained <= 2.4
