@@ -167,12 +167,11 @@ class MetricState:
     """Numeric pointwise geometry (arrays broadcast over points): it holds
     ``x`` (3, ...), g_a ``g`` (2, 3, ...), g^ab ``inv_gram`` and ``sqrtJ``;
     g_ab ``gram``, ``J``, the unit normal ``n`` and the projector ``P`` are
-    built on first read by the kernels a frame uses, unless given."""
+    built on first read by the kernels a frame uses."""
 
-    def __init__(self, x, g, inv_gram, sqrtJ, orientation, **derived):
+    def __init__(self, x, g, inv_gram, sqrtJ, orientation):
         self.x, self.g, self.inv_gram, self.sqrtJ = x, g, inv_gram, sqrtJ
         self.orientation = orientation
-        vars(self).update(derived)
 
     gram = functools.cached_property(lambda self: np.array(_gram(self.g)))
     J = functools.cached_property(lambda self: _det(self.gram))
@@ -322,12 +321,10 @@ class ChartFrame:
         values = evaluate_all(chart.param + d["X1"] + d["X2"], env)
         self.x = values[:3]
         self.g = [values[3:6], values[6:]]
-        gram, J, sqrtJ = _geometry(self.g)
-        # n before g^ab, so its temporaries are freed before 1/J; g^ab is
-        # stored first (a ladder's peak RSS reads 0.5 MiB more the other way)
-        n = _normal(self.g, sqrtJ, chart.orientation)
-        self.gram, self.J, self.sqrtJ, self.inv_gram, self.n = (
-            gram, J, sqrtJ, _inverse(gram, J), n)
+        self.gram, self.J, self.sqrtJ = _geometry(self.g)
+        # n before g^ab, so its temporaries are freed before 1/J
+        self.n = _normal(self.g, self.sqrtJ, chart.orientation)
+        self.inv_gram = _inverse(self.gram, self.J)
 
     # -- derived quantities ---------------------------------------------------
 
@@ -381,11 +378,10 @@ class ChartFrame:
         return np.broadcast_to(np.asarray(v, dtype=float), self.shape)
 
     def metric(self):
-        """The frame's values as a plain-array MetricState."""
+        """The frame's x, g_a, g^ab and sqrt J values as a MetricState."""
         v = self.values
         return MetricState(v(self.x), v(self.g), v(self.inv_gram),
-                           v(self.sqrtJ), self.chart.orientation,
-                           gram=v(self.gram), J=v(self.J), n=v(self.n))
+                           v(self.sqrtJ), self.chart.orientation)
 
     # -- field composition ----------------------------------------------------
 

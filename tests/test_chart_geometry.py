@@ -19,6 +19,7 @@ from surfcalc.variational_checks import time_window_variation, varied_atlas
 from conftest import random_nodes
 
 METRIC_FIELDS = ("x", "g", "gram", "inv_gram", "J", "sqrtJ", "n", "P")
+SNAPSHOT_FIELDS = {"x", "g", "inv_gram", "sqrtJ", "orientation"}
 
 
 def test_sphere_area(sphere, sphere_rule):
@@ -212,6 +213,7 @@ def test_metric_records_equal_frame_values(surface, sphere, sphere_rule, torus,
     for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
         frame = chart.frame(X[0], X[1], t)
         for st in (frame.metric(), metric_at(chart, X, t)):
+            assert set(vars(st)) == SNAPSHOT_FIELDS
             for name in METRIC_FIELDS:
                 assert np.array_equal(getattr(st, name),
                                       frame.values(getattr(frame, name))), name
@@ -290,31 +292,15 @@ def _eager_geometry(g, orientation):
             "sqrtJ": sqrtJ, "n": n, "P": P}
 
 
-@pytest.mark.parametrize("first", ["gram", "J", "n", "P"])
-@pytest.mark.parametrize("source", ["sphere", "torus", "dilating", "flow"])
-def test_derived_metric_fields_equal_eager_values(source, first, sphere,
-                                                  torus):
-    """A snapshot holds x, g_a, g^ab and sqrt J only; g_ab, J, n and P are
-    built on first read, bit for bit equal to an eager build of all of them,
-    whichever is read first (``Chart.metric`` and flow-map snapshots)."""
-    if source == "flow":
-        state = advance_flow(FlowState.create(sphere, resolution=(16, 32)),
-                             motion_builtin("dilation"), 0.02)
-        states = [evolving_surface._geometry_from_positions(
-            xp, grid, chart.orientation)
-            for xp, grid, chart in zip(state.xpad, state.grids, sphere.charts)]
-        charts = sphere.charts
-    else:
-        atlas = {"sphere": sphere, "torus": torus}.get(source) or moving_atlas(
-            sphere, motion_builtin("dilation"))
-        rule = QuadratureRule(atlas, order=24, periodic_order=48)
-        charts = atlas.charts
-        states = [chart.metric(X[0], X[1], 0.3)
-                  for chart, (X, _, _) in zip(charts, rule.nodes)]
-    for st, chart in zip(states, charts):
-        assert set(vars(st)) == {"x", "g", "inv_gram", "sqrtJ", "orientation"}
+def test_flow_map_metric_equals_eager_values(sphere):
+    """A flow-map snapshot holds x, g_a, g^ab and sqrt J only; g_ab, J, n
+    and P are built on first read, bit for bit equal to an eager build."""
+    state = advance_flow(FlowState.create(sphere, resolution=(16, 32)),
+                         motion_builtin("dilation"), 0.02)
+    for xp, grid, chart in zip(state.xpad, state.grids, sphere.charts):
+        st = evolving_surface._geometry_from_positions(xp, grid,
+                                                       chart.orientation)
+        assert set(vars(st)) == SNAPSHOT_FIELDS
         ref = _eager_geometry(st.g, chart.orientation)
-        assert np.array_equal(st.sqrtJ, ref["sqrtJ"])
-        for name in (first,) + tuple(k for k in ("gram", "J", "n", "P")
-                                     if k != first):
+        for name in ("sqrtJ", "gram", "J", "n", "P"):
             assert np.array_equal(getattr(st, name), ref[name]), name
