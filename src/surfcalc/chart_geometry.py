@@ -36,7 +36,6 @@ __all__ = [
     "fd_derivative",
     "grid_integral",
     "metric_at",
-    "mean_curvature_at",
     "integrate",
     "plane_chart",
     "sphere_atlas",
@@ -405,11 +404,6 @@ def metric_at(chart, X, t=0.0):
     X = np.asarray(X, dtype=float)
     chart._require_domain(X[0], X[1])
     return chart.metric(X[0], X[1], t)
-
-
-def mean_curvature_at(chart, X, t=0.0):
-    X = np.asarray(X, dtype=float)
-    return chart.frame(X[0], X[1], t).H
 
 
 # -- atlases ------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .chart_geometry import (QuadratureRule, default_rule, integrate,
-                             mean_curvature_at, metric_at, rule_sums)
+                             rule_sums)
 from .config import BUILTINS, ConfigError, load_scenario
 from .evolving_surface import (FlowState, advance_flow, dilation_density,
                                integrate_grid, integrate_grid_vector,
@@ -114,14 +114,15 @@ def suite_verify_geometry(scn, rng):
     worst_curv = 0.0
     all_nodes = _random_nodes(atlas, rng, scn.get_int("samples", 1000))
     for chart, nodes in zip(atlas.charts, all_nodes):
-        st = metric_at(chart, nodes)
+        frame = chart.frame(nodes[0], nodes[1])
+        st = frame.metric()
         # tangential projector rebuilt from the metric and tangent basis
         P_from_metric = np.einsum("ab...,ai...,bj...->ij...",
                                   st.inv_gram, st.g, st.g)
         worst_proj = worst_of(worst_proj, float(np.max(np.abs(st.P - P_from_metric))))
         if kind == "sphere":
             worst_curv = worst_of(worst_curv, float(np.max(np.abs(
-                mean_curvature_at(chart, nodes) + 2.0 / args["R"]))))
+                frame.H + 2.0 / args["R"]))))
     rows.append(_row("metric_projector_identity", worst_proj,
                      scn.tolerance("projection", 1e-10)))
     if kind == "sphere":
@@ -242,12 +243,12 @@ def suite_residuals(scn, rng):
     for m, chart in enumerate(atlas.charts):
         nodes = _random_nodes(atlas, rng, samples)[m]
         frame = chart.frame(nodes[0], nodes[1], t_eval)
-        st = frame.metric()
+        x = frame.values(frame.x)
         full = residual_full(fields, coeffs, frame)
         cons = residual_conservative(fields, coeffs, frame)
-        vval = fields.v.value(st.x, t_eval)
+        vval = fields.v.value(x, t_eval)
         ke = 0.5 * np.einsum("i...,i...->...", vval, vval)
-        evals = fields.e.value(st.x, t_eval)
+        evals = fields.e.value(x, t_eval)
         worst["mass"] = worst_of(worst["mass"], float(np.max(np.abs(
             cons["mass"] - full["mass"]))))
         worst["momentum"] = worst_of(worst["momentum"], float(np.max(np.abs(

@@ -278,9 +278,10 @@ def _div_tangent_grid(state, m, vec_pad):
     return np.einsum("ab...,ai...,bi...->...", geo.inv_gram, geo.g, dv)
 
 
-def probe_steps(state, motion, dt_probe=1e-3):
-    """``(fwd, bwd, dt_probe)``: the states one RK4 step of ``dt_probe``
+def probe_steps(state, motion):
+    """``(fwd, bwd, dt_probe)``: the states one RK4 step of dt_probe = 1e-3
     after and before ``state``, read by both transport checks."""
+    dt_probe = 1e-3
     return (advance_flow(state, motion, dt_probe),
             _flow_step(state.copy(), motion.velocity, -dt_probe), dt_probe)
 

@@ -23,7 +23,6 @@ import numpy as np
 from .chart_geometry import _PAD, ChartGrid, fd_derivative, grid_integral
 from .evolving_surface import _rk4
 from .expressions import Num, parse_expr
-from .fields import as_scalar_field, as_vector_field
 
 __all__ = [
     "StabilityViolation",
@@ -293,16 +292,8 @@ class SurfaceGridSolver:
 # -- time steppers -------------------------------------------------------------------
 
 
-def _reference_mass(solver, rho0):
-    """rho0(x(0)) sqrtJ(0) at the interior nodes, per chart."""
-    rho0 = as_scalar_field(rho0)
-    st0 = solver.metric(0.0)
-    return [rho0.value(solver.interior(m, st0[m].x), 0.0)
-            * solver.interior(m, st0[m].sqrtJ) for m in range(len(solver.charts))]
-
-
 def _transported_rho(solver, mass0, t):
-    """Exact density rho0(x(0)) sqrtJ(0)/sqrtJ(t) at the interior nodes."""
+    """Exact density sqrtJ(0)/sqrtJ(t) at the interior nodes."""
     st = solver.metric(t)
     return [mass0[m] / solver.interior(m, st[m].sqrtJ) for m in range(len(mass0))]
 
@@ -321,11 +312,11 @@ def _flux_bound(solver, values, t, flux):
     return float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
 
 
-def step_heat(solver, field, coeffs, flux, dt, rho0=1.0):
+def step_heat(solver, field, coeffs, flux, dt):
     """One RK4 step of the generalized heat equation in Lagrangian form.
 
     ``field`` holds the product (specific heat * temperature) at the nodes;
-    the density is the exact transported one.  The right-hand side is
+    the density is the exact transport of a unit one.  The right-hand side is
     ``(div_G q + rho Q_theta + F1) / rho`` at fixed reference coordinates,
     with q the flux of theta = field / C_theta.  The stability guard bounds
     e_J' by :func:`_flux_bound` of theta.
@@ -335,7 +326,9 @@ def step_heat(solver, field, coeffs, flux, dt, rho0=1.0):
     cth = [c.C_theta.value(xs[m], field.t) for m in range(len(xs))]
     coef = _flux_bound(solver, [v / cm for v, cm in zip(field.values, cth)],
                        field.t, flux)
-    mass0 = _reference_mass(solver, rho0)
+    # sqrtJ(0): the conserved weight of a unit initial density
+    mass0 = [solver.interior(m, st.sqrtJ)
+             for m, st in enumerate(solver.metric(0.0))]
     rho_now = _transported_rho(solver, mass0, field.t)
     cth_min = min(float(np.min(np.abs(cm))) for cm in cth)
     rho_min = min(float(np.min(r)) for r in rho_now)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart_geometry import (Chart, ChartAtlas, metric_at, rule_sums,
-                             rule_terms)
+from .chart_geometry import (Chart, ChartAtlas, _geometry, _inverse,
+                             metric_at, rule_sums, rule_terms)
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
@@ -72,21 +72,18 @@ class VariationField:
         self.direction = as_vector_field(direction)
         self.tangential = bool(tangential)
 
-    def values(self, x, t=0.0):
-        return self.direction.value(x, t)
-
     def initial_residual(self, atlas, rule, t0=0.0):
         """Max |z| over the quadrature nodes at the initial time."""
         def block(chart, X, w, psi):
-            return np.abs(self.values(chart.position(X[0], X[1], t0), t0))
+            return np.abs(self.direction.value(chart.position(*X, t0), t0))
         return worst_of(0.0, *rule_terms(np.max, atlas.charts, rule, block))
 
     def tangency_residual(self, atlas, rule, t=0.0):
         """Max |z . n| over the quadrature nodes at time ``t``."""
         def block(chart, X, w, psi):
             st = metric_at(chart, X, t)
-            return np.abs(np.einsum("i...,i...->...", self.values(st.x, t),
-                                    st.n))
+            return np.abs(np.einsum("i...,i...->...",
+                                    self.direction.value(st.x, t), st.n))
         return worst_of(0.0, *rule_terms(np.max, atlas.charts, rule, block))
 
 
@@ -199,22 +196,19 @@ def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
     return {e: (float(a), float(b)) for e, a, b in zip(rungs, total, magnitude)}
 
 
-def action_integral(atlas, motion, rho0, T, law=None, *, rule, nt=16,
-                    variation=None, eps=0.0):
-    """Action of the (possibly perturbed) flow over [0, T], in reference form.
+def action_integral(atlas, motion, rho0, T, law=None, *, rule, nt=16):
+    """Action of the flow over [0, T], in reference form.
 
     A = -int_0^T int psi { (1/2) rho0_tilde |x_t|^2 - p(rho0_tilde/sqrtJ) sqrtJ }
     over the chart rectangles, with Simpson quadrature in time.  The density
     never needs a separate solve: the continuity equation is built into the
-    conserved-weight representation.  ``variation``/``eps`` displace the flow
-    map by ``eps * z`` exactly.  Returns the pair ``(A, sum of |summed
-    terms|)``; machine epsilon times the second bounds the rounding error of
-    the first.
+    conserved-weight representation.  The flow displaced by ``eps * z`` is
+    the :func:`varied_atlas` of the moving atlas under the static motion.
+    Returns the pair ``(A, sum of |summed terms|)``; machine epsilon times
+    the second bounds the rounding error of the first.
     """
-    eps = float(eps)
-    z = [] if variation is None or eps == 0.0 else _direction_exprs(variation)
     return _action_rungs(moving_atlas(atlas, motion), rule, rho0, T, law, nt,
-                         z, [eps])[eps]
+                         [], [0.0])[0.0]
 
 
 def action_first_variation(atlas, motion, variation, rho0, T, law=None, *,
@@ -629,6 +623,7 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule):
     The left side is a central difference of the Gram determinant of the
     displaced chart maps; the right side contracts the contravariant basis
     with the chart derivatives of the variation along the unperturbed map.
+    Both sides read one :func:`_jet` evaluation per block.
     """
     eps = 1e-4
     mov = moving_atlas(atlas, motion)
@@ -640,14 +635,12 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule):
         Jp, Jm = (_jet_data(v[:12] + e * v[12:])[2] for e in (eps, -eps))
         dJ = (Jp - Jm) / (2.0 * eps)
 
-        frame = chart.frame(X[0], X[1], t)
-        y_d = [frame.eval_scalar(c) for c in variation.direction.comp]
-        dy = np.stack([frame.values(y_d, a) for a in _X])
+        g = v[6:12].reshape((2, 3) + v.shape[1:])  # g_a: the X rows of p
+        dy = v[18:].reshape(g.shape)  # the X rows of C = z o p
+        gram, J, _ = _geometry(g)
         # contravariant basis g^a = g^{ab} g_b
-        gup = np.einsum("ab...,bi...->ai...", frame.values(frame.inv_gram),
-                        frame.values(frame.g))
-        rhs = (2.0 * np.einsum("ai...,ai...->...", gup, dy)
-               * frame.values(frame.J))
+        gup = np.einsum("ab...,bi...->ai...", np.array(_inverse(gram, J)), g)
+        rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * J
         return np.abs(dJ - rhs)
     return worst_of(0.0, *rule_terms(np.max, mov.charts, rule, block))
 

@@ -9,7 +9,6 @@ from surfcalc.autodiff import value_of
 from surfcalc.chart_geometry import (Chart, ChartAtlas, OutOfDomain,
                                      QuadratureRule,
                                      SingularMetric, default_rule, integrate,
-                                     mean_curvature_at,
                                      metric_at, plane_chart, sphere_atlas,
                                      torus_atlas)
 from surfcalc.evolving_surface import (FlowState, advance_flow, motion_builtin,
@@ -48,7 +47,7 @@ def test_sphere_pointwise_geometry(sphere, torus, rng):
         # points on the sphere, outward unit normal, constant curvature
         assert np.allclose(np.linalg.norm(st.x, axis=0), R, atol=1e-12)
         assert np.allclose(st.n, st.x / R, atol=1e-12)
-        assert np.max(np.abs(mean_curvature_at(chart, X) + 2.0 / R)) <= 1e-8
+        assert np.max(np.abs(chart.frame(X[0], X[1]).H + 2.0 / R)) <= 1e-8
     # the torus (R, r) = (2, 0.5) has non-constant curvature: outward normal
     # (cos X2 cos X1, cos X2 sin X1, sin X2), H = -(1/r + cos X2/(R + r cos X2))
     chart = torus.charts[0]
@@ -57,7 +56,7 @@ def test_sphere_pointwise_geometry(sphere, torus, rng):
     st = metric_at(chart, X)
     assert np.max(np.abs(st.n - np.stack([c2 * c1, c2 * s1, s2]))) <= 1e-12
     H = -(1.0 / 0.5 + c2 / (2.0 + 0.5 * c2))
-    assert np.max(np.abs(mean_curvature_at(chart, X) - H)) <= 1e-12
+    assert np.max(np.abs(chart.frame(X[0], X[1]).H - H)) <= 1e-12
 
 
 def test_projector_identities(sphere, torus, rng):

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from surfcalc import cli_runner, evolving_surface, surface_ops
+from surfcalc.chart_geometry import Chart, QuadratureRule, metric_at
 from surfcalc.cli_runner import _row, _slope_row, _write_csv, main
 from surfcalc.config import load_scenario
 from surfcalc.variational_checks import _ladder_report
@@ -333,3 +334,45 @@ def test_unfoldable_constant_names_the_line(runner, tmp_path):
     out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
     assert out.exit_code != 0
     assert f"{cfg}:4: bad expression for fields.rho" in out.output
+
+
+@pytest.mark.parametrize("kind", ["sphere", "torus"])
+def test_geometry_suite_evaluates_each_chart_once(kind, tmp_path, monkeypatch):
+    """verify-geometry reads its samples' snapshot and H off one frame per
+    chart and calls Chart.metric only for the area integral; its rows equal
+    those of a plain snapshot and a separate frame for H."""
+    cfg = tmp_path / "geometry.cfg"
+    cfg.write_text("\n".join([
+        "name = geometry", "suite = verify-geometry", f"surface.kind = {kind}",
+        "quadrature.order = 24", "quadrature.periodic_order = 48",
+        "samples = 300"]))
+    scn = load_scenario(str(cfg))
+    atlas = scn.build_surface()
+    frames, metrics = [], []
+    for name, calls in (("frame", frames), ("metric", metrics)):
+        original = getattr(Chart, name)
+
+        def spy(self, X1, X2, t=0.0, original=original, calls=calls):
+            calls.append(np.shape(X1))
+            return original(self, X1, X2, t)
+        monkeypatch.setattr(Chart, name, spy)
+    rows, _ = cli_runner.suite_verify_geometry(scn, np.random.default_rng(5))
+    assert frames == [(300,)] * len(atlas.charts)
+    rule = QuadratureRule(atlas, order=24, periodic_order=48)
+    assert metrics == [(X.shape[1],) for X, _, _ in rule.nodes]
+
+    monkeypatch.undo()
+    worst_P = worst_H = 0.0
+    rng = np.random.default_rng(5)
+    for chart in atlas.charts:
+        (lo1, hi1), (lo2, hi2) = chart.domain
+        X = np.stack([rng.uniform(lo1, hi1, 300), rng.uniform(lo2, hi2, 300)])
+        st = metric_at(chart, X)
+        P = np.einsum("ab...,ai...,bj...->ij...", st.inv_gram, st.g, st.g)
+        worst_P = max(worst_P, float(np.max(np.abs(st.P - P))))
+        worst_H = max(worst_H, float(np.max(np.abs(
+            chart.frame(X[0], X[1]).H + 2.0))))
+    values = {r["check"]: r["value"] for r in rows}
+    assert values["metric_projector_identity"] == worst_P
+    if kind == "sphere":
+        assert values["mean_curvature_error"] == worst_H

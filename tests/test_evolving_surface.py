@@ -216,10 +216,10 @@ def test_jacobian_collapse_on_backward_probe(sphere):
     a(t) vanishes at t = 0 and t = -dt/2 and is 6/dt at t = -dt, so the
     backward step of v = a(t) x maps every node to (about) the origin while
     the forward step stays regular."""
-    dt = 1e-3
+    dt = 1e-3  # the probe step
     a = f"{12.0 / dt ** 3!r}*t*(t + {dt / 2!r})"
     motion = MotionLaw([f"{a}*x1", f"{a}*x2", f"{a}*x3"])
     state = FlowState.create(sphere, resolution=(16, 32))
     advance_flow(state, motion, dt)
     with pytest.raises(JacobianCollapse):
-        probe_steps(state, motion, dt_probe=dt)
+        probe_steps(state, motion)

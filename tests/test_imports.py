@@ -1,7 +1,9 @@
 """The package runs without scipy: every module, a scenario, the CLI and the
 grid solvers' steps, in a fresh interpreter where importing scipy raises
-(this test session has already imported scipy as a test oracle)."""
+(this test session has already imported scipy as a test oracle).  And no
+module imports a name it never reads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,3 +62,42 @@ def test_runtime_never_imports_scipy():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "ok"
+
+
+def _unused_imports(tree):
+    """Names bound by the module-level imports of ``tree`` that the module
+    never reads and does not list in ``__all__``."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read and name not in exported)
+
+
+def test_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os, numpy as np\n"
+                     "from .a import b, c as d\n"
+                     "import x.y\n"
+                     "__all__ = ['b']\n"
+                     "np.zeros(x.y)\n")
+    assert _unused_imports(tree) == [(2, "os"), (3, "d")]
+
+
+def test_no_unused_module_imports():
+    found = {path.name: _unused_imports(ast.parse(path.read_text()))
+             for path in sorted((SRC / "surfcalc").glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}

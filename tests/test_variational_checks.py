@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfcalc import chart_geometry, variational_checks
-from surfcalc.chart_geometry import Chart, QuadratureRule
+from surfcalc.chart_geometry import Chart, QuadratureRule, rule_terms
 from surfcalc.evolving_surface import motion_builtin, moving_atlas, worst_of
 from surfcalc.expressions import Num
 from surfcalc.fields import ScalarField, VectorField, as_scalar_field, \
@@ -320,8 +320,8 @@ def test_action_integral_reads_reference_time_once(torus, torus_rule,
             magnitude += wk * float(np.sum(np.abs(terms)))
 
     calls = _count_evaluations(monkeypatch)
-    got = action_integral(torus, motion, rho0, 0.4, law=law, rule=torus_rule,
-                          nt=nt, variation=var, eps=3e-3)
+    got = action_integral(mov, motion_builtin("static"), rho0, 0.4, law=law,
+                          rule=torus_rule, nt=nt)
     assert len(calls) == (nt + 1) * _blocks(torus_rule)
     assert got == (total, magnitude)
 
@@ -526,3 +526,47 @@ def test_flux_ladder_builds_no_field_per_rung(torus, monkeypatch):
                              "0.5*x1 + x2*x3", torus, rule=rule, eps_list=eps)
         counts.append(len(built))
     assert counts == [8, 8]
+
+
+def _jacobian_variation_frame_route(atlas, motion, variation, t, rule):
+    """jacobian_variation_residual with its right side read off a dual frame
+    per block: g^ab, g_a and J of the frame, dy/dX_a of the direction
+    composed with the frame's dual positions."""
+    eps = 1e-4
+    mov = moving_atlas(atlas, motion)
+    z = [c.expr for c in variation.direction.comp]
+    jets = {ch: _jet(ch, z) for ch in mov.charts}
+
+    def block(chart, X, w, psi):
+        v = chart.evaluate(jets[chart], X[0], X[1], t)
+        Jp, Jm = (_jet_data(v[:12] + e * v[12:])[2] for e in (eps, -eps))
+        dJ = (Jp - Jm) / (2.0 * eps)
+        frame = chart.frame(X[0], X[1], t)
+        y_d = [frame.eval_scalar(c) for c in variation.direction.comp]
+        dy = np.stack([frame.values(y_d, a) for a in ("X1", "X2")])
+        gup = np.einsum("ab...,bi...->ai...", frame.values(frame.inv_gram),
+                        frame.values(frame.g))
+        rhs = (2.0 * np.einsum("ai...,ai...->...", gup, dy)
+               * frame.values(frame.J))
+        return np.abs(dJ - rhs)
+    return worst_of(0.0, *rule_terms(np.max, mov.charts, rule, block))
+
+
+@pytest.mark.parametrize("motion", ["static", "translation", "rotation",
+                                    "dilation"])
+@pytest.mark.parametrize("surface", ["sphere", "torus"])
+def test_jacobian_variation_reads_one_jet_per_block(surface, motion, request,
+                                                    monkeypatch):
+    """The Jacobian identity evaluates each chart once per node block and
+    builds no frame; its value is that of the frame route."""
+    atlas = request.getfixturevalue(surface)
+    rule = QuadratureRule(atlas, order=24, periodic_order=48)
+    var = time_window_variation(
+        ("0.9*x3*x1 + 0.6*x1", "-0.6*x1 + 0.3*x3", "0.6*x3 + 0.3*x2*x2"), 0.4)
+    args = (atlas, motion_builtin(motion), var, 0.2, rule)
+    oracle = _jacobian_variation_frame_route(*args)
+    frames = _count_frames(monkeypatch)
+    calls = _count_evaluations(monkeypatch)
+    got = jacobian_variation_residual(*args)
+    assert (len(calls), frames) == (_blocks(rule), [])
+    assert got == oracle
