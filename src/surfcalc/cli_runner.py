@@ -10,6 +10,7 @@ reported as inconclusive and does not fail the run.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -609,8 +610,6 @@ def run(scenario_file, suite_override, out_dir):
 def _write_csv(path, header, rows):
     """A CSV of ``rows`` under ``header``: str and bool cells as they are,
     any other cell as the repr of its float (full precision)."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)

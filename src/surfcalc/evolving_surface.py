@@ -179,7 +179,7 @@ class FlowState:
         return [g.interior(xp) for g, xp in zip(self.grids, self.xpad)]
 
     @classmethod
-    def create(cls, atlas, resolution=(48, 96)):
+    def create(cls, atlas, resolution):
         """Flow state at t = 0 on uniform grids of ``resolution`` per chart."""
         grids = [ChartGrid(atlas, m, resolution) for m in range(len(atlas.charts))]
         xpad = [chart.position(g.X[0], g.X[1], 0.0)

@@ -108,12 +108,9 @@ class CoefficientFields:
     F: object = ("0", "0", "0")
     Q_theta: object = 0.0
     Q_C: object = 0.0
-    F1: object = 0.0
-    F2: object = 0.0
 
     def __post_init__(self):
-        for name in ("mu", "lam", "kappa", "nu", "C_theta",
-                     "Q_theta", "Q_C", "F1", "F2"):
+        for name in ("mu", "lam", "kappa", "nu", "C_theta", "Q_theta", "Q_C"):
             setattr(self, name, as_scalar_field(getattr(self, name)))
         self.F = as_vector_field(self.F)
 
@@ -306,7 +303,7 @@ def residual_noncanonical(fields, coeffs, frame):
         stress_dual(u, 0.0, coeffs.mu, coeffs.lam, frame)[0], frame)
     rho = pt.val(fields.rho)
     sig = pt.val(fields.sigma)
-    H = np.asarray(frame.H, dtype=float)
+    H = frame.H
     Fv = coeffs.F.value(pt.x, pt.t)
     resid = (rho * pt.Dt_vec(fields.v) + pt.grad_t(fields.sigma)
              + sig * H * pt.n
@@ -326,7 +323,7 @@ def residual_barotropic(fields, law, frame, variant="full"):
     Dt_v = pt.Dt_vec(fields.v)
     grad_p = pt.grad_t(peff)
     if variant == "full":
-        H = np.asarray(frame.H, dtype=float)
+        H = frame.H
         resid = rho * Dt_v + grad_p + pt.val(peff) * H * pt.n
     elif variant == "tangential":
         resid = np.einsum("ij...,j...->i...", pt.P, rho * Dt_v) + grad_p

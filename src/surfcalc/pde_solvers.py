@@ -23,6 +23,7 @@ import numpy as np
 from .chart_geometry import _PAD, ChartGrid, fd_derivative, grid_integral
 from .evolving_surface import _rk4
 from .expressions import Num, parse_expr
+from .fluid_models import NonpositiveDensity
 
 __all__ = [
     "StabilityViolation",
@@ -152,7 +153,7 @@ class SurfaceGridSolver:
     from the partner chart).
     """
 
-    def __init__(self, atlas, resolution=(64, 128)):
+    def __init__(self, atlas, resolution):
         self.resolution = tuple(resolution)
         self.charts = atlas.charts
         if len(self.charts) < 2 and not all(self.charts[0].periodic):
@@ -317,7 +318,7 @@ def step_heat(solver, field, coeffs, flux, dt):
 
     ``field`` holds the product (specific heat * temperature) at the nodes;
     the density is the exact transport of a unit one.  The right-hand side is
-    ``(div_G q + rho Q_theta + F1) / rho`` at fixed reference coordinates,
+    ``(div_G q + rho Q_theta) / rho`` at fixed reference coordinates,
     with q the flux of theta = field / C_theta.  The stability guard bounds
     e_J' by :func:`_flux_bound` of theta.
     """
@@ -336,14 +337,12 @@ def step_heat(solver, field, coeffs, flux, dt):
 
     def rhs(vals, t):
         rho = _transported_rho(solver, mass0, t)
-        if any(np.min(r) <= 0 for r in rho):
-            raise StabilityViolation("transported density became non-positive")
         xs = solver.positions(t)
         cth = [c.C_theta.value(xs[m], t) for m in range(len(vals))]
         theta = [v / cm for v, cm in zip(vals, cth)]
         div = solver.flux_divergence(theta, t, flux)
-        return [(div[m] + rho[m] * c.Q_theta.value(xs[m], t)
-                 + c.F1.value(xs[m], t)) / rho[m] for m in range(len(vals))]
+        return [(div[m] + rho[m] * c.Q_theta.value(xs[m], t)) / rho[m]
+                for m in range(len(vals))]
 
     return GridField(solver.blend(_rk4(field.values, field.t, dt, rhs)),
                      field.t + dt)
@@ -370,8 +369,8 @@ def step_diffusion(solver, field, coeffs, flux, dt):
         conc = [w / s for w, s in zip(wvals, sj)]
         div = solver.flux_divergence(conc, t, flux)
         xs = solver.positions(t)
-        return [sj[m] * (div[m] + c.Q_C.value(xs[m], t)
-                         + c.F2.value(xs[m], t)) for m in range(len(wvals))]
+        return [sj[m] * (div[m] + c.Q_C.value(xs[m], t))
+                for m in range(len(wvals))]
 
     t_new = field.t + dt
     st_new = solver.metric(t_new)
@@ -387,8 +386,6 @@ def step_barotropic_tangential(solver, field, law, dt):
     velocity is re-projected onto the tangent space after every stage.
     Raises ValueError on a moving atlas: all stages read ``field.t``'s metric.
     """
-    from .fluid_models import NonpositiveDensity
-
     if not solver._static:
         raise ValueError("the barotropic step needs a static surface")
     states = solver.metric(field.t)

@@ -137,14 +137,9 @@ def _jet(chart, z=()):
             + C + [c.diff(v) for v in ("t", "X1", "X2") for c in C])
 
 
-def _jet_data(jet):
-    """``x``, ``x_t``, Gram determinant and area element of jet values."""
-    x, xt, g1, g2 = np.split(jet, 4)
-    e11 = np.einsum("i...,i...->...", g1, g1)
-    e22 = np.einsum("i...,i...->...", g2, g2)
-    e12 = np.einsum("i...,i...->...", g1, g2)
-    J = e11 * e22 - e12 * e12
-    return x, xt, J, np.sqrt(J)
+def _tangents(jet):
+    """The tangents g_a (2, 3, ...) of jet values: its X1 and X2 rows."""
+    return jet[6:12].reshape((2, 3) + jet.shape[1:])
 
 
 def _simpson_nodes(T, nt):
@@ -181,7 +176,8 @@ def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
             v = chart.evaluate(jets[chart], X[0], X[1], tk)
             out = []
             for i, e in enumerate(rungs):
-                x, xt, _, sJ = _jet_data(v[:12] + e * v[12:] if z else v)
+                r = v[:12] + e * v[12:] if z else v
+                x, xt, sJ = r[:3], r[3:6], _geometry(_tangents(r))[2]
                 if not k:  # writes through to this block's rows of rho0t
                     r0[i] = rho0.value(x, 0.0) * sJ
                 kernel = 0.5 * r0[i] * np.einsum("i...,i...->...", xt, xt)
@@ -525,9 +521,8 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
              + ["flux"] * (flux is not None))
 
     def block(chart, X, w, psi):
-        x0, _, _, sJ0 = _jet_data(chart.evaluate(_jet(chart), X[0], X[1],
-                                                 0.0))
-        rho0t = fields.rho.value(x0, 0.0) * sJ0
+        st0 = chart.metric(X[0], X[1], 0.0)
+        rho0t = fields.rho.value(st0.x, 0.0) * st0.sqrtJ
 
         frame = chart.frame(X[0], X[1], t)
         st = frame.metric()
@@ -632,10 +627,11 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule):
 
     def block(chart, X, w, psi):
         v = chart.evaluate(jets[chart], X[0], X[1], t)
-        Jp, Jm = (_jet_data(v[:12] + e * v[12:])[2] for e in (eps, -eps))
+        Jp, Jm = (_geometry(_tangents(v[:12] + e * v[12:]))[1]
+                  for e in (eps, -eps))
         dJ = (Jp - Jm) / (2.0 * eps)
 
-        g = v[6:12].reshape((2, 3) + v.shape[1:])  # g_a: the X rows of p
+        g = _tangents(v)  # g_a: the X rows of p
         dy = v[18:].reshape(g.shape)  # the X rows of C = z o p
         gram, J, _ = _geometry(g)
         # contravariant basis g^a = g^{ab} g_b

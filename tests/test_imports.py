@@ -1,7 +1,7 @@
 """The package runs without scipy: every module, a scenario, the CLI and the
 grid solvers' steps, in a fresh interpreter where importing scipy raises
-(this test session has already imported scipy as a test oracle).  And no
-module imports a name it never reads."""
+(this test session has already imported scipy as a test oracle).  No
+module imports a name it never reads, and every import is at module level."""
 
 import ast
 import os
@@ -99,5 +99,32 @@ def test_unused_import_is_found():
 
 def test_no_unused_module_imports():
     found = {path.name: _unused_imports(ast.parse(path.read_text()))
+             for path in sorted((SRC / "surfcalc").glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def _function_level_imports(tree):
+    """``(line, function name)`` of each import inside a ``def`` of ``tree``."""
+    return sorted((node.lineno, fn.name) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def test_function_level_import_is_found():
+    tree = ast.parse("import os\n"
+                     "def f():\n"
+                     "    import csv\n"
+                     "    def g():\n"
+                     "        from . import a\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        import json\n")
+    assert _function_level_imports(tree) == [(3, "f"), (5, "f"), (5, "g"),
+                                             (8, "m")]
+
+
+def test_no_function_level_imports():
+    found = {path.name: _function_level_imports(ast.parse(path.read_text()))
              for path in sorted((SRC / "surfcalc").glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from surfcalc import chart_geometry, variational_checks
-from surfcalc.chart_geometry import Chart, QuadratureRule, rule_terms
+from surfcalc.chart_geometry import (Chart, QuadratureRule, SingularMetric,
+                                     plane_chart, rule_terms)
 from surfcalc.evolving_surface import motion_builtin, moving_atlas, worst_of
 from surfcalc.expressions import Num
 from surfcalc.fields import ScalarField, VectorField, as_scalar_field, \
@@ -26,8 +28,19 @@ from surfcalc.variational_checks import (DegenerateGradient, VariationField,
                                          time_window_variation, varied_atlas)
 from surfcalc.variational_checks import (_flux_energy_terms,
                                          _kernel_gradient_residual,
-                                         _jet, _jet_data, _ladder_report,
-                                         _partials)
+                                         _jet, _ladder_report, _partials,
+                                         _tangents)
+
+
+def _jet_data(jet):
+    """``x``, ``x_t``, Gram determinant and area element of jet values, by
+    einsum: an oracle for the rung geometry read off ``_geometry``."""
+    x, xt, g1, g2 = np.split(jet, 4)
+    e11 = np.einsum("i...,i...->...", g1, g1)
+    e22 = np.einsum("i...,i...->...", g2, g2)
+    e12 = np.einsum("i...,i...->...", g1, g2)
+    J = e11 * e22 - e12 * e12
+    return x, xt, J, np.sqrt(J)
 
 
 def test_time_window_variation_vanishes_at_endpoints(sphere, sphere_rule_fast):
@@ -570,3 +583,45 @@ def test_jacobian_variation_reads_one_jet_per_block(surface, motion, request,
     got = jacobian_variation_residual(*args)
     assert (len(calls), frames) == (_blocks(rule), [])
     assert got == oracle
+
+
+@pytest.mark.parametrize("surface, motion", [("sphere", "static"),
+                                             ("torus", "static"),
+                                             ("sphere", "dilation")])
+def test_rung_geometry_is_that_of_the_einsum_kernel(surface, motion, request):
+    """J and sqrt J of every +-eps rung, and the t = 0 positions and sqrt J
+    of the energy representations, are those of the einsum oracle, bit for
+    bit."""
+    atlas = request.getfixturevalue(surface)
+    mov = moving_atlas(atlas, motion_builtin(motion))
+    rule = QuadratureRule(atlas, order=12, periodic_order=24)
+    var = time_window_variation(
+        ("0.9*x3*x1 + 0.6*x1", "-0.6*x1 + 0.3*x3", "0.6*x3 + 0.3*x2*x2"), 0.4)
+    z = [c.expr for c in var.direction.comp]
+    for chart, (X, _, _) in zip(mov.charts, rule.nodes):
+        jet = _jet(chart, z)
+        for t in (0.0, 0.1, 0.3):
+            v = chart.evaluate(jet, X[0], X[1], t)
+            for e in (0.0, 1e-2, -1e-2, 3e-4, -3e-4):
+                rung = v[:12] + e * v[12:]
+                _, _, J, sJ = _jet_data(rung)
+                _, J_new, sJ_new = chart_geometry._geometry(_tangents(rung))
+                assert np.all(J_new == J) and np.all(sJ_new == sJ)
+        x0, _, _, sJ0 = _jet_data(chart.evaluate(_jet(chart), X[0], X[1], 0.0))
+        st0 = chart.metric(X[0], X[1], 0.0)
+        assert np.all(st0.x == x0) and np.all(st0.sqrtJ == sJ0)
+
+
+@pytest.mark.parametrize("law", [None, "quadratic"])
+def test_collapsing_rung_raises_singular_metric(law):
+    """At t = 0.2 the +0.5 rung of z = t (0.4 - t) (-50 x1, 0, 0) maps the
+    plane onto x1 = 0: the ladder raises SingularMetric, without a warning."""
+    plane = plane_chart()
+    var = time_window_variation(("-50*x1", "0", "0"), 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetric):
+            check_action_variation(
+                plane, motion_builtin("static"), var, T=0.4,
+                law=law and pressure_law_builtin(law), eps_list=(0.5, 0.25),
+                rule=QuadratureRule(plane, order=8), nt=2)
