@@ -3,14 +3,16 @@
 A ``Dual`` carries a value together with its partial derivatives with respect
 to a set of named directions (e.g. the chart coordinates ``X1``, ``X2``).
 Values and partials may be plain floats or numpy arrays, so a single Dual can
-represent a whole grid of evaluation points at once.
+represent a whole grid of evaluation points at once.  An ndarray on the
+left of a Dual defers to it: ``a * d`` is ``d * a``, not an object array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dual", "seed", "sin", "cos", "exp", "sqrt", "value_of", "partial_of"]
+__all__ = ["Dual", "seed", "sin", "cos", "sincos", "exp", "sqrt", "value_of",
+           "partial_of"]
 
 
 def _as_dual(x):
@@ -21,6 +23,7 @@ def _as_dual(x):
 
 class Dual:
     __slots__ = ("val", "parts")
+    __array_ufunc__ = None  # numpy defers to the reflected operators
 
     def __init__(self, val, parts=None):
         self.val = val
@@ -41,12 +44,19 @@ class Dual:
         return Dual(-self.val, {k: -p for k, p in self.parts.items()})
 
     def __sub__(self, other):
-        return self + (-_as_dual(other))
+        o = _as_dual(other)
+        parts = dict(self.parts)
+        for k, p in o.parts.items():
+            parts[k] = parts[k] - p if k in parts else -p
+        return Dual(self.val - o.val, parts)
 
     def __rsub__(self, other):
-        return _as_dual(other) + (-self)
+        return _as_dual(other) - self
 
     def __mul__(self, other):
+        if other is self:  # both product-rule terms are p * val: form one
+            v = self.val
+            return Dual(v * v, {k: 2.0 * (p * v) for k, p in self.parts.items()})
         o = _as_dual(other)
         parts = {k: p * o.val for k, p in self.parts.items()}
         for k, p in o.parts.items():
@@ -98,17 +108,29 @@ def partial_of(x, name, like=None):
     return np.zeros_like(np.asarray(template, dtype=float)) if np.ndim(template) else 0.0
 
 
+def _chain(val, fac, x):
+    """The dual with value ``val`` and partials ``fac`` times those of ``x``."""
+    return Dual(val, {k: fac * p for k, p in x.parts.items()})
+
+
 def _lift(fn, dfn):
+    """``fn`` on duals too; ``dfn(v, fn(v))`` is its derivative at ``v``."""
     def wrapped(x):
-        if isinstance(x, Dual):
-            fac = dfn(x.val)
-            return Dual(fn(x.val), {k: fac * p for k, p in x.parts.items()})
-        return fn(x)
+        if not isinstance(x, Dual):
+            return fn(x)
+        f = fn(x.val)
+        return _chain(f, dfn(x.val, f), x)
 
     return wrapped
 
 
-sin = _lift(np.sin, np.cos)
-cos = _lift(np.cos, lambda v: -np.sin(v))
-exp = _lift(np.exp, np.exp)
-sqrt = _lift(np.sqrt, lambda v: 0.5 / np.sqrt(v))
+sin = _lift(np.sin, lambda v, s: np.cos(v))
+cos = _lift(np.cos, lambda v, c: -np.sin(v))
+exp = _lift(np.exp, lambda v, e: e)
+sqrt = _lift(np.sqrt, lambda v, r: 0.5 / r)
+
+
+def sincos(x):
+    """``(sin x, cos x)`` of a dual from one ``np.sin`` and one ``np.cos``."""
+    s, c = np.sin(x.val), np.cos(x.val)
+    return _chain(s, c, x), _chain(c, -s, x)

@@ -216,13 +216,18 @@ def _inverse(gram, J):
             [off, value_of(gram[0][0]) * inv]]
 
 
-def _projector(n):
-    """Tangential projector I - n n^T as nested lists; ``P[j][i] is P[i][j]``."""
-    P = [[None] * 3 for _ in range(3)]
+def _symmetric(entry):
+    """3x3 nested list of entry(i, j) for j >= i, mirrored below the diagonal."""
+    M = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
-            P[i][j] = P[j][i] = (1.0 if i == j else 0.0) - n[i] * n[j]
-    return P
+            M[i][j] = M[j][i] = entry(i, j)
+    return M
+
+
+def _projector(n):
+    """Tangential projector I - n n^T as nested lists; ``P[j][i] is P[i][j]``."""
+    return _symmetric(lambda i, j: (1.0 if i == j else 0.0) - n[i] * n[j])
 
 
 def _metric_state(x, g, orientation):
@@ -343,17 +348,13 @@ class ChartFrame:
         """Values of the ambient component ``i`` of the tangential derivative
         g^ab g_a dq/dX_b of a dual scalar ``q`` (one derivative level is
         consumed)."""
-        out = 0.0
-        for a in range(2):
-            for b in range(2):
-                out = out + (value_of(self.inv_gram[a][b])
-                             * value_of(self.g[a][i])
-                             * self.values(q, _CHART_VARS[b]))
-        return out
+        return _total(value_of(self.inv_gram[a][b]) * value_of(self.g[a][i])
+                      * self.values(q, _CHART_VARS[b])
+                      for a in range(2) for b in range(2))
 
     def div(self, f):
         """Values of the chart-form surface divergence of a dual 3-vector."""
-        return sum(self.tangential(c, i) for i, c in enumerate(f))
+        return _total(self.tangential(c, i) for i, c in enumerate(f))
 
     @property
     def H(self):
@@ -387,6 +388,16 @@ class ChartFrame:
     def eval_scalar(self, f):
         """Evaluate an ambient scalar field on the (dual) surface points."""
         return f(self.x[0], self.x[1], self.x[2], self.t)
+
+
+# the start of _total: adding x to it gives x itself
+_START = type("_Start", (), {"__add__": lambda self, x: x})()
+
+
+def _total(terms):
+    """``sum(terms)`` from the first term itself, not from a 0 that copies
+    it (``sum`` drops each term once added, as ``functools.reduce`` does not)."""
+    return sum(terms, _START)
 
 
 def _dot3(a, b):

@@ -14,16 +14,19 @@ expressions via :meth:`Expr.diff`.
 
 Nodes are hash-consed: equal subexpressions are one object, and one
 evaluation (one ``evaluate`` call, or one :func:`evaluate_all` over a list)
-computes each distinct function call once.
+computes each node that several parents read once, holding its value only
+until its last reader, and on duals each sin/cos pair of one argument once.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import re
 import warnings
 import weakref
+from collections import Counter
 
 from . import autodiff as ad
 
@@ -63,6 +66,10 @@ class Expr:
 
     def diff(self, var):
         raise NotImplementedError
+
+    # the read plan of this node alone, held by the node so that it dies with it
+    _plan = functools.cached_property(
+        lambda self: _read_plan.__wrapped__((self,)))
 
     # operator sugar used when assembling expressions in code
     def __add__(self, other):
@@ -140,7 +147,7 @@ class _Binary(Expr):
 
 class Add(_Binary):
     def evaluate(self, env):
-        env = _scope(env)
+        env = _scope(env, self)
         return _value(self.a, env) + _value(self.b, env)
 
     def diff(self, var):
@@ -152,7 +159,7 @@ class Add(_Binary):
 
 class Sub(_Binary):
     def evaluate(self, env):
-        env = _scope(env)
+        env = _scope(env, self)
         return _value(self.a, env) - _value(self.b, env)
 
     def diff(self, var):
@@ -164,7 +171,7 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     def evaluate(self, env):
-        env = _scope(env)
+        env = _scope(env, self)
         return _value(self.a, env) * _value(self.b, env)
 
     def diff(self, var):
@@ -176,7 +183,7 @@ class Mul(_Binary):
 
 class Div(_Binary):
     def evaluate(self, env):
-        env = _scope(env)
+        env = _scope(env, self)
         return _value(self.a, env) / _value(self.b, env)
 
     def diff(self, var):
@@ -196,7 +203,7 @@ class Pow(Expr):
         return super().__new__(cls, base, float(expo))
 
     def evaluate(self, env):
-        env = _scope(env)
+        env = _scope(env, self)
         return _value(self.base, env) ** self.expo
 
     def diff(self, var):
@@ -224,8 +231,16 @@ class Call(Expr):
         return super().__new__(cls, fn, arg)
 
     def evaluate(self, env):
-        env = _scope(env)
-        return _FUNCS[self.fn][0](_value(self.arg, env))
+        env = _scope(env, self)
+        arg = _value(self.arg, env)
+        partner = env.partner.get(self)
+        if partner is None or not isinstance(arg, ad.Dual):
+            return _FUNCS[self.fn][0](arg)
+        value = env.pairs.pop(self, None)  # computed with the partner
+        if value is None:
+            s, c = ad.sincos(arg)
+            value, env.pairs[partner] = (s, c) if self.fn == "sin" else (c, s)
+        return value
 
     def diff(self, var):
         outer = _FUNCS[self.fn][1](self.arg)
@@ -235,40 +250,61 @@ class Call(Expr):
         return f"{self.fn}({self.arg})"
 
 
-# -- evaluation scope: one memo of Call results per evaluation --------------
+# -- evaluation scope: each node that several parents read, evaluated once ----
 
 
 class _Scope(dict):
-    """The bindings of one evaluation and its memo of ``Call`` results,
-    keyed by node (interned, so equal calls share one entry)."""
+    """Bindings of one evaluation under a read ``plan``: ``left`` counts the
+    reads to come of each node read more than once, ``memo`` holds its value
+    until the last, ``pairs`` a sin or cos its partner formed."""
 
-    __slots__ = ("memo",)
+    __slots__ = ("left", "memo", "partner", "pairs")
+
+    def __init__(self, env, plan):
+        super().__init__(env)
+        reads, self.partner = plan
+        self.left, self.memo, self.pairs = dict(reads), {}, {}
 
 
-def _scope(env):
-    """``env`` as an evaluation scope: a scope passes through, any other
-    mapping starts a new one with an empty memo."""
-    if type(env) is _Scope:
-        return env
-    scope = _Scope(env)
-    scope.memo = {}
-    return scope
+def _scope(env, root):
+    """``env`` as a scope: a scope passes through, a mapping starts one."""
+    return env if type(env) is _Scope else _Scope(env, root._plan)
+
+
+@functools.lru_cache(maxsize=64)
+def _read_plan(roots):
+    """``(reads, partner)`` of the tuple ``roots``: the reads of each non-leaf
+    node read more than once, and the partner of each sin/cos pair's calls."""
+    reads, stack, trig = Counter(roots), list(set(roots)), {}
+    while stack:
+        node = stack.pop()
+        if type(node) is Call and node.fn in ("sin", "cos"):
+            trig.setdefault(node.arg, []).append(node)
+        for child in (getattr(node, f) for f in node._fields):
+            if isinstance(child, Expr):
+                if child not in reads:
+                    stack.append(child)
+                reads[child] += 1
+    shared = {n: k for n, k in reads.items()
+              if k > 1 and not isinstance(n, (Num, Var))}
+    return shared, {a: b for p in trig.values() if len(p) == 2
+                    for a, b in (p, p[::-1])}
 
 
 def _value(node, scope):
-    """Value of ``node`` in ``scope``; a ``Call`` is read from the memo before
-    its subtree is descended into."""
-    if type(node) is not Call:
+    """Value of ``node``; one read more than once is memoized until its last."""
+    memo, left = scope.memo, scope.left.get(node)
+    if left is None:
         return node.evaluate(scope)
-    value = scope.memo.get(node)
-    if value is None:
-        value = scope.memo[node] = node.evaluate(scope)
+    value = memo.pop(node) if node in memo else node.evaluate(scope)
+    if left > 1:
+        memo[node], scope.left[node] = value, left - 1
     return value
 
 
 def evaluate_all(exprs, env):
-    """Values of ``exprs`` in one ``env``, sharing one memo across the list."""
-    scope = _scope(env)
+    """Values of ``exprs`` in one ``env``: one evaluation of the whole list."""
+    scope = _Scope(env, _read_plan(tuple(exprs)))
     return [_value(e, scope) for e in exprs]
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import value_of
-from .chart_geometry import rule_sums
+from .chart_geometry import _symmetric, _total, rule_sums
 from .fields import as_scalar_field, as_vector_field
 
 __all__ = [
@@ -63,7 +63,7 @@ def surface_divergence_vec(v, metric, t=0.0):
 
 def _apply(A, w):
     """A w for a 3x3 ``A`` and a 3-vector ``w`` (nested lists, duals)."""
-    return [sum(A[i][j] * w[j] for j in range(3)) for i in range(3)]
+    return [_total(A[i][j] * w[j] for j in range(3)) for i in range(3)]
 
 
 def grad_scalar_dual(f, frame):
@@ -98,16 +98,16 @@ def _jac_dual(v, frame):
 
 
 def _sym(M):
-    return [[0.5 * (M[i][j] + M[j][i]) for j in range(3)] for i in range(3)]
+    return _symmetric(lambda i, j: 0.5 * (M[i][j] + M[j][i]))
 
 
 def _matmul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
+    return [[_total(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
             for i in range(3)]
 
 
 def _contract(A, B):
-    return sum(A[i][j] * B[i][j] for i in range(3) for j in range(3))
+    return _total(A[i][j] * B[i][j] for i in range(3) for j in range(3))
 
 
 def strain_dual(v, frame, jac=None):
@@ -120,8 +120,7 @@ def strain_dual(v, frame, jac=None):
     jac = _jac_dual(as_vector_field(v), frame) if jac is None else jac
     P = frame.P
     Dproj = _matmul(P, _matmul(_sym(jac), P))
-    divv = sum(P[i][j] * jac[i][j] for i in range(3) for j in range(3))
-    return Dproj, divv
+    return Dproj, _contract(P, jac)
 
 
 def dissipation_density(Dproj, divv, mu_d, lam_d):
@@ -141,8 +140,9 @@ def stress_dual(v, sigma, mu, lam, frame, jac=None):
     lam_d = frame.eval_scalar(as_scalar_field(lam))
     sig_d = frame.eval_scalar(as_scalar_field(sigma))
     P = frame.P
-    S = [[2.0 * mu_d * Dproj[i][j] + (lam_d * divv - sig_d) * P[i][j]
-          for j in range(3)] for i in range(3)]
+    mu2, iso = 2.0 * mu_d, lam_d * divv - sig_d
+    S = [[mu2 * Dproj[i][j] + iso * P[i][j] for j in range(3)]
+         for i in range(3)]
     return S, Dproj, divv, mu_d, lam_d, sig_d
 
 

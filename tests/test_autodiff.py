@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcalc import autodiff as ad
 from surfcalc.autodiff import (Dual, cos, exp, partial_of, seed, sin, sqrt,
                                value_of)
+from surfcalc.chart_geometry import _total
 
 finite = st.floats(-10, 10, allow_nan=False)
 nonzero = st.floats(0.5, 10).map(lambda v: v)
@@ -88,3 +90,99 @@ def test_dual_comparison_with_fd():
         h = 1e-6
         fd = (value_of(fn(Dual(a + h))) - value_of(fn(Dual(a - h)))) / (2 * h)
         assert partial_of(d, "x") == pytest.approx(fd, abs=1e-8)
+
+
+def test_ndarray_on_the_left_defers_to_the_dual():
+    d = Dual(np.array([1.0, -2.0, 3.0]), {"x": np.array([0.5, 1.0, 2.0])})
+    a = np.array([2.0, 4.0, -1.0])
+    for op, reflected in ((lambda u, v: u + v, "__radd__"),
+                          (lambda u, v: u - v, "__rsub__"),
+                          (lambda u, v: u * v, "__rmul__"),
+                          (lambda u, v: u / v, "__rtruediv__")):
+        got = op(a, d)
+        want = getattr(d, reflected)(a)
+        assert isinstance(got, Dual)
+        assert np.array_equal(got.val, want.val)
+        assert got.parts.keys() == want.parts.keys()
+        assert np.array_equal(got.parts["x"], want.parts["x"])
+
+
+# -- the formulas these operators replaced, kept as bit-exact oracles ---------
+
+_EDGES = np.array([0.0, -0.0, -1.5, 2.0, 3e-310, -7.25, np.inf, -np.inf,
+                   np.nan, 1e308])
+
+
+def _same(a, b, signed_zero=True):
+    """Equal entries, NaN matching NaN of any sign; with ``signed_zero`` the
+    sign of every zero too."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (np.array_equal(a, b, equal_nan=True)
+            and (not signed_zero or np.array_equal(np.signbit(a) & (a == a),
+                                                   np.signbit(b) & (b == b))))
+
+
+def _same_dual(a, b, signed_zero=True):
+    return (_same(a.val, b.val, signed_zero) and a.parts.keys() == b.parts.keys()
+            and all(_same(a.parts[k], b.parts[k], signed_zero)
+                    for k in a.parts))
+
+
+def _edge_duals():
+    rng = np.random.default_rng(3)
+    val = rng.permutation(_EDGES)
+    return (Dual(val, {"a": rng.permutation(_EDGES), "b": _EDGES[::-1]}),
+            Dual(rng.permutation(_EDGES), {"b": rng.permutation(_EDGES),
+                                           "c": 1.0}))
+
+
+def _generic_product(x, y):
+    parts = {k: p * y.val for k, p in x.parts.items()}
+    for k, p in y.parts.items():
+        q = x.val * p
+        parts[k] = parts[k] + q if k in parts else q
+    return Dual(x.val * y.val, parts)
+
+
+def _old_lift(fn, dfn):
+    def wrapped(x):
+        fac = dfn(x.val)
+        return Dual(fn(x.val), {k: fac * p for k, p in x.parts.items()})
+    return wrapped
+
+
+_OLD_LIFTED = {sin: _old_lift(np.sin, np.cos),
+               cos: _old_lift(np.cos, lambda v: -np.sin(v)),
+               exp: _old_lift(np.exp, np.exp),
+               sqrt: _old_lift(np.sqrt, lambda v: 0.5 / np.sqrt(v))}
+
+
+def test_subtraction_and_square_match_the_generic_formulas():
+    x, y = _edge_duals()
+    with np.errstate(all="ignore"):
+        for u, v in ((x, y), (y, x), (x, x), (x, 2.5), (x, _EDGES),
+                     (-0.0, x), (_EDGES, y)):
+            assert _same_dual(u - v, ad._as_dual(u) + (-ad._as_dual(v)))
+        for u in (x, y):
+            assert _same_dual(u * u, _generic_product(u, u))
+
+
+def test_lifted_functions_match_their_two_call_forms():
+    x, y = _edge_duals()
+    with np.errstate(all="ignore"):
+        for u in (x, y):
+            for new, old in _OLD_LIFTED.items():
+                assert _same_dual(new(u), old(u))
+            s, c = ad.sincos(u)
+            assert _same_dual(s, _OLD_LIFTED[sin](u))
+            assert _same_dual(c, _OLD_LIFTED[cos](u))
+
+
+def test_sum_from_the_first_term_matches_sum_from_zero():
+    """Equal to ``sum`` but for the sign of an exact-zero total."""
+    x, y = _edge_duals()
+    with np.errstate(all="ignore"):
+        terms = [x * y, x - y, y * 2.0, x]
+        assert _same_dual(_total(terms), sum(terms), signed_zero=False)
+        plain = [np.array(_EDGES), _EDGES[::-1], -_EDGES]
+        assert _same(_total(plain), sum(plain), signed_zero=False)

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from surfcalc import autodiff as ad
 from surfcalc import expressions
 from surfcalc.evolving_surface import motion_builtin, moving_atlas
-from surfcalc.expressions import (Call, Expr, Num, ParseError, Var,
-                                  parse_expr, substitute)
-from surfcalc.variational_checks import (_jet, time_window_variation,
-                                         varied_atlas)
+from surfcalc.expressions import (Add, Call, Div, Expr, Mul, Num, ParseError,
+                                  Pow, Sub, Var, evaluate_all, parse_expr,
+                                  substitute)
+from surfcalc.variational_checks import (_direction_exprs, _jet,
+                                         time_window_variation, varied_atlas)
 
 VARS = ("x1", "x2", "x3", "t")
 
@@ -169,6 +170,62 @@ def test_each_distinct_call_evaluated_once(sphere, monkeypatch):
         _distinct_calls(e, distinct)
     assert len(distinct) == 4
     assert evals == Counter(fn for fn, _ in distinct)
+
+
+def _count_evaluations(monkeypatch, classes):
+    """A counter of ``evaluate`` calls per node of ``classes``."""
+    evals = Counter()
+    for cls in classes:
+        def counted(self, env, original=cls.evaluate):
+            evals[self] += 1
+            return original(self, env)
+        monkeypatch.setattr(cls, "evaluate", counted)
+    return evals
+
+
+def test_shared_subtree_evaluated_once(monkeypatch):
+    u = parse_expr("x1*x2 + 1", VARS)
+    exprs = [u * u, u * 2.0, Call("sin", u) - u]
+    env = {"x1": np.linspace(-1.0, 2.0, 7), "x2": 0.3, "x3": 0.0, "t": 0.0}
+    evals = _count_evaluations(monkeypatch, [Add])
+    together = evaluate_all(exprs, env)
+    assert evals[u] == 1
+    separate = [e.evaluate(env) for e in exprs]
+    assert evals[u] == 4  # once per evaluation, though (u * u) reads it twice
+    assert all(np.array_equal(a, b) for a, b in zip(together, separate))
+
+
+def test_jet_evaluates_no_arithmetic_node_twice(sphere, monkeypatch):
+    """Leaves (numbers, variables) are read where used; every other node of
+    the dilating sphere's jet under the wobble variation is evaluated once."""
+    wobble = ("0.9*x3*x1 + 0.6*x1", "-0.6*x1 + 0.3*x3", "0.6*x3 + 0.3*x2*x2")
+    chart = moving_atlas(sphere, motion_builtin("dilation")).charts[0]
+    jet = _jet(chart, _direction_exprs(time_window_variation(wobble, 0.4)))
+    evals = _count_evaluations(monkeypatch, [Add, Sub, Mul, Div, Pow, Call])
+    X = np.stack([np.linspace(0.5, 2.5, 5), np.linspace(0.1, 6.0, 5)])
+    chart.evaluate(jet, X[0], X[1], 0.3)
+    nodes, stack = set(), list(jet)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (Num, Var)) and node not in nodes:
+            nodes.add(node)
+            stack.extend(c for c in vars(node).values() if isinstance(c, Expr))
+    assert set(evals) == nodes
+    assert set(evals.values()) == {1}
+
+
+def test_dual_frame_forms_each_sin_cos_pair_once(sphere, monkeypatch):
+    """A sphere frame reads sin and cos of X1 and of X2 as duals: one
+    ``np.sin`` and one ``np.cos`` array call per argument."""
+    calls = Counter()
+    for name in ("sin", "cos"):
+        def counted(x, *args, name=name, kernel=getattr(np, name), **kw):
+            calls[name] += 1
+            return kernel(x, *args, **kw)
+        monkeypatch.setattr(np, name, counted)
+    X = np.stack([np.linspace(0.6, 2.5, 6), np.linspace(0.1, 6.0, 6)])
+    sphere.charts[0].frame(X[0], X[1])
+    assert calls == Counter(sin=2, cos=2)
 
 
 def test_evaluate_vectorized():
