@@ -28,6 +28,7 @@ from .evolving_surface import (FlowState, advance_flow, dilation_density,
                                jacobian_rate_check, moving_atlas, probe_steps,
                                transport_scalar, transport_theorem_check,
                                worst_of)
+from .expressions import Num
 from .fields import (ScalarField, as_scalar_field, as_vector_field,
                      random_scalar_field, random_vector_field)
 from .fluid_models import (CoefficientFields, FluidFields, residual_conservative,
@@ -274,11 +275,23 @@ def suite_residuals(scn, rng):
     return rows, {}
 
 
+def _sphere_rates(scn, flux, suite):
+    """``(2 kappa / R^2, 4 pi R^2)``: the decay rate of x3 under the linear
+    ``flux`` on the scenario's sphere, and its area (exact-solution data)."""
+    if scn.get("surface.kind") != "sphere":
+        raise ConfigError(f"{scn.where('surface.kind')}: {suite} needs a sphere")
+    if not isinstance(flux.d_expr, Num):
+        raise ConfigError(f"{scn.where('flux.kind')}: {suite} needs a linear flux")
+    R = scn.builtin_args("surface", "sphere")["R"]
+    return 2.0 * flux.d_expr.value / (R * R), 4.0 * math.pi * R * R
+
+
 def suite_simulate_heat(scn, rng):
     atlas = scn.build_surface()
     res = scn.resolution((32, 64))
     dt, steps = scn.time_window()
     flux = scn.build_flux_law() or flux_law_builtin("linear")
+    rate, _ = _sphere_rates(scn, flux, "simulate-heat")
     coeffs = CoefficientFields(F=("0", "0", "0"), Q_theta=0.0)
     solver = SurfaceGridSolver(atlas, res)
     xs = solver.positions(0.0)
@@ -287,10 +300,10 @@ def suite_simulate_heat(scn, rng):
     for k in range(steps):
         field = step_heat(solver, field, coeffs, flux, dt)
         if (k + 1) % max(1, steps // 10) == 0 or k == steps - 1:
-            exact = [math.exp(-2.0 * field.t) * x[2] for x in xs]
-            err = worst_of(*(float(np.max(np.abs(field.values[m] - exact[m])))
-                             for m in range(len(xs))))
-            rel = err / max(abs(math.exp(-2.0 * field.t)), 1e-30)
+            decay = math.exp(-rate * field.t)
+            err = worst_of(*(float(np.max(np.abs(v - decay * x[2])))
+                             for v, x in zip(field.values, xs)))
+            rel = err / max(abs(decay), 1e-30)
             series.append((field.t, rel))
     rows = [_row("heat_decay_relative_error", series[-1][1],
                  scn.tolerance("heat_decay", 1e-3))]
@@ -302,8 +315,9 @@ def suite_simulate_diffusion(scn, rng):
     res = scn.resolution((32, 64))
     dt, steps = scn.time_window()
     flux = scn.build_flux_law() or flux_law_builtin("linear")
-    coeffs = CoefficientFields(Q_C=scn.get_scalar_field(
-        "coeffs.Q_C", as_scalar_field(1.0)))
+    rate, area = _sphere_rates(scn, flux, "simulate-diffusion")
+    q = scn.get_float("coeffs.Q_C", 1.0)
+    coeffs = CoefficientFields(Q_C=q)
     solver = SurfaceGridSolver(atlas, res)
     xs = solver.positions(0.0)
     field = GridField([1.0 + 0.5 * x[2] for x in xs], 0.0)
@@ -313,12 +327,12 @@ def suite_simulate_diffusion(scn, rng):
         field = step_diffusion(solver, field, coeffs, flux, dt)
         if (k + 1) % max(1, steps // 10) == 0 or k == steps - 1:
             mass = solver.integrate(field.values, field.t)
-            exact = [1.0 + field.t + 0.5 * math.exp(-2.0 * field.t) * x[2]
-                     for x in xs]
-            err = worst_of(*(float(np.max(np.abs(field.values[m] - exact[m])))
-                             for m in range(len(xs))))
+            decay = math.exp(-rate * field.t)
+            err = worst_of(*(float(np.max(np.abs(
+                v - (1.0 + q * field.t + 0.5 * decay * x[2]))))
+                for v, x in zip(field.values, xs)))
             series.append((field.t, mass, err))
-    budget = abs(series[-1][1] - mass0 - 4.0 * math.pi * field.t)
+    budget = abs(series[-1][1] - mass0 - q * area * field.t)
     rows = [
         _row("species_budget_error", budget / max(1.0, abs(mass0)),
              scn.tolerance("budget", 1e-6)),

@@ -16,8 +16,8 @@ import numpy as np
 
 from .expressions import Var, parse_expr, substitute
 from .fields import ScalarField, as_scalar_field, as_vector_field
-from .surface_ops import (dissipation_density, div_matrix_dual,
-                          grad_scalar_dual, stress_dual)
+from .surface_ops import (_apply, _Point, dissipation_density,
+                          div_matrix_dual, stress_dual)
 
 __all__ = [
     "NonpositiveDensity",
@@ -156,49 +156,6 @@ def pressure_law_builtin(name, **params):
     return _PRESSURE_LAWS[name](**params)
 
 
-# -- shared pointwise machinery -------------------------------------------------
-
-
-class _Point:
-    """Numeric point data shared by the residual evaluators."""
-
-    def __init__(self, frame, v):
-        self.frame = frame
-        self.t = frame.t
-        self.x = frame.values(frame.x)
-        self.n = frame.values(frame.n)
-        self.P = frame.values(frame.P)
-        self.v = v.value(self.x, self.t)
-        self.vn = np.einsum("i...,i...->...", self.v, self.n)
-
-    def Dt(self, f):
-        """Material derivative of an ambient scalar field."""
-        return f.dt(self.x, self.t) + np.einsum(
-            "i...,i...->...", self.v, f.grad(self.x, self.t))
-
-    def DtN(self, f):
-        """Normal-transport time derivative of an ambient scalar field."""
-        return f.dt(self.x, self.t) + self.vn * np.einsum(
-            "i...,i...->...", self.n, f.grad(self.x, self.t))
-
-    def Dt_vec(self, w):
-        jac = w.jacobian(self.x, self.t)
-        return w.dt(self.x, self.t) + np.einsum("j...,ij...->i...", self.v, jac)
-
-    def val(self, f):
-        return f.value(self.x, self.t)
-
-    def grad_t(self, f):
-        """Tangential gradient (values) of an ambient scalar field."""
-        return self.frame.values(grad_scalar_dual(f, self.frame))
-
-    def div_flux(self, coef, scalar):
-        """Divergence of coef * tangential-gradient(scalar) (values)."""
-        c_d = self.frame.eval_scalar(coef)
-        q = [c_d * g for g in grad_scalar_dual(scalar, self.frame)]
-        return self.frame.div(q)
-
-
 # -- residual evaluators ---------------------------------------------------------
 
 
@@ -247,33 +204,22 @@ def residual_conservative(fields, coeffs, frame):
 
     # momentum: DtN(rho v) + div(rho v x v - S) - rho F
     Fv = c.F.value(pt.x, pt.t)
-    jac = f.v.jacobian(pt.x, pt.t)
-    grad_rho = f.rho.grad(pt.x, pt.t)
-    vval = pt.v
-    mom = []
-    for i in range(3):
-        grad_rvi = rho * jac[i] + vval[i] * grad_rho
-        dtn = (f.rho.dt(pt.x, pt.t) * vval[i] + rho * f.v.comp[i].dt(pt.x, pt.t)
-               + pt.vn * np.einsum("j...,j...->...", pt.n, grad_rvi))
-        flux = [rho_d * v_d[i] * v_d[j] - S[i][j] for j in range(3)]
-        mom.append(dtn + fr.div(flux) - rho * Fv[i])
-    r_mom_vec = np.stack(mom)
+    r_mom_vec = np.stack([
+        pt.DtN_product(f.rho, f.v, i)
+        + fr.div([rho_d * v_d[i] * v_d[j] - S[i][j] for j in range(3)])
+        - rho * Fv[i] for i in range(3)])
 
     # total energy: DtN e_A + div(e_A v - q_theta - S v) - rho Q - rho F.v
     eA = f.total_energy
     eA_d = fr.eval_scalar(eA)
-    kappa_d = fr.eval_scalar(c.kappa)
-    q_d = [kappa_d * g for g in grad_scalar_dual(f.theta, fr)]
-    Sv_d = [sum(S[i][j] * v_d[j] for j in range(3)) for i in range(3)]
+    q_d, Sv_d = pt.flux(c.kappa, f.theta), _apply(S, v_d)
     flux = [eA_d * v_d[i] - q_d[i] - Sv_d[i] for i in range(3)]
     r_energy = (pt.DtN(eA) + fr.div(flux)
                 - rho * pt.val(c.Q_theta)
-                - rho * np.einsum("i...,i...->...", Fv, vval))
+                - rho * np.einsum("i...,i...->...", Fv, pt.v))
 
     # concentration: DtN C + div(C v - q_C) - Q_C
-    C_d = fr.eval_scalar(f.C)
-    nu_d = fr.eval_scalar(c.nu)
-    qC_d = [nu_d * g for g in grad_scalar_dual(f.C, fr)]
+    C_d, qC_d = fr.eval_scalar(f.C), pt.flux(c.nu, f.C)
     flux = [C_d * v_d[i] - qC_d[i] for i in range(3)]
     r_conc = pt.DtN(f.C) + fr.div(flux) - pt.val(c.Q_C)
     return {"mass": r_mass, "momentum": np.linalg.norm(r_mom_vec, axis=0),

@@ -17,6 +17,8 @@ are assembled through it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .autodiff import value_of
@@ -146,6 +148,65 @@ def stress_dual(v, sigma, mu, lam, frame, jac=None):
     return S, Dproj, divv, mu_d, lam_d, sig_d
 
 
+# -- time derivatives on a moving frame -----------------------------------------
+
+
+class _Point:
+    """Numeric point data of a frame whose points move with the velocity
+    field ``v``: the material derivative D_t f = f_t + (v.grad) f, the normal
+    time derivative D_t^N f = f_t + (v.n)(n.grad) f, D_t^N of a product and
+    the diffusive flux.  ``n``, ``P`` and ``v.n`` are built on first read."""
+
+    def __init__(self, frame, v):
+        self.frame, self.t = frame, frame.t
+        self.x = frame.values(frame.x)
+        self.v = v.value(self.x, self.t)
+
+    n = functools.cached_property(lambda self: self.frame.values(self.frame.n))
+    P = functools.cached_property(lambda self: self.frame.values(self.frame.P))
+    vn = functools.cached_property(
+        lambda self: np.einsum("i...,i...->...", self.v, self.n))
+
+    def Dt(self, f):
+        """Material derivative of an ambient scalar field."""
+        return f.dt(self.x, self.t) + np.einsum(
+            "i...,i...->...", self.v, f.grad(self.x, self.t))
+
+    def DtN(self, f):
+        """Normal time derivative of an ambient scalar field."""
+        return f.dt(self.x, self.t) + self.vn * np.einsum(
+            "i...,i...->...", self.n, f.grad(self.x, self.t))
+
+    def DtN_product(self, f, w, i):
+        """D_t^N(f w_i) of an ambient scalar ``f`` and vector field ``w``."""
+        x, t, wi = self.x, self.t, w.comp[i]
+        fval, wval = self.val(f), self.val(wi)
+        grad = fval * wi.grad(x, t) + wval * f.grad(x, t)
+        return (f.dt(x, t) * wval + fval * wi.dt(x, t)
+                + self.vn * np.einsum("j...,j...->...", self.n, grad))
+
+    def Dt_vec(self, w):
+        """Material derivative of an ambient vector field."""
+        jac = w.jacobian(self.x, self.t)
+        return w.dt(self.x, self.t) + np.einsum("j...,ij...->i...", self.v, jac)
+
+    def val(self, f):
+        return f.value(self.x, self.t)
+
+    def grad_t(self, f):
+        """Tangential gradient (values) of an ambient scalar field."""
+        return self.frame.values(grad_scalar_dual(f, self.frame))
+
+    def flux(self, coef, s):
+        """The diffusive flux q = coef grad_G s (dual 3-vector)."""
+        c_d = self.frame.eval_scalar(coef)
+        return [c_d * g for g in grad_scalar_dual(s, self.frame)]
+
+    def div_flux(self, coef, s):
+        """div_G of :meth:`flux` (values)."""
+        return self.frame.div(self.flux(coef, s))
+
+
 # -- identity residual kernel ----------------------------------------------
 
 
@@ -253,20 +314,10 @@ def material_residuals(frame, f, v):
     derivatives and transport terms, for the scalar field ``f`` on a frame
     whose chart moves with the velocity field ``v``."""
     f, v = as_scalar_field(f), as_vector_field(v)
-    xarr = frame.values(frame.x)
-    t = frame.t
-    vval = v.value(xarr, t)
+    pt = _Point(frame, v)
     # consistency: the chart must move with v
-    res = {"chart_velocity_consistency": _maxabs(frame.x_t - vval)}
-
-    nval = frame.values(frame.n)
-
-    fval = f.value(xarr, t)
-    gradf = f.grad(xarr, t)
-    ft = f.dt(xarr, t)
-    Dt_f = ft + np.einsum("i...,i...->...", vval, gradf)
-    vn = np.einsum("i...,i...->...", vval, nval)
-    DtN_f = ft + vn * np.einsum("i...,i...->...", nval, gradf)
+    res = {"chart_velocity_consistency": _maxabs(frame.x_t - pt.v)}
+    fval, Dt_f = pt.val(f), pt.Dt(f)
 
     # divergence terms through the dual route
     f_d = frame.eval_scalar(f)
@@ -274,22 +325,13 @@ def material_residuals(frame, f, v):
     div_fv = frame.div([f_d * v_d[i] for i in range(3)])
     divv = frame.div(v_d)
     res["transport_commutation_scalar"] = _maxabs(
-        (DtN_f + div_fv) - (Dt_f + divv * fval))
+        (pt.DtN(f) + div_fv) - (Dt_f + divv * fval))
 
     # momentum version: DtN(f v) + div(f v x v) = {Dt f + (div v) f} v + f Dt v
-    jac = v.jacobian(xarr, t)
-    vt = v.dt(xarr, t)
-    Dt_v = vt + np.einsum("j...,ij...->i...", vval, jac)
-    lhs = []
-    for i in range(3):
-        grad_fvi = fval * jac[i] + vval[i] * gradf
-        dt_fvi = ft * vval[i] + fval * vt[i]
-        dtn = dt_fvi + vn * np.einsum("j...,j...->...", nval, grad_fvi)
-        row = [f_d * v_d[i] * v_d[j] for j in range(3)]
-        div_row = frame.div(row)
-        lhs.append(dtn + div_row)
-    lhs = np.stack(lhs)
-    rhs = (Dt_f + divv * fval) * vval + fval * Dt_v
+    lhs = np.stack([pt.DtN_product(f, v, i)
+                    + frame.div([f_d * v_d[i] * v_d[j] for j in range(3)])
+                    for i in range(3)])
+    rhs = (Dt_f + divv * fval) * pt.v + fval * pt.Dt_vec(v)
     res["transport_commutation_momentum"] = _maxabs(lhs - rhs)
     return res
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart_geometry import (Chart, ChartAtlas, _geometry, _inverse,
+from .chart_geometry import (Chart, ChartAtlas, _geometry, _inverse, _total,
                              metric_at, rule_sums, rule_terms)
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
-from .surface_ops import (_jac_dual, dissipation_density, div_matrix_dual,
-                          grad_scalar_dual, stress_dual, strain_dual)
+from .surface_ops import (_apply, _jac_dual, _Point, dissipation_density,
+                          div_matrix_dual, grad_scalar_dual, stress_dual,
+                          strain_dual)
 
 __all__ = [
     "DegenerateGradient",
@@ -230,24 +231,21 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None, *,
                 rho0t_d = (frame.eval_scalar(as_scalar_field(rho0))
                            * frame.sqrtJ)
             sJ = frame.values(frame.sqrtJ)
-            x = frame.values(frame.x)
+            pt = _Point(frame, vel)
             rho_d = rho0t_d / frame.sqrtJ
             rho = frame.values(rho_d)
             # material acceleration of the prescribed velocity (ambient)
-            vval = vel.value(x, tk)
-            jac = vel.jacobian(x, tk)
-            Dt_v = vel.dt(x, tk) + np.einsum("j...,ij...->i...", vval, jac)
-            force = rho * Dt_v
+            force = rho * pt.Dt_vec(vel)
             if law is not None:
                 peff_d = law.eff_expr.evaluate({"r": rho_d})
                 gradp = np.stack([frame.tangential(peff_d, i)
                                   for i in range(3)])
                 force = (force + gradp + frame.values(peff_d) * frame.H
                          * frame.values(frame.n))
-            zval = z.value(x, tk)
+            zval = z.value(pt.x, tk)
             kernel = np.einsum("i...,i...->...", force, zval)
             out.append(w * psi * kernel * sJ)
-            del frame  # free it before the next one is built
+            del frame, pt  # free them before the next frame is built
         return np.stack(out)
     total = 0.0
     for sums in rule_terms(lambda a: np.sum(a, axis=-1), mov.charts, rule,
@@ -407,9 +405,8 @@ def _partials(f, x, t):
 def _flux_energy_terms(df, flux, P, sqrtJ, w, psi):
     """Flux-energy terms w psi sqrtJ e_J(|grad_G f|^2), per node, from the
     ambient partials ``df`` of f and the projector values ``P``.  The
-    gradient P grad f is summed in :func:`grad_scalar_dual`'s order."""
-    zeta = sum(c * c for c in (sum(P[i][j] * df[j] for j in range(3))
-                               for i in range(3)))
+    gradient P grad f is :func:`grad_scalar_dual`'s own ``_apply``."""
+    zeta = _total(c * c for c in _apply(P, df))
     return w * psi * sqrtJ * flux.density(zeta)
 
 
@@ -473,7 +470,7 @@ def check_flux_variation(f, flux, phi, atlas, rule, t=0.0,
             if np.min(gnorm) < 1e-8:
                 raise DegenerateGradient("nonlinear flux variation needs "
                                          "|grad_G f| bounded away from 0")
-        zeta_d = sum(c * c for c in gf)
+        zeta_d = _total(c * c for c in gf)
         q = [flux.d_expr.evaluate({"z": zeta_d}) * gf[i] for i in range(3)]
         divq = frame.div(q)
         kernel_res = worst_of(kernel_res,

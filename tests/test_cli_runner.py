@@ -376,3 +376,57 @@ def test_geometry_suite_evaluates_each_chart_once(kind, tmp_path, monkeypatch):
     assert values["metric_projector_identity"] == worst_P
     if kind == "sphere":
         assert values["mean_curvature_error"] == worst_H
+
+
+def _simulate_scenario(tmp_path, base, changes):
+    """The path of the bundled ``base`` scenario, written under ``tmp_path``
+    with T = 0.01 and ``changes`` ({key: value}; a value of None drops the
+    key)."""
+    lines = dict(line.split(" = ", 1) for line in
+                 Path(scenario_path(base + ".cfg")).read_text().splitlines()
+                 if line and not line.startswith("#"))
+    lines["T"] = "0.01"
+    lines.update(changes)
+    cfg = tmp_path / f"{base}.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()
+                           if v is not None))
+    return cfg
+
+
+@pytest.mark.parametrize("base, changes, bounds", [
+    ("diffusion_sphere", {"coeffs.Q_C": "2.0"},
+     {"species_budget_error": 1e-6, "diffusion_relative_error": 1e-4}),
+    ("heat_sphere", {"surface.R": "2.0"}, {"heat_decay_relative_error": 1e-4}),
+    ("heat_sphere", {"flux.kappa": "2.0", "dt": "2e-4"},
+     {"heat_decay_relative_error": 1e-4}),
+])
+def test_simulate_oracles_honour_the_scenario(tmp_path, base, changes, bounds):
+    """The exact solutions the simulate suites compare against use the
+    scenario's R, kappa and Q_C (each off 1 here), not the unit values."""
+    scn = load_scenario(_simulate_scenario(tmp_path, base, changes))
+    rows, _ = cli_runner._SUITE_FUNCS[scn.suites()[0]](
+        scn, np.random.default_rng(0))
+    values = {r["check"]: r["value"] for r in rows}
+    assert values.keys() == bounds.keys()
+    assert all(values[k] <= bound for k, bound in bounds.items()), values
+
+
+@pytest.mark.parametrize("base, changes, key, message", [
+    ("heat_sphere", {"surface.kind": "torus", "surface.R": "2.0"},
+     "surface.kind", "simulate-heat needs a sphere"),
+    ("diffusion_sphere", {"flux.kind": "quadratic", "flux.kappa": None},
+     "flux.kind", "simulate-diffusion needs a linear flux"),
+    ("diffusion_sphere", {"coeffs.Q_C": "1 + x3"}, "coeffs.Q_C",
+     "coeffs.Q_C must be a number"),
+])
+def test_simulate_suites_refuse_what_their_oracle_lacks(
+        runner, tmp_path, base, changes, key, message):
+    """A surface other than a sphere, a non-linear flux or a Q_C that is not
+    a number has no exact solution here: the run is a ConfigError naming
+    the scenario's line, not a FAIL of a correct solver."""
+    cfg = _simulate_scenario(tmp_path, base, changes)
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1)
+                if text.startswith(key + " "))
+    out = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert out.exit_code != 0, out.output
+    assert f"{cfg}:{line}: {message}" in out.output, out.output

@@ -6,12 +6,14 @@ import pytest
 from surfcalc import surface_ops, variational_checks
 from surfcalc.autodiff import value_of
 from surfcalc.chart_geometry import ChartFrame, QuadratureRule
+from surfcalc.evolving_surface import motion_builtin, moving_atlas
 from surfcalc.fields import (ScalarField, random_scalar_field,
                              random_vector_field)
 from surfcalc.fluid_models import (CoefficientFields, FluidFields,
                                    residual_tangential, thermo_quantities)
-from surfcalc.surface_ops import (dissipation_density, grad_scalar_dual,
-                                  ibp_residuals, identity_residuals,
+from surfcalc.surface_ops import (_Point, dissipation_density,
+                                  grad_scalar_dual, ibp_residuals,
+                                  identity_residuals, material_residuals,
                                   strain_dual, stress_dual,
                                   surface_divergence_vec,
                                   surface_divergence_vec_chart,
@@ -216,3 +218,102 @@ def test_integration_by_parts(sphere, torus, sphere_rule, torus_rule, rng):
             r_comp, r_div = ibp_residuals(f, phi, atlas, rule, m=k % 3)
             assert r_comp <= 1e-6, (atlas.name, k, r_comp)
             assert r_div <= 1e-6, (atlas.name, k, r_div)
+
+
+# -- time derivatives on a moving frame ----------------------------------------
+
+MOTIONS = [("rotation", {"rate": 0.7}), ("dilation", {})]
+
+
+def moving_frame(atlas, rng, name, params, m=0, n=200, t=0.3):
+    motion = motion_builtin(name, **params)
+    chart = moving_atlas(atlas, motion).charts[m]
+    X = random_nodes(chart, rng, n)
+    return chart.frame(X[0], X[1], t), motion.velocity
+
+
+@pytest.mark.parametrize("name, params", MOTIONS)
+def test_material_residuals_hold_on_moving_charts(sphere, torus, rng, name,
+                                                  params):
+    """Every row of material_residuals is at rounding level on a chart that
+    moves with the velocity, for a time-dependent f."""
+    for atlas in (sphere, torus):
+        for m in range(len(atlas.charts)):
+            f = random_scalar_field(rng, time_dependent=True)
+            frame, vel = moving_frame(atlas, rng, name, params, m)
+            res = material_residuals(frame, f, vel)
+            assert len(res) == 3
+            for key, val in res.items():
+                assert val <= 1e-10, (atlas.name, name, key, val)
+
+
+def test_static_chart_fails_velocity_consistency(sphere, rng):
+    """A chart that does not move with v is caught by its own row."""
+    vel = motion_builtin("rotation", rate=0.7).velocity
+    frame = frame_at(sphere, rng, 200, t=0.3)
+    f = random_scalar_field(rng, time_dependent=True)
+    assert material_residuals(frame, f, vel)["chart_velocity_consistency"] >= 0.1
+
+
+def test_material_derivative_in_place_of_normal_one_is_caught(
+        sphere, rng, monkeypatch):
+    """With D_t in place of D_t^N the scalar commutation row fails: it
+    misses the tangential advection (v.grad_G) f."""
+    frame, vel = moving_frame(sphere, rng, *MOTIONS[0])
+    f = random_scalar_field(rng, time_dependent=True)
+    monkeypatch.setattr(_Point, "DtN", _Point.Dt)
+    res = material_residuals(frame, f, vel)
+    assert res["transport_commutation_scalar"] > 1e-3
+
+
+def _dtn_product_momentum_loop(frame, rho, v, i):
+    """D_t^N(rho v_i) as residual_conservative's momentum loop wrote it."""
+    x, t = frame.values(frame.x), frame.t
+    n = frame.values(frame.n)
+    vval = v.value(x, t)
+    vn = np.einsum("i...,i...->...", vval, n)
+    r, jac, grad_rho = rho.value(x, t), v.jacobian(x, t), rho.grad(x, t)
+    grad_rvi = r * jac[i] + vval[i] * grad_rho
+    return (rho.dt(x, t) * vval[i] + r * v.comp[i].dt(x, t)
+            + vn * np.einsum("j...,j...->...", n, grad_rvi))
+
+
+def _dtn_product_material(frame, f, v, i):
+    """D_t^N(f v_i) as material_residuals' momentum identity wrote it."""
+    xarr, t = frame.values(frame.x), frame.t
+    vval, nval = v.value(xarr, t), frame.values(frame.n)
+    fval, gradf, ft = f.value(xarr, t), f.grad(xarr, t), f.dt(xarr, t)
+    vn = np.einsum("i...,i...->...", vval, nval)
+    jac, vt = v.jacobian(xarr, t), v.dt(xarr, t)
+    grad_fvi = fval * jac[i] + vval[i] * gradf
+    dt_fvi = ft * vval[i] + fval * vt[i]
+    return dt_fvi + vn * np.einsum("j...,j...->...", nval, grad_fvi)
+
+
+def test_dtn_product_is_both_inline_forms(sphere, torus, rng):
+    """_Point.DtN_product runs the IEEE operations of both forms it
+    replaced, so its values equal theirs bit for bit."""
+    for atlas in (sphere, torus):
+        for name, params in MOTIONS:
+            frame, _ = moving_frame(atlas, rng, name, params)
+            f = random_scalar_field(rng, time_dependent=True)
+            v = random_vector_field(rng, time_dependent=True)
+            pt = _Point(frame, v)
+            for i in range(3):
+                got = pt.DtN_product(f, v, i)
+                assert np.array_equal(got, _dtn_product_momentum_loop(
+                    frame, f, v, i))
+                assert np.array_equal(got, _dtn_product_material(
+                    frame, f, v, i))
+
+
+def test_material_acceleration_builds_no_projector(sphere, rng):
+    """D_t v needs neither the frame's dual projector nor n, P or v.n of the
+    point data; they are built on first read."""
+    frame, vel = moving_frame(sphere, rng, "dilation", {})
+    pt = _Point(frame, vel)
+    pt.Dt_vec(vel)
+    assert "P" not in vars(frame)
+    assert not {"n", "P", "vn"} & set(vars(pt))
+    pt.DtN(ScalarField("x1*t"))
+    assert {"n", "vn"} <= set(vars(pt)) and "P" not in vars(pt)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from surfcalc import chart_geometry, variational_checks
+from surfcalc.autodiff import Dual
 from surfcalc.chart_geometry import (Chart, QuadratureRule, SingularMetric,
                                      plane_chart, rule_terms)
 from surfcalc.evolving_surface import motion_builtin, moving_atlas, worst_of
@@ -494,6 +495,33 @@ def test_flux_rungs_read_the_plain_snapshot(surface, motion, request):
             magnitude += 0.5 * float(np.sum(np.abs(a)))
         assert (gradient_flux_energy(f, flux, atlas, rule, t)
                 == (total, magnitude))
+
+
+def test_flux_energy_sums_from_their_first_term_are_bit_identical():
+    """zeta summed from its first term (``_total``) equals the builtin sums
+    from 0 bit for bit, on values and partials holding +0.0 and -0.0: the
+    summands are squares, so the sign of an exact-zero sum never reaches
+    zeta."""
+    z = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0])
+    mz = np.array([-0.0, -0.0, 0.0, 0.0, -0.5, 0.0])
+    df = [z, mz, -z]
+    P = [[z, mz, z], [mz, -z, 0.5 * z], [-mz, z, mz]]
+    w = psi = sqrtJ = np.ones_like(z)
+    for flux in (flux_law_builtin("linear"), flux_law_builtin("quadratic")):
+        oracle_zeta = sum(c * c for c in (sum(P[i][j] * df[j] for j in range(3))
+                                          for i in range(3)))
+        got = _flux_energy_terms(df, flux, P, sqrtJ, w, psi)
+        oracle = w * psi * sqrtJ * flux.density(oracle_zeta)
+        assert np.array_equal(got, oracle)
+        assert np.array_equal(np.signbit(got), np.signbit(oracle))
+    gf = [Dual(z, {"X1": mz, "X2": z}), Dual(mz, {"X1": -z}),
+          Dual(-z, {"X2": mz})]
+    got = chart_geometry._total(c * c for c in gf)
+    oracle = sum(c * c for c in gf)
+    for a, b in [(got.val, oracle.val)] + [(got.parts[k], oracle.parts[k])
+                                           for k in ("X1", "X2")]:
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_frames_built_per_check(torus, sphere, monkeypatch):
