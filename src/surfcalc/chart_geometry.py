@@ -165,8 +165,9 @@ class Chart:
 class MetricState:
     """Numeric pointwise geometry (arrays broadcast over points): it holds
     ``x`` (3, ...), g_a ``g`` (2, 3, ...), g^ab ``inv_gram`` and ``sqrtJ``;
-    g_ab ``gram``, ``J``, the unit normal ``n`` and the projector ``P`` are
-    built on first read by the kernels a frame uses."""
+    g_ab ``gram``, ``J``, the unit normal ``n``, the projector ``P`` and the
+    contravariant basis g^a = g^ab g_b ``gup`` (2, 3, ...) are built on first
+    read, the first four by the kernels a frame uses."""
 
     def __init__(self, x, g, inv_gram, sqrtJ, orientation):
         self.x, self.g, self.inv_gram, self.sqrtJ = x, g, inv_gram, sqrtJ
@@ -177,6 +178,8 @@ class MetricState:
     n = functools.cached_property(lambda self: np.array(
         _normal(self.g, self.sqrtJ, self.orientation)))
     P = functools.cached_property(lambda self: np.array(_projector(self.n)))
+    gup = functools.cached_property(lambda self: np.einsum(
+        "ab...,bi...->ai...", self.inv_gram, self.g))
 
 
 def _gram(g):

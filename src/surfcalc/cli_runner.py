@@ -118,9 +118,8 @@ def suite_verify_geometry(scn, rng):
     for chart, nodes in zip(atlas.charts, all_nodes):
         frame = chart.frame(nodes[0], nodes[1])
         st = frame.metric()
-        # tangential projector rebuilt from the metric and tangent basis
-        P_from_metric = np.einsum("ab...,ai...,bj...->ij...",
-                                  st.inv_gram, st.g, st.g)
+        # tangential projector rebuilt from the metric: sum_a g^a (x) g_a
+        P_from_metric = np.einsum("ai...,aj...->ij...", st.gup, st.g)
         worst_proj = worst_of(worst_proj, float(np.max(np.abs(st.P - P_from_metric))))
         if kind == "sphere":
             worst_curv = worst_of(worst_curv, float(np.max(np.abs(

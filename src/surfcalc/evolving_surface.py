@@ -271,11 +271,11 @@ def worst_of(*values):
 
 
 def _div_tangent_grid(state, m, vec_pad):
-    """Chart-form surface divergence g^{ab} g_a . dvec/dX_b, at the interior
+    """Chart-form surface divergence g^a . dvec/dX_a, at the interior
     nodes of chart m, of ambient vectors at its padded nodes."""
     grid, geo = state.grids[m], state.geo[m]
     dv = np.stack([fd_derivative(vec_pad, a, grid.hs[a], grid.pads) for a in range(2)])
-    return np.einsum("ab...,ai...,bi...->...", geo.inv_gram, geo.g, dv)
+    return np.einsum("ai...,ai...->...", geo.gup, dv)
 
 
 def probe_steps(state, motion):

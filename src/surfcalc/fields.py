@@ -134,7 +134,8 @@ def random_scalar_field(rng, amplitude=0.5, terms=4, time_dependent=False):
     return ScalarField(expr)
 
 
-def random_vector_field(rng, amplitude=0.5, terms=3, time_dependent=False):
+def random_vector_field(rng, time_dependent=False):
+    """Three random scalar fields of amplitude 0.5 and 3 terms each."""
     return VectorField([
-        random_scalar_field(rng, amplitude, terms, time_dependent) for _ in range(3)
+        random_scalar_field(rng, 0.5, 3, time_dependent) for _ in range(3)
     ])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart_geometry import _PAD, ChartGrid, fd_derivative, grid_integral
-from .evolving_surface import _rk4
+from .evolving_surface import _rk4, worst_of
 from .expressions import Num, parse_expr
 from .fluid_models import NonpositiveDensity
 
@@ -270,14 +270,14 @@ class SurfaceGridSolver:
 
     def check_parabolic_dt(self, dt, max_coef, t=0.0):
         """Raise StabilityViolation if dt exceeds the RK4 parabolic bound."""
-        lam = 0.0
-        for m, st in enumerate(self.metric(t)):
-            h1, h2 = self.grids[m].hs
-            lam = max(lam, float(np.max(
-                _D1_GAIN_SQ * (st.inv_gram[0, 0] / h1 ** 2
-                               + st.inv_gram[1, 1] / h2 ** 2))))
-        bound = _RK4_REAL_LIMIT / (lam * max_coef) if lam * max_coef > 0 else np.inf
-        if dt > bound:
+        lam = worst_of(0.0, *(float(np.max(
+            _D1_GAIN_SQ * (st.inv_gram[0, 0] / grid.hs[0] ** 2
+                           + st.inv_gram[1, 1] / grid.hs[1] ** 2)))
+            for grid, st in zip(self.grids, self.metric(t))))
+        # written so that a NaN rate gives a NaN bound, which refuses every dt
+        rate = lam * max_coef
+        bound = np.inf if rate <= 0 else _RK4_REAL_LIMIT / rate
+        if not dt <= bound:
             raise StabilityViolation(
                 f"dt={dt:g} exceeds explicit stability bound {bound:g}")
         return bound
@@ -309,8 +309,8 @@ def _flux_bound(solver, values, t, flux):
             df = np.stack([solver._d(m, pads[m], a, 2) for a in range(2)])
             z = np.einsum("ab...,a...,b...->...",
                           solver.interior(m, st.inv_gram, 2), df, df)
-            zmax = max(zmax, float(np.max(z)))
-    return float(np.max(np.abs(flux.deriv(np.linspace(0.0, max(zmax, 1e-30), 8)))))
+            zmax = worst_of(zmax, float(np.max(z)))
+    return float(np.max(np.abs(flux.deriv(np.linspace(0.0, worst_of(zmax, 1e-30), 8)))))
 
 
 def step_heat(solver, field, coeffs, flux, dt):
@@ -331,9 +331,9 @@ def step_heat(solver, field, coeffs, flux, dt):
     mass0 = [solver.interior(m, st.sqrtJ)
              for m, st in enumerate(solver.metric(0.0))]
     rho_now = _transported_rho(solver, mass0, field.t)
-    cth_min = min(float(np.min(np.abs(cm))) for cm in cth)
-    rho_min = min(float(np.min(r)) for r in rho_now)
-    solver.check_parabolic_dt(dt, coef / max(rho_min * cth_min, 1e-30), field.t)
+    cth_min = -worst_of(*(-float(np.min(np.abs(cm))) for cm in cth))
+    rho_min = -worst_of(*(-float(np.min(r)) for r in rho_now))
+    solver.check_parabolic_dt(dt, coef / worst_of(rho_min * cth_min, 1e-30), field.t)
 
     def rhs(vals, t):
         rho = _transported_rho(solver, mass0, t)
@@ -357,7 +357,7 @@ def step_diffusion(solver, field, coeffs, flux, dt):
     """
     c = coeffs
     coef = _flux_bound(solver, field.values, field.t, flux)
-    solver.check_parabolic_dt(dt, max(coef, 1e-30), field.t)
+    solver.check_parabolic_dt(dt, worst_of(coef, 1e-30), field.t)
 
     st_t = solver.metric(field.t)
     W = [field.values[m] * solver.interior(m, st_t[m].sqrtJ)
@@ -390,9 +390,8 @@ def step_barotropic_tangential(solver, field, law, dt):
         raise ValueError("the barotropic step needs a static surface")
     states = solver.metric(field.t)
     P = [solver.interior(m, st.P) for m, st in enumerate(states)]
-    # g^{ab} and g_a at the interior nodes, where the stage needs derivatives
-    inv_gram = [solver.interior(m, st.inv_gram) for m, st in enumerate(states)]
-    g = [solver.interior(m, st.g) for m, st in enumerate(states)]
+    # g^a at the interior nodes, where the stage needs derivatives
+    gup = [solver.interior(m, st.gup) for m, st in enumerate(states)]
 
     def project(vals):
         for m in range(len(vals)):
@@ -402,8 +401,8 @@ def step_barotropic_tangential(solver, field, law, dt):
     def rhs(vals, t):
         vals = [v.copy() for v in vals]
         project(vals)
-        if any(np.min(v[0]) <= 0 for v in vals):
-            raise NonpositiveDensity("barotropic density became non-positive")
+        if not all(np.min(v[0]) > 0 for v in vals):  # NaN fails too
+            raise NonpositiveDensity("barotropic density became non-positive or NaN")
         out = []
         for m, pad in enumerate(solver.fill_ghosts(vals)):
             pad = solver.interior(m, pad, 2)  # the rows the stencils read
@@ -411,20 +410,14 @@ def step_barotropic_tangential(solver, field, law, dt):
             # chart derivatives (2, 5, ...) of the stack (rho, peff, v1, v2, v3)
             stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
             ds = np.stack([solver._d(m, stack, a, 2) for a in range(2)])
-            # tangential gradients g^{ab} g_a d_b f
-            grad = [np.einsum("ab...,ai...,b...->i...", inv_gram[m], g[m],
-                              ds[:, k]) for k in range(5)]
-            # div_G v = g^{ab} g_a . d_b v
-            div_v = np.einsum("ab...,ai...,bi...->...", inv_gram[m], g[m],
-                              ds[:, 2:])
+            # tangential gradients g^a d_a f (5, 3, ...) and div_G v = g^a . d_a v
+            grad = np.einsum("ai...,ak...->ki...", gup[m], ds)
+            div_v = np.einsum("ai...,ai...->...", gup[m], ds[:, 2:])
             # tangential advection (v, grad_t) of each quantity
             vint = solver.interior(m, pad[1:], 2)
             rho_i = solver.interior(m, pad[0], 2)
             drho = -np.einsum("i...,i...->...", vint, grad[0]) - div_v * rho_i
-            dv = np.empty_like(vint)
-            for i in range(3):
-                dv[i] = -np.einsum("i...,i...->...", vint, grad[2 + i])
-            dv -= grad[1] / rho_i
+            dv = -np.einsum("i...,ki...->k...", vint, grad[2:]) - grad[1] / rho_i
             dv = np.einsum("ij...,j...->i...", P[m], dv)
             out.append(np.concatenate([drho[None], dv]))
         return out

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart_geometry import (Chart, ChartAtlas, _geometry, _inverse, _total,
-                             metric_at, rule_sums, rule_terms)
+from .chart_geometry import (Chart, ChartAtlas, _geometry, _metric_state,
+                             _total, metric_at, rule_sums, rule_terms)
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
 from .fields import ScalarField, VectorField, as_scalar_field, as_vector_field
@@ -628,12 +628,9 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule):
                   for e in (eps, -eps))
         dJ = (Jp - Jm) / (2.0 * eps)
 
-        g = _tangents(v)  # g_a: the X rows of p
-        dy = v[18:].reshape(g.shape)  # the X rows of C = z o p
-        gram, J, _ = _geometry(g)
-        # contravariant basis g^a = g^{ab} g_b
-        gup = np.einsum("ab...,bi...->ai...", np.array(_inverse(gram, J)), g)
-        rhs = 2.0 * np.einsum("ai...,ai...->...", gup, dy) * J
+        st = _metric_state(v[:3], _tangents(v), chart.orientation)
+        dy = v[18:].reshape(st.g.shape)  # the X rows of C = z o p
+        rhs = 2.0 * np.einsum("ai...,ai...->...", st.gup, dy) * st.J
         return np.abs(dJ - rhs)
     return worst_of(0.0, *rule_terms(np.max, mov.charts, rule, block))
 

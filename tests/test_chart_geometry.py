@@ -80,6 +80,23 @@ def test_projector_identities(sphere, torus, rng):
             assert np.max(np.abs(st.J - det)) <= 1e-10 * np.max(np.abs(det))
 
 
+def test_contravariant_basis_is_dual_to_the_tangents(sphere, torus, rng):
+    """g^a = g^ab g_b satisfies g^a . g_b = delta^a_b and sum_a g_a (x) g^a
+    = P, read off ``metric_at`` and ``frame.metric()`` alike.  The bundled
+    charts are orthogonal up to rounding; the sheared map has g_12 != 0."""
+    sheared = Chart(["X1 + 0.4*X2", "X2", "0.2*X1*X2"],
+                    domain=((-1.0, 1.0), (-1.0, 1.0)))
+    X = random_nodes(sheared, rng, 300)
+    assert np.min(np.abs(metric_at(sheared, X).gram[0, 1])) >= 0.1
+    for chart in (*sphere.charts, *torus.charts, sheared):
+        X = random_nodes(chart, rng, 300)
+        for st in (metric_at(chart, X), chart.frame(X[0], X[1]).metric()):
+            dual = np.einsum("ai...,bi...->ab...", st.gup, st.g)
+            assert np.max(np.abs(dual - np.eye(2)[..., None])) <= 1e-13
+            P = np.einsum("ai...,aj...->ij...", st.g, st.gup)
+            assert np.max(np.abs(P - st.P)) <= 1e-13
+
+
 def test_partition_of_unity_sums_to_one(sphere, rng):
     # sample points of chart 0, map into chart 1, sum the weights
     chart0, chart1 = sphere.charts

@@ -11,7 +11,8 @@ from surfcalc.chart_geometry import Chart, ChartFrame, fd_derivative
 from surfcalc.evolving_surface import (FlowState, integrate_grid,
                                        motion_builtin, moving_atlas)
 from surfcalc.fields import as_scalar_field
-from surfcalc.fluid_models import CoefficientFields, pressure_law_builtin
+from surfcalc.fluid_models import (CoefficientFields, NonpositiveDensity,
+                                   pressure_law_builtin)
 from scipy import sparse
 
 from surfcalc.pde_solvers import (FluxLaw, GridField, StabilityViolation,
@@ -570,10 +571,40 @@ def test_barotropic_step_refuses_a_moving_surface(sphere):
                                    pressure_law_builtin("quadratic"), 1e-3)
 
 
+def _nan_at(values, *index):
+    """``values`` with one NaN node in the second chart."""
+    values[1][index] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("case", ["heat", "diffusion", "barotropic"])
+def test_step_guards_refuse_nan(small_solvers, case):
+    """A NaN specific heat, concentration node or density node fails its
+    step's guard, as a too-large or a non-positive finite value does: a
+    NaN bound refuses every dt, and a NaN density is not positive."""
+    solver = small_solvers["static"]
+    xs = solver.positions(0.0)
+    with pytest.raises((StabilityViolation, NonpositiveDensity), match="nan|NaN"):
+        if case == "heat":
+            step_heat(solver, GridField([x[2].copy() for x in xs], 0.0),
+                      CoefficientFields(C_theta=float("nan"), Q_theta=0.0),
+                      flux_law_builtin("linear"), 1.0)
+        elif case == "diffusion":
+            species = _nan_at([1.0 + 0.5 * x[2] for x in xs], 8, 16)
+            step_diffusion(solver, GridField(species, 0.0),
+                           CoefficientFields(Q_C=1.0),
+                           flux_law_builtin("quadratic"), 1e-4)
+        else:
+            fluid = _rotating_fluid(solver)
+            _nan_at(fluid.values, 0, 8, 16)
+            step_barotropic_tangential(solver, fluid,
+                                       pressure_law_builtin("quadratic"), 2e-4)
+
+
 def test_stages_build_only_the_metric_fields_they_read(sphere, monkeypatch):
     """Heat and diffusion stages read x, g^ab and sqrt J: no snapshot of a
-    static or a dilating solver builds g_ab, J, n or P.  The barotropic
-    stage builds n and P on its own solver's snapshots only."""
+    static or a dilating solver builds g_ab, J, n, P or g^a.  The barotropic
+    stage builds n, P and g^a on its own solver's snapshots only."""
     built = []
     original = Chart.metric
 
@@ -596,12 +627,12 @@ def test_stages_build_only_the_metric_fields_they_read(sphere, monkeypatch):
                                      CoefficientFields(Q_C=1.0), flux, 2e-4)
     solver = SurfaceGridSolver(sphere, resolution=(16, 32))
     field = _rotating_fluid(solver)
-    derived = {"gram", "J", "n", "P"}
+    derived = {"gram", "J", "n", "P", "gup"}
     assert built and all(not derived & set(vars(st)) for st in built)
     step_barotropic_tangential(solver, field,
                                pressure_law_builtin("quadratic"), 2e-4)
     for st in solver.metric(0.0):
-        assert derived & set(vars(st)) == {"n", "P"}
+        assert derived & set(vars(st)) == {"n", "P", "gup"}
     assert all(not derived & set(vars(st)) for st in built[:-2])
 
 
