@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import partial_of, value_of
-from .expressions import Expr, Num, evaluate_all, parse_expr
+from .expressions import Expr, Num, evaluate_all, free_subtrees, parse_expr
 from .fields import as_scalar_field
 
 __all__ = [
@@ -108,7 +108,8 @@ class Chart:
         self.invert = invert
         self.name = name
         # exact first partials of the parametrization
-        self._dparam = {v: [p.diff(v) for p in self.param] for v in _CHART_VARS}
+        self._dparam = d = {v: [p.diff(v) for p in self.param] for v in _CHART_VARS}
+        self._xg = self.param + d["X1"] + d["X2"]  # x and g_a, as metric reads
 
     @property
     def time_independent(self):
@@ -133,11 +134,11 @@ class Chart:
             return np.ones(np.broadcast(np.asarray(X1), np.asarray(X2)).shape)
         return self.pou_bump(X1, X2)
 
-    def evaluate(self, exprs, X1, X2, t=0.0):
+    def evaluate(self, exprs, X1, X2, t=0.0, known=()):
         """Plain float values ``(len(exprs), ...)`` of chart expressions
-        (no dual overhead)."""
+        (no dual overhead); the nodes of ``known`` take the values given."""
         shape = np.broadcast(np.asarray(X1), np.asarray(X2)).shape
-        values = evaluate_all(exprs, {"X1": X1, "X2": X2, "t": t})
+        values = evaluate_all(exprs, {"X1": X1, "X2": X2, "t": t}, known)
         return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape)
                          for v in values])
 
@@ -149,13 +150,18 @@ class Chart:
         self._require_domain(X1, X2)
         return ChartFrame(self, X1, X2, t)
 
-    def metric(self, X1, X2, t=0.0):
-        """Numeric geometry from one plain evaluation of ``x`` and ``g_a``;
-        no domain check (solver grids are padded past bounded edges)."""
-        d = self._dparam
-        v = self.evaluate(self.param + d["X1"] + d["X2"], X1, X2, t)
+    def metric(self, X1, X2, t=0.0, known=()):
+        """Numeric geometry from one plain evaluation of ``x`` and ``g_a``
+        (``known`` as in :meth:`evaluate`); no domain check (solver grids
+        are padded past bounded edges)."""
+        v = self.evaluate(self._xg, X1, X2, t, known)
         g = v[3:].reshape((2, 3) + v.shape[1:])
         return _metric_state(v[:3], g, self.orientation)
+
+    def time_free(self, X1, X2):
+        """Values at (X1, X2) of the largest t-free subtrees of x and g_a, by node."""
+        nodes = free_subtrees(self._xg, "t")
+        return dict(zip(nodes, evaluate_all(nodes, {"X1": X1, "X2": X2})))
 
     def _require_domain(self, X1, X2):
         if not np.all(self.contains(X1, X2, margin=1e-12)):
@@ -324,8 +330,7 @@ class ChartFrame:
         self.X2 = X2 = np.broadcast_to(np.asarray(X2, dtype=float), shape)
         self.t = t
         env = {"X1": ad.seed("X1", X1), "X2": ad.seed("X2", X2), "t": t}
-        d = chart._dparam
-        values = evaluate_all(chart.param + d["X1"] + d["X2"], env)
+        values = evaluate_all(chart._xg, env)
         self.x = values[:3]
         self.g = [values[3:6], values[6:]]
         self.gram, self.J, self.sqrtJ = _geometry(self.g)

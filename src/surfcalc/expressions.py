@@ -31,7 +31,7 @@ from collections import Counter
 from . import autodiff as ad
 
 __all__ = ["Expr", "Num", "Var", "parse_expr", "substitute", "evaluate_all",
-           "ParseError"]
+           "free_subtrees", "ParseError"]
 
 # every live node, keyed by its class, its children and its constants
 _NODES = weakref.WeakValueDictionary()
@@ -302,10 +302,24 @@ def _value(node, scope):
     return value
 
 
-def evaluate_all(exprs, env):
-    """Values of ``exprs`` in one ``env``: one evaluation of the whole list."""
+def evaluate_all(exprs, env, known=()):
+    """Values of ``exprs`` in one ``env``: one evaluation of the whole list,
+    each node of the mapping ``known`` taking the value given there."""
     scope = _Scope(env, _read_plan(tuple(exprs)))
+    scope.memo.update(known)  # held to the end: never a last read
+    scope.left.update(dict.fromkeys(known, math.inf))
     return [_value(e, scope) for e in exprs]
+
+
+def free_subtrees(exprs, var):
+    """The largest subtrees of ``exprs`` that do not read the variable
+    ``var``, leaves aside, each once."""
+    kids = functools.cache(lambda n: [c for c in map(n.__dict__.get, n._fields)
+                                      if isinstance(c, Expr)])
+    reads = functools.cache(lambda n: n is Var(var) or any(map(reads, kids(n))))
+    free = functools.cache(lambda n: sum(map(free, kids(n)), []) if reads(n) else [n])
+    return [n for n in dict.fromkeys(sum(map(free, exprs), []))
+            if not isinstance(n, (Num, Var))]
 
 
 # -- simplifying constructors (keep derivative trees small) ------------------

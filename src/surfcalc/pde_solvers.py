@@ -11,6 +11,12 @@ atlas).  Four rows are the reach of two nested 5-point stencils, so a stage
 takes central stencils alone, on the rows it keeps.  After
 every step, overlap nodes are blended with partition-of-unity weights so the
 charts stay consistent.  Time integration is classical RK4.
+
+A stage forms only what it reads: the ghost rows its stencils reach (4 per
+side for heat and diffusion, 2 for the barotropic stage), a constant
+coefficient as one float, no heat density on a static solver (it is 1.0),
+and a moving chart's t-free subtrees of x and g_a once per solver (7 or 8
+nodes, 140 or 160 KiB per sphere band at 32x64).
 """
 
 from __future__ import annotations
@@ -130,10 +136,10 @@ def _interp_stencils(axes, periodic, shape, targets):
 
 
 def _apply(op, values):
-    """Stencil gather ``op`` applied to each (n1, n2) field of a stack
-    (..., n1, n2); returns (..., N).  Summed over the non-contiguous stencil
-    axis, a target's 16 terms are added one after another in ascending index
-    order, as a CSR product adds them."""
+    """Stencil gather ``op`` ((16, N), or B of them, (B, 16, N)) applied to
+    each (n1, n2) field of a stack (..., n1, n2); returns (..., [B,] N).
+    Summed over the non-contiguous stencil axis, a target's 16 terms are
+    added one after another in ascending index order, as a CSR product does."""
     cols, wts = op
     g = np.take(values.reshape(values.shape[:-2] + (-1,)), cols, axis=-1)
     g *= wts
@@ -162,16 +168,18 @@ class SurfaceGridSolver:
         self._build_couplers()
         self._static = all(c.time_independent for c in self.charts)
         charts, grids = self.charts, self.grids  # no cycle through self
+        free = [{} if self._static else chart.time_free(*g.X)
+                for chart, g in zip(charts, grids)]
         self._metric_cache = functools.lru_cache(_METRIC_LEVELS)(
-            lambda t: [chart.metric(g.X[0], g.X[1], t)
-                       for chart, g in zip(charts, grids)])
+            lambda t: [chart.metric(g.X[0], g.X[1], t, known)
+                       for chart, g, known in zip(charts, grids, free)])
 
     # -- cross-chart coupling ----------------------------------------------------
 
     def _build_couplers(self):
         """Ghost-fill and overlap-blend stencil gathers (reference coords),
-        per chart: ``(partner, op, ghost rows)`` and ``(partner, op, node
-        index)``, or None on a one-chart atlas."""
+        per chart: ``{k: (partner, op, rows)}`` filling k = 2 or 4 ghost rows
+        per side and ``(partner, op, node index, psi, 1 - psi)``, or None."""
         self.ghost_ops = [None] * len(self.charts)
         self.blend_ops = [None] * len(self.charts)
         if len(self.charts) < 2:
@@ -180,13 +188,17 @@ class SurfaceGridSolver:
             p1, p2 = g.pads
             if p2 != 0:
                 raise ValueError("padding in a periodic direction is unsupported")
-            rows = np.r_[:p1, -p1:0]  # the ghost rows of axis 0
-            self.ghost_ops[m] = (1 - m, self._partner_op(
-                m, g.X[0][rows], g.X[1][rows]), rows)
+            # axis-0 ghost rows, inner 2 per side first: the 2-row fill takes half
+            rows = np.r_[2:p1, -p1:2 - p1, :2, -2:0]
+            op = [np.ascontiguousarray(a.reshape(16, 2, -1).swapaxes(0, 1))
+                  for a in self._partner_op(m, g.X[0][rows], g.X[1][rows])]
+            self.ghost_ops[m] = {2: (1 - m, [a[0] for a in op], np.r_[:2, -2:0]),
+                                 p1: (1 - m, op, rows)}
             # blend rows: interior nodes where our pou weight is below 1
             need = np.nonzero(g.psi < 1.0 - 1e-13)
+            psi = g.psi[need]
             self.blend_ops[m] = (1 - m, self._partner_op(
-                m, g.axes[0][need[0]], g.axes[1][need[1]]), need)
+                m, g.axes[0][need[0]], g.axes[1][need[1]]), need, psi, 1.0 - psi)
 
     def _partner_op(self, m, X1, X2):
         """Interpolation from the partner chart's grid to chart m's points."""
@@ -195,17 +207,19 @@ class SurfaceGridSolver:
         return _interp_stencils(self.grids[1 - m].axes, other.periodic,
                                 self.resolution, np.stack([Y1, Y2], axis=-1))
 
-    def fill_ghosts(self, values):
-        """Padded per-chart arrays with ghost rows interpolated cross-chart.
+    def fill_ghosts(self, values, k=_PAD):
+        """Per-chart arrays padded by ``k`` ghost rows per bounded side,
+        interpolated cross-chart: the reach of the caller's stencils (4 for
+        heat and diffusion, 2 for the barotropic stage).
 
         Each ``values[m]`` is one (n1, n2) field or a stack (..., n1, n2)."""
         out = []
         for m in range(len(self.charts)):
             lead = values[m].shape[:-2]
-            pad = np.empty(lead + self.grids[m].X.shape[1:])
-            self.interior(m, pad)[...] = values[m]
+            pad = np.empty(lead + self.interior(m, self.grids[m].X[0], _PAD - k).shape)
+            self.interior(m, pad, k)[...] = values[m]
             if self.ghost_ops[m] is not None:
-                partner, op, rows = self.ghost_ops[m]
+                partner, op, rows = self.ghost_ops[m][k]
                 pad[..., rows, :] = _apply(op, values[partner]).reshape(
                     lead + (len(rows), pad.shape[-1]))
             out.append(pad)
@@ -218,11 +232,10 @@ class SurfaceGridSolver:
         if len(self.charts) < 2:
             return values
         interped = [_apply(bop, values[partner])
-                    for partner, bop, _ in self.blend_ops]
-        for m, (_, _, need) in enumerate(self.blend_ops):
-            psi = self.grids[m].psi[need]
+                    for partner, bop, *_ in self.blend_ops]
+        for m, (_, _, need, psi, rest) in enumerate(self.blend_ops):
             own = values[m][(...,) + need]
-            values[m][(...,) + need] = psi * own + (1.0 - psi) * interped[m]
+            values[m][(...,) + need] = psi * own + rest * interped[m]
         return values
 
     # -- metric data ---------------------------------------------------------------
@@ -293,15 +306,26 @@ class SurfaceGridSolver:
 # -- time steppers -------------------------------------------------------------------
 
 
-def _transported_rho(solver, mass0, t):
-    """Exact density sqrtJ(0)/sqrtJ(t) at the interior nodes."""
-    st = solver.metric(t)
-    return [mass0[m] / solver.interior(m, st[m].sqrtJ) for m in range(len(mass0))]
+def _transported_rho(solver, t):
+    """Exact density sqrtJ(0)/sqrtJ(t) at the interior nodes, transported
+    from a unit one; None on a static solver, where it is exactly 1.0."""
+    return None if solver._static else [
+        solver.interior(m, s0.sqrtJ) / solver.interior(m, st.sqrtJ)
+        for m, (s0, st) in enumerate(zip(solver.metric(0.0), solver.metric(t)))]
 
 
-def _flux_bound(solver, values, t, flux):
+def _coefficient(solver, field, t):
+    """Per-chart values of a coefficient ``field`` at t (a constant: a float)."""
+    return ([field.expr.value] * len(solver.charts) if isinstance(field.expr, Num)
+            else [field.value(x, t) for x in solver.positions(t)])
+
+
+def _flux_bound(solver, values, t, flux, coefficients):
     """Max |e_J'| over [0, max |grad u|^2] of the interior ``values`` u at
-    time ``t``, the gradient read on the rows the flux divergence reads."""
+    time ``t``, the gradient read on the rows the flux divergence reads; a
+    NaN or inf in u or in the per-chart ``coefficients`` raises."""
+    if not all(np.all(np.isfinite(v)) for v in (*values, *coefficients)):
+        raise StabilityViolation(f"NaN or inf in a field or coefficient at t={t:g}")
     zmax = 0.0
     if not isinstance(flux.d_expr, Num):  # a constant e_J' needs no z
         pads = solver.fill_ghosts(values)
@@ -318,31 +342,26 @@ def step_heat(solver, field, coeffs, flux, dt):
 
     ``field`` holds the product (specific heat * temperature) at the nodes;
     the density is the exact transport of a unit one.  The right-hand side is
-    ``(div_G q + rho Q_theta) / rho`` at fixed reference coordinates,
-    with q the flux of theta = field / C_theta.  The stability guard bounds
-    e_J' by :func:`_flux_bound` of theta.
+    ``(div_G q + rho Q_theta) / rho`` at fixed reference coordinates (rho is
+    1.0 on a static solver), with q the flux of theta = field / C_theta.
+    The stability guard bounds e_J' by :func:`_flux_bound` of theta.
     """
     c = coeffs
-    xs = solver.positions(field.t)
-    cth = [c.C_theta.value(xs[m], field.t) for m in range(len(xs))]
-    coef = _flux_bound(solver, [v / cm for v, cm in zip(field.values, cth)],
-                       field.t, flux)
-    # sqrtJ(0): the conserved weight of a unit initial density
-    mass0 = [solver.interior(m, st.sqrtJ)
-             for m, st in enumerate(solver.metric(0.0))]
-    rho_now = _transported_rho(solver, mass0, field.t)
+    cth = _coefficient(solver, c.C_theta, field.t)
+    coef = _flux_bound(solver, [v / cm for v, cm in zip(field.values, cth)], field.t,
+                       flux, cth + _coefficient(solver, c.Q_theta, field.t))
     cth_min = -worst_of(*(-float(np.min(np.abs(cm))) for cm in cth))
-    rho_min = -worst_of(*(-float(np.min(r)) for r in rho_now))
+    rho_min = -worst_of(*(-float(np.min(r))
+                          for r in _transported_rho(solver, field.t) or [1.0]))
     solver.check_parabolic_dt(dt, coef / worst_of(rho_min * cth_min, 1e-30), field.t)
 
     def rhs(vals, t):
-        rho = _transported_rho(solver, mass0, t)
-        xs = solver.positions(t)
-        cth = [c.C_theta.value(xs[m], t) for m in range(len(vals))]
-        theta = [v / cm for v, cm in zip(vals, cth)]
-        div = solver.flux_divergence(theta, t, flux)
-        return [(div[m] + rho[m] * c.Q_theta.value(xs[m], t)) / rho[m]
-                for m in range(len(vals))]
+        cth = _coefficient(solver, c.C_theta, t)
+        div = solver.flux_divergence([v / cm for v, cm in zip(vals, cth)], t, flux)
+        q, rho = _coefficient(solver, c.Q_theta, t), _transported_rho(solver, t)
+        if rho is None:
+            return [d + qm for d, qm in zip(div, q)]
+        return [(d + r * qm) / r for d, r, qm in zip(div, rho, q)]
 
     return GridField(solver.blend(_rk4(field.values, field.t, dt, rhs)),
                      field.t + dt)
@@ -356,26 +375,23 @@ def step_diffusion(solver, field, coeffs, flux, dt):
     (div v)C transport term exactly.  The guard is :func:`_flux_bound` of C.
     """
     c = coeffs
-    coef = _flux_bound(solver, field.values, field.t, flux)
+    coef = _flux_bound(solver, field.values, field.t, flux,
+                       _coefficient(solver, c.Q_C, field.t))
     solver.check_parabolic_dt(dt, worst_of(coef, 1e-30), field.t)
 
-    st_t = solver.metric(field.t)
-    W = [field.values[m] * solver.interior(m, st_t[m].sqrtJ)
-         for m in range(len(field.values))]
+    W = [v * solver.interior(m, st.sqrtJ)
+         for m, (v, st) in enumerate(zip(field.values, solver.metric(field.t)))]
 
     def rhs(wvals, t):
         states = solver.metric(t)
         sj = [solver.interior(m, states[m].sqrtJ) for m in range(len(wvals))]
-        conc = [w / s for w, s in zip(wvals, sj)]
-        div = solver.flux_divergence(conc, t, flux)
-        xs = solver.positions(t)
-        return [sj[m] * (div[m] + c.Q_C.value(xs[m], t))
-                for m in range(len(wvals))]
+        div = solver.flux_divergence([w / s for w, s in zip(wvals, sj)], t, flux)
+        return [s * (d + qm)
+                for s, d, qm in zip(sj, div, _coefficient(solver, c.Q_C, t))]
 
     t_new = field.t + dt
-    st_new = solver.metric(t_new)
-    vals = [w / solver.interior(m, st_new[m].sqrtJ)
-            for m, w in enumerate(_rk4(W, field.t, dt, rhs))]
+    vals = [w / solver.interior(m, st.sqrtJ) for m, (w, st) in enumerate(
+        zip(_rk4(W, field.t, dt, rhs), solver.metric(t_new)))]
     return GridField(solver.blend(vals), t_new)
 
 
@@ -404,8 +420,8 @@ def step_barotropic_tangential(solver, field, law, dt):
         if not all(np.min(v[0]) > 0 for v in vals):  # NaN fails too
             raise NonpositiveDensity("barotropic density became non-positive or NaN")
         out = []
-        for m, pad in enumerate(solver.fill_ghosts(vals)):
-            pad = solver.interior(m, pad, 2)  # the rows the stencils read
+        # two ghost rows per side: the reach of the stage's one stencil
+        for m, pad in enumerate(solver.fill_ghosts(vals, 2)):
             peff_pad = law.effective(np.maximum(pad[0], 1e-12))
             # chart derivatives (2, 5, ...) of the stack (rho, peff, v1, v2, v3)
             stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])

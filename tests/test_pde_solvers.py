@@ -484,6 +484,18 @@ def test_flux_divergence_equals_full_padded_route(small_solvers, kind, law):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", ["static", "torus"])
+def test_fill_ghosts_fills_only_the_rows_asked(small_solvers, kind):
+    """Two ghost rows per side, as the barotropic stage reads, are the inner
+    two of the four a heat or diffusion stage reads, bit for bit."""
+    solver = small_solvers[kind]
+    vals = [np.stack([x[0] * x[2], np.sin(3.0 * x[1])])
+            for x in solver.positions(0.0)]
+    for m, (two, four) in enumerate(zip(solver.fill_ghosts(vals, 2),
+                                        solver.fill_ghosts(vals), strict=True)):
+        assert np.array_equal(two, solver.interior(m, four, 2))
+
+
 def _barotropic_step_all_rows(solver, field, law, dt):
     """One barotropic RK4 step with the pressure law and the derivative
     stack formed on every padded row, the stencils then read at the
@@ -577,23 +589,41 @@ def _nan_at(values, *index):
     return values
 
 
-@pytest.mark.parametrize("case", ["heat", "diffusion", "barotropic"])
+@pytest.mark.parametrize("case", ["heat", "diffusion", "barotropic",
+                                  "heat node, linear flux",
+                                  "diffusion node, linear flux",
+                                  "Q_theta", "Q_C"])
 def test_step_guards_refuse_nan(small_solvers, case):
-    """A NaN specific heat, concentration node or density node fails its
-    step's guard, as a too-large or a non-positive finite value does: a
-    NaN bound refuses every dt, and a NaN density is not positive."""
+    """A NaN specific heat, source, concentration or heat node, or density
+    node fails its step's guard, as a too-large or a non-positive finite
+    value does: a NaN bound refuses every dt, a NaN density is not positive,
+    and a NaN field or coefficient is refused also where a constant e_J'
+    (the linear flux) reads no gradient."""
     solver = small_solvers["static"]
     xs = solver.positions(0.0)
+    nan, linear = float("nan"), flux_law_builtin("linear")
+    heat = GridField([x[2].copy() for x in xs], 0.0)
+    species = GridField([1.0 + 0.5 * x[2] for x in xs], 0.0)
     with pytest.raises((StabilityViolation, NonpositiveDensity), match="nan|NaN"):
         if case == "heat":
-            step_heat(solver, GridField([x[2].copy() for x in xs], 0.0),
-                      CoefficientFields(C_theta=float("nan"), Q_theta=0.0),
-                      flux_law_builtin("linear"), 1.0)
+            step_heat(solver, heat, CoefficientFields(C_theta=nan, Q_theta=0.0),
+                      linear, 1.0)
         elif case == "diffusion":
-            species = _nan_at([1.0 + 0.5 * x[2] for x in xs], 8, 16)
-            step_diffusion(solver, GridField(species, 0.0),
-                           CoefficientFields(Q_C=1.0),
+            _nan_at(species.values, 8, 16)
+            step_diffusion(solver, species, CoefficientFields(Q_C=1.0),
                            flux_law_builtin("quadratic"), 1e-4)
+        elif case == "heat node, linear flux":
+            _nan_at(heat.values, 8, 16)
+            step_heat(solver, heat, CoefficientFields(Q_theta=0.0), linear, 1e-4)
+        elif case == "diffusion node, linear flux":
+            _nan_at(species.values, 8, 16)
+            step_diffusion(solver, species, CoefficientFields(Q_C=1.0), linear,
+                           1e-4)
+        elif case == "Q_theta":
+            step_heat(solver, heat, CoefficientFields(Q_theta=nan), linear, 1e-4)
+        elif case == "Q_C":
+            step_diffusion(solver, species, CoefficientFields(Q_C=nan), linear,
+                           1e-4)
         else:
             fluid = _rotating_fluid(solver)
             _nan_at(fluid.values, 0, 8, 16)
@@ -657,3 +687,101 @@ def test_moving_metric_cache_holds_four_slim_levels(sphere):
         tracemalloc.stop()
     assert solver._metric_cache.cache_info().maxsize == 4
     assert retained <= 2.4
+
+
+def _parent_step_heat(solver, field, c, flux, dt):
+    """``step_heat`` without its guard, forming in every stage the density
+    sqrtJ(0)/sqrtJ(t) and each coefficient broadcast over the positions
+    (test oracle)."""
+    sqrtJ0 = [solver.interior(m, st.sqrtJ)
+              for m, st in enumerate(solver.metric(0.0))]
+
+    def rhs(vals, t):
+        rho = [s0 / solver.interior(m, st.sqrtJ)
+               for m, (s0, st) in enumerate(zip(sqrtJ0, solver.metric(t)))]
+        xs = solver.positions(t)
+        theta = [v / c.C_theta.value(x, t) for v, x in zip(vals, xs)]
+        div = solver.flux_divergence(theta, t, flux)
+        return [(d + r * c.Q_theta.value(x, t)) / r
+                for d, r, x in zip(div, rho, xs)]
+
+    return GridField(solver.blend(pde_solvers._rk4(field.values, field.t, dt,
+                                                   rhs)), field.t + dt)
+
+
+def _parent_step_diffusion(solver, field, c, flux, dt):
+    """``step_diffusion`` without its guard, broadcasting Q_C over the
+    positions in every stage (test oracle)."""
+    W = [v * solver.interior(m, st.sqrtJ)
+         for m, (v, st) in enumerate(zip(field.values, solver.metric(field.t)))]
+
+    def rhs(wvals, t):
+        sj = [solver.interior(m, st.sqrtJ) for m, st in enumerate(solver.metric(t))]
+        div = solver.flux_divergence([w / s for w, s in zip(wvals, sj)], t, flux)
+        return [s * (d + c.Q_C.value(x, t))
+                for s, d, x in zip(sj, div, solver.positions(t))]
+
+    t_new = field.t + dt
+    vals = [w / solver.interior(m, st.sqrtJ) for m, (w, st) in enumerate(
+        zip(pde_solvers._rk4(W, field.t, dt, rhs), solver.metric(t_new)))]
+    return GridField(solver.blend(vals), t_new)
+
+
+@pytest.mark.parametrize("law", ["linear", "quadratic"])
+@pytest.mark.parametrize("coeffs", [
+    dict(C_theta=2.0, Q_theta=0.3, Q_C=0.5),
+    dict(C_theta="1 + 0.1*x3", Q_theta="0.1*x1*t", Q_C="0.1*x1*t - 0.2*x2")],
+    ids=["constant", "variable"])
+def test_static_steps_equal_the_formed_density_route(small_solvers, coeffs, law):
+    """On a static solver the heat stage skips the density, exactly 1.0, and
+    a constant coefficient is one float: bit-identical to forming the
+    density and broadcasting every coefficient in every stage."""
+    solver = small_solvers["static"]
+    c, flux = CoefficientFields(**coeffs), flux_law_builtin(law)
+    start = [1.0 + 0.5 * x[2] + 0.2 * x[0] * x[1] for x in solver.positions(0.0)]
+    for step, parent in ((step_heat, _parent_step_heat),
+                         (step_diffusion, _parent_step_diffusion)):
+        got = want = GridField([v.copy() for v in start], 0.0)
+        for _ in range(5):
+            got = step(solver, got, c, flux, 2e-4)
+            want = parent(solver, want, c, flux, 2e-4)
+        assert got.t == want.t
+        for a, b in zip(got.values, want.values, strict=True):
+            assert np.array_equal(a, b), step.__name__
+
+
+@pytest.mark.parametrize("motion", ["dilation", "rotation", "translation"])
+def test_moving_metric_from_time_free_memo_equals_chart_metric(sphere, motion,
+                                                               monkeypatch):
+    """A moving solver evaluates each chart's largest t-free subtrees of x
+    and g_a once (7 or 8 nodes for a sphere band) and passes them to every
+    Chart.metric call: its snapshots equal Chart.metric's without them, bit
+    for bit, at t = 0, at a half step and after 20 diffusion steps."""
+    known = []
+    original = Chart.metric
+
+    def recording(self, *args):
+        known.append(args[3])
+        return original(self, *args)
+
+    monkeypatch.setattr(Chart, "metric", recording)
+    solver = SurfaceGridSolver(moving_atlas(sphere, motion_builtin(motion)),
+                               resolution=(16, 32))
+
+    def check(t):
+        for chart, g, st in zip(solver.charts, solver.grids, solver.metric(t)):
+            want = original(chart, g.X[0], g.X[1], t)
+            for name in ("x", "g", "inv_gram", "sqrtJ"):
+                assert np.array_equal(getattr(st, name), getattr(want, name)), name
+
+    dt = 2e-4
+    check(0.0)
+    check(0.5 * dt)
+    field = GridField([1.0 + 0.5 * x[2] for x in solver.positions(0.0)], 0.0)
+    for _ in range(20):
+        field = step_diffusion(solver, field, CoefficientFields(Q_C=0.0),
+                               flux_law_builtin("linear"), dt)
+    check(field.t)
+    padded = solver.grids[0].X[0].size
+    assert [len(k) for k in known[:2]] == [7, 8]
+    assert all(v.nbytes == 8 * padded for k in known for v in k.values())
