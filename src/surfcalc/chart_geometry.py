@@ -270,8 +270,11 @@ def fd_derivative(a, axis, h, pads, k=_PAD):
 
     if not pads[axis]:  # w[i + 2] = a[i mod n]
         w = np.concatenate([rows(np.s_[-2:]), w, rows(np.s_[:2])], axis - 2)
-    return (8.0 * (rows(np.s_[3:-1]) - rows(np.s_[1:-3]))
-            - (rows(np.s_[4:]) - rows(np.s_[:-4]))) / (12.0 * h)
+    d = rows(np.s_[3:-1]) - rows(np.s_[1:-3])
+    d *= 8.0
+    d -= rows(np.s_[4:]) - rows(np.s_[:-4])
+    d /= 12.0 * h
+    return d
 
 
 class ChartGrid:

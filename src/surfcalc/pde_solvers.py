@@ -4,13 +4,17 @@ system on a static surface.
 
 Spatial discretization is the divergence-form chart Laplacian
 ``(1/sqrtJ) d_a ( sqrtJ g^{ab} e_J'(|grad|^2) d_b f )`` built from nested
-4th-order first-derivative stencils on each chart's padded ``ChartGrid``,
-the grid the flow map uses: a bounded direction carries four ghost rows per
-side, filled by bicubic interpolation from the partner chart (sphere
-atlas).  Four rows are the reach of two nested 5-point stencils, so a stage
-takes central stencils alone, on the rows it keeps.  After
-every step, overlap nodes are blended with partition-of-unity weights so the
-charts stay consistent.  Time integration is classical RK4.
+4th-order first-derivative stencils on the padded ``ChartGrid`` the flow map
+uses: a bounded direction carries four ghost rows per side (the reach of two
+nested 5-point stencils), filled by bicubic interpolation from the partner
+chart.  After every step, overlap nodes are blended with partition-of-unity
+weights so the charts stay consistent.  Time integration is classical RK4.
+
+All C charts share one padded grid shape, pads and spacings, so a field is
+one (C, [components,] n1, n2) array and a metric snapshot holds the chart
+axis after each field's tensor axes (g^ab: (2, 2, C, n1, n2)).  A stage runs
+each stencil, einsum and metric read once for every chart; only the
+cross-chart gathers of the ghost fill and the blend go chart by chart.
 
 A stage forms only what it reads: the ghost rows its stencils reach (4 per
 side for heat and diffusion, 2 for the barotropic stage), a constant
@@ -23,10 +27,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .chart_geometry import _PAD, ChartGrid, fd_derivative, grid_integral
+from .chart_geometry import (_PAD, ChartGrid, MetricState, fd_derivative,
+                             grid_integral)
 from .evolving_surface import _rk4, worst_of
 from .expressions import Num, parse_expr
 from .fluid_models import NonpositiveDensity
@@ -86,9 +92,10 @@ def flux_law_builtin(name, **params):
 
 @dataclass
 class GridField:
-    """Per-chart nodal values of one evolving scalar (or stacked components)."""
+    """Nodal values (C, [components,] n1, n2) of one evolving scalar (or
+    stacked components) on the C charts; a stepper also takes a list."""
 
-    values: list
+    values: np.ndarray
     t: float
 
 
@@ -157,6 +164,10 @@ class SurfaceGridSolver:
     per time level, or once for an atlas that does not move.  Bounded
     directions are only supported on multi-chart atlases (ghost data comes
     from the partner chart).
+
+    Every chart shares one padded grid shape, pads and spacings (else
+    ValueError): fields stack as (C, [components,] n1, n2), metric fields
+    with the chart axis after their tensor axes, as g^ab (2, 2, C, n1, n2).
     """
 
     def __init__(self, atlas, resolution):
@@ -165,23 +176,27 @@ class SurfaceGridSolver:
         if len(self.charts) < 2 and not all(self.charts[0].periodic):
             raise ValueError("bounded chart directions need a partner chart")
         self.grids = [ChartGrid(atlas, m, resolution) for m in range(len(self.charts))]
+        self.grid = self.grids[0]  # the shape, pads and spacings all share
+        if len({(g.X.shape, g.pads, g.hs) for g in self.grids}) > 1:
+            raise ValueError("charts on unequal padded grids (shape, pads or "
+                             "spacings) cannot stack into one array")
         self._build_couplers()
         self._static = all(c.time_independent for c in self.charts)
         charts, grids = self.charts, self.grids  # no cycle through self
         free = [{} if self._static else chart.time_free(*g.X)
                 for chart, g in zip(charts, grids)]
         self._metric_cache = functools.lru_cache(_METRIC_LEVELS)(
-            lambda t: [chart.metric(g.X[0], g.X[1], t, known)
-                       for chart, g, known in zip(charts, grids, free)])
+            lambda t: _stacked([chart.metric(g.X[0], g.X[1], t, known)
+                                for chart, g, known in zip(charts, grids, free)]))
 
     # -- cross-chart coupling ----------------------------------------------------
 
     def _build_couplers(self):
         """Ghost-fill and overlap-blend stencil gathers (reference coords),
         per chart: ``{k: (partner, op, rows)}`` filling k = 2 or 4 ghost rows
-        per side and ``(partner, op, node index, psi, 1 - psi)``, or None."""
-        self.ghost_ops = [None] * len(self.charts)
-        self.blend_ops = [None] * len(self.charts)
+        per side and ``(partner, op, node index, psi, 1 - psi)``; none on a
+        one-chart atlas."""
+        self.ghost_ops, self.blend_ops = [], []
         if len(self.charts) < 2:
             return
         for m, g in enumerate(self.grids):
@@ -192,13 +207,13 @@ class SurfaceGridSolver:
             rows = np.r_[2:p1, -p1:2 - p1, :2, -2:0]
             op = [np.ascontiguousarray(a.reshape(16, 2, -1).swapaxes(0, 1))
                   for a in self._partner_op(m, g.X[0][rows], g.X[1][rows])]
-            self.ghost_ops[m] = {2: (1 - m, [a[0] for a in op], np.r_[:2, -2:0]),
-                                 p1: (1 - m, op, rows)}
+            self.ghost_ops.append({2: (1 - m, [a[0] for a in op], np.r_[:2, -2:0]),
+                                   p1: (1 - m, op, rows)})
             # blend rows: interior nodes where our pou weight is below 1
             need = np.nonzero(g.psi < 1.0 - 1e-13)
             psi = g.psi[need]
-            self.blend_ops[m] = (1 - m, self._partner_op(
-                m, g.axes[0][need[0]], g.axes[1][need[1]]), need, psi, 1.0 - psi)
+            self.blend_ops.append((1 - m, self._partner_op(
+                m, g.axes[0][need[0]], g.axes[1][need[1]]), need, psi, 1.0 - psi))
 
     def _partner_op(self, m, X1, X2):
         """Interpolation from the partner chart's grid to chart m's points."""
@@ -208,29 +223,23 @@ class SurfaceGridSolver:
                                 self.resolution, np.stack([Y1, Y2], axis=-1))
 
     def fill_ghosts(self, values, k=_PAD):
-        """Per-chart arrays padded by ``k`` ghost rows per bounded side,
-        interpolated cross-chart: the reach of the caller's stencils (4 for
-        heat and diffusion, 2 for the barotropic stage).
-
-        Each ``values[m]`` is one (n1, n2) field or a stack (..., n1, n2)."""
-        out = []
-        for m in range(len(self.charts)):
-            lead = values[m].shape[:-2]
-            pad = np.empty(lead + self.interior(m, self.grids[m].X[0], _PAD - k).shape)
-            self.interior(m, pad, k)[...] = values[m]
-            if self.ghost_ops[m] is not None:
-                partner, op, rows = self.ghost_ops[m][k]
-                pad[..., rows, :] = _apply(op, values[partner]).reshape(
-                    lead + (len(rows), pad.shape[-1]))
-            out.append(pad)
-        return out
+        """``values`` (C, ..., n1, n2) padded by ``k`` ghost rows per bounded
+        side, each chart's interpolated from its partner: the reach of the
+        caller's stencils (4 for heat and diffusion, 2 for the barotropic
+        stage)."""
+        values, grid = np.asarray(values), self.grid
+        pad = np.empty(values.shape[:-2] + grid.interior(grid.X[0], _PAD - k).shape)
+        grid.interior(pad, k)[...] = values
+        for m, ghosts in enumerate(self.ghost_ops):
+            partner, op, rows = ghosts[k]
+            pad[m][..., rows, :] = _apply(op, values[partner]).reshape(
+                values.shape[1:-2] + (len(rows), pad.shape[-1]))
+        return pad
 
     def blend(self, values):
         """Partition-of-unity average of overlapping chart values (in place).
 
-        Each ``values[m]`` is one (n1, n2) field or a stack (..., n1, n2)."""
-        if len(self.charts) < 2:
-            return values
+        ``values`` is (C, ..., n1, n2), or a list of per-chart arrays."""
         interped = [_apply(bop, values[partner])
                     for partner, bop, *_ in self.blend_ops]
         for m, (_, _, need, psi, rest) in enumerate(self.blend_ops):
@@ -240,12 +249,16 @@ class SurfaceGridSolver:
 
     # -- metric data ---------------------------------------------------------------
 
-    def metric(self, t):
-        """Padded metric snapshots per chart at time ``t``, cached for the
+    def snapshot(self, t):
+        """Padded metric snapshot of all charts at time ``t``, cached for the
         ``_METRIC_LEVELS`` most recently read levels (t = 0, and one RK4
         step's t, t + dt/2 and t + dt); the least recently read is evicted.
         A time-independent atlas has one entry, shared by every ``t``."""
-        return self._metric_cache(0.0 if self._static else float(t))
+        return self._metric_cache(0.0 if self._static else float(t))[0]
+
+    def metric(self, t):
+        """Per-chart views of :meth:`snapshot` at ``t``, no copies."""
+        return self._metric_cache(0.0 if self._static else float(t))[1]
 
     def positions(self, t):
         """Interior material positions per chart at time ``t``."""
@@ -257,36 +270,38 @@ class SurfaceGridSolver:
 
     # -- spatial operators -----------------------------------------------------------
 
-    def _d(self, m, arr, axis, k):
+    def _d(self, arr, axis, k):
         """Derivative along chart ``axis`` on the rows k in from each padded edge."""
-        g = self.grids[m]
-        return fd_derivative(arr, axis, g.hs[axis], g.pads, k)
+        return fd_derivative(arr, axis, self.grid.hs[axis], self.grid.pads, k)
+
+    def _gradient(self, values, t):
+        """g^ab and the chart gradient (2, C, ...) of ``values`` on the rows
+        two in from each padded edge: all the interior divergence reads."""
+        pads = self.fill_ghosts(values)
+        return (self.grid.interior(self.snapshot(t).inv_gram, 2),
+                np.stack([self._d(pads, a, 2) for a in range(2)]))
 
     def flux_divergence(self, values, t, flux):
-        """Interior values of div_G(e_J'(|grad f|^2) grad f) per chart."""
-        pads = self.fill_ghosts(values)
-        out = []
-        for m, st in enumerate(self.metric(t)):
-            # f, flux and metric on the rows two in: all the interior div reads
-            inv_gram, sqrtJ = (self.interior(m, a, 2) for a in (st.inv_gram, st.sqrtJ))
-            df = np.stack([self._d(m, pads[m], a, 2) for a in range(2)])
-            # |grad f|^2 = g^{ab} f,a f,b; a constant e_J' needs no z
-            z = None if isinstance(flux.d_expr, Num) else np.einsum(
-                "ab...,a...,b...->...", inv_gram, df, df)
-            scale = sqrtJ * flux.deriv(z)
-            Fa = scale * np.einsum("ab...,b...->a...", inv_gram, df)
-            out.append((self._d(m, Fa[0], 0, 2) + self._d(m, Fa[1], 1, 2))
-                       / self.interior(m, st.sqrtJ))
-        return out
+        """Interior values (C, n1, n2) of div_G(e_J'(|grad f|^2) grad f)."""
+        inv_gram, df = self._gradient(values, t)
+        sqrtJ = self.snapshot(t).sqrtJ
+        # |grad f|^2 = g^{ab} f,a f,b; a constant e_J' needs no z
+        z = None if isinstance(flux.d_expr, Num) else np.einsum(
+            "ab...,a...,b...->...", inv_gram, df, df)
+        Fa = np.einsum("ab...,b...->a...", inv_gram, df)
+        Fa *= self.grid.interior(sqrtJ, 2) * flux.deriv(z)
+        div = self._d(Fa[0], 0, 2)
+        div += self._d(Fa[1], 1, 2)
+        div /= self.grid.interior(sqrtJ)
+        return div
 
     # -- stability ---------------------------------------------------------------------
 
     def check_parabolic_dt(self, dt, max_coef, t=0.0):
         """Raise StabilityViolation if dt exceeds the RK4 parabolic bound."""
-        lam = worst_of(0.0, *(float(np.max(
-            _D1_GAIN_SQ * (st.inv_gram[0, 0] / grid.hs[0] ** 2
-                           + st.inv_gram[1, 1] / grid.hs[1] ** 2)))
-            for grid, st in zip(self.grids, self.metric(t))))
+        inv_gram, hs = self.snapshot(t).inv_gram, self.grid.hs
+        lam = worst_of(0.0, float(np.max(_D1_GAIN_SQ * (
+            inv_gram[0, 0] / hs[0] ** 2 + inv_gram[1, 1] / hs[1] ** 2))))
         # written so that a NaN rate gives a NaN bound, which refuses every dt
         rate = lam * max_coef
         bound = np.inf if rate <= 0 else _RK4_REAL_LIMIT / rate
@@ -299,8 +314,27 @@ class SurfaceGridSolver:
 
     def integrate(self, values, t):
         """Surface integral of interior nodal values at time ``t``."""
-        return grid_integral(self.grids, values, [
-            g.interior(st.sqrtJ) for g, st in zip(self.grids, self.metric(t))])
+        return grid_integral(self.grids, values,
+                             self.grid.interior(self.snapshot(t).sqrtJ))
+
+
+class _ChartView(NamedTuple):
+    """Chart ``m``'s fields of a stacked snapshot: each read is a view."""
+
+    stacked: MetricState
+    m: int
+
+    def __getattr__(self, name):
+        return getattr(self.stacked, name)[..., self.m, :, :]
+
+
+def _stacked(states):
+    """One MetricState stacking per-chart ``states``, the chart axis third
+    from last, and a view of it per chart."""
+    snap = MetricState(*(np.stack([getattr(st, f) for st in states], axis=-3)
+                         for f in ("x", "g", "inv_gram", "sqrtJ")),
+                       np.array([st.orientation for st in states])[:, None, None])
+    return snap, [_ChartView(snap, m) for m in range(len(states))]
 
 
 # -- time steppers -------------------------------------------------------------------
@@ -309,31 +343,27 @@ class SurfaceGridSolver:
 def _transported_rho(solver, t):
     """Exact density sqrtJ(0)/sqrtJ(t) at the interior nodes, transported
     from a unit one; None on a static solver, where it is exactly 1.0."""
-    return None if solver._static else [
-        solver.interior(m, s0.sqrtJ) / solver.interior(m, st.sqrtJ)
-        for m, (s0, st) in enumerate(zip(solver.metric(0.0), solver.metric(t)))]
+    crop = solver.grid.interior
+    return None if solver._static else (crop(solver.snapshot(0.0).sqrtJ)
+                                        / crop(solver.snapshot(t).sqrtJ))
 
 
 def _coefficient(solver, field, t):
-    """Per-chart values of a coefficient ``field`` at t (a constant: a float)."""
-    return ([field.expr.value] * len(solver.charts) if isinstance(field.expr, Num)
-            else [field.value(x, t) for x in solver.positions(t)])
+    """Values (C, n1, n2) of a coefficient ``field`` at t (a constant: a float)."""
+    return (field.expr.value if isinstance(field.expr, Num)
+            else field.value(solver.grid.interior(solver.snapshot(t).x), t))
 
 
 def _flux_bound(solver, values, t, flux, coefficients):
     """Max |e_J'| over [0, max |grad u|^2] of the interior ``values`` u at
     time ``t``, the gradient read on the rows the flux divergence reads; a
-    NaN or inf in u or in the per-chart ``coefficients`` raises."""
-    if not all(np.all(np.isfinite(v)) for v in (*values, *coefficients)):
+    NaN or inf in u or in the ``coefficients`` raises."""
+    if not all(np.all(np.isfinite(v)) for v in (values, *coefficients)):
         raise StabilityViolation(f"NaN or inf in a field or coefficient at t={t:g}")
     zmax = 0.0
     if not isinstance(flux.d_expr, Num):  # a constant e_J' needs no z
-        pads = solver.fill_ghosts(values)
-        for m, st in enumerate(solver.metric(t)):
-            df = np.stack([solver._d(m, pads[m], a, 2) for a in range(2)])
-            z = np.einsum("ab...,a...,b...->...",
-                          solver.interior(m, st.inv_gram, 2), df, df)
-            zmax = worst_of(zmax, float(np.max(z)))
+        inv_gram, df = solver._gradient(values, t)
+        zmax = float(np.max(np.einsum("ab...,a...,b...->...", inv_gram, df, df)))
     return float(np.max(np.abs(flux.deriv(np.linspace(0.0, worst_of(zmax, 1e-30), 8)))))
 
 
@@ -346,24 +376,21 @@ def step_heat(solver, field, coeffs, flux, dt):
     1.0 on a static solver), with q the flux of theta = field / C_theta.
     The stability guard bounds e_J' by :func:`_flux_bound` of theta.
     """
-    c = coeffs
+    c, values = coeffs, np.asarray(field.values)
     cth = _coefficient(solver, c.C_theta, field.t)
-    coef = _flux_bound(solver, [v / cm for v, cm in zip(field.values, cth)], field.t,
-                       flux, cth + _coefficient(solver, c.Q_theta, field.t))
-    cth_min = -worst_of(*(-float(np.min(np.abs(cm))) for cm in cth))
-    rho_min = -worst_of(*(-float(np.min(r))
-                          for r in _transported_rho(solver, field.t) or [1.0]))
-    solver.check_parabolic_dt(dt, coef / worst_of(rho_min * cth_min, 1e-30), field.t)
+    coef = _flux_bound(solver, values / cth, field.t, flux,
+                       (cth, _coefficient(solver, c.Q_theta, field.t)))
+    rho = _transported_rho(solver, field.t)
+    low = float(np.min(1.0 if rho is None else rho)) * float(np.min(np.abs(cth)))
+    solver.check_parabolic_dt(dt, coef / worst_of(low, 1e-30), field.t)
 
-    def rhs(vals, t):
+    def rhs(ys, t):
         cth = _coefficient(solver, c.C_theta, t)
-        div = solver.flux_divergence([v / cm for v, cm in zip(vals, cth)], t, flux)
+        div = solver.flux_divergence(ys[0] / cth, t, flux)
         q, rho = _coefficient(solver, c.Q_theta, t), _transported_rho(solver, t)
-        if rho is None:
-            return [d + qm for d, qm in zip(div, q)]
-        return [(d + r * qm) / r for d, r, qm in zip(div, rho, q)]
+        return [div + q if rho is None else (div + rho * q) / rho]
 
-    return GridField(solver.blend(_rk4(field.values, field.t, dt, rhs)),
+    return GridField(solver.blend(_rk4([values], field.t, dt, rhs)[0]),
                      field.t + dt)
 
 
@@ -374,71 +401,61 @@ def step_diffusion(solver, field, coeffs, flux, dt):
     C*sqrtJ is advanced at fixed reference coordinates, which realizes the
     (div v)C transport term exactly.  The guard is :func:`_flux_bound` of C.
     """
-    c = coeffs
-    coef = _flux_bound(solver, field.values, field.t, flux,
-                       _coefficient(solver, c.Q_C, field.t))
+    c, values, crop = coeffs, np.asarray(field.values), solver.grid.interior
+    coef = _flux_bound(solver, values, field.t, flux,
+                       (_coefficient(solver, c.Q_C, field.t),))
     solver.check_parabolic_dt(dt, worst_of(coef, 1e-30), field.t)
+    W = values * crop(solver.snapshot(field.t).sqrtJ)
 
-    W = [v * solver.interior(m, st.sqrtJ)
-         for m, (v, st) in enumerate(zip(field.values, solver.metric(field.t)))]
-
-    def rhs(wvals, t):
-        states = solver.metric(t)
-        sj = [solver.interior(m, states[m].sqrtJ) for m in range(len(wvals))]
-        div = solver.flux_divergence([w / s for w, s in zip(wvals, sj)], t, flux)
-        return [s * (d + qm)
-                for s, d, qm in zip(sj, div, _coefficient(solver, c.Q_C, t))]
+    def rhs(ws, t):
+        sj = crop(solver.snapshot(t).sqrtJ)
+        div = solver.flux_divergence(ws[0] / sj, t, flux)
+        return [sj * (div + _coefficient(solver, c.Q_C, t))]
 
     t_new = field.t + dt
-    vals = [w / solver.interior(m, st.sqrtJ) for m, (w, st) in enumerate(
-        zip(_rk4(W, field.t, dt, rhs), solver.metric(t_new)))]
-    return GridField(solver.blend(vals), t_new)
+    [W] = _rk4([W], field.t, dt, rhs)
+    return GridField(solver.blend(W / crop(solver.snapshot(t_new).sqrtJ)), t_new)
 
 
 def step_barotropic_tangential(solver, field, law, dt):
     """One RK4 step of the tangential barotropic system on a static surface.
 
-    ``field.values[m]`` stacks (rho, v1, v2, v3) as a (4, n1, n2) array; the
-    velocity is re-projected onto the tangent space after every stage.
-    Raises ValueError on a moving atlas: all stages read ``field.t``'s metric.
+    ``field.values`` stacks (rho, v1, v2, v3) per chart as a (C, 4, n1, n2)
+    array; the velocity is re-projected onto the tangent space after every
+    stage.  Raises ValueError on a moving atlas: all stages read
+    ``field.t``'s metric.
     """
     if not solver._static:
         raise ValueError("the barotropic step needs a static surface")
-    states = solver.metric(field.t)
-    P = [solver.interior(m, st.P) for m, st in enumerate(states)]
-    # g^a at the interior nodes, where the stage needs derivatives
-    gup = [solver.interior(m, st.gup) for m, st in enumerate(states)]
+    st, crop = solver.snapshot(field.t), solver.grid.interior
+    # P and g^a at the interior nodes, where the stage needs derivatives
+    P, gup = crop(st.P), crop(st.gup)
 
     def project(vals):
-        for m in range(len(vals)):
-            vals[m][1:] = np.einsum("ij...,j...->i...", P[m], vals[m][1:])
+        vals[:, 1:] = np.einsum("ijc...,cj...->ci...", P, vals[:, 1:])
         return vals
 
-    def rhs(vals, t):
-        vals = [v.copy() for v in vals]
-        project(vals)
-        if not all(np.min(v[0]) > 0 for v in vals):  # NaN fails too
+    def rhs(ys, t):
+        vals = project(ys[0].copy())
+        if not np.min(vals[:, 0]) > 0:  # NaN fails too
             raise NonpositiveDensity("barotropic density became non-positive or NaN")
-        out = []
-        # two ghost rows per side: the reach of the stage's one stencil
-        for m, pad in enumerate(solver.fill_ghosts(vals, 2)):
-            peff_pad = law.effective(np.maximum(pad[0], 1e-12))
-            # chart derivatives (2, 5, ...) of the stack (rho, peff, v1, v2, v3)
-            stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
-            ds = np.stack([solver._d(m, stack, a, 2) for a in range(2)])
-            # tangential gradients g^a d_a f (5, 3, ...) and div_G v = g^a . d_a v
-            grad = np.einsum("ai...,ak...->ki...", gup[m], ds)
-            div_v = np.einsum("ai...,ai...->...", gup[m], ds[:, 2:])
-            # tangential advection (v, grad_t) of each quantity
-            vint = solver.interior(m, pad[1:], 2)
-            rho_i = solver.interior(m, pad[0], 2)
-            drho = -np.einsum("i...,i...->...", vint, grad[0]) - div_v * rho_i
-            dv = -np.einsum("i...,ki...->k...", vint, grad[2:]) - grad[1] / rho_i
-            dv = np.einsum("ij...,j...->i...", P[m], dv)
-            out.append(np.concatenate([drho[None], dv]))
-        return out
+        # two ghost rows per side, the reach of the stage's one stencil; the
+        # chart axis after the components, as in the metric
+        pad = solver.fill_ghosts(vals, 2).swapaxes(0, 1)
+        peff_pad = law.effective(np.maximum(pad[0], 1e-12))
+        # chart derivatives (2, 5, C, ...) of the stack (rho, peff, v1, v2, v3)
+        stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
+        ds = np.stack([solver._d(stack, a, 2) for a in range(2)])
+        # tangential gradients g^a d_a f (5, 3, C, ...) and div_G v = g^a . d_a v
+        grad = np.einsum("ai...,ak...->ki...", gup, ds)
+        div_v = np.einsum("ai...,ai...->...", gup, ds[:, 2:])
+        # tangential advection (v, grad_t) of each quantity
+        vint, rho_i = crop(pad[1:], 2), crop(pad[0], 2)
+        drho = -np.einsum("i...,i...->...", vint, grad[0]) - div_v * rho_i
+        dv = -np.einsum("i...,ki...->k...", vint, grad[2:]) - grad[1] / rho_i
+        dv = np.einsum("ij...,j...->i...", P, dv)
+        return [np.stack([drho, *dv], axis=1)]
 
-    stepped = GridField(_rk4(field.values, field.t, dt, rhs), field.t + dt)
-    project(stepped.values)
-    project(solver.blend(stepped.values))
-    return stepped
+    [new] = _rk4([np.asarray(field.values)], field.t, dt, rhs)
+    project(solver.blend(project(new)))
+    return GridField(new, field.t + dt)

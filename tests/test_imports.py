@@ -47,7 +47,7 @@ CHILD = textwrap.dedent("""
                                      0.3 * x[0], 0.0 * x[0]]) for x in xs],
                           0.0),
         pressure_law_builtin("linear"), 1e-4)
-    assert all(np.all(np.isfinite(a)) for a in heat.values + baro.values)
+    assert all(np.all(np.isfinite(a)) for a in (heat.values, baro.values))
     # the blocking entry is the one scipy key, and it is still the block
     assert [k for k in sys.modules if k.split(".")[0] == "scipy"] == ["scipy"]
     assert sys.modules["scipy"] is None

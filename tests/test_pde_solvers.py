@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from surfcalc import pde_solvers
-from surfcalc.chart_geometry import Chart, ChartFrame, fd_derivative
+from surfcalc.chart_geometry import (Chart, ChartAtlas, ChartFrame,
+                                     fd_derivative)
 from surfcalc.evolving_surface import (FlowState, integrate_grid,
                                        motion_builtin, moving_atlas)
 from surfcalc.fields import as_scalar_field
@@ -215,7 +216,7 @@ def _guard_bound(solver, values, flux):
     zmax = 0.0
     for m, (st, pad) in enumerate(zip(solver.metric(0.0),
                                       solver.fill_ghosts(values))):
-        df = np.stack([solver._d(m, pad, a, 2) for a in range(2)])
+        df = np.stack([solver._d(pad, a, 2) for a in range(2)])
         zmax = max(zmax, float(np.max(np.einsum(
             "ab...,a...,b...->...", solver.interior(m, st.inv_gram, 2),
             df, df))))
@@ -515,7 +516,7 @@ def _barotropic_step_all_rows(solver, field, law, dt):
         for m, pad in enumerate(solver.fill_ghosts(vals)):
             peff_pad = law.effective(np.maximum(pad[0], 1e-12))
             stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
-            ds = np.stack([solver._d(m, stack, a, pde_solvers._PAD)
+            ds = np.stack([solver._d(stack, a, pde_solvers._PAD)
                            for a in range(2)])
             grad = [np.einsum("ab...,ai...,b...->i...", inv_gram[m], g[m],
                               ds[:, k]) for k in range(5)]
@@ -559,8 +560,8 @@ def test_barotropic_stage_equals_full_padded_route(small_solvers, kind,
     for a, b in zip(got.values, every_row.values, strict=True):
         assert np.array_equal(a, b)
     # the reference differentiates the whole padded stack, then crops
-    monkeypatch.setattr(solver, "_d", lambda m, arr, axis, k=0: solver.interior(
-        m, _full_rows_d(solver, m, arr, axis), k))
+    monkeypatch.setattr(solver, "_d", lambda arr, axis, k=0: solver.interior(
+        0, _full_rows_d(solver, 0, arr, axis), k))
     ref = step_barotropic_tangential(solver, field, law, 2e-4)
     for a, b in zip(got.values, ref.values):
         assert np.array_equal(a, b)
@@ -632,17 +633,18 @@ def test_step_guards_refuse_nan(small_solvers, case):
 
 
 def test_stages_build_only_the_metric_fields_they_read(sphere, monkeypatch):
-    """Heat and diffusion stages read x, g^ab and sqrt J: no snapshot of a
-    static or a dilating solver builds g_ab, J, n, P or g^a.  The barotropic
-    stage builds n, P and g^a on its own solver's snapshots only."""
+    """Heat and diffusion stages read x, g^ab and sqrt J: no stacked
+    snapshot of a static or a dilating solver builds g_ab, J, n, P or g^a.
+    The barotropic stage builds n, P and g^a on its own solver's snapshot
+    only."""
     built = []
-    original = Chart.metric
+    original = pde_solvers._stacked
 
-    def recording(self, *args):
-        built.append(original(self, *args))
+    def recording(states):
+        built.append(original(states))
         return built[-1]
 
-    monkeypatch.setattr(Chart, "metric", recording)
+    monkeypatch.setattr(pde_solvers, "_stacked", recording)
     dilating = moving_atlas(sphere, motion_builtin("dilation"))
     flux = flux_law_builtin("linear")
     for atlas in (sphere, dilating):
@@ -658,12 +660,12 @@ def test_stages_build_only_the_metric_fields_they_read(sphere, monkeypatch):
     solver = SurfaceGridSolver(sphere, resolution=(16, 32))
     field = _rotating_fluid(solver)
     derived = {"gram", "J", "n", "P", "gup"}
-    assert built and all(not derived & set(vars(st)) for st in built)
+    assert built and all(not derived & set(vars(st)) for st, _ in built)
     step_barotropic_tangential(solver, field,
                                pressure_law_builtin("quadratic"), 2e-4)
-    for st in solver.metric(0.0):
-        assert derived & set(vars(st)) == {"n", "P", "gup"}
-    assert all(not derived & set(vars(st)) for st in built[:-2])
+    assert solver.snapshot(0.0) is built[-1][0]
+    assert derived & set(vars(solver.snapshot(0.0))) == {"n", "P", "gup"}
+    assert all(not derived & set(vars(st)) for st, _ in built[:-1])
 
 
 def test_moving_metric_cache_holds_four_slim_levels(sphere):
@@ -785,3 +787,243 @@ def test_moving_metric_from_time_free_memo_equals_chart_metric(sphere, motion,
     padded = solver.grids[0].X[0].size
     assert [len(k) for k in known[:2]] == [7, 8]
     assert all(v.nbytes == 8 * padded for k in known for v in k.values())
+
+
+# -- the per-chart steppers the stacked ones replaced (test oracle) -------------
+
+
+def _per_chart_fd(a, axis, h, pads, k):
+    """fd_derivative as five whole-array operations."""
+    w = a[..., slice(k - 2 if axis == 0 else k, -(k - 2 if axis == 0 else k) or None)
+          if pads[0] else slice(None),
+          slice(k if axis == 0 else k - 2, -(k if axis == 0 else k - 2) or None)
+          if pads[1] else slice(None)]
+
+    def rows(s):
+        return w[(..., s) + (slice(None),) * (1 - axis)]
+
+    if not pads[axis]:
+        w = np.concatenate([rows(np.s_[-2:]), w, rows(np.s_[:2])], axis - 2)
+    return (8.0 * (rows(np.s_[3:-1]) - rows(np.s_[1:-3]))
+            - (rows(np.s_[4:]) - rows(np.s_[:-4]))) / (12.0 * h)
+
+
+class _PerChart:
+    """A solver's operations one chart at a time, each chart's metric from
+    its own Chart.metric call (no stacked snapshot), its couplers reused."""
+
+    def __init__(self, solver):
+        self.s, self.levels = solver, {}
+
+    def metric(self, t):
+        s, key = self.s, 0.0 if self.s._static else float(t)
+        if key not in self.levels:
+            self.levels[key] = [c.metric(g.X[0], g.X[1], key)
+                                for c, g in zip(s.charts, s.grids)]
+        return self.levels[key]
+
+    def interior(self, m, a, k=pde_solvers._PAD):
+        return self.s.grids[m].interior(a, k)
+
+    def d(self, m, arr, axis, k):
+        g = self.s.grids[m]
+        return _per_chart_fd(arr, axis, g.hs[axis], g.pads, k)
+
+    def fill_ghosts(self, values, k=pde_solvers._PAD):
+        out = []
+        for m in range(len(self.s.charts)):
+            lead = values[m].shape[:-2]
+            pad = np.empty(lead + self.interior(
+                m, self.s.grids[m].X[0], pde_solvers._PAD - k).shape)
+            self.interior(m, pad, k)[...] = values[m]
+            if self.s.ghost_ops:
+                partner, op, rows = self.s.ghost_ops[m][k]
+                pad[..., rows, :] = _apply(op, values[partner]).reshape(
+                    lead + (len(rows), pad.shape[-1]))
+            out.append(pad)
+        return out
+
+    def blend(self, values):
+        if len(self.s.charts) < 2:
+            return values
+        interped = [_apply(bop, values[partner])
+                    for partner, bop, *_ in self.s.blend_ops]
+        for m, (_, _, need, psi, rest) in enumerate(self.s.blend_ops):
+            own = values[m][(...,) + need]
+            values[m][(...,) + need] = psi * own + rest * interped[m]
+        return values
+
+    def flux_divergence(self, values, t, flux):
+        pads = self.fill_ghosts(values)
+        out = []
+        for m, st in enumerate(self.metric(t)):
+            inv_gram, sqrtJ = (self.interior(m, a, 2) for a in (st.inv_gram, st.sqrtJ))
+            df = np.stack([self.d(m, pads[m], a, 2) for a in range(2)])
+            z = None if isinstance(flux.d_expr, pde_solvers.Num) else np.einsum(
+                "ab...,a...,b...->...", inv_gram, df, df)
+            scale = sqrtJ * flux.deriv(z)
+            Fa = scale * np.einsum("ab...,b...->a...", inv_gram, df)
+            out.append((self.d(m, Fa[0], 0, 2) + self.d(m, Fa[1], 1, 2))
+                       / self.interior(m, st.sqrtJ))
+        return out
+
+    def rho(self, t):
+        return None if self.s._static else [
+            self.interior(m, s0.sqrtJ) / self.interior(m, st.sqrtJ)
+            for m, (s0, st) in enumerate(zip(self.metric(0.0), self.metric(t)))]
+
+    def coefficient(self, field, t):
+        if isinstance(field.expr, pde_solvers.Num):
+            return [field.expr.value] * len(self.s.charts)
+        return [field.value(self.interior(m, st.x), t)
+                for m, st in enumerate(self.metric(t))]
+
+    def step_heat(self, field, c, flux, dt):
+        def rhs(vals, t):
+            cth = self.coefficient(c.C_theta, t)
+            div = self.flux_divergence([v / cm for v, cm in zip(vals, cth)], t, flux)
+            q, rho = self.coefficient(c.Q_theta, t), self.rho(t)
+            if rho is None:
+                return [d + qm for d, qm in zip(div, q)]
+            return [(d + r * qm) / r for d, r, qm in zip(div, rho, q)]
+
+        return GridField(self.blend(pde_solvers._rk4(field.values, field.t, dt, rhs)),
+                         field.t + dt)
+
+    def step_diffusion(self, field, c, flux, dt):
+        W = [v * self.interior(m, st.sqrtJ)
+             for m, (v, st) in enumerate(zip(field.values, self.metric(field.t)))]
+
+        def rhs(wvals, t):
+            sj = [self.interior(m, st.sqrtJ) for m, st in enumerate(self.metric(t))]
+            div = self.flux_divergence([w / s for w, s in zip(wvals, sj)], t, flux)
+            return [s * (d + qm)
+                    for s, d, qm in zip(sj, div, self.coefficient(c.Q_C, t))]
+
+        t_new = field.t + dt
+        vals = [w / self.interior(m, st.sqrtJ) for m, (w, st) in enumerate(
+            zip(pde_solvers._rk4(W, field.t, dt, rhs), self.metric(t_new)))]
+        return GridField(self.blend(vals), t_new)
+
+    def step_barotropic(self, field, law, dt):
+        states = self.metric(field.t)
+        P = [self.interior(m, st.P) for m, st in enumerate(states)]
+        gup = [self.interior(m, np.einsum("ab...,bi...->ai...", st.inv_gram, st.g))
+               for m, st in enumerate(states)]
+
+        def project(vals):
+            for m in range(len(vals)):
+                vals[m][1:] = np.einsum("ij...,j...->i...", P[m], vals[m][1:])
+            return vals
+
+        def rhs(vals, t):
+            vals = project([v.copy() for v in vals])
+            out = []
+            for m, pad in enumerate(self.fill_ghosts(vals, 2)):
+                peff_pad = law.effective(np.maximum(pad[0], 1e-12))
+                stack = np.concatenate([pad[:1], peff_pad[None], pad[1:]])
+                ds = np.stack([self.d(m, stack, a, 2) for a in range(2)])
+                grad = np.einsum("ai...,ak...->ki...", gup[m], ds)
+                div_v = np.einsum("ai...,ai...->...", gup[m], ds[:, 2:])
+                vint = self.interior(m, pad[1:], 2)
+                rho_i = self.interior(m, pad[0], 2)
+                drho = -np.einsum("i...,i...->...", vint, grad[0]) - div_v * rho_i
+                dv = -np.einsum("i...,ki...->k...", vint, grad[2:]) - grad[1] / rho_i
+                dv = np.einsum("ij...,j...->i...", P[m], dv)
+                out.append(np.concatenate([drho[None], dv]))
+            return out
+
+        stepped = GridField(pde_solvers._rk4(field.values, field.t, dt, rhs),
+                            field.t + dt)
+        project(stepped.values)
+        project(self.blend(stepped.values))
+        return stepped
+
+
+@pytest.fixture(scope="module")
+def oracle_solvers(sphere, torus):
+    moving = {m: SurfaceGridSolver(moving_atlas(sphere, motion_builtin(m)),
+                                   resolution=(16, 32))
+              for m in ("dilation", "rotation", "translation")}
+    return {"static": SurfaceGridSolver(sphere, resolution=(16, 32)),
+            "dilating": moving["dilation"], "rotating": moving["rotation"],
+            "translating": moving["translation"],
+            "torus": SurfaceGridSolver(torus, resolution=(16, 24))}
+
+
+def _assert_charts_equal(got, want):
+    assert got.t == want.t
+    assert np.shape(got.values) == np.shape(want.values)
+    for a, b in zip(got.values, want.values, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("law", ["linear", "quadratic"])
+@pytest.mark.parametrize("coeffs", [
+    dict(C_theta=2.0, Q_theta=0.3, Q_C=0.5),
+    dict(C_theta="1 + 0.1*x3", Q_theta="0.1*x1*t", Q_C="0.1*x1*t - 0.2*x2")],
+    ids=["constant", "variable"])
+@pytest.mark.parametrize("kind", ["static", "dilating", "rotating",
+                                  "translating", "torus"])
+def test_stacked_steps_equal_the_per_chart_steps(oracle_solvers, kind, coeffs,
+                                                 law):
+    """Heat and diffusion stages on one (C, n1, n2) stack give every chart
+    the bits of the per-chart steppers they replaced, after 10 steps."""
+    solver = oracle_solvers[kind]
+    per_chart = _PerChart(solver)
+    c, flux = CoefficientFields(**coeffs), flux_law_builtin(law)
+    start = [1.0 + 0.5 * x[2] + 0.2 * x[0] * x[1] for x in solver.positions(0.0)]
+    for step, parent in ((step_heat, per_chart.step_heat),
+                         (step_diffusion, per_chart.step_diffusion)):
+        got = GridField([v.copy() for v in start], 0.0)
+        want = GridField([v.copy() for v in start], 0.0)
+        for _ in range(10):
+            got = step(solver, got, c, flux, 2e-4)
+            want = parent(want, c, flux, 2e-4)
+        assert isinstance(got.values, np.ndarray)
+        _assert_charts_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["static", "torus"])
+def test_stacked_barotropic_step_equals_the_per_chart_step(oracle_solvers, kind):
+    solver = oracle_solvers[kind]
+    law = pressure_law_builtin("quadratic")
+    got = want = _rotating_fluid(solver)
+    for _ in range(10):
+        got = step_barotropic_tangential(solver, got, law, 2e-4)
+        want = _PerChart(solver).step_barotropic(want, law, 2e-4)
+    _assert_charts_equal(got, want)
+
+
+def test_chart_views_share_the_stacked_snapshot(oracle_solvers):
+    """solver.metric(t) reads chart m's slice of the one stacked snapshot:
+    x and sqrt J, and P and g^a once a barotropic step has built them, are
+    views into it, not per-chart copies."""
+    for kind in ("static", "dilating"):
+        solver = oracle_solvers[kind]
+        snap = solver.snapshot(0.3)
+        assert snap.sqrtJ.shape == (2,) + solver.grids[0].X[0].shape
+        for m, st in enumerate(solver.metric(0.3)):
+            for name in ("x", "sqrtJ"):
+                assert np.shares_memory(getattr(st, name), getattr(snap, name))
+                assert np.array_equal(getattr(st, name),
+                                      getattr(snap, name)[..., m, :, :])
+    solver = oracle_solvers["static"]
+    step_barotropic_tangential(solver, _rotating_fluid(solver),
+                               pressure_law_builtin("quadratic"), 2e-4)
+    snap = solver.snapshot(0.0)
+    assert {"P", "gup"} <= set(vars(snap))
+    for st in solver.metric(0.0):
+        for name in ("P", "gup"):
+            assert np.shares_memory(getattr(st, name), getattr(snap, name))
+
+
+def test_solver_refuses_charts_on_unequal_grids(sphere):
+    """Fields stack over charts only on one padded grid: a partner band
+    with a narrower bounded direction has another spacing and is refused."""
+    band, other = sphere.charts
+    (lo, hi), around = other.domain
+    narrow = Chart(other.param, ((lo + 0.05, hi - 0.05), around), other.periodic,
+                   other.orientation, other.pou_bump, other.invert, other.name)
+    with pytest.raises(ValueError, match="spacings"):
+        SurfaceGridSolver(ChartAtlas([band, narrow]), resolution=(16, 32))
