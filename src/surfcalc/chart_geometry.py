@@ -318,7 +318,7 @@ def grid_integral(grids, values, sqrtJ):
 class ChartFrame:
     """Dual-valued geometry of one chart at given coordinates and time.
 
-    Every quantity but ``inv_gram`` (values only) is a dual number seeded on
+    Every quantity but ``inv_gram`` and ``gup`` (values) is a dual seeded on
     ``X1, X2`` only, so one more chart-coordinate derivative of anything
     assembled from the frame can be read off its dual parts.  Time enters as a plain parameter; the chart
     velocity is :attr:`x_t`, the exact time partial of the parametrization.
@@ -355,13 +355,16 @@ class ChartFrame:
         """Tangential projector I - n n^T (dual), built on first read."""
         return _projector(self.n)
 
+    # the contravariant basis g^a = g^ab g_b (2, 3, ...) as values: that of
+    # the frame's snapshot, built on first read
+    gup = functools.cached_property(lambda self: self.metric().gup)
+
     def tangential(self, q, i):
         """Values of the ambient component ``i`` of the tangential derivative
-        g^ab g_a dq/dX_b of a dual scalar ``q`` (one derivative level is
-        consumed)."""
-        return _total(value_of(self.inv_gram[a][b]) * value_of(self.g[a][i])
-                      * self.values(q, _CHART_VARS[b])
-                      for a in range(2) for b in range(2))
+        g^1_i dq/dX1 + g^2_i dq/dX2 of a dual scalar ``q`` (one derivative
+        level is consumed)."""
+        gup = self.gup
+        return gup[0, i] * self.values(q, "X1") + gup[1, i] * self.values(q, "X2")
 
     def div(self, f):
         """Values of the chart-form surface divergence of a dual 3-vector."""
@@ -396,9 +399,14 @@ class ChartFrame:
 
     # -- field composition ----------------------------------------------------
 
+    def eval_scalars(self, fields):
+        """:meth:`eval_scalar` of each field, each shared node formed once."""
+        env = {"x1": self.x[0], "x2": self.x[1], "x3": self.x[2], "t": self.t}
+        return evaluate_all([f.expr for f in fields], env)
+
     def eval_scalar(self, f):
         """Evaluate an ambient scalar field on the (dual) surface points."""
-        return f(self.x[0], self.x[1], self.x[2], self.t)
+        return self.eval_scalars([f])[0]
 
 
 # the start of _total: adding x to it gives x itself
@@ -580,7 +588,10 @@ def default_rule(atlas):
     return QuadratureRule(atlas, order=48, periodic_order=96)
 
 
-_BLOCK = 8192  # nodes per block of rule-wide work: fits a 4 MiB L2
+# Nodes per block of rule-wide work.  On the conservation report's stress
+# integral 2048, 4096 and 8192 took 0.28-0.41, 0.21-0.29 and 0.18-0.26 s,
+# bit-identical; 16384 was no faster and lifted the report's peak 18 -> 30 MiB.
+_BLOCK = 8192
 # Freeing one untouched 8 MiB array lifts glibc's heap-trim threshold to
 # twice its size, above a block's working set, so each block reuses the
 # freed heap of the last instead of faulting it back in from the system.

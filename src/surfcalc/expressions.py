@@ -305,7 +305,8 @@ def _value(node, scope):
 def evaluate_all(exprs, env, known=()):
     """Values of ``exprs`` in one ``env``: one evaluation of the whole list,
     each node of the mapping ``known`` taking the value given there."""
-    scope = _Scope(env, _read_plan(tuple(exprs)))
+    exprs = tuple(exprs)  # a lone root reads its own node's plan, as evaluate does
+    scope = _Scope(env, exprs[0]._plan if len(exprs) == 1 else _read_plan(exprs))
     scope.memo.update(known)  # held to the end: never a last read
     scope.left.update(dict.fromkeys(known, math.inf))
     return [_value(e, scope) for e in exprs]

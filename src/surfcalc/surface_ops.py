@@ -8,7 +8,7 @@ test-suite:
 * a **chart** form built from chart-coordinate derivatives and the inverse
   Gram matrix (evaluated through dual numbers on a :class:`ChartFrame`):
   :meth:`ChartFrame.tangential` is the one tangential derivative
-  g^ab g_a d/dX_b, and :meth:`ChartFrame.div` sums it into div_G.
+  g^a d/dX_a (g^a = g^ab g_b), and :meth:`ChartFrame.div` sums it into div_G.
 
 The chart form survives one extra differentiation (its outputs are dual), so
 second-level operators such as the divergence of the surface stress tensor
@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from .autodiff import value_of
-from .chart_geometry import _symmetric, _total, rule_sums
+from .chart_geometry import _dot3, _symmetric, _total, rule_sums
 from .fields import as_scalar_field, as_vector_field
 
 __all__ = [
@@ -94,9 +94,9 @@ def surface_laplacian(f, frame):
 
 
 def _jac_dual(v, frame):
-    """Dual ambient Jacobian dv_i/dx_j composed on the surface."""
-    return [[frame.eval_scalar(v.comp[i].d(var)) for var in _AMBIENT]
-            for i in range(3)]
+    """Dual ambient Jacobian dv_i/dx_j on the surface, in one evaluation."""
+    flat = frame.eval_scalars([c.d(var) for c in v.comp for var in _AMBIENT])
+    return [flat[3 * i:3 * i + 3] for i in range(3)]
 
 
 def _sym(M):
@@ -115,14 +115,19 @@ def _contract(A, B):
 def strain_dual(v, frame, jac=None):
     """Dual strain of an ambient vector field on a frame.
 
-    Returns ``(Dproj, divv)``: the doubly-projected strain P sym(grad v) P
-    and the surface divergence (both dual, ready for one more derivative).
-    ``jac`` is ``v``'s :func:`_jac_dual` when the caller already holds it.
+    Returns ``(Dproj, divv)``: D_G = P A P of A = sym(grad v), formed from
+    the normal as A - n w^T - w n^T with c = n.(A n), w = A n - c n / 2, and
+    div_G v = tr(P grad v) = tr A - c (both dual, ready for one more
+    derivative; ``Dproj[j][i] is Dproj[i][j]``).  ``jac`` is ``v``'s
+    :func:`_jac_dual` when the caller already holds it.
     """
     jac = _jac_dual(as_vector_field(v), frame) if jac is None else jac
-    P = frame.P
-    Dproj = _matmul(P, _matmul(_sym(jac), P))
-    return Dproj, _contract(P, jac)
+    A, n = _sym(jac), frame.n
+    An = _apply(A, n)
+    c = _dot3(n, An)
+    w = [An[i] - (0.5 * c) * n[i] for i in range(3)]
+    Dproj = _symmetric(lambda i, j: A[i][j] - n[i] * w[j] - w[i] * n[j])
+    return Dproj, A[0][0] + A[1][1] + A[2][2] - c
 
 
 def dissipation_density(Dproj, divv, mu_d, lam_d):
@@ -131,20 +136,18 @@ def dissipation_density(Dproj, divv, mu_d, lam_d):
 
 
 def stress_dual(v, sigma, mu, lam, frame, jac=None):
-    """Dual surface stress S = 2*mu*Dproj + (lam*divv - sigma)*P.
+    """Dual surface stress S = 2*mu*Dproj + (lam*divv - sigma)*P, built
+    over its 6 distinct entries (``S[j][i] is S[i][j]``).
 
     Returns ``(S, Dproj, divv, mu_d, lam_d, sig_d)``: the stress, the strain
     it is built from, and the dual coefficient values (``jac`` as in
     :func:`strain_dual`).
     """
     Dproj, divv = strain_dual(v, frame, jac)
-    mu_d = frame.eval_scalar(as_scalar_field(mu))
-    lam_d = frame.eval_scalar(as_scalar_field(lam))
-    sig_d = frame.eval_scalar(as_scalar_field(sigma))
-    P = frame.P
-    mu2, iso = 2.0 * mu_d, lam_d * divv - sig_d
-    S = [[mu2 * Dproj[i][j] + iso * P[i][j] for j in range(3)]
-         for i in range(3)]
+    mu_d, lam_d, sig_d = frame.eval_scalars(
+        [as_scalar_field(a) for a in (mu, lam, sigma)])
+    mu2, iso, P = 2.0 * mu_d, lam_d * divv - sig_d, frame.P
+    S = _symmetric(lambda i, j: mu2 * Dproj[i][j] + iso * P[i][j])
     return S, Dproj, divv, mu_d, lam_d, sig_d
 
 

@@ -97,6 +97,23 @@ def test_contravariant_basis_is_dual_to_the_tangents(sphere, torus, rng):
             assert np.max(np.abs(P - st.P)) <= 1e-13
 
 
+def test_frame_contravariant_basis_and_tangential_derivative(sphere, torus,
+                                                             rng):
+    """A dual frame's g^a equals its snapshot's bit for bit, and
+    tangential(q, i) = g^1_i dq/dX1 + g^2_i dq/dX2 agrees with the sum
+    g^ab g_a dq/dX_b to rounding."""
+    for chart in (*sphere.charts, *torus.charts):
+        X = random_nodes(chart, rng, 300)
+        frame = chart.frame(X[0], X[1])
+        assert np.array_equal(frame.gup, frame.metric().gup)
+        q = frame.eval_scalar(ScalarField("x1*x2 + sin(x3)"))
+        inv, g = frame.values(frame.inv_gram), frame.values(frame.g)
+        dq = np.stack([frame.values(q, "X1"), frame.values(q, "X2")])
+        ref = np.einsum("ab...,ai...,b...->i...", inv, g, dq)
+        got = np.stack([frame.tangential(q, i) for i in range(3)])
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+
 def test_partition_of_unity_sums_to_one(sphere, rng):
     # sample points of chart 0, map into chart 1, sum the weights
     chart0, chart1 = sphere.charts

@@ -57,6 +57,29 @@ def test_moving_chart_pass_checks_material_identities_only(monkeypatch):
             "transport_commutation_momentum"} <= checks
 
 
+def test_stress_integral_fails_with_the_identity_for_the_projector(
+        monkeypatch):
+    """The stress-divergence row can fail: with I in place of P in the
+    isotropic part, div_G((lam div v - sigma) I) is a tangential gradient,
+    whose integral over the sphere is int (lam div v - sigma) H n, not 0."""
+    original = cli_runner.stress_dual
+
+    def mutant(v, sigma, mu, lam, frame, jac=None):
+        out = original(v, sigma, mu, lam, frame, jac)
+        _, Dproj, divv, mu_d, lam_d, sig_d = out
+        iso = lam_d * divv - sig_d
+        S = [[2.0 * mu_d * Dproj[i][j] + (iso if i == j else 0.0)
+              for j in range(3)] for i in range(3)]
+        return (S,) + out[1:]
+
+    monkeypatch.setattr(cli_runner, "stress_dual", mutant)
+    scn = load_scenario(scenario_path("conservation_translation.cfg"))
+    rows, _ = cli_runner.suite_conservation_report(scn,
+                                                   np.random.default_rng(0))
+    row = {r["check"]: r for r in rows}["stress_divergence_integral"]
+    assert not row["pass"] and row["value"] > 1.0, row
+
+
 def test_run_identities_scenario(runner, tmp_path):
     out_dir = tmp_path / "out"
     out = runner.invoke(main, ["run", scenario_path("sphere_identities.cfg"),

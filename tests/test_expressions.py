@@ -267,8 +267,15 @@ _POINT = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
 def test_diff_matches_dual_partials(e, point):
     env = dict(zip(("x1", "x2", "t"), point))
     for var in env:
-        dual = e.evaluate(dict(env, **{var: ad.seed(var, env[var])}))
-        exact = e.diff(var).evaluate(env)
+        seeded = dict(env, **{var: ad.seed(var, env[var])})
+        try:
+            e.evaluate(env)
+            exact = e.diff(var).evaluate(env)
+        except RuntimeWarning:  # past float64, as exp(exp(exp(2))) = e^1618:
+            with pytest.raises(RuntimeWarning):  # the dual route refuses it too
+                e.evaluate(seeded)
+            continue
+        dual = e.evaluate(seeded)
         assert exact == pytest.approx(ad.partial_of(dual, var), rel=1e-10)
 
 

@@ -11,7 +11,8 @@ from surfcalc.fields import (ScalarField, random_scalar_field,
                              random_vector_field)
 from surfcalc.fluid_models import (CoefficientFields, FluidFields,
                                    residual_tangential, thermo_quantities)
-from surfcalc.surface_ops import (_Point, dissipation_density,
+from surfcalc.surface_ops import (_AMBIENT, _contract, _jac_dual, _Point,
+                                  dissipation_density,
                                   grad_scalar_dual, ibp_residuals,
                                   identity_residuals, material_residuals,
                                   strain_dual, stress_dual,
@@ -136,6 +137,57 @@ def test_gradient_energy_oracle(sphere, sphere_rule):
     assert abs(total - exact) / exact <= 1e-8
 
 
+def _matmul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
+def test_strain_from_the_normal_matches_the_projector_route(sphere, torus,
+                                                            rng):
+    """strain_dual's A - n w^T - w n^T and tr A - c equal the projector
+    route P sym(jac) P and tr(P jac) to rounding, values and both
+    X-partials; the strain and the stress are symmetric by identity and
+    annihilate the normal."""
+    for atlas in (sphere, torus):
+        for _ in range(3):
+            frame = frame_at(atlas, rng, 200)
+            v = random_vector_field(rng)
+            jac, P = _jac_dual(v, frame), frame.P
+            sym = [[0.5 * (jac[i][j] + jac[j][i]) for j in range(3)]
+                   for i in range(3)]
+            want = (_matmul(P, _matmul(sym, P)), _contract(P, jac))
+            got = strain_dual(v, frame)
+            for wrt in (None, "X1", "X2"):
+                for a, b in zip(got, want):
+                    err = np.max(np.abs(frame.values(a, wrt)
+                                        - frame.values(b, wrt)))
+                    assert err <= 1e-14, (atlas.name, wrt, err)
+            S, Dproj = stress_dual(v, random_scalar_field(rng), 1.0, 0.5,
+                                   frame, jac)[:2]
+            n = frame.values(frame.n)
+            for M in (Dproj, S):
+                assert all(M[j][i] is M[i][j]
+                           for i in range(3) for j in range(3))
+                Mn = np.einsum("ij...,j...->i...", frame.values(M), n)
+                assert np.max(np.abs(Mn)) <= 1e-14, atlas.name
+
+
+def test_joint_jacobian_equals_one_evaluation_per_partial(sphere, torus, rng):
+    """The nine partials read in one evaluation equal nine eval_scalar
+    calls bit for bit, values and partials."""
+    for atlas in (sphere, torus):
+        for _ in range(3):
+            frame = frame_at(atlas, rng, 100)
+            v = random_vector_field(rng)
+            jac = _jac_dual(v, frame)
+            for i, c in enumerate(v.comp):
+                for j, var in enumerate(_AMBIENT):
+                    one = frame.eval_scalar(c.d(var))
+                    for wrt in (None, "X1", "X2"):
+                        assert np.array_equal(frame.values(jac[i][j], wrt),
+                                              frame.values(one, wrt))
+
+
 def test_dissipation_density_routes(sphere, torus, rng):
     """The dual dissipation density against the ambient projector route:
     P sym(grad v) P and tr(P grad v) from the plain Jacobian of v."""
@@ -193,16 +245,18 @@ def test_identity_residuals_evaluate_each_field_once(sphere, rng,
                                                      monkeypatch):
     """identity_residuals evaluates each dual field once per frame: the
     ambient partials of f, the components of v, one Jacobian each of v and
-    phi, and g, mu, lam (3 + 1 + 3 + 9 + 9 + 3 = 28 evaluations)."""
+    phi, and g, mu, lam (3 + 1 + 3 + 9 + 9 + 3 = 28 evaluations).  Fields
+    are counted at ChartFrame.eval_scalars, which eval_scalar and the joint
+    Jacobian both go through."""
     frame = frame_at(sphere, rng, 50)
     seen = []
-    original = ChartFrame.eval_scalar
+    original = ChartFrame.eval_scalars
 
-    def recording(self, f):
-        seen.append(f)
-        return original(self, f)
+    def recording(self, fields):
+        seen.extend(fields)
+        return original(self, fields)
 
-    monkeypatch.setattr(ChartFrame, "eval_scalar", recording)
+    monkeypatch.setattr(ChartFrame, "eval_scalars", recording)
     identity_residuals(frame, "x1*x3 + 0.2*x2", ("x2*x3", "sin(x1)", "x1*x1"),
                        ("0.4*x3", "cos(x2)", "0.2 - x1*x2"), "1 + 0.1*x3",
                        "1 + 0.2*x1", "0.5 + 0.1*x2")
