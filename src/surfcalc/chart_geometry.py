@@ -440,11 +440,32 @@ def metric_at(chart, X, t=0.0):
 
 
 class ChartAtlas:
-    """A set of charts with normalized partition-of-unity weights."""
+    """A set of charts with normalized partition-of-unity weights.  Its
+    ``integration`` atlas is the one :func:`default_rule` integrates on, its
+    ``reference`` the static atlas whose coordinates its charts share."""
 
-    def __init__(self, charts, name="surface"):
+    def __init__(self, charts, name="surface", integration=None,
+                 reference=None):
         self.charts = list(charts)
         self.name = name
+        self._integration, self._reference = integration, reference
+
+    integration = property(lambda self: self._integration or self)
+    reference = property(lambda self: self._reference or self)
+
+    def image(self, fn, suffix):
+        """The atlas of ``fn(chart)`` per chart, integration atlas included."""
+        integ = self._integration and self._integration.image(fn, suffix)
+        return ChartAtlas([fn(c) for c in self.charts], self.name + suffix,
+                          integ, self.reference)
+
+    def charts_for(self, rule):
+        """The charts of this atlas, or of its integration atlas, that
+        ``rule`` was built on (or their images)."""
+        for atlas in (self, self.integration):
+            if atlas.reference is rule.atlas:
+                return atlas.charts
+        raise ValueError(f"a rule on {rule.atlas.name!r} does not fit {self.name!r}")
 
     def pou(self, m, X1, X2):
         """Normalized weight of chart ``m`` at its own coordinates.
@@ -525,7 +546,11 @@ def sphere_atlas(R=1.0):
             invert=_sphere_invert(R, rotated),
             name=name,
         ))
-    return ChartAtlas(charts, name=f"sphere(R={R})")
+    # one analytic, periodic chart for integrals: no psi, no node on a pole
+    polar = Chart(_sphere_param(R, False), ((0.0, math.pi), (0.0, 2 * math.pi)),
+                  periodic=(False, True), name="sphere-polar")
+    name = f"sphere(R={R})"
+    return ChartAtlas(charts, name, ChartAtlas([polar], name + " polar"))
 
 
 def torus_atlas(R=2.0, r=0.5):
@@ -549,10 +574,13 @@ class QuadratureRule:
     uniform (trapezoid/midpoint) nodes in periodic directions.
 
     ``nodes[m]`` is ``(X, w, psi)`` for chart ``m``: coordinates ``(2, N)``,
-    weights ``(N,)``, and normalized partition-of-unity values ``(N,)``.
+    weights ``(N,)``, and normalized partition-of-unity values ``(N,)``, on
+    the charts of ``atlas`` itself.  On the sphere's two bands psi is not
+    analytic, so ``QuadratureRule(sphere, 160, 384)`` stops near 1e-9.
     """
 
     def __init__(self, atlas, order=32, periodic_order=64):
+        self.atlas = atlas.reference
         self.nodes = []
         for m, chart in enumerate(atlas.charts):
             axes = []
@@ -577,15 +605,18 @@ class QuadratureRule:
 
 
 def default_rule(atlas):
-    """Reference quadrature rule sized for near machine-precision integrals.
-
-    Multi-chart atlases pay for the smooth partition of unity with
-    root-exponential (rather than spectral) convergence, so they get a much
-    denser rule; single periodic charts converge spectrally and stay cheap.
-    """
-    if len(atlas.charts) > 1:
-        return QuadratureRule(atlas, order=160, periodic_order=384)
-    return QuadratureRule(atlas, order=48, periodic_order=96)
+    """n Gauss-Legendre x 2n trapezoid nodes on the one chart of the atlas's
+    integration atlas.  The sphere's is a latitude-longitude chart with no
+    psi: its integrands are analytic and periodic, so the rule converges
+    spectrally (area 4 pi to ~1e-13).  Its two bands carry psi, C-infinity
+    but not analytic: ask for them by ``QuadratureRule(sphere, order,
+    periodic_order)`` or a scenario's ``quadrature`` lines."""
+    integ = atlas.integration
+    if len(integ.charts) > 1:
+        raise ValueError(f"{atlas.name!r} has no one-chart integration atlas")
+    # n = 48 is as accurate on the sphere; see ROADMAP, Housekeeping
+    n = 48 if integ is atlas else 112
+    return QuadratureRule(integ, order=n, periodic_order=2 * n)
 
 
 # Nodes per block of rule-wide work.  On the conservation report's stress
@@ -620,21 +651,23 @@ def _put(out, part, s, n):
     return out
 
 
-def rule_terms(reduce, charts, rule, fn, *per_chart):
-    """``reduce(terms)`` for each chart of ``rule``, in chart order: ``terms``
-    is ``fn(chart, X, w, psi, *arrays)`` through :func:`blockwise`, ``arrays``
-    being that chart's entries of each of ``per_chart``.  Every rule-wide loop
-    is this one.  A chart's terms are reduced over its whole node axis, and
-    dropped, before the next chart's are computed."""
+def rule_terms(reduce, atlas, rule, fn, *per_chart):
+    """``reduce(terms)`` for each chart of ``atlas.charts_for(rule)``, in
+    order: ``terms`` is ``fn(chart, X, w, psi, *arrays)`` through
+    :func:`blockwise`, ``arrays`` being that chart's entries of each of
+    ``per_chart``.  Every rule-wide loop is this one.  A chart's terms are
+    reduced over its whole node axis, and dropped, before the next chart's
+    are computed."""
+    charts = atlas.charts_for(rule)
     return [reduce(blockwise(functools.partial(fn, chart), *nodes, *arrays))
             for chart, nodes, *arrays in zip(charts, rule.nodes, *per_chart)]
 
 
-def rule_sums(charts, rule, fn):
+def rule_sums(atlas, rule, fn):
     """``np.sum(terms, axis=-1)`` of each chart's :func:`rule_terms`, added
     in chart order from 0.0."""
     total = 0.0
-    for s in rule_terms(lambda a: np.sum(a, axis=-1), charts, rule, fn):
+    for s in rule_terms(lambda a: np.sum(a, axis=-1), atlas, rule, fn):
         total += s
     return total
 
@@ -646,4 +679,4 @@ def integrate(field, atlas, rule, t=0.0):
     def terms(chart, X, w, psi):
         st = metric_at(chart, X, t)
         return w * psi * value(st.x, t) * st.sqrtJ
-    return float(rule_sums(atlas.charts, rule, terms))
+    return float(rule_sums(atlas, rule, terms))

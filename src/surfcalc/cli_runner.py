@@ -521,7 +521,7 @@ def suite_conservation_report(scn, rng):
             stress_dual(v, sig, 1.0, 0.5, frame)[0], frame)
             for v, sig in draws])
     worst = worst_of(0.0, *(float(np.max(np.abs(total))) for total in
-                            rule_sums(atlas.charts, rule, block)))
+                            rule_sums(atlas, rule, block)))
     rows.append(_row("stress_divergence_integral", worst,
                      scn.tolerance("stress", 1e-7)))
 

@@ -135,11 +135,10 @@ def motion_builtin(name, **params):
 
 
 def moving_atlas(atlas, motion):
-    """Atlas whose charts carry the exact closed-form motion (if available)."""
-    charts = [motion.moving_chart(ch) for ch in atlas.charts]
-    if any(c is None for c in charts):
+    """The atlas under the exact closed-form motion, integration atlas too."""
+    if motion.transform is None:
         raise ValueError(f"motion {motion.name!r} has no closed-form chart map")
-    return ChartAtlas(charts, name=atlas.name + "+" + motion.name)
+    return atlas.image(motion.moving_chart, "+" + motion.name)
 
 
 def _geometry_from_positions(xp, grid, orientation):

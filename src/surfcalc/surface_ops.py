@@ -367,5 +367,5 @@ def ibp_residuals(f, phi, atlas, rule, t=0.0, m=0):
         divphi = frame.div([frame.eval_scalar(c) for c in phi.comp])
         flux = np.einsum("i...,i...->...", gf + fv * H * n, phi.value(x, t))
         return np.stack([comp, wgt * (fv * divphi + flux)])
-    comp, div = rule_sums(atlas.charts, rule, block)
+    comp, div = rule_sums(atlas, rule, block)
     return float(abs(comp)), float(abs(div))

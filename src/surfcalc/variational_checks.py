@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart_geometry import (Chart, ChartAtlas, _geometry, _metric_state,
+from .chart_geometry import (Chart, _geometry, _metric_state,
                              _total, metric_at, rule_sums, rule_terms)
 from .evolving_surface import moving_atlas, worst_of
 from .expressions import Num, Var, parse_expr, substitute
@@ -77,7 +77,7 @@ class VariationField:
         """Max |z| over the quadrature nodes at the initial time."""
         def block(chart, X, w, psi):
             return np.abs(self.direction.value(chart.position(*X, t0), t0))
-        return worst_of(0.0, *rule_terms(np.max, atlas.charts, rule, block))
+        return worst_of(0.0, *rule_terms(np.max, atlas, rule, block))
 
     def tangency_residual(self, atlas, rule, t=0.0):
         """Max |z . n| over the quadrature nodes at time ``t``."""
@@ -85,7 +85,7 @@ class VariationField:
             st = metric_at(chart, X, t)
             return np.abs(np.einsum("i...,i...->...",
                                     self.direction.value(st.x, t), st.n))
-        return worst_of(0.0, *rule_terms(np.max, atlas.charts, rule, block))
+        return worst_of(0.0, *rule_terms(np.max, atlas, rule, block))
 
 
 def time_window_variation(direction, T):
@@ -117,13 +117,13 @@ def varied_atlas(atlas, variation, eps):
     follows from exact differentiation of the displaced parametrization.
     """
     z = _direction_exprs(variation)
-    charts = []
-    for ch in atlas.charts:
+
+    def varied(ch):
         param = [p + Num(float(eps)) * _compose_ambient(c, ch.param)
                  for p, c in zip(ch.param, z)]
-        charts.append(Chart(param, ch.domain, ch.periodic, ch.orientation,
-                            ch.pou_bump, ch.invert, ch.name + "+var"))
-    return ChartAtlas(charts, name=atlas.name + "+var")
+        return Chart(param, ch.domain, ch.periodic, ch.orientation,
+                     ch.pou_bump, ch.invert, ch.name + "+var")
+    return atlas.image(varied, "+var")
 
 
 # -- fast plain-value chart evaluation (no dual overhead) -----------------------
@@ -168,7 +168,7 @@ def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
     evaluation per Simpson node and chart block, summed in that order."""
     ts, wt = _simpson_nodes(T, nt)
     rho0 = as_scalar_field(rho0)
-    jets = {ch: _jet(ch, z) for ch in mov.charts}
+    jets = {ch: _jet(ch, z) for ch in mov.charts_for(rule)}
     total, magnitude = np.zeros((2, len(rungs)))
     # per chart, the (rung, node) conserved density weights: filled at t = 0
     rho0t = [np.empty((len(rungs), X.shape[1])) for X, _, _ in rule.nodes]
@@ -186,8 +186,7 @@ def _action_rungs(mov, rule, rho0, T, law, nt, z, rungs):
                     kernel = kernel - law.p(r0[i] / sJ) * sJ
                 out.append(w * psi * kernel)
             return np.stack(out)
-        for s, a in rule_terms(_sum_and_magnitude, mov.charts, rule, block,
-                               rho0t):
+        for s, a in rule_terms(_sum_and_magnitude, mov, rule, block, rho0t):
             total -= wk * s
             magnitude += wk * a
     return {e: (float(a), float(b)) for e, a, b in zip(rungs, total, magnitude)}
@@ -248,8 +247,7 @@ def action_first_variation(atlas, motion, variation, rho0, T, law=None, *,
             del frame, pt  # free them before the next frame is built
         return np.stack(out)
     total = 0.0
-    for sums in rule_terms(lambda a: np.sum(a, axis=-1), mov.charts, rule,
-                           block):
+    for sums in rule_terms(lambda a: np.sum(a, axis=-1), mov, rule, block):
         for wk, s in zip(wt, sums):
             total += wk * float(s)
     return total
@@ -344,7 +342,7 @@ def dissipation_work_energy(v, sigma, mu, lam, rho, F, atlas, rule, t=0.0):
             _jac_dual(v, frame), v.value(x, t), frame.eval_scalar(mu),
             frame.eval_scalar(lam), sigma.value(x, t), rho.value(x, t),
             F.value(x, t), frame, w * psi * frame.values(frame.sqrtJ))
-    return float(rule_sums(atlas.charts, rule, block))
+    return float(rule_sums(atlas, rule, block))
 
 
 def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
@@ -383,8 +381,7 @@ def check_dissipation_work_variation(v, sigma, mu, lam, rho, F, phi, atlas,
         kernel = np.einsum("i...,i...->...", force, phival)
         return np.stack(out + [wgt * kernel])
     # the +eps and -eps energies, the analytic side
-    energy_p, energy_m, analytic = map(float, rule_sums(atlas.charts, rule,
-                                                        block))
+    energy_p, energy_m, analytic = map(float, rule_sums(atlas, rule, block))
     fd = (energy_p - energy_m) / (2.0 * eps)
 
     report = {"fd": fd, "analytic": analytic, "error": abs(fd - analytic),
@@ -420,7 +417,7 @@ def gradient_flux_energy(f, flux, atlas, rule, t=0.0):
         terms = _flux_energy_terms(_partials(f, st.x, t), flux, st.P,
                                    st.sqrtJ, w, psi)
         return np.stack([terms, np.abs(terms)])
-    s, a = rule_sums(atlas.charts, rule, block)
+    s, a = rule_sums(atlas, rule, block)
     return float(0.0 - 0.5 * s), float(0.5 * a)  # 0.0 - 0.0 is +0.0
 
 
@@ -480,7 +477,7 @@ def check_flux_variation(f, flux, phi, atlas, rule, t=0.0,
             _flux_energy_terms([a + e * b for a, b in zip(df, dphi)], flux, P,
                                sJ, w, psi) for e in rungs])
     sums = magnitude = 0.0  # row 0: the analytic side; then one per rung
-    for s, a in rule_terms(_sum_and_magnitude, atlas.charts, rule, block):
+    for s, a in rule_terms(_sum_and_magnitude, atlas, rule, block):
         sums += s
         magnitude += a
 
@@ -593,7 +590,7 @@ def check_energy_representations(atlas, motion, fields, coeffs, t, law=None,
             pairs.append((wgt * 0.5 * flux.density(zeta_amb),
                           wref * st.sqrtJ * 0.5 * flux.density(zeta_ref)))
         return np.stack([a for pair in pairs for a in pair])
-    sums = rule_sums(mov.charts, rule, block)
+    sums = rule_sums(mov, rule, block)
 
     report = {}
     for name, a, b in zip(names, map(float, sums[0::2]),
@@ -620,7 +617,7 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule):
     eps = 1e-4
     mov = moving_atlas(atlas, motion)
     z = _direction_exprs(variation)
-    jets = {ch: _jet(ch, z) for ch in mov.charts}
+    jets = {ch: _jet(ch, z) for ch in mov.charts_for(rule)}
 
     def block(chart, X, w, psi):
         v = chart.evaluate(jets[chart], X[0], X[1], t)
@@ -632,7 +629,7 @@ def jacobian_variation_residual(atlas, motion, variation, t, rule):
         dy = v[18:].reshape(st.g.shape)  # the X rows of C = z o p
         rhs = 2.0 * np.einsum("ai...,ai...->...", st.gup, dy) * st.J
         return np.abs(dJ - rhs)
-    return worst_of(0.0, *rule_terms(np.max, mov.charts, rule, block))
+    return worst_of(0.0, *rule_terms(np.max, mov, rule, block))
 
 
 def tangential_pairing_residual(f, z, atlas, rule, t=0.0):
@@ -649,5 +646,5 @@ def tangential_pairing_residual(f, z, atlas, rule, t=0.0):
         Pf = np.einsum("ij...,j...->i...", st.P, fv)
         return np.stack([wgt * np.einsum("i...,i...->...", fv, Pz),
                          wgt * np.einsum("i...,i...->...", Pf, zv)])
-    lhs, rhs = rule_sums(atlas.charts, rule, block)
+    lhs, rhs = rule_sums(atlas, rule, block)
     return float(abs(lhs - rhs))

@@ -17,8 +17,16 @@ def torus():
 
 @pytest.fixture(scope="session")
 def sphere_rule(sphere):
-    # dense reference rule: near machine-precision closed-surface integrals
+    # reference rule on the polar integration chart: near machine-precision
+    # closed-surface integrals
     return default_rule(sphere)
+
+
+@pytest.fixture(scope="session")
+def sphere_rule_dense(sphere):
+    # the psi-weighted two-band rule of 122,880 nodes: for tests of node
+    # blocking, peak memory and the partition of unity
+    return QuadratureRule(sphere, order=160, periodic_order=384)
 
 
 @pytest.fixture(scope="session")

@@ -17,9 +17,8 @@ import pytest
 
 import surfcalc
 from surfcalc import chart_geometry
-from surfcalc.chart_geometry import (QuadratureRule, blockwise, default_rule,
-                                     integrate, metric_at, rule_sums,
-                                     rule_terms)
+from surfcalc.chart_geometry import (QuadratureRule, blockwise, integrate,
+                                     metric_at, rule_sums, rule_terms)
 from surfcalc.cli_runner import (suite_conservation_report,
                                  suite_verify_geometry)
 from surfcalc.config import load_scenario
@@ -95,7 +94,7 @@ def test_rule_sums_drop_each_chart_before_the_next(sphere, monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sums = rule_sums(sphere.charts, rule, fn)
+        sums = rule_sums(sphere, rule, fn)
     finally:
         tracemalloc.stop()
     assert sums.shape == rows.shape
@@ -132,13 +131,13 @@ def test_rule_sums_add_whole_chart_sums_in_chart_order(sphere, torus,
         extras = [np.cos(X[1]) for X, _, _ in rule.nodes]
         whole = [fn(chart, X, w, psi, e) for chart, (X, w, psi), e
                  in zip(atlas.charts, rule.nodes, extras)]
-        cut = rule_terms(np.copy, atlas.charts, rule, fn, extras)
+        cut = rule_terms(np.copy, atlas, rule, fn, extras)
         assert all(np.array_equal(a, b)
                    for a, b in zip(cut, whole, strict=True))
         want = [0.0] * 3
         for terms in whole:
             want = [s + float(np.sum(row)) for s, row in zip(want, terms)]
-        got = rule_sums(atlas.charts, rule, lambda chart, X, w, psi: fn(
+        got = rule_sums(atlas, rule, lambda chart, X, w, psi: fn(
             chart, X, w, psi, np.cos(X[1])))
         assert [float(s) for s in got] == want
 
@@ -257,34 +256,47 @@ def _scenario_path(name):
     return resources.files("surfcalc") / "scenarios" / f"{name}.cfg"
 
 
-def _scenario(name):
-    return load_scenario(str(_scenario_path(name)))
+def _dense_scenario(name, tmp_path):
+    """The path of bundled scenario ``name`` with the dense two-band rule of
+    the ``sphere_rule_dense`` fixture as its ``quadrature``."""
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(_scenario_path(name).read_text()
+                    + "\nquadrature.order = 160\nquadrature.periodic_order = 384\n")
+    return str(path)
 
 
-def test_dense_rule_checks_peak_at_one_block(sphere, sphere_rule):
-    """On the 61,440-node sphere charts the flux ladder, the action
-    variation, the area integral, the rule's own partition of unity and two
-    rule-wide suites hold one block's geometry and one chart's terms at a
-    time.  Each bound is the measured peak plus about 10%: 12.3, 8.1, 3.4,
-    5.5, 7.8 and 18.0 MiB.  Two charts' terms, and a chart's terms held
-    twice, peaked at 13.5, 9.2, 3.7, 5.4, 8.2 and 21.3 MiB; one whole
-    chart's geometry at a time, at 31.9, 10.0, 36.4 and 26.4 MiB on the
-    last four."""
+def test_dense_rule_checks_peak_at_one_block(sphere, sphere_rule_dense,
+                                             tmp_path):
+    """On the 61,440-node charts of the dense two-band sphere rule the flux
+    ladder, the action variation, the area integral, the rule's own
+    partition of unity and two rule-wide suites hold one block's geometry
+    and one chart's terms at a time.  Each bound is the measured peak plus
+    about 10%: 12.3, 8.1, 3.4, 5.5, 7.8 and 18.0 MiB.  Two charts' terms,
+    and a chart's terms held twice, peaked at 13.5, 9.2, 3.7, 5.4, 8.2 and
+    21.3 MiB; one whole chart's geometry at a time, at 31.9, 10.0, 36.4 and
+    26.4 MiB on the last four.  Two one-time imports are warmed first, so
+    that no check counts them: numpy.random (the suites' generator, 0.8 MiB)
+    and numpy.polynomial (``leggauss``, 0.6 MiB); unwarmed, the report read
+    19.85 MiB as the first call of a fresh process."""
+    np.random.default_rng(0)
+    np.polynomial.legendre.leggauss(2)
     flux_peak = _peak_mib(lambda: check_flux_variation(
         "x1 + 2*x3", flux_law_builtin("quadratic"), "0.5*x1 + x2*x3", sphere,
-        rule=sphere_rule))
+        rule=sphere_rule_dense))
     var = time_window_variation(WOBBLE, 0.4)
     action_peak = _peak_mib(lambda: action_first_variation(
         sphere, motion_builtin("dilation"), var, "1 + 0.2*x3", 0.4,
-        law=pressure_law_builtin("quadratic"), rule=sphere_rule, nt=2))
+        law=pressure_law_builtin("quadratic"), rule=sphere_rule_dense, nt=2))
     assert flux_peak <= 13.4, flux_peak
     assert action_peak <= 8.9, action_peak
-    area_peak = _peak_mib(lambda: integrate(1.0, sphere, sphere_rule))
-    rule_peak = _peak_mib(lambda: default_rule(sphere))
+    area_peak = _peak_mib(lambda: integrate(1.0, sphere, sphere_rule_dense))
+    rule_peak = _peak_mib(lambda: QuadratureRule(sphere, 160, 384))
     geometry_peak = _peak_mib(lambda: suite_verify_geometry(
-        _scenario("sphere_identities"), np.random.default_rng(0)))
+        load_scenario(_dense_scenario("sphere_identities", tmp_path)),
+        np.random.default_rng(0)))
     report_peak = _peak_mib(lambda: suite_conservation_report(
-        _scenario("conservation_translation"), np.random.default_rng(0)))
+        load_scenario(_dense_scenario("conservation_translation", tmp_path)),
+        np.random.default_rng(0)))
     assert area_peak <= 3.7, area_peak
     assert rule_peak <= 6.0, rule_peak
     assert geometry_peak <= 8.6, geometry_peak
@@ -293,12 +305,13 @@ def test_dense_rule_checks_peak_at_one_block(sphere, sphere_rule):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="glibc's heap-trim threshold")
-def test_blocks_reuse_the_heap_the_last_block_freed():
+def test_blocks_reuse_the_heap_the_last_block_freed(tmp_path):
     """In a fresh process the conservation report's minor page faults stay
-    near those of its peak working set: each block of the stress integral
-    reuses the heap of the block before (with that heap trimmed after every
-    block, the report took about 48,000 faults)."""
-    cfg = str(_scenario_path("conservation_translation"))
+    near those of its peak working set: on the dense two-band rule each
+    block of the stress integral reuses the heap of the block before (with
+    that heap trimmed after every block, the report took about 48,000
+    faults)."""
+    cfg = _dense_scenario("conservation_translation", tmp_path)
     code = ("import resource, numpy as np\n"
             "from surfcalc.cli_runner import suite_conservation_report\n"
             "from surfcalc.config import load_scenario\n"

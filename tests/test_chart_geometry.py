@@ -187,6 +187,47 @@ def test_quadrature_convergence(sphere):
     assert abs(fine - exact) < abs(coarse - exact)
 
 
+def test_a_rule_fits_only_the_charts_it_was_built_on(sphere, torus_rule):
+    """A torus rule on the sphere raises; a two-band rule on the moving
+    sphere runs through its bands; the polar default rule gives the dilated
+    sphere's area 4 pi (1 + t)^2."""
+    dilating = moving_atlas(sphere, motion_builtin("dilation"))
+    for atlas in (sphere, dilating):
+        with pytest.raises(ValueError, match="does not fit"):
+            integrate(1.0, atlas, torus_rule)
+    bands = QuadratureRule(sphere, 24, 48)
+    assert dilating.charts_for(bands) is dilating.charts
+    exact = 4 * math.pi * 1.5 ** 2
+    area = integrate(1.0, dilating, bands, t=0.5)
+    assert abs(area - exact) / exact <= 1e-3
+    area = integrate(1.0, dilating, default_rule(sphere), t=0.5)
+    assert abs(area - exact) / exact <= 1e-13
+
+
+def test_default_rule_refuses_a_psi_weighted_atlas(sphere):
+    """The two bands without their polar chart have no one-chart
+    integration atlas: ``default_rule`` raises rather than give them a
+    psi-weighted rule that stops near 1e-5."""
+    with pytest.raises(ValueError, match="no one-chart integration atlas"):
+        default_rule(ChartAtlas(sphere.charts, "bands"))
+
+
+def test_partition_of_unity_agrees_with_the_polar_rule(sphere, sphere_rule,
+                                                        sphere_rule_dense):
+    """The bands' weights sum to 1 at the polar nodes, and the dense
+    psi-weighted two-band rule agrees with the polar default rule to within
+    its own error."""
+    X = sphere_rule.nodes[0][0]
+    x = sphere.integration.charts[0].position(X[0], X[1])
+    total = sum(sphere.pou(m, *chart.invert(x))
+                for m, chart in enumerate(sphere.charts))
+    assert np.max(np.abs(total - 1.0)) <= 1e-14
+    for f in ("1", "x3*x3", "exp(x1)*cos(2*x2) + x3*x3*x3*x3",
+              "1/(2 + x1*x3)"):
+        polar = integrate(f, sphere, sphere_rule)
+        assert abs(integrate(f, sphere, sphere_rule_dense) - polar) <= 2e-9, f
+
+
 def test_frame_values_full_shape(rng):
     """Constant components (the plane's x3 = 0 is a plain float) come back
     as full-shape float arrays, and matrices match the metric snapshot."""
@@ -243,7 +284,7 @@ def test_metric_records_equal_frame_values(surface, sphere, sphere_rule, torus,
             ["x2*x3", "sin(x1) - x3", "x1*x2 + 0.5"], 0.4), 3e-3),
             sphere_rule, 0.2),
     }[surface]
-    for chart, (X, _, _) in zip(atlas.charts, rule.nodes):
+    for chart, (X, _, _) in zip(atlas.charts_for(rule), rule.nodes):
         frame = chart.frame(X[0], X[1], t)
         for st in (frame.metric(), metric_at(chart, X, t)):
             assert set(vars(st)) == SNAPSHOT_FIELDS
